@@ -15,9 +15,13 @@
 //!
 //! Setting `ENCORE_TRACE` (or passing `--report`) enables the observability
 //! sink; the per-phase pipeline report goes to stderr under `ENCORE_TRACE`
-//! and to the `--report` path as JSON when given.  `--bench-json FILE`
-//! additionally writes a compact perf record ([`encore_bench::perf`]) for
-//! baseline diffing with `encore-report`.
+//! and to the `--report` path as JSON when given.  `--trace-out FILE`
+//! records every timer span and writes a Chrome trace-viewer /
+//! Perfetto-compatible JSON trace on exit.
+//!
+//! `--save-detector FILE` replaces the file atomically (temp file in the
+//! same directory, fsync, rename), so an `encore-serve` poller hot-reloading
+//! that path never reads a half-written snapshot.
 //!
 //! # CI/CD surface
 //!
@@ -29,32 +33,11 @@
 //! stdout and turns any admitted finding into exit 1.  Flag-free
 //! invocations keep the historical stdout and exit-0 behavior exactly.
 //!
-//! # Watch mode
+//! # Continuous checking
 //!
-//! ```text
-//! encore-detect --train 20 --watch DIR --interval-ms 500 \
-//!               --max-iterations 3 --report watch.jsonl
-//! ```
-//!
-//! `--watch DIR` switches from one-shot fleet checking to the long-running
-//! serve loop ([`encore::watch`]): each file in DIR is one target config
-//! file, polled by mtime/size every `--interval-ms`; only added/changed
-//! targets are re-checked, and the `--save-detector`/`--load-detector`
-//! snapshot file is hot-reloaded when it changes on disk.  With `--report`
-//! the loop appends one pipeline-report JSON line per cycle (JSONL).  The
-//! loop stops after `--max-iterations` cycles, or — when unbounded — as
-//! soon as stdin reaches end-of-file (close the pipe to stop the daemon;
-//! no signal handling needed).
-//!
-//! # Live telemetry
-//!
-//! `--metrics-addr HOST:PORT` (watch mode only) serves the cumulative
-//! sink as Prometheus text exposition on `/metrics`, plus `/healthz` and
-//! `/readyz` (ready after the first completed cycle, not-ready while a
-//! detector hot-reload is failing).  The bound address is printed to
-//! stderr, so `HOST:0` works for tests.  `--trace-out FILE` (any mode)
-//! records every timer span and writes a Chrome trace-viewer /
-//! Perfetto-compatible JSON trace on exit.
+//! To keep re-checking a directory of config files as they change, save a
+//! snapshot here and run `encore-serve --app NAME=KIND=SNAPSHOT --watch
+//! NAME=DIR`.
 
 use encore::prelude::*;
 use encore_check::{
@@ -68,9 +51,7 @@ use encore_model::AppKind;
 const USAGE: &str = "usage: encore-detect [--app NAME] [--train N] [--seed N] \
 [--targets N] [--target-seed N] [--misconfig-percent P] [--workers N] \
 [--save-detector FILE] [--load-detector FILE] [--no-entropy] [--report FILE] \
-[--bench-json FILE] [--trace-out FILE] [--event-log FILE] [--profile FILE] \
-[--watch DIR] [--interval-ms N] \
-[--max-iterations K] [--metrics-addr HOST:PORT] [--severity LEVEL] \
+[--trace-out FILE] [--event-log FILE] [--profile FILE] [--severity LEVEL] \
 [--min-report-confidence X] [--quiet] [--sarif FILE] \
 [--baseline FILE | --write-baseline FILE]";
 
@@ -95,14 +76,9 @@ struct Args {
     load_detector: Option<String>,
     no_entropy: bool,
     report: Option<String>,
-    bench_json: Option<String>,
     trace_out: Option<String>,
     event_log: Option<String>,
     profile: Option<String>,
-    watch: Option<String>,
-    interval_ms: u64,
-    max_iterations: Option<u64>,
-    metrics_addr: Option<String>,
     filter: FindingFilter,
     quiet: bool,
     sarif: Option<String>,
@@ -123,14 +99,9 @@ fn parse_args() -> Option<Args> {
         load_detector: None,
         no_entropy: false,
         report: None,
-        bench_json: None,
         trace_out: None,
         event_log: None,
         profile: None,
-        watch: None,
-        interval_ms: 1_000,
-        max_iterations: None,
-        metrics_addr: None,
         filter: FindingFilter::default(),
         quiet: false,
         sarif: None,
@@ -198,28 +169,9 @@ fn parse_args() -> Option<Args> {
             "--load-detector" => parsed.load_detector = Some(value("--load-detector", args.next())),
             "--no-entropy" => parsed.no_entropy = true,
             "--report" => parsed.report = Some(value("--report", args.next())),
-            "--bench-json" => parsed.bench_json = Some(value("--bench-json", args.next())),
             "--trace-out" => parsed.trace_out = Some(value("--trace-out", args.next())),
             "--event-log" => parsed.event_log = Some(value("--event-log", args.next())),
             "--profile" => parsed.profile = Some(value("--profile", args.next())),
-            "--watch" => parsed.watch = Some(value("--watch", args.next())),
-            "--metrics-addr" => parsed.metrics_addr = Some(value("--metrics-addr", args.next())),
-            "--interval-ms" => {
-                let v = value("--interval-ms", args.next());
-                parsed.interval_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--interval-ms requires milliseconds"));
-            }
-            "--max-iterations" => {
-                let v = value("--max-iterations", args.next());
-                let n: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-iterations requires a count"));
-                if n == 0 {
-                    usage("--max-iterations must be at least 1");
-                }
-                parsed.max_iterations = Some(n);
-            }
             "--severity" => {
                 let v = value("--severity", args.next());
                 parsed.filter.min_severity = Severity::parse_name(&v).unwrap_or_else(|| {
@@ -276,100 +228,31 @@ fn build_detector(args: &Args) -> AnomalyDetector {
     EnCore::learn(&training, &options).into_detector()
 }
 
-/// Run the serve loop over a directory of config files until
-/// `--max-iterations` cycles complete or — when unbounded — stdin closes.
-fn run_watch(args: &Args, detector: AnomalyDetector, dir: &str) {
-    let app = args.app;
-    let mut options = encore::WatchOptions::new(app, dir);
-    options.interval = std::time::Duration::from_millis(args.interval_ms);
-    options.max_iterations = args.max_iterations;
-    options.workers = args.workers;
-    options.detector_path = args
-        .save_detector
-        .as_ref()
-        .or(args.load_detector.as_ref())
-        .map(std::path::PathBuf::from);
-    options.report_path = args.report.as_ref().map(std::path::PathBuf::from);
-
-    // The live telemetry surface: /metrics, /healthz, /readyz.  The
-    // readiness flag is shared with the watcher, which flips it true
-    // after the first completed cycle and false while a hot-reload is
-    // failing.  The server lives until this function returns (dropping
-    // it stops the accept thread).
-    let readiness = std::sync::Arc::new(encore::obs::expose::Readiness::new());
-    options.readiness = Some(std::sync::Arc::clone(&readiness));
-    let _metrics = args.metrics_addr.as_ref().map(|addr| {
-        match encore::obs::expose::MetricsServer::start(
-            addr,
-            std::sync::Arc::clone(&readiness),
-            encore::obs::render_prometheus,
-        ) {
-            Ok(server) => {
-                // Machine-readable so tools (and the CLI tests) can bind
-                // port 0 and discover the actual endpoint.
-                eprintln!("encore-detect: metrics listening on {}", server.addr());
-                server
-            }
-            Err(e) => {
-                eprintln!("encore-detect: cannot bind metrics endpoint `{addr}`: {e}");
-                std::process::exit(2);
-            }
-        }
+/// Write `text` to `path` atomically: a temp file in the same directory,
+/// fsynced, then renamed over the target, and the directory fsynced so
+/// the rename survives a crash.  A reader of `path` sees the old file or
+/// the new one, never a truncated one.
+fn write_atomically(path: &str, text: &str) -> std::io::Result<()> {
+    use std::io::Write;
+    let target = std::path::Path::new(path);
+    let name = target
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| std::io::Error::other("not a file path"))?;
+    let temp = target.with_file_name(format!(".{name}.tmp-{}", std::process::id()));
+    let written = std::fs::File::create(&temp).and_then(|mut file| {
+        file.write_all(text.as_bytes())?;
+        file.sync_all()
     });
-
-    // Unbounded runs stop on stdin end-of-file: whoever holds the pipe
-    // holds the daemon.  Bounded runs ignore stdin so closed-stdin CI can
-    // still count its cycles.  `StopFlag::stop` wakes the watcher's
-    // inter-cycle wait, so shutdown latency is bounded by the in-flight
-    // cycle, not by `--interval-ms`.
-    let stop = std::sync::Arc::new(encore::StopFlag::new());
-    if args.max_iterations.is_none() {
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin().lock();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stop.stop();
-        });
+    if let Err(e) = written.and_then(|()| std::fs::rename(&temp, target)) {
+        let _ = std::fs::remove_file(&temp);
+        return Err(e);
     }
-
-    let mut watcher = encore::Watcher::new(detector, options);
-    let outcome = watcher.run(&stop, |cycle| {
-        println!(
-            "== watch cycle {}: {} rechecked ({} added, {} changed, {} removed), \
-{} tracked{}",
-            cycle.cycle,
-            cycle.results.len(),
-            cycle.added,
-            cycle.changed,
-            cycle.removed,
-            cycle.tracked,
-            if cycle.reloaded_detector {
-                ", detector reloaded"
-            } else {
-                ""
-            },
-        );
-        if let Some(e) = &cycle.reload_error {
-            eprintln!("encore-detect: detector reload failed (serving old rules): {e}");
-        }
-        for (name, result) in &cycle.results {
-            println!("== system {name}");
-            match result {
-                Ok(report) => print!("{}", report.render()),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-    });
-    match outcome {
-        Ok(cycles) => println!("== watch done: {cycles} cycle(s)"),
-        Err(e) => {
-            eprintln!("encore-detect: watch failed: {e}");
-            std::process::exit(2);
-        }
-    }
-    write_trace(args);
+    let dir = target
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Write the recorded span trace as Chrome trace-viewer JSON when
@@ -409,34 +292,11 @@ fn main() {
     if args.load_detector.is_some() && args.save_detector.is_some() {
         usage("--load-detector and --save-detector are mutually exclusive");
     }
-    if args.watch.is_some() && args.bench_json.is_some() {
-        // Watch cycles reset the instruments each cycle, so there is no
-        // whole-run record to condense.
-        usage("--bench-json is a one-shot option, not available with --watch");
-    }
     if args.baseline.is_some() && args.write_baseline.is_some() {
         usage("--baseline and --write-baseline are mutually exclusive");
     }
-    if args.watch.is_some()
-        && (args.sarif.is_some()
-            || args.baseline.is_some()
-            || args.write_baseline.is_some()
-            || args.quiet
-            || !args.filter.is_pass_all())
-    {
-        // The findings surface is a one-shot artifact (one SARIF log, one
-        // baseline diff, one exit code); a long-running serve loop has none
-        // of those.
-        usage("--sarif/--baseline/--write-baseline/--quiet/--severity/--min-report-confidence are one-shot options, not available with --watch");
-    }
-    if args.metrics_addr.is_some() && args.watch.is_none() {
-        // A scrape endpoint only makes sense on a long-running process.
-        usage("--metrics-addr requires --watch");
-    }
     let trace = encore::obs::enable_from_env();
     if args.report.is_some()
-        || args.bench_json.is_some()
-        || args.metrics_addr.is_some()
         || args.trace_out.is_some()
         // The profiler's coverage reference is the `infer.time` timer,
         // which records only while the sink is on.
@@ -472,21 +332,11 @@ fn main() {
         detector.training_systems(),
     );
     if let Some(path) = &args.save_detector {
-        let text = detector.snapshot().render();
-        if let Err(e) = std::fs::write(path, text) {
+        if let Err(e) = write_atomically(path, &detector.snapshot().render()) {
             eprintln!("encore-detect: cannot write detector to `{path}`: {e}");
             std::process::exit(2);
         }
         eprintln!("encore-detect: detector saved to `{path}`");
-    }
-
-    if let Some(dir) = &args.watch {
-        // Watch mode replaces one-shot fleet checking; each cycle's report
-        // goes to the `--report` JSONL file, so the one-shot report tail
-        // below does not apply.
-        run_watch(&args, detector, dir);
-        finish_observability(&args);
-        return;
     }
 
     let fleet = Population::training(
@@ -540,13 +390,6 @@ fn main() {
     if let Some(path) = &args.report {
         if let Err(e) = std::fs::write(path, report.render_json()) {
             eprintln!("encore-detect: cannot write report to `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.bench_json {
-        let record = encore_bench::bench_record(&report, args.workers);
-        if let Err(e) = std::fs::write(path, record.render_json()) {
-            eprintln!("encore-detect: cannot write perf record to `{path}`: {e}");
             std::process::exit(2);
         }
     }

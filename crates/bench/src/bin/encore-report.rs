@@ -3,21 +3,20 @@
 //! ```text
 //! encore-report diff base.json current.json            # default policy
 //! encore-report diff base.json current.json --policy p.txt --json
-//! encore-report show watch.jsonl                       # render (JSONL ok)
+//! encore-report show heartbeat.jsonl                   # render (JSONL ok)
 //! ```
 //!
 //! `diff` structurally compares two reports ([`encore::obs::ReportDelta`])
 //! and evaluates the delta against a [`encore::obs::DeltaPolicy`] (the
 //! default gates counters and histograms exactly and treats gauges and
-//! timers as informational; `--policy FILE` pins a different one, which is
-//! how CI gates a regenerated perf record against the committed
-//! `BENCH_6.json`).  Exit codes: 0 — no gated metric exceeded its
+//! timers as informational; `--policy FILE` pins a different one).  Exit
+//! codes: 0 — no gated metric exceeded its
 //! threshold (the delta itself may be nonempty); 1 — at least one gated
 //! violation, each printed with the metric name and its gate; 2 — usage
 //! or I/O errors.
 //!
 //! `show` renders report files as text; a file with several JSON lines
-//! (the watch mode's JSONL trace) renders each line in order.
+//! (an `encore-serve --heartbeat` file) renders each line in order.
 
 use encore::obs::{DeltaPolicy, PipelineReport, ReportDelta};
 

@@ -1,4 +1,4 @@
-//! encore-serve — the multi-tenant detection service and its client.
+//! encore-serve — the EnCore detection daemon and its client.
 //!
 //! Server mode loads one detector snapshot per `--app` and serves the
 //! line-delimited check protocol on a unix socket (DESIGN.md §15):
@@ -6,14 +6,23 @@
 //! ```text
 //! encore-serve --socket /run/encore.sock \
 //!     --app mysql=mysql=mysql.snap --app web=apache=web.snap \
+//!     [--watch mysql=/etc/fleet/mysql] \
 //!     [--queue-capacity N] [--workers N] [--poll-interval-ms N] \
 //!     [--metrics-addr HOST:PORT] [--heartbeat FILE]
 //! ```
 //!
 //! Each app hot-reloads independently when its snapshot file changes; a
 //! failing reload keeps the old detector serving and flips only that
-//! app's readiness (visible on `/readyz` and the `apps` verb).  The
-//! server runs until a `shutdown` verb arrives or stdin reaches
+//! app's readiness (visible on `/readyz` and the `apps` verb).
+//!
+//! `--watch NAME=DIR` (repeatable) makes DIR a second source of targets
+//! for the registered app NAME: every poll tick re-checks the files in DIR
+//! that were added or changed (all of them after NAME hot-reloads) and
+//! prints each report on stdout under a `== <file>` header.  A watched app
+//! is not ready until its first scan.  `--heartbeat FILE` appends one JSON
+//! line per tick: the change in every metric since the previous tick.
+//!
+//! The server runs until a `shutdown` verb arrives or stdin reaches
 //! end-of-file, and announces `serving on <socket>` (and, when enabled,
 //! `metrics listening on <addr>` — `HOST:0` picks a free port) on stderr.
 //!
@@ -36,9 +45,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 const USAGE: &str = "usage: encore-serve --socket PATH \
---app NAME=KIND=SNAPSHOT [--app ...] [--queue-capacity N] [--workers N] \
-[--poll-interval-ms N] [--metrics-addr HOST:PORT] [--heartbeat FILE] \
-[--event-log FILE] [--slow-micros N] [--profile FILE]
+--app NAME=KIND=SNAPSHOT [--app ...] [--watch NAME=DIR ...] \
+[--queue-capacity N] [--workers N] [--poll-interval-ms N] \
+[--metrics-addr HOST:PORT] [--heartbeat FILE] [--event-log FILE] [--slow-micros N] [--profile FILE]
        encore-serve --socket PATH --check APP FILE [FILE...]
        encore-serve --socket PATH --apps | --stats | --reload APP | --shutdown";
 
@@ -72,6 +81,7 @@ struct Args {
     socket: PathBuf,
     mode: Mode,
     apps: Vec<AppArg>,
+    watch: Vec<(String, PathBuf)>,
     options_queue: usize,
     workers: Option<usize>,
     poll_interval_ms: u64,
@@ -106,6 +116,7 @@ fn parse_args() -> Args {
         socket: PathBuf::new(),
         mode: Mode::Serve,
         apps: Vec::new(),
+        watch: Vec::new(),
         options_queue: 16,
         workers: None,
         poll_interval_ms: 1_000,
@@ -125,6 +136,13 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--socket" => args.socket = PathBuf::from(value(&mut argv, "--socket")),
             "--app" => args.apps.push(parse_app(&value(&mut argv, "--app"))),
+            "--watch" => {
+                let spec = value(&mut argv, "--watch");
+                let Some((name, dir)) = spec.split_once('=') else {
+                    usage(&format!("--watch wants NAME=DIR, got `{spec}`"));
+                };
+                args.watch.push((name.to_string(), PathBuf::from(dir)));
+            }
             "--queue-capacity" => {
                 args.options_queue = value(&mut argv, "--queue-capacity")
                     .parse()
@@ -195,11 +213,23 @@ fn parse_args() -> Args {
     if client_verbs > 1 {
         usage("client verbs are mutually exclusive");
     }
-    match (&args.mode, args.apps.is_empty()) {
-        (Mode::Serve, true) => usage("server mode wants at least one --app"),
-        (Mode::Serve, false) => {}
-        (_, false) => usage("--app is a server flag; client verbs take none"),
-        (_, true) => {}
+    let server_flags = !args.apps.is_empty() || !args.watch.is_empty();
+    match args.mode {
+        Mode::Serve if args.apps.is_empty() => usage("server mode wants at least one --app"),
+        Mode::Serve => {}
+        _ if server_flags => usage("--app and --watch are server flags; client verbs take none"),
+        _ => {}
+    }
+    for (name, dir) in &args.watch {
+        if !args.apps.iter().any(|app| app.name == *name) {
+            usage(&format!("--watch names `{name}`, which no --app registers"));
+        }
+        if !dir.is_dir() {
+            usage(&format!(
+                "--watch {name}: `{}` is not a directory",
+                dir.display()
+            ));
+        }
     }
     args
 }
@@ -234,6 +264,7 @@ fn run_server(args: &Args) -> ! {
     options.metrics_addr = args.metrics_addr.clone();
     options.heartbeat_path = args.heartbeat.clone();
     options.slow_micros = args.slow_micros;
+    options.watch = args.watch.clone();
     let server =
         Server::start(registry, options).unwrap_or_else(|e| fail(&format!("starting server: {e}")));
     // Announcements are best-effort: a supervisor that stopped reading
@@ -247,9 +278,9 @@ fn run_server(args: &Args) -> ! {
         let _ = writeln!(std::io::stderr(), "metrics listening on {addr}");
     }
 
-    // Parity with `encore-detect --watch`: closing stdin stops the
-    // service, so a supervising test (or `echo | encore-serve ...`) gets
-    // a bounded shutdown without needing the protocol.
+    // Closing stdin stops the service, so a supervising test (or
+    // `echo | encore-serve ...`) gets a bounded shutdown without needing
+    // the protocol.
     let stop = server.stop_signal();
     std::thread::spawn(move || {
         let mut sink = [0u8; 4096];

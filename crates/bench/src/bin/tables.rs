@@ -18,7 +18,7 @@
 use encore_bench::experiments::{self, ExperimentConfig};
 
 const USAGE: &str = "usage: tables [TABLE_NUMBER ...] [--scale F] [--report FILE] \
-[--bench-json FILE] [--trace-out FILE] [--event-log FILE] [--profile FILE]";
+[--trace-out FILE] [--event-log FILE] [--profile FILE]";
 
 /// Print a diagnostic plus the usage line to stderr and exit 2.  All
 /// argument-handling failures funnel through here so the binary has exactly
@@ -33,7 +33,6 @@ struct Args {
     tables: Vec<u32>,
     scale: f64,
     report: Option<String>,
-    bench_json: Option<String>,
     trace_out: Option<String>,
     event_log: Option<String>,
     profile: Option<String>,
@@ -44,7 +43,6 @@ fn parse_args() -> Option<Args> {
         tables: Vec::new(),
         scale: 1.0,
         report: None,
-        bench_json: None,
         trace_out: None,
         event_log: None,
         profile: None,
@@ -60,10 +58,6 @@ fn parse_args() -> Option<Args> {
             "--report" => match args.next() {
                 Some(path) => parsed.report = Some(path),
                 None => usage("--report requires a file path"),
-            },
-            "--bench-json" => match args.next() {
-                Some(path) => parsed.bench_json = Some(path),
-                None => usage("--bench-json requires a file path"),
             },
             "--trace-out" => match args.next() {
                 Some(path) => parsed.trace_out = Some(path),
@@ -100,7 +94,6 @@ fn main() {
     };
     let trace = encore::obs::enable_from_env();
     if args.report.is_some()
-        || args.bench_json.is_some()
         || args.trace_out.is_some()
         // The profiler's coverage reference is the `infer.time` timer,
         // which records only while the sink is on.
@@ -149,13 +142,6 @@ fn main() {
     if let Some(path) = &args.report {
         if let Err(e) = std::fs::write(path, report.render_json()) {
             eprintln!("tables: cannot write report to `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.bench_json {
-        let record = encore_bench::bench_record(&report, None);
-        if let Err(e) = std::fs::write(path, record.render_json()) {
-            eprintln!("tables: cannot write perf record to `{path}`: {e}");
             std::process::exit(2);
         }
     }

@@ -22,7 +22,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 
 pub use experiments::{ExperimentConfig, TableOutput};
-pub use perf::bench_record;

@@ -157,19 +157,3 @@ fn severity_filter_narrows_the_sarif_log() {
     );
     assert!(narrowed.len() < full.len());
 }
-
-#[test]
-fn findings_flags_are_rejected_in_watch_mode() {
-    for flag in [
-        vec!["--quiet"],
-        vec!["--severity", "error"],
-        vec!["--sarif", "x.sarif"],
-        vec!["--baseline", "x.txt"],
-        vec!["--write-baseline", "x.txt"],
-    ] {
-        let mut args = vec!["--watch", "some-dir", "--max-iterations", "1"];
-        args.extend(flag.iter());
-        let out = encore_detect(&args);
-        assert_eq!(out.status.code(), Some(2), "flag {flag:?} not rejected");
-    }
-}

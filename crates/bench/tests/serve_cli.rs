@@ -140,7 +140,7 @@ fn server_answers_all_client_verbs_and_scrapes() {
     let text = std::fs::read_to_string(&mysql_snap).unwrap();
     let detector =
         AnomalyDetector::from_snapshot(DetectorSnapshot::parse(&text).expect("snapshot parses"));
-    let image = encore::watch::target_image(
+    let image = encore_serve::target_image(
         AppKind::Mysql,
         "target.cnf",
         &std::fs::read_to_string(&config).unwrap(),

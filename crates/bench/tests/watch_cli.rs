@@ -1,19 +1,29 @@
-//! End-to-end tests for `encore-detect` watch mode, the one-shot
-//! `--bench-json` perf record, and the live telemetry surface
-//! (`--metrics-addr` scrapes, `--trace-out` Chrome traces).
+//! End-to-end tests for the watched-directory source of `encore-serve`
+//! (`--watch NAME=DIR`) fed by a snapshot from `encore-detect
+//! --save-detector`: per-tick reports and heartbeat lines, the live
+//! telemetry surface, bounded stdin-EOF shutdown, and the atomic snapshot
+//! write the hot-reload poller depends on.  Also covers `encore-detect
+//! --trace-out`.
 
 use encore::obs::PipelineReport;
+use encore::DetectorSnapshot;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStderr, ChildStdout, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
-fn encore_detect(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_encore-detect"))
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .stdin(Stdio::null())
         .output()
-        .expect("failed to spawn encore-detect")
+        .expect("failed to spawn")
+}
+
+fn encore_detect(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_encore-detect"), args)
 }
 
 fn stdout(output: &Output) -> String {
@@ -22,156 +32,203 @@ fn stdout(output: &Output) -> String {
 
 /// A unique, pre-cleaned temp directory for one test.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("encore-detect-test-{tag}"));
+    let dir = std::env::temp_dir().join(format!("encore-watch-test-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
 
-#[test]
-fn bounded_watch_emits_one_parseable_report_per_cycle() {
-    let dir = scratch_dir("watch");
-    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-    std::fs::write(dir.join("b.cnf"), "[mysqld]\nport = 3307\n").unwrap();
-    let trace = dir.join(".trace.jsonl");
-
+/// Train a small MySQL detector with `encore-detect` and save its
+/// snapshot as `dir/mysql.snap`.
+fn save_snapshot(dir: &Path) -> PathBuf {
+    let path = dir.join("mysql.snap");
     let out = encore_detect(&[
         "--train",
         "10",
-        "--watch",
-        dir.to_str().unwrap(),
-        "--interval-ms",
-        "25",
-        "--max-iterations",
-        "3",
-        "--report",
-        trace.to_str().unwrap(),
+        "--targets",
+        "0",
+        "--save-detector",
+        path.to_str().unwrap(),
     ]);
-    let text = stdout(&out);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{text}");
-    assert!(
-        text.contains("watch cycle 1: 2 rechecked (2 added, 0 changed, 0 removed)"),
-        "stdout:\n{text}"
-    );
-    assert!(
-        text.contains("watch cycle 3: 0 rechecked"),
-        "stdout:\n{text}"
-    );
-    assert!(text.contains("watch done: 3 cycle(s)"), "stdout:\n{text}");
+    assert_eq!(out.status.code(), Some(0), "save-detector failed");
+    path
+}
 
-    let jsonl = std::fs::read_to_string(&trace).expect("trace written");
-    let lines: Vec<&str> = jsonl.lines().collect();
-    assert_eq!(lines.len(), 3, "exactly one JSONL line per cycle");
-    let reports: Vec<PipelineReport> = lines
+/// `dir/targets` holding two MySQL config files.
+fn targets_dir(dir: &Path) -> PathBuf {
+    let targets = dir.join("targets");
+    std::fs::create_dir_all(&targets).unwrap();
+    std::fs::write(targets.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
+    std::fs::write(targets.join("b.cnf"), "[mysqld]\nport = 3307\n").unwrap();
+    targets
+}
+
+/// A running `encore-serve` with stdin held open (closing it is the stop
+/// signal), its stdout reader, and its stderr reader.
+struct Daemon {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    _stderr: BufReader<ChildStderr>,
+    metrics: Option<String>,
+}
+
+/// Start `encore-serve` serving `mysql` from `snapshot` and watching
+/// `targets`, plus `extra` flags; waits for the `serving on` announcement.
+fn spawn_daemon(dir: &Path, snapshot: &Path, targets: &Path, extra: &[&str]) -> Daemon {
+    let socket = dir.join("serve.sock");
+    let app = format!("mysql=mysql={}", snapshot.display());
+    let watch = format!("mysql={}", targets.display());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_encore-serve"))
+        .args(["--socket", socket.to_str().unwrap(), "--app", &app])
+        .args(["--watch", &watch, "--workers", "1"])
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn encore-serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut metrics = None;
+    loop {
+        let mut line = String::new();
+        assert_ne!(
+            stderr.read_line(&mut line).expect("read stderr"),
+            0,
+            "server exited before announcing its socket"
+        );
+        if let Some((_, addr)) = line.trim_end().split_once("metrics listening on ") {
+            metrics = Some(addr.to_string());
+        }
+        if line.contains("serving on ") {
+            break;
+        }
+    }
+    // The metrics address is announced right after the socket.
+    if extra.contains(&"--metrics-addr") && metrics.is_none() {
+        let mut line = String::new();
+        stderr.read_line(&mut line).expect("read stderr");
+        metrics = line
+            .trim_end()
+            .split_once("metrics listening on ")
+            .map(|(_, addr)| addr.to_string());
+    }
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    Daemon {
+        child,
+        stdout,
+        _stderr: stderr,
+        metrics,
+    }
+}
+
+impl Daemon {
+    /// Read stdout until a `== <name>` report header for each of `names`.
+    fn await_reports(&mut self, names: &[&str]) {
+        let mut missing: Vec<String> = names.iter().map(|n| format!("== {n}")).collect();
+        while !missing.is_empty() {
+            let mut line = String::new();
+            assert_ne!(
+                self.stdout.read_line(&mut line).expect("read stdout"),
+                0,
+                "stdout closed before reports for {missing:?}"
+            );
+            missing.retain(|header| header != line.trim_end());
+        }
+    }
+
+    /// Close stdin and wait for a clean exit; returns how long it took.
+    fn stop(mut self) -> Duration {
+        let started = Instant::now();
+        drop(self.child.stdin.take());
+        let status = self.child.wait().expect("wait for encore-serve");
+        assert_eq!(status.code(), Some(0));
+        started.elapsed()
+    }
+}
+
+/// Wait until `path` holds at least `n` lines; returns the first `n`.
+fn await_lines(path: &Path, n: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        // Only complete lines: the last one may still be being appended.
+        let lines: Vec<String> = text
+            .split_inclusive('\n')
+            .filter(|l| l.ends_with('\n'))
+            .map(|l| l.trim_end().to_string())
+            .collect();
+        if lines.len() >= n {
+            return lines[..n].to_vec();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {} lines in {path:?}",
+            lines.len()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn parse_lines(lines: &[String]) -> Vec<PipelineReport> {
+    lines
         .iter()
         .enumerate()
         .map(|(i, line)| {
             PipelineReport::parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1))
         })
-        .collect();
-    assert_eq!(reports[0].counters()["detect.watch.targets_added"], 2);
-    assert_eq!(reports[0].counters()["detect.watch.targets_rechecked"], 2);
-    for report in &reports[1..] {
-        assert_eq!(report.counters()["detect.watch.targets_rechecked"], 0);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+        .collect()
 }
 
 #[test]
-fn unbounded_watch_stops_on_stdin_close() {
-    let dir = scratch_dir("watch-eof");
-    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-    // Stdin is closed from the start, so the EOF watcher fires during the
-    // first interval sleep; the run must terminate on its own.
-    let out = encore_detect(&[
-        "--train",
-        "8",
-        "--watch",
-        dir.to_str().unwrap(),
-        "--interval-ms",
-        "25",
-    ]);
-    let text = stdout(&out);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{text}");
-    assert!(text.contains("watch done:"), "stdout:\n{text}");
+fn watched_directory_prints_reports_and_one_heartbeat_per_tick() {
+    let dir = scratch_dir("ticks");
+    let snapshot = save_snapshot(&dir);
+    let targets = targets_dir(&dir);
+    let heartbeat = dir.join("heartbeat.jsonl");
+    let mut daemon = spawn_daemon(
+        &dir,
+        &snapshot,
+        &targets,
+        &[
+            "--poll-interval-ms",
+            "50",
+            "--heartbeat",
+            heartbeat.to_str().unwrap(),
+        ],
+    );
+    daemon.await_reports(&["a.cnf", "b.cnf"]);
+    let reports = parse_lines(&await_lines(&heartbeat, 3));
+    daemon.stop();
+
+    let first = reports[0].counters();
+    assert_eq!(first["serve.watch.scans"], 1, "one scan per tick");
+    assert_eq!(first["serve.watch.targets_added"], 2);
+    assert_eq!(first["serve.watch.targets_rechecked"], 2);
+    for report in &reports[1..] {
+        let counters = report.counters();
+        assert_eq!(counters["serve.watch.scans"], 1);
+        assert_eq!(counters["serve.watch.targets_rechecked"], 0, "quiet tick");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stdin_eof_interrupts_the_interval_sleep_promptly() {
-    let dir = scratch_dir("watch-latency");
-    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-    // A deliberately huge interval: the old loop slept it out with a
-    // plain thread::sleep, so shutdown latency equaled the interval.
-    // The condvar-backed stop flag must interrupt the wait immediately.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_encore-detect"))
-        .args([
-            "--train",
-            "8",
-            "--watch",
-            dir.to_str().unwrap(),
-            "--interval-ms",
-            "600000",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn encore-detect");
-
-    // Wait for the first cycle so the watcher is provably inside the
-    // 600 s inter-cycle wait when stdin closes.
-    let mut stdout_reader = BufReader::new(child.stdout.take().expect("stdout piped"));
-    loop {
-        let mut line = String::new();
-        assert_ne!(
-            stdout_reader.read_line(&mut line).expect("read stdout"),
-            0,
-            "stdout closed before the first cycle"
-        );
-        if line.contains("watch cycle 1:") {
-            break;
-        }
-    }
-    let started = std::time::Instant::now();
-    drop(child.stdin.take());
-    let status = child.wait().expect("wait for encore-detect");
-    assert_eq!(status.code(), Some(0));
+    let dir = scratch_dir("eof");
+    let snapshot = save_snapshot(&dir);
+    let targets = targets_dir(&dir);
+    // A deliberately huge interval: shutdown latency must be bounded by
+    // the stop signal, not by sleeping out the interval.
+    let mut daemon = spawn_daemon(&dir, &snapshot, &targets, &["--poll-interval-ms", "600000"]);
+    // The first scan runs at once; after it the poll thread is provably
+    // inside the 600 s wait when stdin closes.
+    daemon.await_reports(&["a.cnf", "b.cnf"]);
+    let took = daemon.stop();
     assert!(
-        started.elapsed() < std::time::Duration::from_secs(30),
-        "stdin EOF must interrupt the 600s wait, took {:?}",
-        started.elapsed()
+        took < Duration::from_secs(10),
+        "stdin EOF must interrupt the 600s wait, took {took:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_json_writes_a_parseable_perf_record() {
-    let path = std::env::temp_dir().join("encore-detect-test-bench.json");
-    let out = encore_detect(&[
-        "--train",
-        "10",
-        "--targets",
-        "4",
-        "--bench-json",
-        path.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{}", stdout(&out));
-    let record =
-        PipelineReport::parse_json(std::fs::read_to_string(&path).unwrap().trim()).unwrap();
-    assert_eq!(record.phases.len(), 1);
-    assert_eq!(record.phases[0].name, "bench");
-    let counters = record.counters();
-    // Image collection covers both the training fleet and the targets.
-    assert_eq!(counters["bench.images.collected"], 14);
-    assert_eq!(counters["bench.targets.checked"], 4);
-    let gauges: std::collections::BTreeMap<_, _> = record.phases[0]
-        .gauges
-        .iter()
-        .map(|(name, value)| (name.as_str(), *value))
-        .collect();
-    assert!(gauges.contains_key("bench.profile.release"));
-    assert!(gauges.contains_key("bench.throughput.pairs_per_sec"));
 }
 
 /// One raw HTTP/1.0 GET against the daemon's metrics server: returns
@@ -202,138 +259,154 @@ fn sample_value(text: &str, name: &str) -> Option<f64> {
 
 #[test]
 fn metrics_endpoint_serves_live_monotone_scrapes_during_watch() {
-    let dir = scratch_dir("watch-metrics");
-    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_encore-detect"))
-        .args([
-            "--train",
-            "8",
-            "--watch",
-            dir.to_str().unwrap(),
-            "--interval-ms",
-            "300",
-            "--max-iterations",
-            "20",
-            "--metrics-addr",
-            "127.0.0.1:0",
-        ])
-        .stdin(Stdio::piped()) // held open: EOF stop stays quiet until we drop it
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn encore-detect");
-
-    // Port 0 picks a free port; the daemon announces the resolved address
-    // on stderr before the first cycle.
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            stderr.read_line(&mut line).expect("read stderr"),
-            0,
-            "stderr closed before the listening line"
-        );
-        if let Some(rest) = line.trim_end().split_once("metrics listening on ") {
-            break rest.1.to_string();
-        }
-    };
+    let dir = scratch_dir("metrics");
+    let snapshot = save_snapshot(&dir);
+    let targets = targets_dir(&dir);
+    let mut daemon = spawn_daemon(
+        &dir,
+        &snapshot,
+        &targets,
+        &["--poll-interval-ms", "200", "--metrics-addr", "127.0.0.1:0"],
+    );
+    let addr = daemon.metrics.clone().expect("metrics announced");
 
     let (status, body) = http_get(&addr, "/healthz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ok\n");
 
-    // Wait for the first completed cycle, then the daemon must be ready
-    // and the scrape must carry cumulative cycle counters.
-    let first = loop {
-        let (_, body) = http_get(&addr, "/metrics");
-        match sample_value(&body, "encore_watch_cycles_total") {
-            Some(cycles) if cycles >= 1.0 => break body,
-            _ => std::thread::sleep(std::time::Duration::from_millis(50)),
-        }
-    };
-    let (status, _) = http_get(&addr, "/readyz");
-    assert!(status.contains("200"), "ready after a cycle: {status}");
+    // After the first scan the watched app is ready and the scrape
+    // carries the cumulative watch counters.
+    daemon.await_reports(&["a.cnf", "b.cnf"]);
+    let (status, body) = http_get(&addr, "/readyz");
+    assert!(status.contains("200"), "ready after a scan: {status}");
+    assert_eq!(body, "mysql ready\n");
+    let (_, first) = http_get(&addr, "/metrics");
     assert!(first.starts_with("# HELP"), "exposition starts with HELP");
-    assert!(sample_value(&first, "encore_watch_targets_checked_total").is_some());
-    assert!(
-        first.contains("# TYPE encore_watch_cycle_duration_ms histogram"),
-        "daemon histogram exposed"
+    assert_eq!(
+        sample_value(&first, "encore_serve_watch_targets_rechecked_total"),
+        Some(2.0)
     );
+    assert!(first.contains("# TYPE encore_serve_watch_targets_tracked gauge"));
 
     // A later scrape of the running daemon only ever counts up.
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    std::thread::sleep(Duration::from_millis(500));
     let (_, second) = http_get(&addr, "/metrics");
-    let before = sample_value(&first, "encore_watch_cycles_total").unwrap();
-    let after = sample_value(&second, "encore_watch_cycles_total").unwrap();
-    assert!(after >= before, "cycles went {before} -> {after}");
-    assert!(after > 0.0);
+    let before = sample_value(&first, "encore_serve_watch_scans_total").unwrap();
+    let after = sample_value(&second, "encore_serve_watch_scans_total").unwrap();
+    assert!(
+        before >= 1.0 && after > before,
+        "scans went {before} -> {after}"
+    );
 
-    // Closing stdin is the shutdown signal; the run ends cleanly.
-    drop(child.stdin.take());
-    let status = child.wait().expect("wait for encore-detect");
-    assert_eq!(status.code(), Some(0));
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Run the bounded three-cycle watch and return the JSONL reports, with
-/// or without a metrics endpoint attached.
-fn bounded_watch_reports(tag: &str, metrics: bool) -> Vec<PipelineReport> {
+/// The first three heartbeat lines of a watch run, with or without a
+/// metrics endpoint attached.
+fn heartbeat_lines(tag: &str, metrics: bool) -> Vec<PipelineReport> {
     let dir = scratch_dir(tag);
-    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-    std::fs::write(dir.join("b.cnf"), "[mysqld]\nport = 3307\n").unwrap();
-    let trace = dir.join(".trace.jsonl");
+    let snapshot = save_snapshot(&dir);
+    let targets = targets_dir(&dir);
+    let heartbeat = dir.join("heartbeat.jsonl");
     let mut args = vec![
-        "--train",
-        "10",
-        "--watch",
-        dir.to_str().unwrap(),
-        "--interval-ms",
-        "25",
-        "--max-iterations",
-        "3",
-        "--workers",
-        "1",
-        "--report",
+        "--poll-interval-ms",
+        "50",
+        "--heartbeat",
+        heartbeat.to_str().unwrap(),
     ];
-    let trace_str = trace.to_str().unwrap().to_string();
-    args.push(&trace_str);
     if metrics {
         args.extend(["--metrics-addr", "127.0.0.1:0"]);
     }
-    let out = encore_detect(&args);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{}", stdout(&out));
-    let jsonl = std::fs::read_to_string(&trace).expect("trace written");
-    let reports = jsonl
-        .lines()
-        .map(|line| PipelineReport::parse_json(line).expect("line parses"))
-        .collect();
+    let daemon = spawn_daemon(&dir, &snapshot, &targets, &args);
+    let lines = await_lines(&heartbeat, 3);
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
-    reports
+    parse_lines(&lines)
+}
+
+/// Histogram sections without the wall-clock latency histograms (`_us`),
+/// which are timer-style and differ between any two runs.
+fn work_histograms(report: &PipelineReport) -> BTreeMap<String, Vec<u64>> {
+    let mut histograms = report.histograms();
+    histograms.retain(|name, _| !name.ends_with("_us"));
+    histograms
 }
 
 #[test]
 fn attaching_a_metrics_endpoint_never_changes_the_jsonl_reports() {
-    let plain = bounded_watch_reports("watch-jsonl-plain", false);
-    let with_metrics = bounded_watch_reports("watch-jsonl-metrics", true);
-    assert_eq!(plain.len(), 3);
-    assert_eq!(with_metrics.len(), 3);
-    for (cycle, (p, m)) in plain.iter().zip(&with_metrics).enumerate() {
-        // Counters and histograms are deterministic per cycle; timers and
-        // pool gauges are wall-clock/scheduling noise even between two
-        // plain runs, so section equality is the meaningful invariant.
+    let plain = heartbeat_lines("jsonl-plain", false);
+    let with_metrics = heartbeat_lines("jsonl-metrics", true);
+    for (tick, (p, m)) in plain.iter().zip(&with_metrics).enumerate() {
+        // Counters and work histograms are deterministic per tick; timers,
+        // gauges and latency histograms are wall-clock/scheduling noise
+        // even between two plain runs.
         assert_eq!(
             p.counters(),
             m.counters(),
-            "cycle {}: --metrics-addr changed the counter section",
-            cycle + 1
+            "tick {}: --metrics-addr changed the counter section",
+            tick + 1
         );
         assert_eq!(
-            p.histograms(),
-            m.histograms(),
-            "cycle {}: --metrics-addr changed the histogram section",
-            cycle + 1
+            work_histograms(p),
+            work_histograms(m),
+            "tick {}: --metrics-addr changed the histogram section",
+            tick + 1
         );
     }
+}
+
+#[test]
+fn watch_flags_are_checked_before_serving() {
+    let dir = scratch_dir("usage");
+    let snapshot = save_snapshot(&dir);
+    let socket = dir.join("s.sock");
+    let app = format!("mysql=mysql={}", snapshot.display());
+    let serve = |watch: &str| {
+        run(
+            env!("CARGO_BIN_EXE_encore-serve"),
+            &[
+                "--socket",
+                socket.to_str().unwrap(),
+                "--app",
+                &app,
+                "--watch",
+                watch,
+            ],
+        )
+    };
+    // An app no --app registers, a missing directory, a malformed spec.
+    let unknown = format!("web={}", dir.display());
+    assert_eq!(serve(&unknown).status.code(), Some(2));
+    let missing = format!("mysql={}", dir.join("missing").display());
+    assert_eq!(serve(&missing).status.code(), Some(2));
+    assert_eq!(serve("mysql").status.code(), Some(2));
+    // Watch mode now lives in encore-serve alone.
+    let out = encore_detect(&["--watch", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn save_detector_replaces_the_snapshot_atomically() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = scratch_dir("atomic-save");
+    let path = dir.join("mysql.snap");
+    std::fs::write(&path, "an older snapshot\n").unwrap();
+    let before = std::fs::metadata(&path).unwrap().ino();
+
+    save_snapshot(&dir);
+    // A new inode means the file was renamed into place, not truncated
+    // and rewritten under a reader's feet.
+    assert_ne!(std::fs::metadata(&path).unwrap().ino(), before);
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(entries, vec!["mysql.snap"], "no temp file left behind");
+    let text = std::fs::read_to_string(&path).unwrap();
+    DetectorSnapshot::parse(&text).expect("the saved snapshot parses");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -374,23 +447,4 @@ fn trace_out_writes_a_loadable_chrome_trace() {
         assert!(event.get("ts").is_some() && event.get("dur").is_some());
     }
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn metrics_addr_without_watch_is_a_usage_error() {
-    let out = encore_detect(&["--train", "8", "--metrics-addr", "127.0.0.1:0"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn watch_and_bench_json_are_mutually_exclusive() {
-    let dir = scratch_dir("watch-usage");
-    let out = encore_detect(&[
-        "--watch",
-        dir.to_str().unwrap(),
-        "--bench-json",
-        "/tmp/never-written.json",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -78,7 +78,6 @@ pub mod stats;
 pub mod template;
 pub mod train;
 pub mod types;
-pub mod watch;
 
 pub use detect::{AnomalyDetector, FleetOptions, Report, TrainingStats, Warning, WarningKind};
 pub use eligibility::{analyze_templates, EligibilityReport};
@@ -90,7 +89,6 @@ pub use stats::StatsCache;
 pub use template::{Relation, RelationSignature, Slot, Template, TemplateTypeError};
 pub use train::TrainingSet;
 pub use types::TypeMap;
-pub use watch::{CycleOutcome, FileSig, StopFlag, WatchOptions, Watcher};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
@@ -101,7 +99,6 @@ pub mod prelude {
     pub use crate::snapshot::DetectorSnapshot;
     pub use crate::template::{Relation, Template};
     pub use crate::train::TrainingSet;
-    pub use crate::watch::{CycleOutcome, FileSig, StopFlag, WatchOptions, Watcher};
     pub use crate::{EnCore, LearnOptions};
 }
 

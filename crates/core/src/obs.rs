@@ -146,52 +146,6 @@ pub static DETECT_POOL_WORKER_BUSY: Timer = Timer::new("detect.pool.worker_busy"
 /// [`DetectorIndex`]: crate::detect::AnomalyDetector
 pub static DETECT_BUCKET_PROFILE: ProfileTable = ProfileTable::new("detect.buckets");
 
-// ---- detect.watch: the long-running serve loop (`encore::watch`) ----
-
-/// Watch cycles run (each poll of the watched directory is one cycle).
-pub static DETECT_WATCH_CYCLES: Counter = Counter::new("detect.watch.cycles");
-/// Targets that appeared in the watched directory.
-pub static DETECT_WATCH_TARGETS_ADDED: Counter = Counter::new("detect.watch.targets_added");
-/// Targets whose mtime/size signature changed between cycles.
-pub static DETECT_WATCH_TARGETS_CHANGED: Counter = Counter::new("detect.watch.targets_changed");
-/// Targets that disappeared from the watched directory.
-pub static DETECT_WATCH_TARGETS_REMOVED: Counter = Counter::new("detect.watch.targets_removed");
-/// Targets actually re-checked (changed/added, or all on a detector
-/// reload) — the watch loop's work metric.
-pub static DETECT_WATCH_TARGETS_RECHECKED: Counter = Counter::new("detect.watch.targets_rechecked");
-/// Detector snapshot hot-reloads performed.
-pub static DETECT_WATCH_DETECTOR_RELOADS: Counter = Counter::new("detect.watch.detector_reloads");
-/// Targets currently tracked by the watcher (a point-in-time size: gauge).
-pub static DETECT_WATCH_TARGETS_TRACKED: Gauge = Gauge::new("detect.watch.targets_tracked");
-
-// ---- daemon: cumulative lifetime instruments for the scrape surface ----
-//
-// Unlike the per-cycle `detect.watch.*` counters above (which feed the
-// JSONL trace through the cycle delta), these are never reset while the
-// daemon runs, so a Prometheus scraper sees monotone counters.  They live
-// in their own `daemon` phase section that is part of [`scrape_report`]
-// but deliberately NOT part of [`pipeline_report`], keeping the JSONL
-// trace byte-identical to the pre-exposition format.
-
-/// Watch cycles completed over the daemon's lifetime.
-pub static WATCH_CYCLES: Counter = Counter::new("watch.cycles");
-/// Targets re-checked over the daemon's lifetime.
-pub static WATCH_TARGETS_CHECKED: Counter = Counter::new("watch.targets_checked");
-/// Warnings emitted by re-checks over the daemon's lifetime.
-pub static WATCH_WARNINGS: Counter = Counter::new("watch.warnings");
-/// Successful detector snapshot hot-reloads over the daemon's lifetime.
-pub static WATCH_SNAPSHOT_RELOADS: Counter = Counter::new("watch.snapshot_reloads");
-/// Unix timestamp (seconds) of the last completed cycle.
-pub static WATCH_LAST_CYCLE_UNIX: Gauge = Gauge::new("watch.last_cycle_unix_seconds");
-/// Cycle wall-time bounds, milliseconds: sub-ms polls up to minute-long
-/// full re-checks.
-static WATCH_CYCLE_BOUNDS: [u64; 15] = [
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000, 60_000,
-];
-/// Per-cycle wall time, milliseconds.
-pub static WATCH_CYCLE_DURATION: Histogram =
-    Histogram::new("watch.cycle_duration_ms", &WATCH_CYCLE_BOUNDS);
-
 /// The pool instrument bundle for `detect`-phase fleet batches.
 pub static DETECT_POOL_METRICS: crate::pool::PoolMetrics = crate::pool::PoolMetrics {
     units_run: &DETECT_POOL_UNITS_RUN,
@@ -253,13 +207,6 @@ fn detect_phase() -> PhaseReport {
         .counter(&DETECT_FLEET_SYSTEMS)
         .counter(&DETECT_FLEET_BATCHES)
         .counter(&DETECT_POOL_UNITS_RUN)
-        .counter(&DETECT_WATCH_CYCLES)
-        .counter(&DETECT_WATCH_TARGETS_ADDED)
-        .counter(&DETECT_WATCH_TARGETS_CHANGED)
-        .counter(&DETECT_WATCH_TARGETS_REMOVED)
-        .counter(&DETECT_WATCH_TARGETS_RECHECKED)
-        .counter(&DETECT_WATCH_DETECTOR_RELOADS)
-        .gauge(&DETECT_WATCH_TARGETS_TRACKED)
         .gauge(&DETECT_POOL_WORKERS)
         .gauge(&DETECT_POOL_BUSIEST_WORKER_UNITS)
         .gauge(&DETECT_POOL_IDLEST_WORKER_UNITS)
@@ -267,18 +214,6 @@ fn detect_phase() -> PhaseReport {
         .timer(&DETECT_POOL_WORKER_BUSY)
         .timer(&DETECT_TIME)
         .histogram(&DETECT_WARNINGS_PER_SYSTEM)
-}
-
-/// Snapshot of the daemon-lifetime instruments (scrape surface only; not
-/// part of [`pipeline_report`]).
-pub fn daemon_phase() -> PhaseReport {
-    PhaseReport::new("daemon")
-        .counter(&WATCH_CYCLES)
-        .counter(&WATCH_TARGETS_CHECKED)
-        .counter(&WATCH_WARNINGS)
-        .counter(&WATCH_SNAPSHOT_RELOADS)
-        .gauge(&WATCH_LAST_CYCLE_UNIX)
-        .histogram(&WATCH_CYCLE_DURATION)
 }
 
 /// Roll up the whole pipeline: all six phase sections, in pipeline order,
@@ -296,15 +231,6 @@ pub fn pipeline_report() -> PipelineReport {
     }
 }
 
-/// The scrape view: the six pipeline phases plus the `daemon` section.
-/// This is what `/metrics` renders; the JSONL trace keeps using
-/// [`pipeline_report`], so its shape is unchanged by the daemon section.
-pub fn scrape_report() -> PipelineReport {
-    let mut report = pipeline_report();
-    report.phases.push(daemon_phase());
-    report
-}
-
 /// Bucket bounds for every histogram this crate family exposes, by sink
 /// metric name.  Reports carry counts but not bounds; exposition and
 /// cycle deltas need them back (see
@@ -315,14 +241,8 @@ pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
         "stats.entropy.memo_hits" => Some(STATS_ENTROPY_HITS.bounds()),
         "stats.entropy.memo_misses" => Some(STATS_ENTROPY_MISSES.bounds()),
         "detect.warnings.per_system" => Some(DETECT_WARNINGS_PER_SYSTEM.bounds()),
-        "watch.cycle_duration_ms" => Some(WATCH_CYCLE_DURATION.bounds()),
         _ => None,
     }
-}
-
-/// Render the scrape view in the Prometheus text exposition format.
-pub fn render_prometheus() -> String {
-    expose::render(&scrape_report(), &histogram_bounds)
 }
 
 /// The profiler's report sections: the per-template table referenced
@@ -380,12 +300,6 @@ pub fn reset() {
         &DETECT_FLEET_SYSTEMS,
         &DETECT_FLEET_BATCHES,
         &DETECT_POOL_UNITS_RUN,
-        &DETECT_WATCH_CYCLES,
-        &DETECT_WATCH_TARGETS_ADDED,
-        &DETECT_WATCH_TARGETS_CHANGED,
-        &DETECT_WATCH_TARGETS_REMOVED,
-        &DETECT_WATCH_TARGETS_RECHECKED,
-        &DETECT_WATCH_DETECTOR_RELOADS,
     ] {
         counter.reset();
     }
@@ -398,7 +312,6 @@ pub fn reset() {
         &DETECT_POOL_BUSIEST_WORKER_UNITS,
         &DETECT_POOL_IDLEST_WORKER_UNITS,
         &DETECT_POOL_STOLEN_UNITS,
-        &DETECT_WATCH_TARGETS_TRACKED,
     ] {
         gauge.reset();
     }
@@ -418,64 +331,6 @@ pub fn reset() {
     DETECT_WARNINGS_PER_SYSTEM.reset();
     INFER_TEMPLATE_PROFILE.reset();
     DETECT_BUCKET_PROFILE.reset();
-    reset_daemon();
-}
-
-/// Reset only the pipeline's point-in-time gauges, leaving every
-/// cumulative instrument (counters, timers, histograms) intact.
-///
-/// The watch loop calls this at the start of each cycle: gauges describe
-/// "the last run" (pool worker spread, tracked-target count) and must not
-/// leak from a busy cycle into a quiet one, while the cumulative
-/// instruments stay monotone for the scrape endpoint and are turned into
-/// per-cycle JSONL by [`PipelineReport::delta_since`].  The `daemon`
-/// gauge ([`WATCH_LAST_CYCLE_UNIX`]) is deliberately excluded — it is
-/// daemon-lifetime state, not per-cycle state.
-pub fn reset_gauges() {
-    for gauge in [
-        &POOL_WORKERS,
-        &POOL_BUSIEST_WORKER_UNITS,
-        &POOL_IDLEST_WORKER_UNITS,
-        &POOL_STOLEN_UNITS,
-        &DETECT_POOL_WORKERS,
-        &DETECT_POOL_BUSIEST_WORKER_UNITS,
-        &DETECT_POOL_IDLEST_WORKER_UNITS,
-        &DETECT_POOL_STOLEN_UNITS,
-        &DETECT_WATCH_TARGETS_TRACKED,
-    ] {
-        gauge.reset();
-    }
-}
-
-/// Reset the daemon-lifetime instruments (a fresh daemon, typically only
-/// meaningful in tests — a live daemon never resets these).
-pub fn reset_daemon() {
-    WATCH_CYCLES.reset();
-    WATCH_TARGETS_CHECKED.reset();
-    WATCH_WARNINGS.reset();
-    WATCH_SNAPSHOT_RELOADS.reset();
-    WATCH_LAST_CYCLE_UNIX.reset();
-    WATCH_CYCLE_DURATION.reset();
-}
-
-/// Capture the pipeline report and zero every instrument in one step.
-///
-/// Snapshotting and resetting together matters: a plain [`reset`]
-/// between runs keeps *nothing*, but a run that snapshots late (or skips
-/// re-setting a gauge) would otherwise leak prior-run gauge values.  The
-/// pairing is atomic with respect to the caller's own thread; instruments
-/// recorded concurrently by *other* threads between the two steps can be
-/// lost, so callers must quiesce pipeline work first.
-///
-/// The watch loop used to call this every cycle; it now keeps the sink
-/// cumulative (so `/metrics` scrapes stay monotone) and derives per-cycle
-/// reports with [`PipelineReport::delta_since`] plus a [`reset_gauges`]
-/// at cycle start.  This remains for one-shot callers that want a clean
-/// slate between runs.
-pub fn snapshot_and_reset() -> PipelineReport {
-    let report = pipeline_report();
-    reset();
-    report
 }
 
 #[cfg(test)]
@@ -500,19 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn scrape_report_appends_daemon_phase_without_touching_pipeline() {
-        let scrape = scrape_report();
-        let names: Vec<&str> = scrape.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["collect", "assemble", "infer", "stats", "filter", "detect", "daemon"]
-        );
-        assert!(pipeline_report().phase("daemon").is_none());
-    }
-
-    #[test]
     fn histogram_bounds_covers_every_exposed_histogram() {
-        for phase in &scrape_report().phases {
+        for phase in &pipeline_report().phases {
             for (name, snap) in &phase.histograms {
                 let bounds = histogram_bounds(name)
                     .unwrap_or_else(|| panic!("no bounds registered for histogram `{name}`"));
@@ -523,14 +367,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn prometheus_rendering_passes_the_grammar_validator() {
-        let text = render_prometheus();
-        expose::validate(&text).expect("exposition validates");
-        assert!(text.contains("# TYPE encore_watch_cycles_total counter\n"));
-        assert!(text.contains("# TYPE encore_watch_cycle_duration_ms histogram\n"));
-        assert!(text.contains("encore_watch_cycle_duration_ms_bucket{le=\"60000\"}"));
     }
 }

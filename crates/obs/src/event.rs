@@ -13,7 +13,7 @@
 //!   clock (never wall time, so lines sort correctly across NTP steps).
 //! * `level` — `debug` / `info` / `warn` / `error`; lines below the
 //!   configured minimum are not emitted.
-//! * `event` — a stable dotted name (`request.done`, `watch.cycle`).
+//! * `event` — a stable dotted name (`request.done`, `detect.fleet`).
 //! * `req` — the dense request id of the enclosing [`with_request`]
 //!   scope; omitted outside any request.
 //! * `fields` — event-specific key/value payload.

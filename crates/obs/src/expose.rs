@@ -31,8 +31,8 @@
 //!
 //! [`MetricsServer`] is a hand-rolled `std::net::TcpListener` HTTP/1.0
 //! responder (zero dependencies, one named accept thread) exposing
-//! `/metrics`, `/healthz` (process up) and `/readyz` (the shared
-//! [`Readiness`] flag; 503 until ready).
+//! `/metrics`, `/healthz` (process up) and `/readyz` (a caller-supplied
+//! status closure; 503 while not ready).
 
 use crate::report::PipelineReport;
 use std::collections::{BTreeMap, BTreeSet};
@@ -497,38 +497,13 @@ pub fn validate(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared readiness flag behind `/readyz`: the daemon sets it, the server
-/// reads it.  Starts not-ready.
-#[derive(Debug, Default)]
-pub struct Readiness {
-    ready: AtomicBool,
-}
-
-impl Readiness {
-    /// A new flag, initially not ready.
-    pub fn new() -> Readiness {
-        Readiness::default()
-    }
-
-    /// Flip readiness.
-    pub fn set(&self, ready: bool) {
-        self.ready.store(ready, Ordering::Relaxed);
-    }
-
-    /// Current readiness.
-    pub fn get(&self) -> bool {
-        self.ready.load(Ordering::Relaxed)
-    }
-}
-
 /// A minimal HTTP/1.0 metrics endpoint on a background accept thread.
 ///
 /// Routes: `GET /metrics` (renders via the supplied closure, content type
 /// `text/plain; version=0.0.4`), `GET /healthz` (200 while the process is
-/// up), `GET /readyz` (200/503 off the shared [`Readiness`] flag, or off a
-/// caller-supplied status closure carrying a per-component body — see
-/// [`MetricsServer::start_with_status`]); anything else is 404, non-GET is
-/// 405.  Every response closes the connection.  Dropping the server stops
+/// up), `GET /readyz` (200/503 off a caller-supplied status closure with a
+/// per-component body — see [`MetricsServer::start`]); anything else is
+/// 404, non-GET is 405.  Every response closes the connection.  Dropping the server stops
 /// the thread.
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -539,38 +514,15 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port — see
     /// [`MetricsServer::addr`]) and start serving, with `/readyz` driven by
-    /// the shared boolean [`Readiness`] flag.
+    /// a status closure returning `(ready, body)`.  The daemon uses this to
+    /// expose *per-component* readiness: one body line per app, status 503
+    /// while any app is not ready — so a failing hot-reload of one snapshot
+    /// flips the endpoint without hiding which tenant is sick.
     ///
     /// # Errors
     ///
     /// Returns the bind error if the address is unusable.
-    pub fn start<F>(addr: &str, readiness: Arc<Readiness>, render: F) -> io::Result<MetricsServer>
-    where
-        F: Fn() -> String + Send + 'static,
-    {
-        MetricsServer::start_with_status(
-            addr,
-            move || {
-                if readiness.get() {
-                    (true, "ready\n".to_string())
-                } else {
-                    (false, "not ready\n".to_string())
-                }
-            },
-            render,
-        )
-    }
-
-    /// Bind `addr` and start serving, with `/readyz` driven by a status
-    /// closure returning `(ready, body)`.  Multi-tenant daemons use this
-    /// to expose *per-component* readiness: one body line per app, status
-    /// 503 while any app is not ready — so a failing hot-reload of one
-    /// snapshot flips the endpoint without hiding which tenant is sick.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if the address is unusable.
-    pub fn start_with_status<S, F>(addr: &str, status: S, render: F) -> io::Result<MetricsServer>
+    pub fn start<S, F>(addr: &str, status: S, render: F) -> io::Result<MetricsServer>
     where
         S: Fn() -> (bool, String) + Send + 'static,
         F: Fn() -> String + Send + 'static,
@@ -869,15 +821,5 @@ mod tests {
         // A healthy document passes.
         let good = "# HELP f x\n# TYPE f counter\nf 1\n";
         assert!(validate(good).is_ok());
-    }
-
-    #[test]
-    fn readiness_flag_flips() {
-        let readiness = Readiness::new();
-        assert!(!readiness.get());
-        readiness.set(true);
-        assert!(readiness.get());
-        readiness.set(false);
-        assert!(!readiness.get());
     }
 }

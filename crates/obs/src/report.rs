@@ -326,9 +326,10 @@ impl PipelineReport {
     /// leaves the estimates at the index scale.  Entries absent from the
     /// baseline are kept whole.
     ///
-    /// This is what lets the watch daemon keep the global sink cumulative
-    /// (monotone for scrapers) while still emitting per-cycle JSONL: each
-    /// cycle diffs the current roll-up against the previous cycle's.
+    /// This is what lets the daemon keep the global sink cumulative
+    /// (monotone for scrapers) while still emitting a per-tick JSONL
+    /// heartbeat: each tick diffs the current roll-up against the previous
+    /// tick's.
     #[must_use]
     pub fn delta_since(
         &self,

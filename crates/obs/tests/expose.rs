@@ -6,7 +6,7 @@
 //! Regenerate the golden after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test -p encore-obs --test expose`.
 
-use encore_obs::expose::{self, MetricsServer, Readiness};
+use encore_obs::expose::{self, MetricsServer};
 use encore_obs::{Counter, Histogram, PhaseReport, PipelineReport, Timer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -139,10 +139,20 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn metrics_server_routes_and_readiness_flip() {
-    let readiness = Arc::new(Readiness::new());
-    let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&readiness), || {
-        expose::render(&fixture_report(), &fixture_bounds)
-    })
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let readiness = Arc::new(AtomicBool::new(false));
+    let probe = Arc::clone(&readiness);
+    let server = MetricsServer::start(
+        "127.0.0.1:0",
+        move || {
+            let ready = probe.load(Ordering::Relaxed);
+            (
+                ready,
+                if ready { "ready\n" } else { "not ready\n" }.to_string(),
+            )
+        },
+        || expose::render(&fixture_report(), &fixture_bounds),
+    )
     .expect("bind port 0");
     let addr = server.addr();
 
@@ -159,11 +169,11 @@ fn metrics_server_routes_and_readiness_flip() {
     let (status, body) = get(addr, "/readyz");
     assert!(status.contains("503"), "{status}");
     assert_eq!(body, "not ready\n");
-    readiness.set(true);
+    readiness.store(true, Ordering::Relaxed);
     let (status, body) = get(addr, "/readyz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ready\n");
-    readiness.set(false);
+    readiness.store(false, Ordering::Relaxed);
     let (status, _) = get(addr, "/readyz");
     assert!(status.contains("503"), "{status}");
 
@@ -178,7 +188,7 @@ fn status_closure_drives_readyz_with_a_per_component_body() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let healthy = Arc::new(AtomicBool::new(false));
     let probe = Arc::clone(&healthy);
-    let server = MetricsServer::start_with_status(
+    let server = MetricsServer::start(
         "127.0.0.1:0",
         move || {
             let ok = probe.load(Ordering::Relaxed);
@@ -205,13 +215,13 @@ fn status_closure_drives_readyz_with_a_per_component_body() {
 
 #[test]
 fn metrics_server_stop_is_idempotent_and_frees_the_port() {
-    let readiness = Arc::new(Readiness::new());
-    let mut server = MetricsServer::start("127.0.0.1:0", readiness, String::new).expect("bind");
+    let ready = || (true, String::new());
+    let mut server = MetricsServer::start("127.0.0.1:0", ready, String::new).expect("bind");
     let addr = server.addr();
     server.stop();
     server.stop();
     drop(server);
     // The port is free again: a second server can bind it.
-    let again = MetricsServer::start(&addr.to_string(), Arc::new(Readiness::new()), String::new);
+    let again = MetricsServer::start(&addr.to_string(), ready, String::new);
     assert!(again.is_ok(), "rebinding the freed port: {:?}", again.err());
 }

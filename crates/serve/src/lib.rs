@@ -1,26 +1,31 @@
-//! `encore-serve`: a long-running multi-tenant detection service.
+//! `encore-serve`: the long-running, multi-tenant detection daemon.
 //!
 //! The batch pipeline answers "is this fleet misconfigured *right now*";
 //! this crate keeps the answer warm.  A [`SnapshotRegistry`] holds named
 //! detectors — mysql, apache, php — loaded side by side from persisted
 //! [`DetectorSnapshot`](encore::DetectorSnapshot) files, each hot-reloaded
-//! independently when its file's [`FileSig`](encore::FileSig) changes; a
-//! failing reload keeps the old detector serving and flips only that
-//! app's readiness.  Clients speak a line-delimited protocol over a unix
-//! socket ([`protocol`]): `check <app>` with length-prefixed config
-//! payloads, answered with report bodies byte-identical to a direct
+//! independently when its file changes; a failing reload
+//! keeps the old detector serving and flips only that app's readiness.
+//!
+//! Targets arrive from two sources.  Clients speak a line-delimited
+//! protocol over a unix socket ([`protocol`]): `check <app>` with
+//! length-prefixed config payloads, answered with report bodies
+//! byte-identical to a direct
 //! [`check_fleet`](encore::AnomalyDetector::check_fleet) call, plus the
-//! admin verbs `apps`, `reload`, `stats`, and `shutdown`.
+//! admin verbs `apps`, `reload`, `stats`, and `shutdown`.  A watched
+//! directory ([`watch`], `--watch NAME=DIR`) feeds one registered app: each
+//! poll tick re-checks its added and changed files and prints their
+//! reports.
 //!
-//! Requests flow through a [`BoundedQueue`] with explicit backpressure —
-//! a full queue answers `busy` instead of stacking latency — into a
-//! single dispatcher feeding the work-stealing detection pool.  The
-//! PR 8 telemetry surface is threaded through: `/metrics`, `/healthz`,
-//! and a per-app `/readyz` over TCP, a JSONL heartbeat on the poll loop,
-//! and a `serve` phase section of instruments ([`obs`]).
+//! Both sources flow through a [`BoundedQueue`] with explicit
+//! backpressure — a full queue answers `busy` instead of stacking latency
+//! — into a single dispatcher feeding the work-stealing detection pool.
+//! One telemetry surface covers the daemon: `/metrics`, `/healthz`, and a
+//! per-app `/readyz` over TCP, a JSONL heartbeat per poll tick, and a
+//! `serve` phase section of instruments ([`obs`]).
 //!
-//! See DESIGN.md §15 for the protocol grammar, registry lifecycle, and
-//! backpressure contract.
+//! See DESIGN.md §15 for the protocol grammar, registry lifecycle, watched
+//! directories, and backpressure contract.
 
 pub mod client;
 pub mod obs;
@@ -28,9 +33,11 @@ pub mod protocol;
 pub mod queue;
 pub mod registry;
 pub mod server;
+pub mod watch;
 
 pub use client::Client;
 pub use protocol::{CheckReply, Request, Response, MAX_PAYLOAD, MAX_TARGETS};
 pub use queue::BoundedQueue;
 pub use registry::{AppStatus, SnapshotRegistry};
-pub use server::{ServeOptions, ServeStats, Server};
+pub use server::{ServeOptions, ServeStats, Server, StopFlag};
+pub use watch::{target_image, Poller, Scan};

@@ -7,6 +7,11 @@
 //! scheduling-dependent (queue depth at scrape time, wall-clock request
 //! latency) is a gauge or timer-style histogram over microseconds.
 //!
+//! The `serve.watch.*` instruments count the watched-directory source
+//! ([`crate::watch`]).  Like every instrument here they are cumulative,
+//! so a scraper sees them only count up; the heartbeat line carries their
+//! per-tick change.
+//!
 //! These instruments feed `/metrics` and the JSONL heartbeat only.  The
 //! `stats` protocol verb is served from the plain atomic
 //! [`ServeStats`](crate::server::ServeStats) counters instead, because
@@ -44,6 +49,20 @@ pub static EVENTS_DROPPED: Gauge = Gauge::new("serve.events.dropped");
 /// Rendered event lines currently awaiting the writer thread.
 pub static EVENTS_QUEUE_DEPTH: Gauge = Gauge::new("serve.events.queue_depth");
 
+/// Watched-directory scans (one per watched app per poll tick).
+pub static WATCH_SCANS: Counter = Counter::new("serve.watch.scans");
+/// Watched targets that appeared.
+pub static WATCH_TARGETS_ADDED: Counter = Counter::new("serve.watch.targets_added");
+/// Watched targets whose file signature changed.
+pub static WATCH_TARGETS_CHANGED: Counter = Counter::new("serve.watch.targets_changed");
+/// Watched targets that disappeared.
+pub static WATCH_TARGETS_REMOVED: Counter = Counter::new("serve.watch.targets_removed");
+/// Watched targets re-checked (added or changed, or all tracked after a
+/// hot reload of their app): the watch source's work metric.
+pub static WATCH_TARGETS_RECHECKED: Counter = Counter::new("serve.watch.targets_rechecked");
+/// Targets tracked across every watched directory (point-in-time).
+pub static WATCH_TARGETS_TRACKED: Gauge = Gauge::new("serve.watch.targets_tracked");
+
 /// Latency bounds, microseconds: wire-speed admin verbs (tens of µs) up
 /// to sub-minute fleet checks.  Millisecond buckets quantized every
 /// admin verb into the first bucket; µs end to end restores resolution.
@@ -56,6 +75,13 @@ pub static REQUEST_DURATION: Histogram =
     Histogram::new("serve.request_duration_us", &LATENCY_BOUNDS_US);
 /// Time a request waited in the queue before dispatch, microseconds.
 pub static QUEUE_WAIT: Histogram = Histogram::new("serve.queue_wait_us", &LATENCY_BOUNDS_US);
+
+/// Sync the app-count gauges from the registry's statuses.
+pub(crate) fn sync_app_gauges(registry: &crate::registry::SnapshotRegistry) {
+    let statuses = registry.statuses();
+    APPS.set(statuses.len() as u64);
+    APPS_READY.set(statuses.iter().filter(|s| s.ready).count() as u64);
+}
 
 /// Sync the event-log health gauges from the writer thread's counters;
 /// called before every scrape/heartbeat snapshot so the exposition and
@@ -77,6 +103,11 @@ pub fn serve_phase() -> PhaseReport {
         .counter(&ERRORS)
         .counter(&SNAPSHOT_RELOADS)
         .counter(&RELOAD_FAILURES)
+        .counter(&WATCH_SCANS)
+        .counter(&WATCH_TARGETS_ADDED)
+        .counter(&WATCH_TARGETS_CHANGED)
+        .counter(&WATCH_TARGETS_REMOVED)
+        .counter(&WATCH_TARGETS_RECHECKED)
         .gauge(&QUEUE_DEPTH)
         .gauge(&QUEUE_CAPACITY)
         .gauge(&APPS)
@@ -84,15 +115,16 @@ pub fn serve_phase() -> PhaseReport {
         .gauge(&EVENTS_WRITTEN)
         .gauge(&EVENTS_DROPPED)
         .gauge(&EVENTS_QUEUE_DEPTH)
+        .gauge(&WATCH_TARGETS_TRACKED)
         .histogram(&REQUEST_DURATION)
         .histogram(&QUEUE_WAIT)
 }
 
-/// The service's scrape view: the core pipeline + daemon phases with the
+/// The service's scrape view: the six core pipeline phases with the
 /// `serve` section appended.
 pub fn scrape_report() -> PipelineReport {
     sync_event_gauges();
-    let mut report = encore::obs::scrape_report();
+    let mut report = encore::obs::pipeline_report();
     report.phases.push(serve_phase());
     report
 }
@@ -122,6 +154,11 @@ pub fn reset() {
         &ERRORS,
         &SNAPSHOT_RELOADS,
         &RELOAD_FAILURES,
+        &WATCH_SCANS,
+        &WATCH_TARGETS_ADDED,
+        &WATCH_TARGETS_CHANGED,
+        &WATCH_TARGETS_REMOVED,
+        &WATCH_TARGETS_RECHECKED,
     ] {
         counter.reset();
     }
@@ -133,6 +170,7 @@ pub fn reset() {
         &EVENTS_WRITTEN,
         &EVENTS_DROPPED,
         &EVENTS_QUEUE_DEPTH,
+        &WATCH_TARGETS_TRACKED,
     ] {
         gauge.reset();
     }
@@ -176,5 +214,7 @@ mod tests {
         assert!(text.contains("# TYPE encore_serve_requests_total counter\n"));
         assert!(text.contains("encore_serve_request_duration_us_bucket{le=\"30000000\"}"));
         assert!(text.contains("encore_serve_events_written"));
+        assert!(text.contains("# TYPE encore_serve_watch_scans_total counter\n"));
+        assert!(text.contains("# TYPE encore_serve_watch_targets_tracked gauge\n"));
     }
 }

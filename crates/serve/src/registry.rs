@@ -7,10 +7,12 @@
 //! signature is remembered (no retry storm against the same bad file),
 //! and only that app's readiness flips — the aggregate feeds `/readyz`
 //! with one body line per app so an operator can see which tenant is
-//! sick.  This generalizes the single-detector hot-reload contract of
-//! [`encore::Watcher`] to a multi-tenant service.
+//! sick.  An app fed by a watched directory also reads not-ready until
+//! its first scan is recorded ([`crate::watch`]).
 
-use encore::{AnomalyDetector, DetectorSnapshot, FileSig};
+use crate::protocol::Response;
+use crate::watch::{target_image, FileSig};
+use encore::{AnomalyDetector, DetectorSnapshot, FleetOptions};
 use encore_model::AppKind;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -25,6 +27,8 @@ struct AppState {
     /// Signature of the last snapshot *attempted* (successful or not).
     sig: Option<FileSig>,
     ready: bool,
+    /// Watched, and no scan of its directory recorded yet.
+    scan_pending: bool,
     /// Successful reloads after the initial load.
     reloads: u64,
     last_error: Option<String>,
@@ -37,8 +41,8 @@ pub struct AppStatus {
     pub name: String,
     /// Application flavor of the detector.
     pub kind: AppKind,
-    /// Serving with a current snapshot (false while the last reload or
-    /// initial load is failing).
+    /// Serving with a current snapshot (false while the last reload is
+    /// failing, or while a watched directory awaits its first scan).
     pub ready: bool,
     /// Successful hot-reloads since registration.
     pub reloads: u64,
@@ -83,6 +87,7 @@ impl SnapshotRegistry {
                 detector: Arc::new(detector),
                 sig,
                 ready: true,
+                scan_pending: false,
                 reloads: 0,
                 last_error: None,
             },
@@ -97,6 +102,70 @@ impl SnapshotRegistry {
         let apps = self.apps.lock().expect("registry poisoned");
         apps.get(name)
             .map(|app| (app.kind, Arc::clone(&app.detector)))
+    }
+
+    /// Check `targets` (name, config payload) against `app`'s current
+    /// detector in one fleet batch.  The report bodies are exactly
+    /// [`Report::render`](encore::Report::render), byte-identical to what
+    /// a direct [`check_fleet`](AnomalyDetector::check_fleet) caller sees.
+    pub fn check(
+        &self,
+        app: &str,
+        targets: &[(String, String)],
+        workers: Option<usize>,
+    ) -> Response {
+        let Some((kind, detector)) = self.detector(app) else {
+            return Response::Error(format!("unknown app `{app}`"));
+        };
+        let images: Vec<_> = targets
+            .iter()
+            .map(|(name, payload)| target_image(kind, name, payload))
+            .collect();
+        let results = detector.check_fleet(kind, &images, &FleetOptions { workers });
+        crate::obs::TARGETS_CHECKED.add(targets.len() as u64);
+        let reports = targets
+            .iter()
+            .zip(results)
+            .map(|((name, _), result)| {
+                let body = match result {
+                    Ok(report) => report.render(),
+                    Err(e) => format!("assemble error: {e}\n"),
+                };
+                (name.clone(), body)
+            })
+            .collect();
+        Response::Reports(reports)
+    }
+
+    /// Successful reloads of `name` so far; a change means new rules.
+    pub(crate) fn reloads(&self, name: &str) -> Option<u64> {
+        let apps = self.apps.lock().expect("registry poisoned");
+        apps.get(name).map(|app| app.reloads)
+    }
+
+    /// Every registered snapshot path (a watched directory skips them).
+    pub(crate) fn snapshot_paths(&self) -> Vec<PathBuf> {
+        let apps = self.apps.lock().expect("registry poisoned");
+        apps.values().map(|app| app.path.clone()).collect()
+    }
+
+    /// Mark `name` as fed by a watched directory: not ready until
+    /// [`SnapshotRegistry::scan_recorded`].
+    pub(crate) fn await_scan(&self, name: &str) -> Result<(), String> {
+        let mut apps = self.apps.lock().expect("registry poisoned");
+        let app = apps
+            .get_mut(name)
+            .ok_or_else(|| format!("watched app `{name}` is not registered"))?;
+        app.scan_pending = true;
+        Ok(())
+    }
+
+    /// A scan of `name`'s watched directory was recorded.
+    pub(crate) fn scan_recorded(&self, name: &str) {
+        let mut apps = self.apps.lock().expect("registry poisoned");
+        if let Some(app) = apps.get_mut(name) {
+            app.scan_pending = false;
+        }
     }
 
     /// Registered app names, sorted.
@@ -186,7 +255,7 @@ impl SnapshotRegistry {
             .map(|(name, app)| AppStatus {
                 name: name.clone(),
                 kind: app.kind,
-                ready: app.ready,
+                ready: app.ready && !app.scan_pending,
                 reloads: app.reloads,
                 last_error: app.last_error.clone(),
             })

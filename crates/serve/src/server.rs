@@ -1,14 +1,15 @@
-//! The `encore-serve` service: accept loop, bounded dispatch, hot-reload
-//! poller, and the telemetry surface.
+//! The `encore-serve` service: accept loop, bounded dispatch, the poll
+//! tick, and the telemetry surface.
 //!
 //! Shape (one box per thread):
 //!
 //! ```text
 //!  clients ──► accept loop ──► connection threads ──► BoundedQueue ──► dispatcher
-//!                                   │    ▲                               │
+//!                                   │    ▲                 ▲             │
 //!                                   │    └── reply channel (capacity 1) ─┘
 //!                                   └─ admin verbs answered inline
-//!  poll thread: registry.poll() + JSONL heartbeat every interval
+//!  poll thread: Poller::tick (hot reloads, watched-directory scans) + JSONL
+//!               heartbeat every interval; scans submit to the same queue
 //!  metrics server: /metrics /healthz /readyz   (optional TCP port)
 //! ```
 //!
@@ -27,14 +28,14 @@
 use crate::protocol::{self, Request, Response};
 use crate::queue::BoundedQueue;
 use crate::registry::SnapshotRegistry;
-use encore::{FleetOptions, StopFlag};
+use crate::watch::{Poller, Scan};
 use encore_obs::expose::MetricsServer;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,7 +48,8 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Worker threads per fleet check; `None` uses all parallelism.
     pub workers: Option<usize>,
-    /// Snapshot-change poll interval for hot reloads.
+    /// Poll tick interval: snapshot hot reloads, watched-directory scans
+    /// and the heartbeat.
     pub poll_interval: Duration,
     /// `host:port` for the Prometheus `/metrics`, `/healthz`, `/readyz`
     /// endpoints; `None` disables the HTTP surface.
@@ -60,11 +62,15 @@ pub struct ServeOptions {
     /// the full decomposition, plus per-stage fragments in the trace
     /// ring.  `None` disables the capture.
     pub slow_micros: Option<u64>,
+    /// Watched directories, as (registered app, directory) pairs: each
+    /// poll tick re-checks their added and changed files against the app
+    /// and prints the reports on stdout (see [`crate::watch`]).
+    pub watch: Vec<(String, PathBuf)>,
 }
 
 impl ServeOptions {
     /// Defaults: queue of 16, all-core checks, 1 s poll, no HTTP surface,
-    /// no heartbeat, no slow-request capture.
+    /// no heartbeat, no slow-request capture, nothing watched.
     pub fn new(socket: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             socket: socket.into(),
@@ -74,7 +80,69 @@ impl ServeOptions {
             metrics_addr: None,
             heartbeat_path: None,
             slow_micros: None,
+            watch: Vec::new(),
         }
+    }
+}
+
+/// A shared, wakeable stop signal for the service's threads.
+///
+/// The service must stop *promptly* when asked (stdin hit end-of-file, a
+/// `shutdown` verb arrived), but the poll thread spends almost all of its
+/// time sleeping out the poll interval.  A plain `AtomicBool` checked
+/// between ticks leaves a full interval of shutdown latency; this flag
+/// pairs the boolean with a [`Condvar`] so [`StopFlag::stop`] wakes any
+/// in-progress [`StopFlag::wait_timeout`] immediately.
+#[derive(Debug, Default)]
+pub struct StopFlag {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopFlag {
+    /// A new, un-stopped flag.
+    pub fn new() -> StopFlag {
+        StopFlag::default()
+    }
+
+    /// Signal stop and wake every waiter.
+    pub fn stop(&self) {
+        let mut stopped = self.stopped.lock().expect("stop flag poisoned");
+        *stopped = true;
+        self.wake.notify_all();
+    }
+
+    /// Whether stop has been signalled.
+    pub fn is_stopped(&self) -> bool {
+        *self.stopped.lock().expect("stop flag poisoned")
+    }
+
+    /// Block until [`StopFlag::stop`] is called.
+    pub fn wait(&self) {
+        let mut stopped = self.stopped.lock().expect("stop flag poisoned");
+        while !*stopped {
+            stopped = self.wake.wait(stopped).expect("stop flag poisoned");
+        }
+    }
+
+    /// Block for at most `timeout`, returning early, with `true`, the
+    /// moment [`StopFlag::stop`] is called.  Returns whether the flag is
+    /// stopped when the wait ends.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let mut stopped = self.stopped.lock().expect("stop flag poisoned");
+        let deadline = Instant::now() + timeout;
+        while !*stopped {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let (guard, _) = self
+                .wake
+                .wait_timeout(stopped, deadline - now)
+                .expect("stop flag poisoned");
+            stopped = guard;
+        }
+        true
     }
 }
 
@@ -198,20 +266,23 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket-bind and metrics-bind failures.
+    /// Propagates socket-bind and metrics-bind failures, and rejects a
+    /// watched app that is not registered.
     pub fn start(registry: SnapshotRegistry, options: ServeOptions) -> io::Result<Server> {
+        let poller = Poller::new(&registry, &options.watch)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = bind_socket(&options.socket)?;
         let registry = Arc::new(registry);
         let stop = Arc::new(StopFlag::new());
         let queue = Arc::new(BoundedQueue::new(options.queue_capacity));
         let stats = Arc::new(ServeStats::default());
         crate::obs::QUEUE_CAPACITY.set(queue.capacity() as u64);
-        sync_app_gauges(&registry);
+        crate::obs::sync_app_gauges(&registry);
 
         let metrics = match &options.metrics_addr {
             Some(addr) => {
                 let status_registry = Arc::clone(&registry);
-                Some(MetricsServer::start_with_status(
+                Some(MetricsServer::start(
                     addr,
                     move || status_registry.ready(),
                     crate::obs::render_prometheus,
@@ -230,9 +301,21 @@ impl Server {
         let poller = {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
+            let queue = Arc::clone(&queue);
+            let stats = Arc::clone(&stats);
             let interval = options.poll_interval;
             let heartbeat = options.heartbeat_path.clone();
-            std::thread::spawn(move || poll_loop(&registry, &stop, interval, heartbeat.as_deref()))
+            std::thread::spawn(move || {
+                poll_loop(
+                    poller,
+                    &registry,
+                    &stop,
+                    &queue,
+                    &stats,
+                    interval,
+                    heartbeat.as_deref(),
+                );
+            })
         };
 
         let accept = {
@@ -329,12 +412,6 @@ impl Drop for Server {
     }
 }
 
-fn sync_app_gauges(registry: &SnapshotRegistry) {
-    let statuses = registry.statuses();
-    crate::obs::APPS.set(statuses.len() as u64);
-    crate::obs::APPS_READY.set(statuses.iter().filter(|s| s.ready).count() as u64);
-}
-
 /// Saturating microseconds of a duration (µs end to end; ms quantized
 /// every wire-speed stage into one bucket).
 fn micros(duration: Duration) -> u64 {
@@ -350,7 +427,7 @@ fn dispatch_loop(queue: &BoundedQueue<Job>, registry: &SnapshotRegistry, workers
         // Dispatcher-side events (detect.fleet, ...) join the request's
         // scope: the id rode along through the queue.
         let response = encore_obs::event::with_request(job.id, || match job.kind {
-            JobKind::Check { app, targets } => run_check(registry, workers, &app, &targets),
+            JobKind::Check { app, targets } => registry.check(&app, &targets, workers),
             JobKind::Sleep { ms } => {
                 std::thread::sleep(Duration::from_millis(ms));
                 Response::Lines(vec![format!("slept {ms}")])
@@ -364,66 +441,65 @@ fn dispatch_loop(queue: &BoundedQueue<Job>, registry: &SnapshotRegistry, workers
     }
 }
 
-/// Run one fleet check.  The report bodies are exactly
-/// [`Report::render`](encore::Report::render) — byte-identical to what a
-/// direct `check_fleet` caller sees.
-fn run_check(
-    registry: &SnapshotRegistry,
-    workers: Option<usize>,
-    app: &str,
-    targets: &[(String, String)],
-) -> Response {
-    let Some((kind, detector)) = registry.detector(app) else {
-        return Response::Error(format!("unknown app `{app}`"));
-    };
-    let images: Vec<_> = targets
-        .iter()
-        .map(|(name, payload)| encore::watch::target_image(kind, name, payload))
-        .collect();
-    let options = FleetOptions { workers };
-    let results = detector.check_fleet(kind, &images, &options);
-    crate::obs::TARGETS_CHECKED.add(targets.len() as u64);
-    let reports = targets
-        .iter()
-        .zip(results)
-        .map(|((name, _), result)| {
-            let body = match result {
-                Ok(report) => report.render(),
-                Err(e) => format!("assemble error: {e}\n"),
-            };
-            (name.clone(), body)
-        })
-        .collect();
-    Response::Reports(reports)
-}
-
-/// Hot-reload poller + JSONL heartbeat.
+/// The poll thread: one [`Poller::tick`] per interval, its re-checks
+/// submitted through the bounded queue like client `check` requests, then
+/// the heartbeat line.
 fn poll_loop(
+    mut poller: Poller,
     registry: &SnapshotRegistry,
     stop: &StopFlag,
+    queue: &BoundedQueue<Job>,
+    stats: &ServeStats,
     interval: Duration,
     heartbeat: Option<&Path>,
 ) {
-    let mut baseline = crate::obs::scrape_report();
+    // A watched directory is scanned at once, so its app does not sit
+    // not-ready for a whole interval.
+    let mut tick_now = poller.is_watching();
     loop {
-        if stop.wait_timeout(interval) {
+        if !std::mem::take(&mut tick_now) && stop.wait_timeout(interval) {
             return;
         }
-        registry.poll();
-        sync_app_gauges(registry);
+        let scans = poller.tick(registry, |app, targets| {
+            let kind = JobKind::Check {
+                app: app.to_string(),
+                targets,
+            };
+            // Id 0: watched re-checks are not client requests.
+            enqueue(queue, kind, stats, None, 0).0
+        });
+        print_scans(&scans);
         if let Some(path) = heartbeat {
-            let current = crate::obs::scrape_report();
-            let delta = current.delta_since(&baseline, &|name| crate::obs::histogram_bounds(name));
-            baseline = current;
+            let line = poller.heartbeat().render_json();
             if let Ok(mut file) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)
             {
-                let _ = writeln!(file, "{}", delta.render_json());
+                let _ = writeln!(file, "{line}");
             }
         }
     }
+}
+
+/// Print re-checked reports on stdout in the `--check` form and scan
+/// failures on stderr.  Best-effort: a supervisor that closed our pipes
+/// must not be able to stop the service.
+fn print_scans(scans: &[io::Result<Scan>]) {
+    let mut out = io::stdout().lock();
+    for scan in scans {
+        match scan {
+            Ok(scan) => {
+                for (name, body) in &scan.reports {
+                    let _ = write!(out, "== {name}\n{body}");
+                }
+            }
+            Err(e) => {
+                let _ = writeln!(io::stderr(), "encore-serve: watch scan failed: {e}");
+            }
+        }
+    }
+    let _ = out.flush();
 }
 
 /// Accept connections until the stop flag is raised; each connection gets
@@ -667,7 +743,7 @@ fn serve_requests(
                     Ok(()) => Response::Lines(vec![format!("reloaded {app}")]),
                     Err(e) => Response::Error(e),
                 };
-                sync_app_gauges(registry);
+                crate::obs::sync_app_gauges(registry);
                 (response, None)
             }
             Request::Stats => (Response::Lines(stats.lines(queue, registry)), None),
@@ -746,5 +822,23 @@ fn enqueue(
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_flag_wait_reports_timeout_vs_stop() {
+        let flag = StopFlag::new();
+        assert!(!flag.wait_timeout(Duration::from_millis(1)), "timed out");
+        assert!(!flag.is_stopped());
+        flag.stop();
+        assert!(flag.is_stopped());
+        assert!(
+            flag.wait_timeout(Duration::from_secs(600)),
+            "already stopped"
+        );
     }
 }

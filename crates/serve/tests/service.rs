@@ -66,7 +66,7 @@ fn direct_reports(
 ) -> Vec<(String, String)> {
     let images: Vec<_> = targets
         .iter()
-        .map(|(name, payload)| encore::watch::target_image(app, name, payload))
+        .map(|(name, payload)| encore_serve::target_image(app, name, payload))
         .collect();
     let results = detector.check_fleet(app, &images, &FleetOptions { workers });
     targets

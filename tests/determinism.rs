@@ -143,8 +143,8 @@ fn counter_totals_identical_across_worker_counts() {
 fn columnar_path_is_byte_identical_on_the_bench_workload() {
     let _gate = gate();
     // The BENCH populations: mysql, 30 training images (seed 1) checked
-    // against 20 targets (seed 77, 21% misconfigured) — exactly what the
-    // perf baseline's `encore-detect --train 30 --bench-json` run uses.
+    // against 20 targets (seed 77, 21% misconfigured) — exactly what
+    // `encore-detect --train 30 --targets 20` runs.
     let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(30, 1));
     let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("training assembles");
     let targets = Population::training(

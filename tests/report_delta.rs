@@ -1,16 +1,17 @@
-//! Report deltas and the watch loop, end to end: a report diffed against
-//! itself is empty, a perturbed counter trips the default policy with a
-//! violation naming the metric and its gate, counter/histogram sections
-//! never differ across worker counts, and [`Watcher`] cycles re-check only
-//! added/changed targets while appending one parseable report per cycle to
-//! the JSONL trace.
+//! Report deltas and the service's watched-directory source, end to end:
+//! a report diffed against itself is empty, a perturbed counter trips the
+//! default policy with a violation naming the metric and its gate,
+//! counter/histogram sections never differ across worker counts, and
+//! [`Poller`] ticks re-check only added/changed targets (all of them after
+//! a hot reload) while each heartbeat line carries exactly one tick.
 
 use encore::obs;
 use encore::obs::{DeltaPolicy, PipelineReport, ReportDelta};
 use encore::prelude::*;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::AppKind;
-use std::path::PathBuf;
+use encore_serve::{Poller, Scan, SnapshotRegistry};
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 /// The observability sink and its metric statics are process-global;
@@ -122,38 +123,76 @@ fn worker_count_never_changes_counters_or_histograms() {
 }
 
 /// Build a small trained detector for the watch tests.
-fn small_detector() -> AnomalyDetector {
-    let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(12, 7));
+fn small_detector(seed: u64) -> AnomalyDetector {
+    let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(12, seed));
     let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("training assembles");
     EnCore::learn(&training, &LearnOptions::default()).into_detector()
+}
+
+/// Register a small detector as app `mysql`, its snapshot saved inside the
+/// watched `dir` (a registered snapshot is never a target), and watch
+/// `dir` for it.  Resets and enables the sink; callers hold the gate.
+fn watch(dir: &Path) -> (SnapshotRegistry, Poller) {
+    obs::reset();
+    encore_serve::obs::reset();
+    obs::enable();
+    let snapshot = dir.join("mysql.snap");
+    std::fs::write(&snapshot, small_detector(7).snapshot().render()).unwrap();
+    let registry = SnapshotRegistry::new();
+    registry
+        .load("mysql", AppKind::Mysql, &snapshot)
+        .expect("snapshot loads");
+    let poller = Poller::new(&registry, &[("mysql".to_string(), dir.to_path_buf())])
+        .expect("mysql is registered");
+    (registry, poller)
+}
+
+/// One poll tick with the re-checks run directly on the registry, plus
+/// the heartbeat line it would append, round-tripped through JSON.
+fn tick(poller: &mut Poller, registry: &SnapshotRegistry) -> (Scan, PipelineReport) {
+    let mut scans = poller.tick(registry, |app, targets| {
+        registry.check(app, &targets, Some(1))
+    });
+    assert_eq!(scans.len(), 1, "one watched directory");
+    let scan = scans.remove(0).expect("scan succeeds");
+    let line = poller.heartbeat().render_json();
+    obs::json::parse(&line).expect("heartbeat line is JSON");
+    let heartbeat = PipelineReport::parse_json(&line).expect("heartbeat line parses");
+    (scan, heartbeat)
+}
+
+fn names(scan: &Scan) -> Vec<&str> {
+    scan.reports.iter().map(|(name, _)| name.as_str()).collect()
 }
 
 #[test]
 fn watch_cycles_recheck_only_changed_targets_and_emit_jsonl() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-jsonl");
-    let report_path = dir.join(".trace.jsonl"); // dotfile: not a target
     std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
     std::fs::write(
         dir.join("b.cnf"),
         "[mysqld]\nport = 3307\nskip-networking\n",
     )
     .unwrap();
+    std::fs::write(dir.join(".hidden.cnf"), "[mysqld]\n").unwrap(); // dotfile: not a target
+    let (registry, mut poller) = watch(&dir);
 
-    obs::enable();
-    let mut options = WatchOptions::new(AppKind::Mysql, &dir);
-    options.report_path = Some(report_path.clone());
-    let mut watcher = Watcher::new(detector, options);
-
-    let first = watcher.cycle().expect("cycle 1");
+    let (first, beat) = tick(&mut poller, &registry);
     assert_eq!((first.added, first.changed, first.removed), (2, 0, 0));
-    assert_eq!(first.results.len(), 2, "both new targets re-checked");
-    assert_eq!(first.tracked, 2);
-    let counters = first.report.counters();
-    assert_eq!(counters["detect.watch.cycles"], 1);
-    assert_eq!(counters["detect.watch.targets_added"], 2);
-    assert_eq!(counters["detect.watch.targets_rechecked"], 2);
+    assert_eq!(
+        names(&first),
+        ["a.cnf", "b.cnf"],
+        "both new targets re-checked"
+    );
+    assert_eq!(
+        first.tracked, 2,
+        "neither the snapshot nor the dotfile is tracked"
+    );
+    let counters = beat.counters();
+    assert_eq!(counters["serve.watch.scans"], 1);
+    assert_eq!(counters["serve.watch.targets_added"], 2);
+    assert_eq!(counters["serve.watch.targets_rechecked"], 2);
 
     // Grow the file so the size component of the signature changes even
     // on filesystems with coarse mtime granularity.
@@ -163,49 +202,46 @@ fn watch_cycles_recheck_only_changed_targets_and_emit_jsonl() {
         "[mysqld]\nport = 3307\nskip-networking\nmax_connections = 100\n",
     )
     .unwrap();
-    let second = watcher.cycle().expect("cycle 2");
+    let (second, beat) = tick(&mut poller, &registry);
     assert_eq!((second.added, second.changed, second.removed), (0, 1, 0));
-    assert_eq!(second.results.len(), 1, "only the changed target re-checks");
-    assert_eq!(second.results[0].0, "b.cnf");
+    assert_eq!(
+        names(&second),
+        ["b.cnf"],
+        "only the changed target re-checks"
+    );
+    assert_eq!(beat.counters()["serve.watch.targets_rechecked"], 1);
 
-    let third = watcher.cycle().expect("cycle 3");
-    assert_eq!((third.added, third.changed, third.removed), (0, 0, 0));
-    assert!(third.results.is_empty(), "quiet cycle re-checks nothing");
-    assert_eq!(third.tracked, 2);
+    std::fs::remove_file(dir.join("a.cnf")).unwrap();
+    let (third, beat) = tick(&mut poller, &registry);
+    assert_eq!((third.added, third.changed, third.removed), (0, 0, 1));
+    assert!(third.reports.is_empty(), "a removal re-checks nothing");
+    assert_eq!(third.tracked, 1);
+    let counters = beat.counters();
+    assert_eq!(
+        counters["serve.watch.scans"], 1,
+        "one tick per heartbeat line"
+    );
+    assert_eq!(counters["serve.watch.targets_rechecked"], 0);
+    assert_eq!(counters["serve.watch.targets_removed"], 1);
     obs::disable();
-
-    let trace = std::fs::read_to_string(&report_path).expect("trace written");
-    let lines: Vec<&str> = trace.lines().collect();
-    assert_eq!(lines.len(), 3, "one JSONL line per cycle");
-    for (i, line) in lines.iter().enumerate() {
-        obs::json::parse(line).unwrap_or_else(|e| panic!("line {}: {e:?}", i + 1));
-        let parsed =
-            PipelineReport::parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
-        assert_eq!(parsed.counters()["detect.watch.cycles"], 1);
-    }
-    let first_line = PipelineReport::parse_json(lines[0]).unwrap();
-    assert_eq!(first_line.counters()["detect.watch.targets_added"], 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn watch_detects_same_size_rewrite_with_preserved_mtime() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-same-size");
     let target = dir.join("a.cnf");
     std::fs::write(&target, "[mysqld]\nport = 3306\n").unwrap();
-
-    obs::enable();
-    let mut watcher = Watcher::new(detector, WatchOptions::new(AppKind::Mysql, &dir));
-    let first = watcher.cycle().expect("cycle 1");
+    let (registry, mut poller) = watch(&dir);
+    let (first, _) = tick(&mut poller, &registry);
     assert_eq!((first.added, first.changed), (1, 0));
     let mtime = std::fs::metadata(&target).unwrap().modified().unwrap();
 
     // Same byte length, different contents, original mtime restored: the
     // metadata signature is identical, so only the content fingerprint can
-    // flag the rewrite.  Regression for the watcher missing in-place
-    // same-size edits within the filesystem's mtime granularity.
+    // flag the rewrite.  Regression for missing in-place same-size edits
+    // within the filesystem's mtime granularity.
     std::fs::write(&target, "[mysqld]\nport = 3307\n").unwrap();
     std::fs::File::options()
         .write(true)
@@ -213,14 +249,13 @@ fn watch_detects_same_size_rewrite_with_preserved_mtime() {
         .unwrap()
         .set_modified(mtime)
         .unwrap();
-    let second = watcher.cycle().expect("cycle 2");
+    let (second, _) = tick(&mut poller, &registry);
     assert_eq!((second.added, second.changed, second.removed), (0, 1, 0));
-    assert_eq!(second.results.len(), 1, "the rewritten target re-checks");
-    assert_eq!(second.results[0].0, "a.cnf");
+    assert_eq!(names(&second), ["a.cnf"], "the rewritten target re-checks");
 
-    let third = watcher.cycle().expect("cycle 3");
+    let (third, _) = tick(&mut poller, &registry);
     assert_eq!((third.added, third.changed, third.removed), (0, 0, 0));
-    assert!(third.results.is_empty());
+    assert!(third.reports.is_empty());
     obs::disable();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -228,25 +263,69 @@ fn watch_detects_same_size_rewrite_with_preserved_mtime() {
 #[test]
 fn identical_quiet_cycles_produce_identical_counter_sections() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-quiet");
     std::fs::write(dir.join("only.cnf"), "[mysqld]\nport = 3306\n").unwrap();
-
-    obs::enable();
-    let mut watcher = Watcher::new(detector, WatchOptions::new(AppKind::Mysql, &dir));
-    let _warmup = watcher.cycle().expect("cycle 1");
-    let quiet_a = watcher.cycle().expect("cycle 2");
-    let quiet_b = watcher.cycle().expect("cycle 3");
+    let (registry, mut poller) = watch(&dir);
+    let _warmup = tick(&mut poller, &registry);
+    let (_, quiet_a) = tick(&mut poller, &registry);
+    let (_, quiet_b) = tick(&mut poller, &registry);
     obs::disable();
 
-    // Regression: each cycle's report must cover only that cycle.  Were
-    // the snapshot not paired atomically with a reset, counters would
-    // accumulate and the second quiet cycle would read higher than the
-    // first.
-    assert_eq!(quiet_a.report.counters(), quiet_b.report.counters());
-    assert_eq!(quiet_a.report.counters()["detect.watch.cycles"], 1);
-    let delta = ReportDelta::diff(&quiet_a.report, &quiet_b.report);
+    // Each heartbeat line covers only its own tick: were it cumulative,
+    // the second quiet line would read higher than the first.
+    assert_eq!(quiet_a.counters(), quiet_b.counters());
+    assert_eq!(quiet_a.counters()["serve.watch.scans"], 1);
+    assert_eq!(quiet_a.counters()["serve.watch.targets_rechecked"], 0);
+    let delta = ReportDelta::diff(&quiet_a, &quiet_b);
     assert!(delta.counters.is_empty(), "{}", delta.render_text());
     assert!(delta.histograms.is_empty(), "{}", delta.render_text());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hot_reload_rechecks_every_tracked_target_against_the_new_detector() {
+    let _gate = gate();
+    let dir = scratch_dir("watch-reload");
+    let targets = [
+        ("a.cnf", "[mysqld]\nport = 3306\nuser = mysql\n"),
+        ("b.cnf", "[mysqld]\nport = 3307\nmystery_knob = 1\n"),
+    ];
+    for (name, config) in targets {
+        std::fs::write(dir.join(name), config).unwrap();
+    }
+    let (registry, mut poller) = watch(&dir);
+    let (first, _) = tick(&mut poller, &registry);
+    assert_eq!(names(&first), ["a.cnf", "b.cnf"]);
+    let (quiet, _) = tick(&mut poller, &registry);
+    assert!(quiet.reports.is_empty());
+
+    // Deploy a detector trained on another fleet; no target file changes.
+    let retrained = small_detector(9);
+    std::fs::write(dir.join("mysql.snap"), retrained.snapshot().render()).unwrap();
+    let (reloaded, beat) = tick(&mut poller, &registry);
+    assert_eq!(
+        registry.statuses()[0].reloads,
+        1,
+        "the snapshot hot-reloaded"
+    );
+    assert_eq!((reloaded.added, reloaded.changed), (0, 0));
+    assert_eq!(beat.counters()["serve.watch.targets_rechecked"], 2);
+
+    // Every tracked target was re-checked, against the new rules.
+    let images: Vec<_> = targets
+        .iter()
+        .map(|(name, config)| encore_serve::target_image(AppKind::Mysql, name, config))
+        .collect();
+    let expected: Vec<(String, String)> = retrained
+        .check_fleet(AppKind::Mysql, &images, &FleetOptions { workers: Some(1) })
+        .into_iter()
+        .zip(targets)
+        .map(|(report, (name, _))| (name.to_string(), report.expect("assembles").render()))
+        .collect();
+    assert_eq!(reloaded.reports, expected);
+
+    let (after, _) = tick(&mut poller, &registry);
+    assert!(after.reports.is_empty(), "one full re-check per reload");
+    obs::disable();
     let _ = std::fs::remove_dir_all(&dir);
 }
