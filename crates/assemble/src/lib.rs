@@ -241,13 +241,13 @@ impl Assembler {
     }
 }
 
-/// Pivot an assembled [`Dataset`] into its columnar, interned view — the
+/// Pivot assembled rows, borrowed, into their columnar, interned view — the
 /// layout rule inference scans (`encore_model::columnar`).  This is the
 /// assembly phase's last step: built once per training set, shared
 /// read-only by everything downstream.
-pub fn column_store(dataset: &Dataset) -> encore_model::ColumnStore {
+pub fn column_store(rows: &[&Row]) -> encore_model::ColumnStore {
     let _span = obs::COLUMNS_TIME.span();
-    let store = encore_model::ColumnStore::build(dataset);
+    let store = encore_model::ColumnStore::from_rows(rows);
     obs::COLUMNS_BUILT.add(store.num_columns() as u64);
     obs::VALUES_INTERNED.add(store.interner().num_values() as u64);
     store

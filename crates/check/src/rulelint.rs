@@ -327,20 +327,25 @@ fn equal_vs_ordering(ordering: &Rule, eq: &Rule) -> Diagnostic {
 /// Two `Owns` rules claim the same path for different user entries.  That is
 /// only a real contradiction if the two user entries can hold *different*
 /// values — if they always agree (aliased entries), it is merely redundant.
-/// With a corpus we look for a row where the values differ; found ⇒ Error,
-/// not found (or no corpus) ⇒ Warning.
+/// With a corpus we look for the first row where both are present and
+/// their rendered values differ; found ⇒ Error, not found (or no corpus) ⇒
+/// Warning.
 fn conflicting_owners(rule: &Rule, other: &Rule, cache: Option<&StatsCache>) -> Diagnostic {
     let evidence = cache.and_then(|cache| {
-        cache.dataset().rows().iter().find_map(|row| {
-            let (va, vb) = (row.get(&rule.b)?, row.get(&other.b)?);
-            (va.render() != vb.render()).then(|| {
+        let store = cache.columns();
+        let interner = store.interner();
+        let a = store.column(cache.attr_index(&rule.b)?);
+        let b = store.column(cache.attr_index(&other.b)?);
+        (0..store.num_rows()).find_map(|row| {
+            let (va, vb) = (a.value_id(row)?, b.value_id(row)?);
+            (interner.render_class(va) != interner.render_class(vb)).then(|| {
                 format!(
                     "system `{}` has {}={} but {}={}",
-                    row.id(),
+                    cache.system_id(row),
                     rule.b,
-                    va.render(),
+                    interner.render_of(va),
                     other.b,
-                    vb.render()
+                    interner.render_of(vb)
                 )
             })
         })

@@ -21,7 +21,7 @@ use crate::snapshot::DetectorSnapshot;
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, Assembler};
-use encore_model::{AppKind, AttrName, Row, SemType};
+use encore_model::{AppKind, AttrName, ColumnStore, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -288,27 +288,31 @@ pub struct TrainingStats {
 }
 
 impl TrainingStats {
-    /// Gather the statistics from an assembled training set.
+    /// Gather the statistics from an assembled training set, through its
+    /// column store (see [`TrainingStats::from_columns`]).
     pub fn from_training(training: &TrainingSet) -> TrainingStats {
+        TrainingStats::from_columns(&ColumnStore::from_rows(&training.rows()))
+    }
+
+    /// Read the statistics off a training set's column store: one entry
+    /// name per original-entry column (all-absent columns included, as
+    /// every row cell names an entry) and one render histogram per column
+    /// with a present value.
+    pub fn from_columns(store: &ColumnStore) -> TrainingStats {
         let mut stats = TrainingStats {
-            systems: training.len(),
+            systems: store.num_rows(),
             ..TrainingStats::default()
         };
-        for (row, _) in training.systems() {
-            for (attr, value) in row.iter() {
-                if attr.is_original() {
-                    stats
-                        .known_entries
-                        .insert(crate::relation::canonical_entry_name(attr.base()));
-                }
-                if !value.is_absent() {
-                    *stats
-                        .values
-                        .entry(attr.clone())
-                        .or_default()
-                        .entry(value.render())
-                        .or_insert(0) += 1;
-                }
+        for (i, attr) in store.interner().attrs().iter().enumerate() {
+            if attr.is_original() {
+                stats
+                    .known_entries
+                    .insert(crate::relation::canonical_entry_name(attr.base()));
+            }
+            let hist = store.value_histogram(i);
+            if !hist.is_empty() {
+                let hist = hist.into_iter().map(|(v, n)| (v.to_string(), n));
+                stats.values.insert(attr.clone(), hist.collect());
             }
         }
         stats
@@ -1145,6 +1149,64 @@ mod tests {
                 .collect();
             assert_eq!(rendered, sequential, "workers={workers}");
         }
+    }
+
+    /// The per-cell row loop the column-based constructor replaced.
+    fn training_stats_from_rows(training: &TrainingSet) -> TrainingStats {
+        let mut stats = TrainingStats {
+            systems: training.len(),
+            ..TrainingStats::default()
+        };
+        for (row, _) in training.systems() {
+            for (attr, value) in row.iter() {
+                if attr.is_original() {
+                    stats
+                        .known_entries
+                        .insert(crate::relation::canonical_entry_name(attr.base()));
+                }
+                if !value.is_absent() {
+                    *stats
+                        .values
+                        .entry(attr.clone())
+                        .or_default()
+                        .entry(value.render())
+                        .or_insert(0) += 1;
+                }
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn column_training_stats_match_the_row_loop() {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        // The BENCH training set, and the 127-image Apache set.
+        for (app, images) in [(AppKind::Mysql, 30), (AppKind::Apache, 127)] {
+            let pop = Population::training(app, &PopulationOptions::new(images, 1));
+            let training = TrainingSet::assemble(app, pop.images()).expect("assembles");
+            let want = training_stats_from_rows(&training);
+            assert_eq!(TrainingStats::from_training(&training), want, "{app:?}");
+            let cache = training.stats_cache();
+            assert_eq!(
+                TrainingStats::from_columns(cache.columns()),
+                want,
+                "{app:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn learned_snapshot_matches_a_detector_built_from_the_training_set() {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(30, 1));
+        let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("assembles");
+        let options = crate::LearnOptions {
+            workers: Some(2),
+            ..crate::LearnOptions::default()
+        };
+        let engine = crate::EnCore::try_learn(&training, &options).expect("learns");
+        let rebuilt = AnomalyDetector::new(&training, engine.rules().clone());
+        assert_eq!(engine.snapshot().render(), rebuilt.snapshot().render());
     }
 
     #[test]

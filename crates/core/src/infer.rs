@@ -18,13 +18,13 @@
 //! entropies) are resolved once per run in a shared [`StatsCache`].
 //!
 //! Slot bindings are *indices* into the cache's sorted attribute list, and
-//! the default evaluation path is *columnar*: each pair is tallied by a
-//! `relation::PairEvaluator` scanning the interned value-id
-//! columns of the [`StatsCache`]'s column store, with generic same-type
-//! templates drawing their B partners from per-type attribute buckets
-//! instead of filtering the full cross product.  The legacy row-major path
-//! is kept behind [`InferOptions::without_columnar`] as the byte-identity
-//! reference.
+//! evaluation is *columnar*: each pair is tallied by a
+//! `relation::PairEvaluator` scanning the interned value-id columns of the
+//! [`StatsCache`]'s column store, with generic same-type templates drawing
+//! their B partners from per-type attribute buckets instead of filtering
+//! the full cross product.  Its output is pinned by golden files — the
+//! learned rules, the fleet reports they produce and the evaluated-pair
+//! count — recorded from the row-major evaluator this path replaced.
 
 use crate::eligibility::{
     eligible_indices, is_same_type_generic, pair_considered, partner_indices,
@@ -32,7 +32,7 @@ use crate::eligibility::{
 use crate::filter::{judge, FilterThresholds, RejectReason, Verdict};
 use crate::obs;
 use crate::pool::{self, PoolError};
-use crate::relation::{evaluate, Applicability, PairEvaluator, SystemView};
+use crate::relation::PairEvaluator;
 use crate::rules::{Rule, RuleSet};
 use crate::stats::StatsCache;
 use crate::template::Template;
@@ -109,11 +109,6 @@ pub struct InferOptions {
     /// no candidates either way); disable it only to measure its effect or
     /// to cross-check determinism.
     pub prune_dead_units: bool,
-    /// Evaluate pairs over the interned value-id columns (the default).
-    /// `false` falls back to the row-major [`evaluate`] loop — the
-    /// reference implementation the columnar path must reproduce
-    /// byte-identically.
-    pub columnar: bool,
 }
 
 impl Default for InferOptions {
@@ -121,7 +116,6 @@ impl Default for InferOptions {
         InferOptions {
             workers: None,
             prune_dead_units: true,
-            columnar: true,
         }
     }
 }
@@ -139,13 +133,6 @@ impl InferOptions {
     /// must reproduce byte-identically).
     pub fn without_pruning(mut self) -> InferOptions {
         self.prune_dead_units = false;
-        self
-    }
-
-    /// Disable the columnar evaluator and tally every pair with the
-    /// row-major reference loop.
-    pub fn without_columnar(mut self) -> InferOptions {
-        self.columnar = false;
         self
     }
 
@@ -231,9 +218,25 @@ impl RuleInference {
         thresholds: &FilterThresholds,
         options: &InferOptions,
     ) -> Result<(RuleSet, InferenceStats), InferError> {
-        let cache = training.stats_cache();
-        let candidates = self.collect_candidates(training, &cache, options)?;
-        Ok(judge_candidates(&candidates, thresholds, &cache))
+        self.try_infer_with_cache(training, &training.stats_cache(), thresholds, options)
+    }
+
+    /// [`RuleInference::try_infer_with`] over a statistics cache the caller
+    /// built from `training` ([`TrainingSet::stats_cache`]), so a learn can
+    /// read the detector's statistics off the same columns afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InferError::WorkerPanicked`] if any work unit panics.
+    pub(crate) fn try_infer_with_cache(
+        &self,
+        training: &TrainingSet,
+        cache: &StatsCache,
+        thresholds: &FilterThresholds,
+        options: &InferOptions,
+    ) -> Result<(RuleSet, InferenceStats), InferError> {
+        let candidates = self.collect_candidates(training, cache, options)?;
+        Ok(judge_candidates(&candidates, thresholds, cache))
     }
 
     /// Judge one candidate pass under the given thresholds **and** their
@@ -285,18 +288,12 @@ impl RuleInference {
         cache: &StatsCache,
         options: &InferOptions,
     ) -> Result<Vec<Candidate>, InferError> {
-        if options.columnar {
-            self.collect_candidates_via(training, cache, options, instantiate_unit_columnar)
-        } else {
-            self.collect_candidates_via(training, cache, options, instantiate_unit_rows)
-        }
+        self.collect_candidates_via(training, cache, options, instantiate_unit)
     }
 
     /// Worker seam: `run_unit` processes one `(template, a-chunk)` unit.
-    /// Production passes [`instantiate_unit_columnar`] (or
-    /// [`instantiate_unit_rows`] when the columnar path is disabled); tests
-    /// substitute panicking closures to exercise error propagation through
-    /// the real pipeline.
+    /// Production passes [`instantiate_unit`]; tests substitute panicking
+    /// closures to exercise error propagation through the real pipeline.
     fn collect_candidates_via<F>(
         &self,
         training: &TrainingSet,
@@ -562,10 +559,10 @@ fn finish_unit_profile(
     }
 }
 
-/// Row-major reference evaluator: tally each considered pair by walking
-/// every training system through [`evaluate`].  Kept as the byte-identity
-/// reference for [`instantiate_unit_columnar`].
-fn instantiate_unit_rows(
+/// Instantiate one unit: tally every considered pair with a
+/// [`PairEvaluator`] over the interned value-id columns — presence gating
+/// is a bitset intersection and `Equal`/`=~` are integer compares.
+fn instantiate_unit(
     unit: &WorkUnit<'_, '_>,
     training: &TrainingSet,
     cache: &StatsCache,
@@ -573,6 +570,7 @@ fn instantiate_unit_rows(
     let work = unit.work;
     let template = work.template;
     let attrs = cache.attributes();
+    let systems = training.systems();
     // Self-time per unit, attributed to the unit's template when the
     // profiler is on (the decision is made here, once per unit, so the
     // per-pair loop below stays branch-free).
@@ -588,63 +586,6 @@ fn instantiate_unit_rows(
             // Structural filters (self-pairs, original-entry anchoring,
             // generic same-type restriction, symmetry canonicalization) —
             // shared with the eligibility analyzer in [`crate::eligibility`].
-            if !pair_considered(template, work.generic, cache, a, b) {
-                continue;
-            }
-            pairs_evaluated += 1;
-            let mut holds = 0usize;
-            let mut applicable = 0usize;
-            for (row, image) in training.systems() {
-                match evaluate(template.relation, a, b, SystemView::new(row, image)) {
-                    Applicability::Holds => {
-                        holds += 1;
-                        applicable += 1;
-                    }
-                    Applicability::Violated => applicable += 1,
-                    Applicability::NotApplicable => {}
-                }
-            }
-            if applicable == 0 {
-                continue;
-            }
-            let confidence = holds as f64 / applicable as f64;
-            out.push(Candidate {
-                rule: Rule::new(
-                    a.clone(),
-                    template.relation,
-                    b.clone(),
-                    applicable,
-                    confidence,
-                ),
-                template_min_confidence: template.min_confidence,
-            });
-        }
-    }
-    obs::INFER_PAIRS_EVALUATED.add(pairs_evaluated);
-    finish_unit_profile(work, profiled, pairs_evaluated, out.len());
-    out
-}
-
-/// Columnar evaluator: the same pair enumeration as
-/// [`instantiate_unit_rows`], but each pair is tallied by a
-/// [`PairEvaluator`] over the interned value-id columns — presence gating
-/// becomes a bitset intersection and `Equal`/`=~` become integer compares.
-fn instantiate_unit_columnar(
-    unit: &WorkUnit<'_, '_>,
-    training: &TrainingSet,
-    cache: &StatsCache,
-) -> Vec<Candidate> {
-    let work = unit.work;
-    let template = work.template;
-    let attrs = cache.attributes();
-    let systems = training.systems();
-    let profiled = obs::profile::enabled().then(Instant::now);
-    let mut out = Vec::new();
-    let mut pairs_evaluated = 0u64;
-    for &ai in &work.eligible_a[unit.a_range.clone()] {
-        let a = &attrs[ai];
-        for &bi in partner_indices(cache, work.generic, &work.eligible_b, ai) {
-            let b = &attrs[bi];
             if !pair_considered(template, work.generic, cache, a, b) {
                 continue;
             }
@@ -830,31 +771,49 @@ mod tests {
         }
     }
 
+    /// Learned rules and statistics on the 12-image fleet, recorded from
+    /// the row-major evaluator the columnar one replaced.  Regenerate after
+    /// an intentional change with `UPDATE_GOLDEN=1 cargo test -p encore
+    /// --lib inference_matches`.
+    const INFER_GOLDEN: &str = include_str!("../tests/golden/infer_fleet12.txt");
+
     #[test]
-    fn columnar_path_matches_row_reference() {
+    fn inference_matches_the_golden_file() {
         let images = fleet(12);
         let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
         let engine = RuleInference::predefined();
-        // Both filter settings, so entropy-sensitive f64s are compared too.
-        for thresholds in [
-            FilterThresholds::default(),
-            FilterThresholds::default().without_entropy(),
-        ] {
-            let (rows, row_stats) = engine
-                .try_infer_with(
-                    &ts,
-                    &thresholds,
-                    &InferOptions::with_workers(1).without_columnar(),
-                )
-                .unwrap();
-            for workers in [1, 2, 4] {
-                let (cols, col_stats) = engine
+        let run = |workers: usize| {
+            // Both filter settings, so entropy-sensitive f64s are pinned too.
+            let mut rendered = String::new();
+            for thresholds in [
+                FilterThresholds::default(),
+                FilterThresholds::default().without_entropy(),
+            ] {
+                let (rules, stats) = engine
                     .try_infer_with(&ts, &thresholds, &InferOptions::with_workers(workers))
                     .unwrap();
-                assert_eq!(cols, rows, "workers={workers}");
-                assert_eq!(cols.render(), rows.render(), "workers={workers}");
-                assert_eq!(col_stats, row_stats, "workers={workers}");
+                rendered.push_str(&format!(
+                    "== use_entropy={}\n{stats:?}\n{}",
+                    thresholds.use_entropy,
+                    rules.render()
+                ));
             }
+            rendered
+        };
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/infer_fleet12.txt"
+            );
+            std::fs::write(path, run(1)).expect("write golden");
+            return;
+        }
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                run(workers),
+                INFER_GOLDEN,
+                "workers={workers}; run with UPDATE_GOLDEN=1 if intentional"
+            );
         }
     }
 

@@ -164,10 +164,17 @@ impl EnCore {
             workers: options.workers,
             ..InferOptions::default()
         };
-        let (rules, stats) =
-            inference.try_infer_with(training, &options.thresholds, &infer_options)?;
+        // One column store serves inference and the detector's statistics.
+        let cache = training.stats_cache();
+        let (rules, stats) = inference.try_infer_with_cache(
+            training,
+            &cache,
+            &options.thresholds,
+            &infer_options,
+        )?;
+        let training_stats = TrainingStats::from_columns(cache.columns());
         Ok(EnCore {
-            detector: AnomalyDetector::new(training, rules),
+            detector: AnomalyDetector::from_parts(rules, training.types().clone(), training_stats),
             stats,
         })
     }

@@ -19,10 +19,14 @@
 //! any future in-worker judging) do not contend on a single lock; everything
 //! else is immutable after construction, so the cache can be shared
 //! read-only across the inference worker pool.
+//!
+//! The cache borrows the training rows to pivot them into a [`ColumnStore`]
+//! in one pass and keeps only that store and the system ids; attributes,
+//! entropy histograms and the detector's statistics are read off it.
 
 use crate::types::TypeMap;
 use encore_mining::metrics::entropy;
-use encore_model::{AttrName, ColumnStore, Dataset, SemType};
+use encore_model::{AttrName, ColumnStore, Dataset, Row, SemType};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -34,16 +38,14 @@ use std::sync::Mutex;
 const ENTROPY_SHARDS: usize = 16;
 
 /// Per-run cache of attribute statistics: resolved types, the columnar
-/// interned view of the dataset (value-id columns + presence bitsets),
+/// interned view of the rows (value-id columns + presence bitsets),
 /// per-type attribute buckets, and memoized entropies over one training
-/// dataset.
+/// set.
 #[derive(Debug)]
 pub struct StatsCache {
-    dataset: Dataset,
-    attributes: Vec<AttrName>,
-    types: BTreeMap<AttrName, SemType>,
-    /// Resolved type of `attributes[i]` — the flat mirror of `types` the
-    /// per-pair loops index instead of chasing map nodes.
+    /// System id of each row, in row order.
+    system_ids: Vec<String>,
+    /// Resolved type of `attributes()[i]`, indexed like the columns.
     types_by_index: Vec<SemType>,
     /// Attribute indices (into `attributes`) grouped by resolved semantic
     /// type, each bucket ascending — the eligibility bitsets inverted into
@@ -65,18 +67,20 @@ fn shard_of(attr: &AttrName) -> usize {
 }
 
 impl StatsCache {
-    /// Build a cache over a dataset, resolving the type and presence mask of
-    /// every attribute once through `types` and the dataset rows.
+    /// Build a cache over a dataset's rows (see [`StatsCache::from_rows`]).
     pub fn new(dataset: Dataset, types: &TypeMap) -> StatsCache {
+        StatsCache::from_rows(&dataset.rows().iter().collect::<Vec<_>>(), types)
+    }
+
+    /// Build a cache over borrowed training rows: pivot them into columns
+    /// in one pass, then resolve the type of every attribute once through
+    /// `types`.
+    pub fn from_rows(rows: &[&Row], types: &TypeMap) -> StatsCache {
         let _span = crate::obs::STATS_BUILD_TIME.span();
-        let attributes: Vec<AttrName> = dataset.attributes().into_iter().collect();
+        let columns = encore_assemble::column_store(rows);
+        let attributes = columns.interner().attrs();
         crate::obs::STATS_ATTRIBUTES.add(attributes.len() as u64);
         let types_by_index: Vec<SemType> = attributes.iter().map(|a| types.type_of(a)).collect();
-        let resolved = attributes
-            .iter()
-            .cloned()
-            .zip(types_by_index.iter().copied())
-            .collect();
         let mut buckets: BTreeMap<SemType, Vec<usize>> = BTreeMap::new();
         for (i, &ty) in types_by_index.iter().enumerate() {
             buckets.entry(ty).or_default().push(i);
@@ -85,12 +89,8 @@ impl StatsCache {
             .iter()
             .map(|a| crate::relation::strip_occurrence(a.base()))
             .collect();
-        let columns = encore_assemble::column_store(&dataset);
-        debug_assert_eq!(columns.num_columns(), attributes.len());
         StatsCache {
-            dataset,
-            attributes,
-            types: resolved,
+            system_ids: rows.iter().map(|row| row.id().to_string()).collect(),
             types_by_index,
             buckets,
             stripped_bases,
@@ -100,31 +100,31 @@ impl StatsCache {
         }
     }
 
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
     /// Number of training systems.
     pub fn num_rows(&self) -> usize {
-        self.dataset.num_rows()
+        self.columns.num_rows()
+    }
+
+    /// The id of the training system behind row `row`.
+    pub fn system_id(&self, row: usize) -> &str {
+        &self.system_ids[row]
     }
 
     /// Every attribute appearing in the dataset, in stable (sorted) order.
     pub fn attributes(&self) -> &[AttrName] {
-        &self.attributes
+        self.columns.interner().attrs()
     }
 
     /// Whether the dataset contains the attribute at all.
     pub fn has_attribute(&self, attr: &AttrName) -> bool {
-        self.types.contains_key(attr)
+        self.attr_index(attr).is_some()
     }
 
     /// The resolved semantic type of an attribute (falling back to the
     /// source [`TypeMap`] for attributes outside the dataset).
     pub fn type_of(&self, attr: &AttrName) -> SemType {
-        match self.types.get(attr) {
-            Some(t) => *t,
+        match self.attr_index(attr) {
+            Some(i) => self.types_by_index[i],
             None => self.type_map.type_of(attr),
         }
     }
@@ -191,10 +191,11 @@ impl StatsCache {
         // Histograms come from the interned columns: the render strings and
         // their counts are identical to `Dataset::value_histogram`, and both
         // maps iterate in sorted-render order, so the f64 summation order —
-        // and therefore the entropy, bit for bit — is unchanged.
+        // and therefore the entropy, bit for bit — is unchanged.  An
+        // attribute outside the rows has an empty histogram.
         let h = match self.attr_index(attr) {
             Some(i) => entropy(self.columns.value_histogram(i).into_values()),
-            None => entropy(self.dataset.value_histogram(attr).into_values()),
+            None => entropy([]),
         };
         memo.insert(attr.clone(), h);
         h

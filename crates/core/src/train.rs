@@ -116,17 +116,15 @@ impl TrainingSet {
         self.systems.iter().map(|(r, _)| r.clone()).collect()
     }
 
-    /// A fresh per-run statistics cache (resolved attribute types + memoized
-    /// value entropies) over this training set.
-    pub fn stats_cache(&self) -> crate::stats::StatsCache {
-        crate::stats::StatsCache::new(self.dataset(), &self.types)
+    /// The assembled rows, borrowed, in training order.
+    pub fn rows(&self) -> Vec<&Row> {
+        self.systems.iter().map(|(r, _)| r).collect()
     }
 
-    /// The detector-side training statistics (known entry names + value
-    /// histograms + system count) — the corpus-free remainder a
-    /// [`crate::snapshot::DetectorSnapshot`] persists.
-    pub fn training_stats(&self) -> crate::detect::TrainingStats {
-        crate::detect::TrainingStats::from_training(self)
+    /// A fresh per-run statistics cache (resolved attribute types + memoized
+    /// value entropies) over this training set's rows.
+    pub fn stats_cache(&self) -> crate::stats::StatsCache {
+        crate::stats::StatsCache::from_rows(&self.rows(), &self.types)
     }
 }
 

@@ -1,24 +1,26 @@
-//! Columnar view of a [`Dataset`]: one contiguous value-id column per
+//! Columnar view of assembled rows: one contiguous value-id column per
 //! attribute plus a per-attribute row-presence bitset.
 //!
-//! The assembled [`Dataset`] is row-major — each [`crate::dataset::Row`] is
-//! a `BTreeMap` from attribute to value, which is the right shape for
-//! assembly but the wrong one for inference: validating one `(a, b)`
-//! attribute pair against every training system walks two map lookups per
-//! row.  A [`ColumnStore`] is built once after assembly and pivots the
-//! table: column `i` holds the interned [`ValueId`] of attribute `i` for
-//! every row in a flat `Vec<u32>`, and a presence bitset (bit `r` set iff
-//! row `r` has a present, non-absent value) lets pair loops intersect two
-//! columns one 64-row word at a time.
+//! Assembly produces row-major data — each [`Row`] is a `BTreeMap` from
+//! attribute to value, which is the right shape for assembly but the wrong
+//! one for inference: validating one `(a, b)` attribute pair against every
+//! training system walks two map lookups per row.  A [`ColumnStore`] is
+//! built once after assembly and pivots the table: column `i` holds the
+//! interned [`ValueId`] of attribute `i` for every row in a flat `Vec<u32>`,
+//! and a presence bitset (bit `r` set iff row `r` has a present, non-absent
+//! value) lets pair loops intersect two columns one 64-row word at a time.
 //!
-//! Attribute ids follow sorted attribute order —
-//! [`crate::intern::AttrId`]`(i)` is the `i`-th attribute of
-//! [`Dataset::attributes`] — so any sorted attribute list over the same
-//! dataset indexes columns directly.
+//! [`ColumnStore::from_rows`] builds it in one pass over borrowed rows,
+//! cloning neither rows nor attribute names, then interns column by column.
+//! Attribute ids follow sorted attribute order — `AttrId(i)` is the `i`-th
+//! attribute of [`crate::Dataset::attributes`] over the same rows — and
+//! values intern in column-major, row-ascending order, so every id and
+//! render class is deterministic for a given row list.
 
 use crate::attr::AttrName;
-use crate::dataset::Dataset;
+use crate::dataset::Row;
 use crate::intern::{Interner, ValueId};
+use crate::value::ConfigValue;
 use std::collections::BTreeMap;
 
 /// Sentinel stored in a column's id vector for an absent cell.
@@ -47,8 +49,8 @@ impl Column {
     }
 
     /// The row-presence bitset: bit `r` of the words is set iff row `r` has
-    /// a present value.  Identical to [`Dataset::presence_mask`] for the
-    /// same attribute.
+    /// a present value.  Identical to [`crate::Dataset::presence_mask`] for
+    /// the same attribute.
     pub fn presence(&self) -> &[u64] {
         &self.presence
     }
@@ -59,7 +61,7 @@ impl Column {
     }
 }
 
-/// Columnar, interned view over one [`Dataset`].
+/// Columnar, interned view over one list of rows.
 #[derive(Debug, Clone)]
 pub struct ColumnStore {
     interner: Interner,
@@ -68,27 +70,34 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
-    /// Pivot a dataset into columns, interning every attribute and distinct
-    /// value.  Attributes are interned in sorted order; values in
-    /// column-major order — both deterministic for a given dataset.
-    pub fn build(dataset: &Dataset) -> ColumnStore {
+    /// Pivot borrowed rows into columns in one pass over their cells,
+    /// interning every attribute and distinct value.  An attribute whose
+    /// cells are all absent still gets an (empty) column.
+    pub fn from_rows(rows: &[&Row]) -> ColumnStore {
+        let mut slots: BTreeMap<&AttrName, Vec<(usize, &ConfigValue)>> = BTreeMap::new();
+        for (r, row) in rows.iter().enumerate() {
+            for (attr, value) in row.iter() {
+                let slot = slots.entry(attr).or_default();
+                if !value.is_absent() {
+                    slot.push((r, value));
+                }
+            }
+        }
+        let num_rows = rows.len();
         let mut interner = Interner::new();
-        let num_rows = dataset.num_rows();
-        let words = num_rows.div_ceil(64);
-        let attributes: Vec<AttrName> = dataset.attributes().into_iter().collect();
-        let mut columns = Vec::with_capacity(attributes.len());
-        for attr in &attributes {
-            interner.intern_attr(attr);
-            let mut ids = vec![ABSENT; num_rows];
-            let mut presence = vec![0u64; words];
-            for (r, row) in dataset.rows().iter().enumerate() {
-                if let Some(value) = row.get(attr).filter(|v| !v.is_absent()) {
+        let columns = slots
+            .into_iter()
+            .map(|(attr, cells)| {
+                interner.intern_attr(attr);
+                let mut ids = vec![ABSENT; num_rows];
+                let mut presence = vec![0u64; num_rows.div_ceil(64)];
+                for (r, value) in cells {
                     ids[r] = interner.intern_value(value).0;
                     presence[r / 64] |= 1u64 << (r % 64);
                 }
-            }
-            columns.push(Column { ids, presence });
-        }
+                Column { ids, presence }
+            })
+            .collect();
         ColumnStore {
             interner,
             num_rows,
@@ -124,23 +133,29 @@ impl ColumnStore {
     }
 
     /// The exact original value behind an interned id.
-    pub fn value(&self, id: ValueId) -> &crate::value::ConfigValue {
+    pub fn value(&self, id: ValueId) -> &ConfigValue {
         self.interner.value(id)
     }
 
     /// Frequency of each rendered value in column `index`, keyed by the
     /// interned render strings.  Iterating the map yields the same
-    /// (sorted-render) order and counts as [`Dataset::value_histogram`] on
-    /// the source dataset.
+    /// (sorted-render) order and counts as
+    /// [`crate::Dataset::value_histogram`] on the source dataset.
     pub fn value_histogram(&self, index: usize) -> BTreeMap<&str, usize> {
-        let column = &self.columns[index];
+        // Count runs of equal ids, then merge the few distinct ids by
+        // render: one map update per distinct value, not per row.
+        let mut ids: Vec<u32> = self.columns[index]
+            .ids
+            .iter()
+            .copied()
+            .filter(|&raw| raw != ABSENT)
+            .collect();
+        ids.sort_unstable();
         let mut hist: BTreeMap<&str, usize> = BTreeMap::new();
-        for &raw in &column.ids {
-            if raw != ABSENT {
-                *hist
-                    .entry(self.interner.render_of(ValueId(raw)))
-                    .or_insert(0) += 1;
-            }
+        for run in ids.chunk_by(|x, y| x == y) {
+            *hist
+                .entry(self.interner.render_of(ValueId(run[0])))
+                .or_insert(0) += run.len();
         }
         hist
     }
@@ -149,8 +164,14 @@ impl ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Row;
-    use crate::value::ConfigValue;
+    use crate::dataset::Dataset;
+    use crate::intern::AttrId;
+    use crate::value::SizeUnit;
+    use proptest::prelude::*;
+
+    fn build(dataset: &Dataset) -> ColumnStore {
+        ColumnStore::from_rows(&dataset.rows().iter().collect::<Vec<_>>())
+    }
 
     fn dataset() -> Dataset {
         let mut ds = Dataset::new();
@@ -174,7 +195,7 @@ mod tests {
     #[test]
     fn presence_matches_dataset_masks() {
         let ds = dataset();
-        let store = ColumnStore::build(&ds);
+        let store = build(&ds);
         assert_eq!(store.num_rows(), 70);
         for (i, attr) in ds.attributes().iter().enumerate() {
             assert_eq!(
@@ -193,7 +214,7 @@ mod tests {
     #[test]
     fn histograms_match_dataset_histograms() {
         let ds = dataset();
-        let store = ColumnStore::build(&ds);
+        let store = build(&ds);
         for (i, attr) in ds.attributes().iter().enumerate() {
             let row_major = ds.value_histogram(attr);
             let columnar = store.value_histogram(i);
@@ -207,7 +228,7 @@ mod tests {
     #[test]
     fn cells_round_trip_through_ids() {
         let ds = dataset();
-        let store = ColumnStore::build(&ds);
+        let store = build(&ds);
         for (i, attr) in ds.attributes().iter().enumerate() {
             let column = store.column(i);
             for (r, row) in ds.rows().iter().enumerate() {
@@ -233,9 +254,112 @@ mod tests {
     #[test]
     fn absent_cells_are_not_interned_as_present() {
         let ds = dataset();
-        let store = ColumnStore::build(&ds);
+        let store = build(&ds);
         let port = store.column_of(&AttrName::entry("port")).expect("column");
         assert_eq!(port.support(), 0);
         assert_eq!(port.value_id(5), None);
+    }
+
+    /// The per-attribute pivot the one-pass build replaced: a sorted
+    /// attribute scan, then one map lookup per (attribute, row).
+    fn build_reference(dataset: &Dataset) -> ColumnStore {
+        let mut interner = Interner::new();
+        let num_rows = dataset.num_rows();
+        let mut columns = Vec::new();
+        for attr in &dataset.attributes() {
+            interner.intern_attr(attr);
+            let mut ids = vec![ABSENT; num_rows];
+            let mut presence = vec![0u64; num_rows.div_ceil(64)];
+            for (r, row) in dataset.rows().iter().enumerate() {
+                if let Some(value) = row.get(attr).filter(|v| !v.is_absent()) {
+                    ids[r] = interner.intern_value(value).0;
+                    presence[r / 64] |= 1u64 << (r % 64);
+                }
+            }
+            columns.push(Column { ids, presence });
+        }
+        ColumnStore {
+            interner,
+            num_rows,
+            columns,
+        }
+    }
+
+    /// Attribute names: plain entries, a PHP-style dotted entry (which
+    /// displays like an augmented property), augmented properties and a
+    /// system-wide attribute.
+    fn attr_of(pick: usize) -> AttrName {
+        match pick {
+            0 => AttrName::entry("port"),
+            1 => AttrName::entry("session.use_cookies"),
+            2 => AttrName::entry("session"),
+            3 => AttrName::entry("session").augmented("use_cookies"),
+            4 => AttrName::entry("datadir").augmented("owner"),
+            5 => AttrName::entry("datadir"),
+            6 => AttrName::system("Sys.HostName"),
+            _ => AttrName::entry("user#2"),
+        }
+    }
+
+    /// Values, including `Absent` cells and three different types that all
+    /// render `"10"`.
+    fn value_of(pick: usize) -> ConfigValue {
+        match pick {
+            0 => ConfigValue::Absent,
+            1 => ConfigValue::str("10"),
+            2 => ConfigValue::number(10.0),
+            3 => ConfigValue::size(10, SizeUnit::B),
+            4 => ConfigValue::str("mysql"),
+            5 => ConfigValue::path("/var/lib/mysql"),
+            6 => ConfigValue::boolean(true),
+            _ => ConfigValue::str("On"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass build over borrowed rows is the same pivot as the
+        /// per-attribute reference loop for any sparse row list: attribute
+        /// order, every value id, presence words, render classes and
+        /// histograms.
+        #[test]
+        fn one_pass_build_matches_the_reference_loop(
+            cells in prop::collection::vec(
+                prop::collection::vec((0usize..8, 0usize..8), 0..10),
+                0..80,
+            ),
+        ) {
+            let ds: Dataset = cells
+                .iter()
+                .enumerate()
+                .map(|(r, row_cells)| {
+                    let mut row = Row::new(format!("s{r}"));
+                    for &(a, v) in row_cells {
+                        row.set(attr_of(a), value_of(v));
+                    }
+                    row
+                })
+                .collect();
+            let rows: Vec<&Row> = ds.rows().iter().collect();
+            let (got, want) = (ColumnStore::from_rows(&rows), build_reference(&ds));
+            prop_assert_eq!(got.num_rows(), want.num_rows());
+            prop_assert_eq!(got.interner().attrs(), want.interner().attrs());
+            prop_assert_eq!(got.interner().num_values(), want.interner().num_values());
+            for v in 0..want.interner().num_values() {
+                let id = ValueId(u32::try_from(v).expect("small"));
+                prop_assert_eq!(got.value(id), want.value(id));
+                prop_assert_eq!(
+                    got.interner().render_class(id),
+                    want.interner().render_class(id)
+                );
+            }
+            for i in 0..want.num_columns() {
+                let attr = want.interner().attr(AttrId(u32::try_from(i).expect("small")));
+                prop_assert_eq!(&got.column(i).ids, &want.column(i).ids, "{}", attr);
+                prop_assert_eq!(got.column(i).presence(), want.column(i).presence(), "{}", attr);
+                prop_assert_eq!(got.value_histogram(i), want.value_histogram(i), "{}", attr);
+            }
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! rendering ([`ConfigValue::render_tagged`] /
 //! [`AttrName::render_tagged`]) — the same unambiguous encodings the
 //! snapshot format builds on — so two values share an id iff they are the
-//! same typed value, and every id maps back to its exact original.
+//! same typed value, and every id maps back to its exact original.  Keys
+//! are written into one reused buffer ([`ConfigValue::write_tagged`]), and
+//! ids follow insertion order, never the hash maps' order.
 //!
 //! Each value id additionally carries a precomputed *render class*: a dense
 //! id over distinct [`ConfigValue::render`] strings.  Validators that
@@ -20,7 +22,7 @@
 
 use crate::attr::AttrName;
 use crate::value::ConfigValue;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Dense id of an interned [`AttrName`].
 ///
@@ -54,10 +56,12 @@ pub struct Interner {
     attrs: Vec<AttrName>,
     attr_ids: BTreeMap<AttrName, AttrId>,
     values: Vec<ConfigValue>,
-    value_ids: BTreeMap<String, ValueId>,
+    value_ids: HashMap<String, ValueId>,
     renders: Vec<String>,
     render_classes: Vec<u32>,
-    distinct_renders: BTreeMap<String, u32>,
+    distinct_renders: HashMap<String, u32>,
+    /// Reused buffer holding the tagged key of the value being interned.
+    key: String,
 }
 
 impl Interner {
@@ -81,8 +85,9 @@ impl Interner {
     /// their tagged renderings ([`ConfigValue::render_tagged`]) are equal —
     /// i.e. iff they are the same typed value.
     pub fn intern_value(&mut self, value: &ConfigValue) -> ValueId {
-        let tagged = value.render_tagged();
-        if let Some(&id) = self.value_ids.get(&tagged) {
+        self.key.clear();
+        value.write_tagged(&mut self.key);
+        if let Some(&id) = self.value_ids.get(self.key.as_str()) {
             return id;
         }
         let id = ValueId(u32::try_from(self.values.len()).expect("< 2^32 values"));
@@ -93,7 +98,7 @@ impl Interner {
             .entry(render.clone())
             .or_insert(next_class);
         self.values.push(value.clone());
-        self.value_ids.insert(tagged, id);
+        self.value_ids.insert(self.key.clone(), id);
         self.renders.push(render);
         self.render_classes.push(class);
         id
@@ -112,6 +117,11 @@ impl Interner {
     /// The attribute behind an id.
     pub fn attr(&self, id: AttrId) -> &AttrName {
         &self.attrs[id.index()]
+    }
+
+    /// Every interned attribute, indexed by [`AttrId`].
+    pub fn attrs(&self) -> &[AttrName] {
+        &self.attrs
     }
 
     /// The exact original value behind an id (the lossless round-trip).
@@ -199,6 +209,7 @@ mod tests {
         assert_eq!(ib, AttrId(1));
         assert_eq!(interner.intern_attr(&a), ia);
         assert_eq!(interner.attr(ib), &b);
+        assert_eq!(interner.attrs(), [a.clone(), b]);
         assert_eq!(interner.attr_id(&a), Some(ia));
         assert_eq!(interner.attr_id(&AttrName::entry("missing")), None);
         assert_eq!(interner.num_attrs(), 2);

@@ -238,17 +238,27 @@ impl ConfigValue {
     /// `i6:fe80::1`, `a:`.  Numbers use `f64`'s shortest round-trip
     /// rendering, so no precision is lost.
     pub fn render_tagged(&self) -> String {
-        match self {
-            ConfigValue::Str(s) => format!("s:{s}"),
-            ConfigValue::Number(n) => format!("n:{n}"),
-            ConfigValue::Size { magnitude, unit } => format!("z:{magnitude}{}", unit.suffix()),
-            ConfigValue::Bool(b) => format!("b:{}", u8::from(*b)),
-            ConfigValue::Path(p) => format!("p:{p}"),
+        let mut out = String::new();
+        self.write_tagged(&mut out);
+        out
+    }
+
+    /// Append the [`ConfigValue::render_tagged`] form to `out`, so interning
+    /// can key every cell through one reused buffer.
+    pub fn write_tagged(&self, out: &mut String) {
+        use fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            ConfigValue::Str(s) => write!(out, "s:{s}"),
+            ConfigValue::Number(n) => write!(out, "n:{n}"),
+            ConfigValue::Size { magnitude, unit } => write!(out, "z:{magnitude}{}", unit.suffix()),
+            ConfigValue::Bool(b) => write!(out, "b:{}", u8::from(*b)),
+            ConfigValue::Path(p) => write!(out, "p:{p}"),
             ConfigValue::Ip { text, v6 } => {
-                format!("{}:{text}", if *v6 { "i6" } else { "i4" })
+                write!(out, "{}:{text}", if *v6 { "i6" } else { "i4" })
             }
-            ConfigValue::Absent => "a:".to_string(),
-        }
+            ConfigValue::Absent => write!(out, "a:"),
+        };
     }
 
     /// Parse the tagged form produced by [`ConfigValue::render_tagged`].
@@ -421,6 +431,33 @@ mod tests {
         for v in &cases {
             let back = ConfigValue::parse_tagged(&v.render_tagged()).unwrap();
             assert_eq!(&back, v, "{}", v.render_tagged());
+        }
+    }
+
+    #[test]
+    fn write_tagged_appends_exactly_the_tagged_form() {
+        // The tagged forms the format-string implementation produced.
+        let cases = [
+            (ConfigValue::str("mysql"), "s:mysql"),
+            (ConfigValue::str(""), "s:"),
+            (ConfigValue::number(10.0), "n:10"),
+            (ConfigValue::number(0.1), "n:0.1"),
+            (ConfigValue::number(-2.5), "n:-2.5"),
+            (ConfigValue::size(64, SizeUnit::M), "z:64M"),
+            (ConfigValue::size(10, SizeUnit::B), "z:10"),
+            (ConfigValue::boolean(true), "b:1"),
+            (ConfigValue::boolean(false), "b:0"),
+            (ConfigValue::path("/var/lib/mysql"), "p:/var/lib/mysql"),
+            (ConfigValue::parse_ip("10.0.1.1").unwrap(), "i4:10.0.1.1"),
+            (ConfigValue::parse_ip("fe80::1").unwrap(), "i6:fe80::1"),
+            (ConfigValue::Absent, "a:"),
+        ];
+        for (v, tagged) in &cases {
+            assert_eq!(v.render_tagged(), *tagged);
+            // A non-empty buffer: the call appends, never clears.
+            let mut out = String::from("prefix|");
+            v.write_tagged(&mut out);
+            assert_eq!(out, format!("prefix|{}", v.render_tagged()), "{v:?}");
         }
     }
 
