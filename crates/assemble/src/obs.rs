@@ -1,12 +1,15 @@
 //! Assembly-phase metrics: rows assembled, how each entry's type was
 //! resolved (custom, semantically verified, purely syntactic, or trivial
 //! fallback), and how many augmented attributes the environment
-//! integration added.
+//! integration added.  The [`ASSEMBLE`] phase registers the parser's
+//! four instruments (`encore_parser::obs`) ahead of the assembler's own,
+//! since both crates feed the one `assemble` report section.
 //!
 //! All counters here are pure work counts — assembly is single-threaded
 //! per system, so the totals are deterministic for a given corpus.
 
-use encore_obs::{Counter, PhaseReport, Timer};
+use encore_obs::{Counter, Metric, Phase, Timer};
+use encore_parser::obs::{PARSE_CALLS, PARSE_ENTRIES, PARSE_ERRORS, PARSE_TIME};
 
 /// Systems assembled into dataset rows.
 pub static ROWS_ASSEMBLED: Counter = Counter::new("assemble.rows.assembled");
@@ -33,34 +36,25 @@ pub static ASSEMBLE_TIME: Timer = Timer::new("assemble.rows.time");
 /// Wall time pivoting the dataset into the columnar store.
 pub static COLUMNS_TIME: Timer = Timer::new("assemble.columns.time");
 
-/// Snapshot of the assembler's half of the assembly phase (the parser
-/// contributes the other half).
-pub fn phase_report() -> PhaseReport {
-    PhaseReport::new("assemble")
-        .counter(&ROWS_ASSEMBLED)
-        .counter(&ENTRIES_TYPED)
-        .counter(&TYPES_CUSTOM)
-        .counter(&TYPES_SEMANTIC)
-        .counter(&TYPES_SYNTACTIC)
-        .counter(&TYPES_TRIVIAL)
-        .counter(&AUGMENTED_ATTRS)
-        .counter(&COLUMNS_BUILT)
-        .counter(&VALUES_INTERNED)
-        .timer(&ASSEMBLE_TIME)
-        .timer(&COLUMNS_TIME)
-}
-
-/// Reset every assembler instrument.
-pub fn reset() {
-    ROWS_ASSEMBLED.reset();
-    ENTRIES_TYPED.reset();
-    TYPES_CUSTOM.reset();
-    TYPES_SEMANTIC.reset();
-    TYPES_SYNTACTIC.reset();
-    TYPES_TRIVIAL.reset();
-    AUGMENTED_ATTRS.reset();
-    COLUMNS_BUILT.reset();
-    VALUES_INTERNED.reset();
-    ASSEMBLE_TIME.reset();
-    COLUMNS_TIME.reset();
-}
+/// The assembly phase: the parser's instruments first, then the
+/// assembler's, in report order.
+pub static ASSEMBLE: Phase = Phase {
+    name: "assemble",
+    metrics: &[
+        Metric::Counter(&PARSE_CALLS),
+        Metric::Counter(&PARSE_ENTRIES),
+        Metric::Counter(&PARSE_ERRORS),
+        Metric::Timer(&PARSE_TIME),
+        Metric::Counter(&ROWS_ASSEMBLED),
+        Metric::Counter(&ENTRIES_TYPED),
+        Metric::Counter(&TYPES_CUSTOM),
+        Metric::Counter(&TYPES_SEMANTIC),
+        Metric::Counter(&TYPES_SYNTACTIC),
+        Metric::Counter(&TYPES_TRIVIAL),
+        Metric::Counter(&AUGMENTED_ATTRS),
+        Metric::Counter(&COLUMNS_BUILT),
+        Metric::Counter(&VALUES_INTERNED),
+        Metric::Timer(&ASSEMBLE_TIME),
+        Metric::Timer(&COLUMNS_TIME),
+    ],
+};

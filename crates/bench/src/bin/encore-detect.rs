@@ -13,15 +13,17 @@
 //! and for a trained-vs-reloaded detector, which is what the CI snapshot
 //! round-trip job diffs.
 //!
-//! Setting `ENCORE_TRACE` (or passing `--report`) enables the observability
-//! sink; the per-phase pipeline report goes to stderr under `ENCORE_TRACE`
-//! and to the `--report` path as JSON when given.  `--trace-out FILE`
-//! records every timer span and writes a Chrome trace-viewer /
-//! Perfetto-compatible JSON trace on exit.
+//! Observability goes through one [`encore::obs::ObsConfig`]: the
+//! per-phase pipeline report goes to stderr under `ENCORE_TRACE` and to
+//! the `--report` path as JSON, `--trace-out FILE` writes every timer span
+//! as a Chrome trace-viewer / Perfetto-compatible JSON trace, `--event-log
+//! FILE` appends the JSONL event log, and `--profile FILE` writes the
+//! per-template cost tables (top rows also on stderr).
 //!
-//! `--save-detector FILE` replaces the file atomically (temp file in the
-//! same directory, fsync, rename), so an `encore-serve` poller hot-reloading
-//! that path never reads a half-written snapshot.
+//! Every file this binary writes — `--save-detector`, the observability
+//! outputs, `--sarif`, `--write-baseline` — replaces its target atomically
+//! ([`encore::write_atomically`]), so an `encore-serve` poller
+//! hot-reloading a snapshot never reads a half-written one.
 //!
 //! # CI/CD surface
 //!
@@ -39,7 +41,9 @@
 //! snapshot here and run `encore-serve --app NAME=KIND=SNAPSHOT --watch
 //! NAME=DIR`.
 
+use encore::obs::ObsConfig;
 use encore::prelude::*;
+use encore::write_atomically;
 use encore_check::{
     baseline::FindingBaseline,
     finding::{self, Finding, FindingFilter},
@@ -64,6 +68,12 @@ fn usage(problem: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Print an I/O failure (no usage line) to stderr and exit 2.
+fn fail(problem: &str) -> ! {
+    eprintln!("encore-detect: {problem}");
+    std::process::exit(2);
+}
+
 struct Args {
     app: AppKind,
     train: usize,
@@ -75,10 +85,7 @@ struct Args {
     save_detector: Option<String>,
     load_detector: Option<String>,
     no_entropy: bool,
-    report: Option<String>,
-    trace_out: Option<String>,
-    event_log: Option<String>,
-    profile: Option<String>,
+    obs: ObsConfig,
     filter: FindingFilter,
     quiet: bool,
     sarif: Option<String>,
@@ -98,10 +105,7 @@ fn parse_args() -> Option<Args> {
         save_detector: None,
         load_detector: None,
         no_entropy: false,
-        report: None,
-        trace_out: None,
-        event_log: None,
-        profile: None,
+        obs: ObsConfig::from_env(),
         filter: FindingFilter::default(),
         quiet: false,
         sarif: None,
@@ -168,10 +172,10 @@ fn parse_args() -> Option<Args> {
             "--save-detector" => parsed.save_detector = Some(value("--save-detector", args.next())),
             "--load-detector" => parsed.load_detector = Some(value("--load-detector", args.next())),
             "--no-entropy" => parsed.no_entropy = true,
-            "--report" => parsed.report = Some(value("--report", args.next())),
-            "--trace-out" => parsed.trace_out = Some(value("--trace-out", args.next())),
-            "--event-log" => parsed.event_log = Some(value("--event-log", args.next())),
-            "--profile" => parsed.profile = Some(value("--profile", args.next())),
+            "--report" => parsed.obs.report = Some(value("--report", args.next()).into()),
+            "--trace-out" => parsed.obs.trace_out = Some(value("--trace-out", args.next()).into()),
+            "--event-log" => parsed.obs.event_log = Some(value("--event-log", args.next()).into()),
+            "--profile" => parsed.obs.profile = Some(value("--profile", args.next()).into()),
             "--severity" => {
                 let v = value("--severity", args.next());
                 parsed.filter.min_severity = Severity::parse_name(&v).unwrap_or_else(|| {
@@ -228,62 +232,6 @@ fn build_detector(args: &Args) -> AnomalyDetector {
     EnCore::learn(&training, &options).into_detector()
 }
 
-/// Write `text` to `path` atomically: a temp file in the same directory,
-/// fsynced, then renamed over the target, and the directory fsynced so
-/// the rename survives a crash.  A reader of `path` sees the old file or
-/// the new one, never a truncated one.
-fn write_atomically(path: &str, text: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let target = std::path::Path::new(path);
-    let name = target
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| std::io::Error::other("not a file path"))?;
-    let temp = target.with_file_name(format!(".{name}.tmp-{}", std::process::id()));
-    let written = std::fs::File::create(&temp).and_then(|mut file| {
-        file.write_all(text.as_bytes())?;
-        file.sync_all()
-    });
-    if let Err(e) = written.and_then(|()| std::fs::rename(&temp, target)) {
-        let _ = std::fs::remove_file(&temp);
-        return Err(e);
-    }
-    let dir = target
-        .parent()
-        .filter(|dir| !dir.as_os_str().is_empty())
-        .unwrap_or(std::path::Path::new("."));
-    std::fs::File::open(dir)?.sync_all()
-}
-
-/// Write the recorded span trace as Chrome trace-viewer JSON when
-/// `--trace-out` is set.  The phase-summary lane comes from the
-/// cumulative roll-up, so it covers the whole run (training included).
-fn write_trace(args: &Args) {
-    let Some(path) = &args.trace_out else {
-        return;
-    };
-    let report = encore::obs::pipeline_report();
-    let json = encore::obs::trace::render_chrome_json(Some(&report));
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("encore-detect: cannot write trace to `{path}`: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Write the `--profile` cost report (JSON file + text table on stderr)
-/// and drain the event-log writer thread, so queued lines reach the file
-/// even when the process exits right after.
-fn finish_observability(args: &Args) {
-    if let Some(path) = &args.profile {
-        if let Err(e) = std::fs::write(path, encore::obs::render_profile_json()) {
-            eprintln!("encore-detect: cannot write profile to `{path}`: {e}");
-            std::process::exit(2);
-        }
-        eprint!("{}", encore::obs::render_profile_text(10));
-    }
-    encore::obs::event::shutdown();
-}
-
 fn main() {
     let args = match parse_args() {
         Some(args) => args,
@@ -295,34 +243,7 @@ fn main() {
     if args.baseline.is_some() && args.write_baseline.is_some() {
         usage("--baseline and --write-baseline are mutually exclusive");
     }
-    let trace = encore::obs::enable_from_env();
-    if args.report.is_some()
-        || args.trace_out.is_some()
-        // The profiler's coverage reference is the `infer.time` timer,
-        // which records only while the sink is on.
-        || args.profile.is_some()
-    {
-        encore::obs::enable();
-    }
-    if args.trace_out.is_some() {
-        // Start before training so its spans land in the trace too.
-        encore::obs::trace::start_recording(0);
-    }
-    match &args.event_log {
-        Some(path) => {
-            if let Err(e) = encore::obs::event::install(std::path::Path::new(path)) {
-                eprintln!("encore-detect: cannot open event log `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => {
-            let _ = encore::obs::event::install_from_env();
-        }
-    }
-    if args.profile.is_some() {
-        // Before training, so learn-phase template costs are attributed.
-        encore::obs::profile::enable();
-    }
+    args.obs.start().unwrap_or_else(|e| fail(&e));
 
     let detector = build_detector(&args);
     eprintln!(
@@ -332,10 +253,8 @@ fn main() {
         detector.training_systems(),
     );
     if let Some(path) = &args.save_detector {
-        if let Err(e) = write_atomically(path, &detector.snapshot().render()) {
-            eprintln!("encore-detect: cannot write detector to `{path}`: {e}");
-            std::process::exit(2);
-        }
+        write_atomically(path, detector.snapshot().render())
+            .unwrap_or_else(|e| fail(&format!("cannot write detector to `{path}`: {e}")));
         eprintln!("encore-detect: detector saved to `{path}`");
     }
 
@@ -383,18 +302,7 @@ fn main() {
         );
     }
 
-    let report = encore::obs::pipeline_report();
-    if trace {
-        eprint!("{}", report.render_text());
-    }
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.render_json()) {
-            eprintln!("encore-detect: cannot write report to `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    write_trace(&args);
-    finish_observability(&args);
+    args.obs.finish().unwrap_or_else(|e| fail(&e));
 
     // The CI surface: SARIF log, baseline write/diff, and the findings
     // exit code.  A flag-free invocation keeps the historical behavior —
@@ -405,17 +313,13 @@ fn main() {
             name: "encore-detect",
             version: env!("CARGO_PKG_VERSION"),
         };
-        if let Err(e) = std::fs::write(path, sarif::render(&tool, &findings)) {
-            eprintln!("encore-detect: cannot write SARIF to `{path}`: {e}");
-            std::process::exit(2);
-        }
+        write_atomically(path, sarif::render(&tool, &findings))
+            .unwrap_or_else(|e| fail(&format!("cannot write SARIF to `{path}`: {e}")));
     }
     if let Some(path) = &args.write_baseline {
         let baseline = FindingBaseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(path, baseline.render()) {
-            eprintln!("encore-detect: cannot write baseline to `{path}`: {e}");
-            std::process::exit(2);
-        }
+        write_atomically(path, baseline.render())
+            .unwrap_or_else(|e| fail(&format!("cannot write baseline to `{path}`: {e}")));
         eprintln!(
             "encore-detect: wrote baseline `{path}` accepting {} finding(s)",
             baseline.len()

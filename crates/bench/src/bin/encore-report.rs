@@ -86,7 +86,7 @@ fn cmd_diff(args: &[String]) -> i32 {
     };
     print!("{rendered}");
     if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(path, &rendered) {
+        if let Err(e) = encore::write_atomically(path, &rendered) {
             usage(&format!("cannot write `{path}`: {e}"));
         }
     }

@@ -25,6 +25,10 @@
 //! The server runs until a `shutdown` verb arrives or stdin reaches
 //! end-of-file, and announces `serving on <socket>` (and, when enabled,
 //! `metrics listening on <addr>` — `HOST:0` picks a free port) on stderr.
+//! The metrics sink is always on; `--event-log FILE` and `--profile FILE`
+//! go through the same [`encore::obs::ObsConfig`] as the other binaries.
+//! `--slow-micros N` marks requests whose parse + queue + check + respond
+//! total reaches N µs with a `request.slow` event in the event log.
 //!
 //! Client mode drives one verb against a running server:
 //!
@@ -38,6 +42,7 @@
 //! exit 0 on success, 1 on runtime failures, 2 on usage errors, 3 when
 //! the server answered `busy` (the queue was full — retry later).
 
+use encore::obs::ObsConfig;
 use encore_model::AppKind;
 use encore_serve::{CheckReply, Client, ServeOptions, Server, SnapshotRegistry};
 use std::io::{Read, Write};
@@ -87,9 +92,8 @@ struct Args {
     poll_interval_ms: u64,
     metrics_addr: Option<String>,
     heartbeat: Option<PathBuf>,
-    event_log: Option<PathBuf>,
+    obs: ObsConfig,
     slow_micros: Option<u64>,
-    profile: Option<PathBuf>,
 }
 
 fn parse_app(spec: &str) -> AppArg {
@@ -122,9 +126,8 @@ fn parse_args() -> Args {
         poll_interval_ms: 1_000,
         metrics_addr: None,
         heartbeat: None,
-        event_log: None,
+        obs: ObsConfig::default(),
         slow_micros: None,
-        profile: None,
     };
     let mut argv = std::env::args().skip(1);
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
@@ -165,7 +168,7 @@ fn parse_args() -> Args {
                 args.heartbeat = Some(PathBuf::from(value(&mut argv, "--heartbeat")));
             }
             "--event-log" => {
-                args.event_log = Some(PathBuf::from(value(&mut argv, "--event-log")));
+                args.obs.event_log = Some(PathBuf::from(value(&mut argv, "--event-log")));
             }
             "--slow-micros" => {
                 args.slow_micros = Some(
@@ -175,7 +178,7 @@ fn parse_args() -> Args {
                 );
             }
             "--profile" => {
-                args.profile = Some(PathBuf::from(value(&mut argv, "--profile")));
+                args.obs.profile = Some(PathBuf::from(value(&mut argv, "--profile")));
             }
             "--check" => {
                 let app = value(&mut argv, "--check");
@@ -236,21 +239,7 @@ fn parse_args() -> Args {
 
 fn run_server(args: &Args) -> ! {
     encore::obs::enable();
-    match &args.event_log {
-        Some(path) => encore::obs::event::install(path)
-            .unwrap_or_else(|e| fail(&format!("opening event log {}: {e}", path.display()))),
-        None => {
-            let _ = encore::obs::event::install_from_env();
-        }
-    }
-    if args.profile.is_some() {
-        encore::obs::profile::enable();
-    }
-    if args.slow_micros.is_some() {
-        // Slow-request fragments land in the trace ring; make sure it
-        // is capturing.
-        encore::obs::trace::start_recording(0);
-    }
+    args.obs.start().unwrap_or_else(|e| fail(&e));
     let registry = SnapshotRegistry::new();
     for app in &args.apps {
         registry
@@ -290,17 +279,7 @@ fn run_server(args: &Args) -> ! {
     });
 
     server.join();
-    if let Some(path) = &args.profile {
-        std::fs::write(path, encore::obs::render_profile_json())
-            .unwrap_or_else(|e| fail(&format!("writing profile {}: {e}", path.display())));
-        let _ = write!(
-            std::io::stderr(),
-            "{}",
-            encore::obs::render_profile_text(10)
-        );
-    }
-    // Drain the writer thread before exiting: process::exit skips Drop.
-    encore::obs::event::shutdown();
+    args.obs.finish().unwrap_or_else(|e| fail(&e));
     let _ = writeln!(std::io::stderr(), "stopped");
     std::process::exit(0);
 }

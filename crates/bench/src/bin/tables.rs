@@ -8,14 +8,17 @@
 //! ENCORE_TRACE=1 tables 13     # print the pipeline report to stderr
 //! ```
 //!
-//! Setting `ENCORE_TRACE` (or passing `--report`) enables the observability
-//! sink for the run; the per-phase [`encore::obs::pipeline_report`] is
-//! printed to stderr under `ENCORE_TRACE` and written as JSON to the
-//! `--report` path when given.  `--trace-out FILE` additionally records
-//! every timer span and writes a Chrome trace-viewer / Perfetto-compatible
-//! JSON trace (with a per-phase summary lane) on exit.
+//! Observability goes through one [`encore::obs::ObsConfig`]: the
+//! per-phase [`encore::obs::pipeline_report`] is printed to stderr under
+//! `ENCORE_TRACE` and written as JSON to the `--report` path,
+//! `--trace-out FILE` writes every timer span as a Chrome trace-viewer /
+//! Perfetto-compatible JSON trace (with a per-phase summary lane),
+//! `--event-log FILE` appends the JSONL event log, and `--profile FILE`
+//! writes the per-template cost tables.
 
+use encore::obs::ObsConfig;
 use encore_bench::experiments::{self, ExperimentConfig};
+use std::path::PathBuf;
 
 const USAGE: &str = "usage: tables [TABLE_NUMBER ...] [--scale F] [--report FILE] \
 [--trace-out FILE] [--event-log FILE] [--profile FILE]";
@@ -32,20 +35,22 @@ fn usage(problem: &str) -> ! {
 struct Args {
     tables: Vec<u32>,
     scale: f64,
-    report: Option<String>,
-    trace_out: Option<String>,
-    event_log: Option<String>,
-    profile: Option<String>,
+    obs: ObsConfig,
+}
+
+/// The file path following `flag`, or a usage error.
+fn path_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> PathBuf {
+    match args.next() {
+        Some(path) => PathBuf::from(path),
+        None => usage(&format!("{flag} requires a file path")),
+    }
 }
 
 fn parse_args() -> Option<Args> {
     let mut parsed = Args {
         tables: Vec::new(),
         scale: 1.0,
-        report: None,
-        trace_out: None,
-        event_log: None,
-        profile: None,
+        obs: ObsConfig::from_env(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -55,22 +60,10 @@ fn parse_args() -> Option<Args> {
                 Some(Err(_)) => usage("--scale requires a number"),
                 None => usage("--scale requires a number"),
             },
-            "--report" => match args.next() {
-                Some(path) => parsed.report = Some(path),
-                None => usage("--report requires a file path"),
-            },
-            "--trace-out" => match args.next() {
-                Some(path) => parsed.trace_out = Some(path),
-                None => usage("--trace-out requires a file path"),
-            },
-            "--event-log" => match args.next() {
-                Some(path) => parsed.event_log = Some(path),
-                None => usage("--event-log requires a file path"),
-            },
-            "--profile" => match args.next() {
-                Some(path) => parsed.profile = Some(path),
-                None => usage("--profile requires a file path"),
-            },
+            "--report" => parsed.obs.report = Some(path_arg(&mut args, &arg)),
+            "--trace-out" => parsed.obs.trace_out = Some(path_arg(&mut args, &arg)),
+            "--event-log" => parsed.obs.event_log = Some(path_arg(&mut args, &arg)),
+            "--profile" => parsed.obs.profile = Some(path_arg(&mut args, &arg)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return None;
@@ -92,31 +85,9 @@ fn main() {
         Some(args) => args,
         None => return,
     };
-    let trace = encore::obs::enable_from_env();
-    if args.report.is_some()
-        || args.trace_out.is_some()
-        // The profiler's coverage reference is the `infer.time` timer,
-        // which records only while the sink is on.
-        || args.profile.is_some()
-    {
-        encore::obs::enable();
-    }
-    if args.trace_out.is_some() {
-        encore::obs::trace::start_recording(0);
-    }
-    match &args.event_log {
-        Some(path) => {
-            if let Err(e) = encore::obs::event::install(std::path::Path::new(path)) {
-                eprintln!("tables: cannot open event log `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => {
-            let _ = encore::obs::event::install_from_env();
-        }
-    }
-    if args.profile.is_some() {
-        encore::obs::profile::enable();
+    if let Err(e) = args.obs.start() {
+        eprintln!("tables: {e}");
+        std::process::exit(2);
     }
     let config = if (args.scale - 1.0).abs() < f64::EPSILON {
         ExperimentConfig::default()
@@ -135,30 +106,8 @@ fn main() {
             ),
         }
     }
-    let report = encore::obs::pipeline_report();
-    if trace {
-        eprint!("{}", report.render_text());
+    if let Err(e) = args.obs.finish() {
+        eprintln!("tables: {e}");
+        std::process::exit(2);
     }
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, report.render_json()) {
-            eprintln!("tables: cannot write report to `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.trace_out {
-        let json = encore::obs::trace::render_chrome_json(Some(&report));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("tables: cannot write trace to `{path}`: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.profile {
-        if let Err(e) = std::fs::write(path, encore::obs::render_profile_json()) {
-            eprintln!("tables: cannot write profile to `{path}`: {e}");
-            std::process::exit(2);
-        }
-        eprint!("{}", encore::obs::render_profile_text(10));
-    }
-    // Drain queued event lines before the process exits.
-    encore::obs::event::shutdown();
 }

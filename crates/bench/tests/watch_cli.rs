@@ -2,8 +2,9 @@
 //! (`--watch NAME=DIR`) fed by a snapshot from `encore-detect
 //! --save-detector`: per-tick reports and heartbeat lines, the live
 //! telemetry surface, bounded stdin-EOF shutdown, and the atomic snapshot
-//! write the hot-reload poller depends on.  Also covers `encore-detect
-//! --trace-out`.
+//! write the hot-reload poller depends on.  Also covers the observability
+//! files of `encore-detect` (`--trace-out`, `--report`, `--event-log`,
+//! `--profile`).
 
 use encore::obs::PipelineReport;
 use encore::DetectorSnapshot;
@@ -411,27 +412,36 @@ fn save_detector_replaces_the_snapshot_atomically() {
 
 #[test]
 fn trace_out_writes_a_loadable_chrome_trace() {
-    let path = std::env::temp_dir().join("encore-detect-test-trace.json");
-    let _ = std::fs::remove_file(&path);
+    use encore::obs::json::{self, Json};
+
+    let dir = scratch_dir("obs-outputs");
+    let [trace, report, events, profile] =
+        ["trace.json", "report.json", "events.jsonl", "profile.json"].map(|f| dir.join(f));
     let out = encore_detect(&[
         "--train",
         "10",
         "--targets",
         "4",
         "--trace-out",
-        path.to_str().unwrap(),
+        trace.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+        "--event-log",
+        events.to_str().unwrap(),
+        "--profile",
+        profile.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "stdout:\n{}", stdout(&out));
-    let text = std::fs::read_to_string(&path).expect("trace written");
-    let parsed = encore::obs::json::parse(&text).expect("trace JSON parses");
-    let events = parsed
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let parsed = json::parse(&text).expect("trace JSON parses");
+    let events_json = parsed
         .get("traceEvents")
-        .and_then(encore::obs::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .expect("traceEvents array");
-    assert!(!events.is_empty());
-    let names: Vec<&str> = events
+    assert!(!events_json.is_empty());
+    let names: Vec<&str> = events_json
         .iter()
-        .filter_map(|e| e.get("name").and_then(encore::obs::json::Json::as_str))
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
     for phase in ["collect", "assemble", "infer", "stats", "filter", "detect"] {
         assert!(
@@ -439,12 +449,36 @@ fn trace_out_writes_a_loadable_chrome_trace() {
             "missing phase lane for {phase} in {names:?}"
         );
     }
-    for event in events {
-        assert_eq!(
-            event.get("ph").and_then(encore::obs::json::Json::as_str),
-            Some("X")
-        );
+    for event in events_json {
+        assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
         assert!(event.get("ts").is_some() && event.get("dur").is_some());
     }
-    let _ = std::fs::remove_file(&path);
+
+    // The same run's report, event log and profile all parse too.
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let parsed = PipelineReport::parse_json(&text).expect("report parses");
+    assert_eq!(parsed.phases.len(), 6);
+    assert_eq!(parsed.counters()["detect.systems.checked"], 4);
+    let text = std::fs::read_to_string(&events).expect("event log written");
+    let lines: Vec<Json> = text
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}")))
+        .collect();
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.get("event").and_then(Json::as_str) == Some("detect.fleet")),
+        "the fleet check is logged: {text}"
+    );
+    let text = std::fs::read_to_string(&profile).expect("profile written");
+    let parsed = json::parse(&text).expect("profile JSON parses");
+    let tables: Vec<&str> = parsed
+        .get("tables")
+        .and_then(Json::as_arr)
+        .expect("tables array")
+        .iter()
+        .filter_map(|t| t.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(tables, ["infer.templates", "detect.buckets"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

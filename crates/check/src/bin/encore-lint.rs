@@ -24,8 +24,16 @@
 //! record/diff accepted-finding fingerprints so only *new* findings fail
 //! the build (stale suppressions are reported on stderr).  `--quiet`
 //! suppresses stdout entirely — the exit code is the only signal.
+//!
+//! `--report FILE`, `--trace-out FILE` and `ENCORE_TRACE` go through the
+//! same [`encore::obs::ObsConfig`] as the other binaries, and every file
+//! written (SARIF, baseline, report, trace) replaces its target
+//! atomically.
 
-use encore::{EnCore, FilterThresholds, LearnOptions, RuleSet, Template, TrainingSet};
+use encore::obs::ObsConfig;
+use encore::{
+    write_atomically, EnCore, FilterThresholds, LearnOptions, RuleSet, Template, TrainingSet,
+};
 use encore_check::{
     baseline::FindingBaseline,
     check_all,
@@ -84,8 +92,7 @@ struct Options {
     sarif_file: Option<String>,
     baseline_file: Option<String>,
     write_baseline_file: Option<String>,
-    report_file: Option<String>,
-    trace_out_file: Option<String>,
+    obs: ObsConfig,
 }
 
 fn parse_app(name: &str) -> Result<AppKind, String> {
@@ -114,8 +121,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         sarif_file: None,
         baseline_file: None,
         write_baseline_file: None,
-        report_file: None,
-        trace_out_file: None,
+        obs: ObsConfig::from_env(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -172,8 +178,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--write-baseline" => {
                 options.write_baseline_file = Some(value("--write-baseline")?.clone());
             }
-            "--report" => options.report_file = Some(value("--report")?.clone()),
-            "--trace-out" => options.trace_out_file = Some(value("--trace-out")?.clone()),
+            "--report" => options.obs.report = Some(value("--report")?.into()),
+            "--trace-out" => options.obs.trace_out = Some(value("--trace-out")?.into()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
@@ -315,13 +321,13 @@ fn finish(options: &Options, report: &LintReport) -> Result<i32, String> {
             name: "encore-lint",
             version: env!("CARGO_PKG_VERSION"),
         };
-        std::fs::write(path, sarif::render(&tool, &findings))
+        write_atomically(path, sarif::render(&tool, &findings))
             .map_err(|e| format!("cannot write SARIF to `{path}`: {e}"))?;
     }
 
     if let Some(path) = &options.write_baseline_file {
         let baseline = FindingBaseline::from_findings(&findings);
-        std::fs::write(path, baseline.render())
+        write_atomically(path, baseline.render())
             .map_err(|e| format!("cannot write baseline to `{path}`: {e}"))?;
         eprintln!(
             "encore-lint: wrote baseline `{path}` accepting {} finding(s)",
@@ -364,30 +370,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let trace = encore::obs::enable_from_env();
-    if options.report_file.is_some() || options.trace_out_file.is_some() {
-        encore::obs::enable();
-    }
-    if options.trace_out_file.is_some() {
-        encore::obs::trace::start_recording(0);
-    }
-    let outcome = run(&options);
-    let pipeline = encore::obs::pipeline_report();
-    if trace {
-        eprint!("{}", pipeline.render_text());
-    }
-    if let Some(path) = &options.report_file {
-        if let Err(e) = std::fs::write(path, pipeline.render_json()) {
-            eprintln!("encore-lint: cannot write report to `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &options.trace_out_file {
-        let json = encore::obs::trace::render_chrome_json(Some(&pipeline));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("encore-lint: cannot write trace to `{path}`: {e}");
-            return ExitCode::from(2);
-        }
+    let outcome = options.obs.start().and_then(|()| run(&options));
+    if let Err(e) = options.obs.finish() {
+        eprintln!("encore-lint: {e}");
+        return ExitCode::from(2);
     }
     match outcome.and_then(|(report, _)| finish(&options, &report)) {
         Ok(code) => ExitCode::from(code as u8),

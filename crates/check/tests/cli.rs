@@ -1,5 +1,5 @@
 //! End-to-end tests for the `encore-lint` binary: exit statuses, stable
-//! diagnostic codes, and both output formats.
+//! diagnostic codes, both output formats, and the observability files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -329,4 +329,62 @@ fn baseline_round_trip_gates_only_fresh_findings() {
         baseline.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn report_and_trace_out_write_parseable_files() {
+    let report = std::env::temp_dir().join("encore-lint-test-report.json");
+    let trace = std::env::temp_dir().join("encore-lint-test-trace.json");
+    let _ = std::fs::remove_file(&report);
+    let _ = std::fs::remove_file(&trace);
+    let out = encore_lint(&[
+        "--app",
+        "mysql",
+        "--images",
+        "8",
+        "--report",
+        report.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stdout:\n{}", stdout(&out));
+
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let parsed = encore::obs::PipelineReport::parse_json(&text).expect("report parses");
+    let phases: Vec<&str> = parsed.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(
+        phases,
+        ["collect", "assemble", "infer", "stats", "filter", "detect"]
+    );
+    assert_eq!(
+        parsed
+            .phase("collect")
+            .unwrap()
+            .counter_value("collect.images.built"),
+        Some(8)
+    );
+    assert!(parsed.counters()["infer.pairs.evaluated"] > 0);
+
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let parsed = encore::obs::json::parse(&text).expect("trace JSON parses");
+    let events = parsed
+        .get("traceEvents")
+        .and_then(encore::obs::json::Json::as_arr)
+        .expect("traceEvents array");
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(encore::obs::json::Json::as_str))
+        .collect();
+    for phase in ["collect", "assemble", "infer", "stats", "filter", "detect"] {
+        assert!(
+            names.contains(&format!("phase:{phase}").as_str()),
+            "missing phase lane for {phase}"
+        );
+    }
+    assert!(
+        names.iter().any(|n| !n.starts_with("phase:")),
+        "recorded spans ride along with the summary lane"
+    );
+    let _ = std::fs::remove_file(&report);
+    let _ = std::fs::remove_file(&trace);
 }

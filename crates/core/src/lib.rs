@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod artifact;
 pub mod baseline;
 pub mod cross;
 pub mod customize;
@@ -79,6 +80,7 @@ pub mod template;
 pub mod train;
 pub mod types;
 
+pub use artifact::write_atomically;
 pub use detect::{AnomalyDetector, FleetOptions, Report, TrainingStats, Warning, WarningKind};
 pub use eligibility::{analyze_templates, EligibilityReport};
 pub use filter::FilterThresholds;

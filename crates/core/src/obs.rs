@@ -1,13 +1,15 @@
-//! Pipeline observability: the core crate's instruments plus the
-//! whole-pipeline roll-up.
+//! Pipeline observability: the core crate's instruments, the
+//! whole-pipeline roll-up, and the one observability config every binary
+//! starts and finishes.
 //!
 //! Metric statics for the four phases this crate owns — `infer`, `stats`,
-//! `filter`, `detect` — live here, referenced from the corresponding
-//! modules; [`pipeline_report`] stitches them together with the upstream
-//! crates' snapshots (`collect` from `encore-sysimage`, `assemble` from
-//! `encore-parser` + `encore-assemble`) into one [`PipelineReport`].  The
-//! report always carries all six phase sections, zero-valued when a phase
-//! did not run, so consumers can key on phase names unconditionally.
+//! `filter`, `detect` — live here, each listed once in its [`Phase`];
+//! `PIPELINE` orders them after the upstream crates' phases (`collect`
+//! from `encore-sysimage`, `assemble` from `encore-assemble`, which also
+//! registers the parser's instruments).  [`pipeline_report`], [`reset`]
+//! and [`histogram_bounds`] walk that list.  The report always carries all
+//! six phase sections, zero-valued when a phase did not run, so consumers
+//! can key on phase names unconditionally.
 //!
 //! Determinism discipline (see DESIGN.md §9): [`Counter`]s and
 //! [`Histogram`]s count *work*, which is identical across worker counts;
@@ -18,11 +20,15 @@
 pub use encore_obs::delta::{DeltaPolicy, Gate, ReportDelta, Violation};
 pub use encore_obs::profile::ProfileTable;
 pub use encore_obs::{
-    delta, disable, enable, enable_from_env, enabled, event, expose, json, profile, trace, Counter,
-    Gauge, Histogram, HistogramSnapshot, PhaseReport, PipelineReport, Timer, TimerSnapshot,
+    delta, disable, enable, enabled, event, expose, json, profile, trace, Counter, Gauge,
+    Histogram, HistogramSnapshot, Metric, Phase, PhaseReport, PipelineReport, Timer, TimerSnapshot,
 };
 
+use encore_assemble::obs::ASSEMBLE;
 use encore_obs::INDEX_BOUNDS;
+use encore_sysimage::obs::COLLECT;
+use std::io::Write;
+use std::path::PathBuf;
 
 // ---- infer: template instantiation over the work-stealing pool ----
 
@@ -156,93 +162,98 @@ pub static DETECT_POOL_METRICS: crate::pool::PoolMetrics = crate::pool::PoolMetr
     worker_busy: &DETECT_POOL_WORKER_BUSY,
 };
 
-/// Snapshot of the `infer` phase.
-fn infer_phase() -> PhaseReport {
-    PhaseReport::new("infer")
-        .counter(&INFER_TEMPLATES)
-        .counter(&INFER_UNITS_TOTAL)
-        .counter(&INFER_UNITS_PRUNED)
-        .counter(&INFER_PAIRS_EVALUATED)
-        .counter(&INFER_CANDIDATES)
-        .counter(&INFER_CANDIDATES_DEDUPED)
-        .counter(&POOL_UNITS_RUN)
-        .gauge(&POOL_WORKERS)
-        .gauge(&POOL_BUSIEST_WORKER_UNITS)
-        .gauge(&POOL_IDLEST_WORKER_UNITS)
-        .gauge(&POOL_STOLEN_UNITS)
-        .timer(&POOL_WORKER_BUSY)
-        .timer(&INFER_TIME)
-        .histogram(&INFER_CANDIDATES_BY_TEMPLATE)
-}
+/// The `infer` phase.
+pub(crate) static INFER: Phase = Phase {
+    name: "infer",
+    metrics: &[
+        Metric::Counter(&INFER_TEMPLATES),
+        Metric::Counter(&INFER_UNITS_TOTAL),
+        Metric::Counter(&INFER_UNITS_PRUNED),
+        Metric::Counter(&INFER_PAIRS_EVALUATED),
+        Metric::Counter(&INFER_CANDIDATES),
+        Metric::Counter(&INFER_CANDIDATES_DEDUPED),
+        Metric::Counter(&POOL_UNITS_RUN),
+        Metric::Gauge(&POOL_WORKERS),
+        Metric::Gauge(&POOL_BUSIEST_WORKER_UNITS),
+        Metric::Gauge(&POOL_IDLEST_WORKER_UNITS),
+        Metric::Gauge(&POOL_STOLEN_UNITS),
+        Metric::Timer(&POOL_WORKER_BUSY),
+        Metric::Timer(&INFER_TIME),
+        Metric::Histogram(&INFER_CANDIDATES_BY_TEMPLATE),
+        Metric::Profile(&INFER_TEMPLATE_PROFILE),
+    ],
+};
 
-/// Snapshot of the `stats` phase.
-fn stats_phase() -> PhaseReport {
-    PhaseReport::new("stats")
-        .counter(&STATS_ATTRIBUTES)
-        .timer(&STATS_BUILD_TIME)
-        .histogram(&STATS_ENTROPY_HITS)
-        .histogram(&STATS_ENTROPY_MISSES)
-}
+/// The `stats` phase.
+pub(crate) static STATS: Phase = Phase {
+    name: "stats",
+    metrics: &[
+        Metric::Counter(&STATS_ATTRIBUTES),
+        Metric::Timer(&STATS_BUILD_TIME),
+        Metric::Histogram(&STATS_ENTROPY_HITS),
+        Metric::Histogram(&STATS_ENTROPY_MISSES),
+    ],
+};
 
-/// Snapshot of the `filter` phase.
-fn filter_phase() -> PhaseReport {
-    PhaseReport::new("filter")
-        .counter(&FILTER_ACCEPTED)
-        .counter(&FILTER_REJECTED_SUPPORT)
-        .counter(&FILTER_REJECTED_CONFIDENCE)
-        .counter(&FILTER_REJECTED_ENTROPY)
-        .timer(&FILTER_TIME)
-}
+/// The `filter` phase.
+pub(crate) static FILTER: Phase = Phase {
+    name: "filter",
+    metrics: &[
+        Metric::Counter(&FILTER_ACCEPTED),
+        Metric::Counter(&FILTER_REJECTED_SUPPORT),
+        Metric::Counter(&FILTER_REJECTED_CONFIDENCE),
+        Metric::Counter(&FILTER_REJECTED_ENTROPY),
+        Metric::Timer(&FILTER_TIME),
+    ],
+};
 
-/// Snapshot of the `detect` phase.
-fn detect_phase() -> PhaseReport {
-    PhaseReport::new("detect")
-        .counter(&DETECT_SYSTEMS_CHECKED)
-        .counter(&DETECT_UNKNOWN_ENTRY)
-        .counter(&DETECT_CORRELATION)
-        .counter(&DETECT_TYPE)
-        .counter(&DETECT_SUSPICIOUS)
-        .counter(&DETECT_INDEX_RULES_EVALUATED)
-        .counter(&DETECT_INDEX_RULES_SKIPPED)
-        .counter(&DETECT_FLEET_SYSTEMS)
-        .counter(&DETECT_FLEET_BATCHES)
-        .counter(&DETECT_POOL_UNITS_RUN)
-        .gauge(&DETECT_POOL_WORKERS)
-        .gauge(&DETECT_POOL_BUSIEST_WORKER_UNITS)
-        .gauge(&DETECT_POOL_IDLEST_WORKER_UNITS)
-        .gauge(&DETECT_POOL_STOLEN_UNITS)
-        .timer(&DETECT_POOL_WORKER_BUSY)
-        .timer(&DETECT_TIME)
-        .histogram(&DETECT_WARNINGS_PER_SYSTEM)
-}
+/// The `detect` phase.
+pub(crate) static DETECT: Phase = Phase {
+    name: "detect",
+    metrics: &[
+        Metric::Counter(&DETECT_SYSTEMS_CHECKED),
+        Metric::Counter(&DETECT_UNKNOWN_ENTRY),
+        Metric::Counter(&DETECT_CORRELATION),
+        Metric::Counter(&DETECT_TYPE),
+        Metric::Counter(&DETECT_SUSPICIOUS),
+        Metric::Counter(&DETECT_INDEX_RULES_EVALUATED),
+        Metric::Counter(&DETECT_INDEX_RULES_SKIPPED),
+        Metric::Counter(&DETECT_FLEET_SYSTEMS),
+        Metric::Counter(&DETECT_FLEET_BATCHES),
+        Metric::Counter(&DETECT_POOL_UNITS_RUN),
+        Metric::Gauge(&DETECT_POOL_WORKERS),
+        Metric::Gauge(&DETECT_POOL_BUSIEST_WORKER_UNITS),
+        Metric::Gauge(&DETECT_POOL_IDLEST_WORKER_UNITS),
+        Metric::Gauge(&DETECT_POOL_STOLEN_UNITS),
+        Metric::Timer(&DETECT_POOL_WORKER_BUSY),
+        Metric::Timer(&DETECT_TIME),
+        Metric::Histogram(&DETECT_WARNINGS_PER_SYSTEM),
+        Metric::Profile(&DETECT_BUCKET_PROFILE),
+    ],
+};
+
+/// Every pipeline phase, in pipeline order.
+pub(crate) static PIPELINE: [&Phase; 6] = [&COLLECT, &ASSEMBLE, &INFER, &STATS, &FILTER, &DETECT];
 
 /// Roll up the whole pipeline: all six phase sections, in pipeline order,
 /// present even when zero-valued.
 pub fn pipeline_report() -> PipelineReport {
     PipelineReport {
-        phases: vec![
-            encore_sysimage::obs::phase_report(),
-            encore_parser::obs::phase_report().merge(encore_assemble::obs::phase_report()),
-            infer_phase(),
-            stats_phase(),
-            filter_phase(),
-            detect_phase(),
-        ],
+        phases: PIPELINE.iter().map(|phase| phase.report()).collect(),
     }
 }
 
-/// Bucket bounds for every histogram this crate family exposes, by sink
-/// metric name.  Reports carry counts but not bounds; exposition and
-/// cycle deltas need them back (see
-/// [`PipelineReport::delta_since`] and [`expose::render`]).
+/// Bucket bounds for every pipeline histogram, by sink metric name.
+/// Reports carry counts but not bounds; exposition and cycle deltas need
+/// them back (see [`PipelineReport::delta_since`] and [`expose::render`]).
 pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
-    match name {
-        "infer.candidates.by_template" => Some(INFER_CANDIDATES_BY_TEMPLATE.bounds()),
-        "stats.entropy.memo_hits" => Some(STATS_ENTROPY_HITS.bounds()),
-        "stats.entropy.memo_misses" => Some(STATS_ENTROPY_MISSES.bounds()),
-        "detect.warnings.per_system" => Some(DETECT_WARNINGS_PER_SYSTEM.bounds()),
-        _ => None,
-    }
+    PIPELINE.iter().find_map(|phase| phase.bounds(name))
+}
+
+/// Reset every pipeline instrument across all crates, profile tables
+/// included (the gates are left as-is).
+pub fn reset() {
+    PIPELINE.iter().for_each(|phase| phase.reset());
 }
 
 /// The profiler's report sections: the per-template table referenced
@@ -261,76 +272,113 @@ fn profile_sections() -> [profile::Section<'static>; 2] {
     ]
 }
 
-/// Render the top-`k` cost table as human-readable text.
-pub fn render_profile_text(k: usize) -> String {
-    profile::render_text(&profile_sections(), k)
+/// Where a binary's observability outputs go, parsed once from its flags
+/// and the environment.  [`ObsConfig::start`] runs before any pipeline
+/// work and [`ObsConfig::finish`] before exit; together they are the only
+/// production code that flips the four runtime gates (sink, trace ring,
+/// event log, profiler), each of which guards a different cost.
+#[derive(Debug, Default)]
+pub struct ObsConfig {
+    /// `--report FILE`: the pipeline report as JSON.
+    pub report: Option<PathBuf>,
+    /// `--trace-out FILE`: every recorded timer span as a Chrome
+    /// trace-viewer / Perfetto JSON trace, with a per-phase summary lane.
+    pub trace_out: Option<PathBuf>,
+    /// `--event-log FILE`: the request-scoped JSONL event log (appended).
+    pub event_log: Option<PathBuf>,
+    /// `--profile FILE`: the cost tables as JSON, plus the top-10 rows as
+    /// text on stderr.
+    pub profile: Option<PathBuf>,
+    /// `ENCORE_TRACE`: print the pipeline report as text on stderr.
+    pub print_report: bool,
 }
 
-/// Render the full cost tables (every row, coverage included) as JSON.
-pub fn render_profile_json() -> String {
-    profile::render_json(&profile_sections())
+impl ObsConfig {
+    /// No output files; `print_report` is set when the `ENCORE_TRACE`
+    /// environment variable is truthy (`1`, `true`, `on`, `yes`;
+    /// case-insensitive).
+    pub fn from_env() -> ObsConfig {
+        let truthy =
+            |v: String| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes");
+        ObsConfig {
+            print_report: std::env::var("ENCORE_TRACE").is_ok_and(truthy),
+            ..ObsConfig::default()
+        }
+    }
+
+    /// Turn on what the outputs need: the sink for any report, trace or
+    /// profile (the profiler's coverage reference is the `infer.time`
+    /// timer), then the trace ring, the event log and the profiler, so
+    /// that training already lands in all of them.
+    ///
+    /// # Errors
+    ///
+    /// The event log cannot be opened.
+    pub fn start(&self) -> Result<(), String> {
+        if self.print_report
+            || self.report.is_some()
+            || self.trace_out.is_some()
+            || self.profile.is_some()
+        {
+            enable();
+        }
+        if self.trace_out.is_some() {
+            trace::start_recording(0);
+        }
+        if let Some(path) = &self.event_log {
+            event::install(path)
+                .map_err(|e| format!("cannot open event log `{}`: {e}", path.display()))?;
+        }
+        if self.profile.is_some() {
+            profile::enable();
+        }
+        Ok(())
+    }
+
+    /// Print or write the pipeline report, the Chrome trace and the
+    /// profile (each file replaced atomically), then drain the event log,
+    /// whose writer thread `process::exit` would otherwise cut off.
+    ///
+    /// # Errors
+    ///
+    /// An output file cannot be written; the event log is drained anyway.
+    pub fn finish(&self) -> Result<(), String> {
+        let report = pipeline_report();
+        // Best-effort: a reader that closed stderr must not turn a
+        // finished run into a panic.
+        let mut stderr = std::io::stderr();
+        if self.print_report {
+            let _ = write!(stderr, "{}", report.render_text());
+        }
+        let sections = profile_sections();
+        let written = write_output("report", &self.report, || report.render_json())
+            .and_then(|()| {
+                write_output("trace", &self.trace_out, || {
+                    trace::render_chrome_json(Some(&report))
+                })
+            })
+            .and_then(|()| {
+                write_output("profile", &self.profile, || profile::render_json(&sections))
+            });
+        if written.is_ok() && self.profile.is_some() {
+            let _ = write!(stderr, "{}", profile::render_text(&sections, 10));
+        }
+        event::shutdown();
+        written
+    }
 }
 
-/// Reset every pipeline instrument across all crates (the sink flag is
-/// left as-is).
-pub fn reset() {
-    encore_sysimage::obs::reset();
-    encore_parser::obs::reset();
-    encore_assemble::obs::reset();
-    for counter in [
-        &INFER_TEMPLATES,
-        &INFER_UNITS_TOTAL,
-        &INFER_UNITS_PRUNED,
-        &INFER_PAIRS_EVALUATED,
-        &INFER_CANDIDATES,
-        &INFER_CANDIDATES_DEDUPED,
-        &POOL_UNITS_RUN,
-        &STATS_ATTRIBUTES,
-        &FILTER_ACCEPTED,
-        &FILTER_REJECTED_SUPPORT,
-        &FILTER_REJECTED_CONFIDENCE,
-        &FILTER_REJECTED_ENTROPY,
-        &DETECT_SYSTEMS_CHECKED,
-        &DETECT_UNKNOWN_ENTRY,
-        &DETECT_CORRELATION,
-        &DETECT_TYPE,
-        &DETECT_SUSPICIOUS,
-        &DETECT_INDEX_RULES_EVALUATED,
-        &DETECT_INDEX_RULES_SKIPPED,
-        &DETECT_FLEET_SYSTEMS,
-        &DETECT_FLEET_BATCHES,
-        &DETECT_POOL_UNITS_RUN,
-    ] {
-        counter.reset();
-    }
-    for gauge in [
-        &POOL_WORKERS,
-        &POOL_BUSIEST_WORKER_UNITS,
-        &POOL_IDLEST_WORKER_UNITS,
-        &POOL_STOLEN_UNITS,
-        &DETECT_POOL_WORKERS,
-        &DETECT_POOL_BUSIEST_WORKER_UNITS,
-        &DETECT_POOL_IDLEST_WORKER_UNITS,
-        &DETECT_POOL_STOLEN_UNITS,
-    ] {
-        gauge.reset();
-    }
-    for timer in [
-        &POOL_WORKER_BUSY,
-        &INFER_TIME,
-        &STATS_BUILD_TIME,
-        &FILTER_TIME,
-        &DETECT_TIME,
-        &DETECT_POOL_WORKER_BUSY,
-    ] {
-        timer.reset();
-    }
-    INFER_CANDIDATES_BY_TEMPLATE.reset();
-    STATS_ENTROPY_HITS.reset();
-    STATS_ENTROPY_MISSES.reset();
-    DETECT_WARNINGS_PER_SYSTEM.reset();
-    INFER_TEMPLATE_PROFILE.reset();
-    DETECT_BUCKET_PROFILE.reset();
+/// Replace `path`, when set, with `render()`'s output.
+fn write_output(
+    what: &str,
+    path: &Option<PathBuf>,
+    render: impl FnOnce() -> String,
+) -> Result<(), String> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    crate::write_atomically(path, render())
+        .map_err(|e| format!("cannot write {what} to `{}`: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -352,6 +400,25 @@ mod tests {
         let report = pipeline_report();
         let parsed = PipelineReport::parse_json(&report.render_json()).expect("parses");
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn from_env_recognizes_truthy_values() {
+        // Sequential within one test: env mutation is process-global.
+        for (value, expected) in [
+            (None, false),
+            (Some("0"), false),
+            (Some("1"), true),
+            (Some("on"), true),
+            (Some("TRUE"), true),
+        ] {
+            match value {
+                Some(v) => std::env::set_var("ENCORE_TRACE", v),
+                None => std::env::remove_var("ENCORE_TRACE"),
+            }
+            assert_eq!(ObsConfig::from_env().print_report, expected, "{value:?}");
+        }
+        std::env::remove_var("ENCORE_TRACE");
     }
 
     #[test]

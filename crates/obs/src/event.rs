@@ -160,20 +160,6 @@ pub fn install(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Install the log if the `ENCORE_EVENTS` environment variable names a
-/// path.  Returns whether the log ended up installed.
-pub fn install_from_env() -> bool {
-    if enabled() {
-        return true;
-    }
-    if let Ok(path) = std::env::var("ENCORE_EVENTS") {
-        if !path.is_empty() && install(Path::new(&path)).is_ok() {
-            return true;
-        }
-    }
-    false
-}
-
 /// Stop accepting events, drain the queue to the file, and join the
 /// writer thread.  Idempotent; a no-op when nothing is installed.
 pub fn shutdown() {

@@ -6,10 +6,11 @@
 //! instantiated, pairs pruned, rules surviving each filter, wall time per
 //! stage (Tables 3 and 13 are exactly such numbers) — and tuning the
 //! pipeline requires seeing them at runtime.  This crate provides the
-//! instruments; each pipeline crate declares its own `static` metrics
-//! (registry-free: there is no global list to race on) and exposes a
-//! `phase_report()` snapshot, which `encore::obs::pipeline_report` rolls up
-//! into a [`PipelineReport`] with text and JSON renderers.
+//! instruments; each pipeline crate declares its own `static` metrics and
+//! lists every one of them once in a `static` [`Phase`], from which the
+//! phase's [`PhaseReport`], its reset and its histogram bounds are
+//! derived.  `encore::obs::pipeline_report` walks the phases into a
+//! [`PipelineReport`] with text and JSON renderers.
 //!
 //! # Design constraints
 //!
@@ -19,6 +20,9 @@
 //!   a stack guard holding an `Option<Instant>`, and counters are plain
 //!   `AtomicU64`s (`tests/noop_overhead.rs` pins this down with a counting
 //!   allocator).
+//! * **No runtime registry.**  A [`Phase`] is an immutable static list
+//!   resolved at compile time, so there is no global table to populate,
+//!   lock or race on.
 //! * **Observation must not perturb.**  Instruments only ever *read*
 //!   pipeline state; `RuleSet` output is byte-identical with the sink on
 //!   and off, and counter/histogram totals are identical across worker
@@ -35,10 +39,12 @@ pub mod delta;
 pub mod event;
 pub mod expose;
 pub mod json;
+mod phase;
 pub mod profile;
 mod report;
 pub mod trace;
 
+pub use phase::{Metric, Phase};
 pub use report::{HistogramSnapshot, PhaseReport, PipelineReport, TimerSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,19 +68,6 @@ pub fn enable() {
 /// Turn the sink off.  Already-recorded values are kept until `reset`.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Enable the sink if the `ENCORE_TRACE` environment variable is set to a
-/// truthy value (`1`, `true`, `on`, `yes`; case-insensitive).  Returns
-/// whether tracing ended up enabled.
-pub fn enable_from_env() -> bool {
-    if let Ok(value) = std::env::var("ENCORE_TRACE") {
-        let v = value.to_ascii_lowercase();
-        if matches!(v.as_str(), "1" | "true" | "on" | "yes") {
-            enable();
-        }
-    }
-    enabled()
 }
 
 /// A named monotonically increasing count of *work done* — entries parsed,
@@ -447,7 +440,7 @@ mod tests {
     // parallel threads, so every test that toggles it holds this gate.
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn gate() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn gate() -> std::sync::MutexGuard<'static, ()> {
         GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -611,23 +604,5 @@ mod tests {
         assert_eq!(H.quantile(0.5), 1.0);
         H.reset();
         assert_eq!(H.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn env_toggle_recognizes_truthy_values() {
-        let _gate = gate();
-        // Sequential within one test: env mutation is process-global.
-        disable();
-        std::env::remove_var("ENCORE_TRACE");
-        assert!(!enable_from_env());
-        std::env::set_var("ENCORE_TRACE", "0");
-        assert!(!enable_from_env());
-        std::env::set_var("ENCORE_TRACE", "1");
-        assert!(enable_from_env());
-        disable();
-        std::env::set_var("ENCORE_TRACE", "on");
-        assert!(enable_from_env());
-        disable();
-        std::env::remove_var("ENCORE_TRACE");
     }
 }

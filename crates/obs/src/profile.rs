@@ -238,13 +238,13 @@ pub fn render_json(sections: &[Section<'_>]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // The profiling gate is process-global; serializing tests here.
     static GATE: Mutex<()> = Mutex::new(());
 
-    fn gate() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn gate() -> std::sync::MutexGuard<'static, ()> {
         GATE.lock().unwrap_or_else(|p| p.into_inner())
     }
 

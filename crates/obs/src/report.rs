@@ -8,7 +8,7 @@
 //! validated by another (the CI pipeline-report step does exactly that).
 
 use crate::json::{self, Json, JsonError};
-use crate::{Counter, Gauge, Histogram, Timer};
+use crate::Histogram;
 use std::collections::BTreeMap;
 
 /// A timer's accumulated state: total nanoseconds over how many spans.
@@ -79,52 +79,6 @@ impl PhaseReport {
             name: name.to_string(),
             ..PhaseReport::default()
         }
-    }
-
-    /// Record a counter's current total.
-    #[must_use]
-    pub fn counter(mut self, counter: &Counter) -> PhaseReport {
-        self.counters
-            .push((counter.name().to_string(), counter.get()));
-        self
-    }
-
-    /// Record a gauge's current value.
-    #[must_use]
-    pub fn gauge(mut self, gauge: &Gauge) -> PhaseReport {
-        self.gauges.push((gauge.name().to_string(), gauge.get()));
-        self
-    }
-
-    /// Record a timer's current snapshot.
-    #[must_use]
-    pub fn timer(mut self, timer: &Timer) -> PhaseReport {
-        self.timers
-            .push((timer.name().to_string(), timer.snapshot()));
-        self
-    }
-
-    /// Record a histogram's current bucket counts and percentile
-    /// estimates.
-    #[must_use]
-    pub fn histogram(mut self, histogram: &Histogram) -> PhaseReport {
-        self.histograms.push((
-            histogram.name().to_string(),
-            HistogramSnapshot::from_counts(histogram.bounds(), histogram.counts(), histogram.sum()),
-        ));
-        self
-    }
-
-    /// Fold another snapshot's entries into this one, keeping this phase's
-    /// name — used when two crates contribute to one phase (parser and
-    /// assembler both feed `assemble`).
-    #[must_use]
-    pub fn merge(mut self, other: PhaseReport) -> PhaseReport {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.timers.extend(other.timers);
-        self.histograms.extend(other.histograms);
-        self
     }
 
     /// Look up a counter total by metric name.
@@ -558,14 +512,6 @@ mod tests {
         );
         assert_eq!(report.counters()["collect.images.built"], 12);
         assert_eq!(report.histograms()["collect.sizes"], vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn merge_keeps_name_and_appends_entries() {
-        static EXTRA: Counter = Counter::new("assemble.extra");
-        let merged = PhaseReport::new("assemble").merge(PhaseReport::new("parser").counter(&EXTRA));
-        assert_eq!(merged.name, "assemble");
-        assert_eq!(merged.counter_value("assemble.extra"), Some(0));
     }
 
     #[test]

@@ -142,15 +142,6 @@ pub(crate) fn record_span(name: &'static str, started: Instant, elapsed: Duratio
     }
 }
 
-/// Record one externally measured interval as a complete event — the
-/// public entry for spans not driven by a [`Timer`](crate::Timer) guard,
-/// e.g. the per-stage fragments of a captured slow request.  Subject to
-/// the same recording gate (and ring overwrite policy) as timer spans.
-#[inline]
-pub fn record_external(name: &'static str, started: Instant, elapsed: Duration) {
-    record_span(name, started, elapsed);
-}
-
 /// The captured events oldest-first, plus how many older events the ring
 /// overwrote.
 pub fn snapshot() -> (Vec<TraceEvent>, u64) {

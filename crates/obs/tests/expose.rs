@@ -7,7 +7,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p encore-obs --test expose`.
 
 use encore_obs::expose::{self, MetricsServer};
-use encore_obs::{Counter, Histogram, PhaseReport, PipelineReport, Timer};
+use encore_obs::{Counter, Histogram, Metric, Phase, PhaseReport, PipelineReport, Timer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -87,6 +87,14 @@ fn golden_file_itself_passes_the_grammar_validator() {
 static LIVE_EVENTS: Counter = Counter::new("expose_probe.events");
 static LIVE_DEPTH: Histogram = Histogram::new("expose_probe.depth", &encore_obs::INDEX_BOUNDS);
 static LIVE_TIME: Timer = Timer::new("expose_probe.time");
+static PROBE: Phase = Phase {
+    name: "probe",
+    metrics: &[
+        Metric::Counter(&LIVE_EVENTS),
+        Metric::Timer(&LIVE_TIME),
+        Metric::Histogram(&LIVE_DEPTH),
+    ],
+};
 
 #[test]
 fn exposition_over_a_live_sink_validates_and_names_are_namespaced() {
@@ -96,14 +104,10 @@ fn exposition_over_a_live_sink_validates_and_names_are_namespaced() {
     {
         let _span = LIVE_TIME.span();
     }
-    // Snapshot the live instruments into a report exactly as a phase does,
-    // then render it as a scrape would.
-    let probe = PhaseReport::new("probe")
-        .counter(&LIVE_EVENTS)
-        .timer(&LIVE_TIME)
-        .histogram(&LIVE_DEPTH);
+    // Snapshot the live instruments through their phase, then render the
+    // report as a scrape would.
     let report = PipelineReport {
-        phases: vec![probe],
+        phases: vec![PROBE.report()],
     };
     let text = expose::render(&report, &|_| None);
     expose::validate(&text).expect("live exposition is grammatical");

@@ -1,11 +1,12 @@
 //! Parsing metrics for the assembly phase: files parsed, key–value entries
 //! produced, and parse failures, measured at the [`LensRegistry`] dispatch
 //! point (direct `Lens::parse` calls bypass the registry and are not
-//! counted).
+//! counted).  `encore-assemble` registers them, first, in its `assemble`
+//! phase.
 //!
 //! [`LensRegistry`]: crate::LensRegistry
 
-use encore_obs::{Counter, PhaseReport, Timer};
+use encore_obs::{Counter, Timer};
 
 /// Configuration files handed to a registered lens.
 pub static PARSE_CALLS: Counter = Counter::new("assemble.parse.files");
@@ -15,21 +16,3 @@ pub static PARSE_ENTRIES: Counter = Counter::new("assemble.parse.entries");
 pub static PARSE_ERRORS: Counter = Counter::new("assemble.parse.errors");
 /// Wall time inside lens parsing.
 pub static PARSE_TIME: Timer = Timer::new("assemble.parse.time");
-
-/// Snapshot of the parsing half of the assembly phase, to be merged into
-/// the assembler's `assemble` report.
-pub fn phase_report() -> PhaseReport {
-    PhaseReport::new("assemble")
-        .counter(&PARSE_CALLS)
-        .counter(&PARSE_ENTRIES)
-        .counter(&PARSE_ERRORS)
-        .timer(&PARSE_TIME)
-}
-
-/// Reset every parsing instrument.
-pub fn reset() {
-    PARSE_CALLS.reset();
-    PARSE_ENTRIES.reset();
-    PARSE_ERRORS.reset();
-    PARSE_TIME.reset();
-}

@@ -12,12 +12,16 @@
 //! so a scraper sees them only count up; the heartbeat line carries their
 //! per-tick change.
 //!
-//! These instruments feed `/metrics` and the JSONL heartbeat only.  The
-//! `stats` protocol verb is served from the plain atomic
-//! [`ServeStats`](crate::server::ServeStats) counters instead, because
-//! the obs sink no-ops when disabled and the verb must work regardless.
+//! Every instrument is registered once, in the `serve` [`Phase`].
+//!
+//! These instruments are process-global and feed `/metrics` and the
+//! JSONL heartbeat only.  The `stats` protocol verb is served from each
+//! server's own [`ServeStats`](crate::server::ServeStats) counters
+//! instead: several servers may run in one process (the service tests do)
+//! and each must report exactly its own requests, and the verb must
+//! answer truthfully even while the obs sink is off.
 
-use encore_obs::{Counter, Gauge, Histogram, PhaseReport, PipelineReport};
+use encore_obs::{Counter, Gauge, Histogram, Metric, Phase, PipelineReport};
 
 /// Requests read off client connections (any verb, well-formed or not).
 pub static REQUESTS: Counter = Counter::new("serve.requests");
@@ -93,49 +97,49 @@ pub fn sync_event_gauges() {
     EVENTS_QUEUE_DEPTH.set(health.queue_depth);
 }
 
-/// Snapshot of the `serve` phase.
-pub fn serve_phase() -> PhaseReport {
-    PhaseReport::new("serve")
-        .counter(&REQUESTS)
-        .counter(&CHECKS)
-        .counter(&TARGETS_CHECKED)
-        .counter(&REJECTED_BUSY)
-        .counter(&ERRORS)
-        .counter(&SNAPSHOT_RELOADS)
-        .counter(&RELOAD_FAILURES)
-        .counter(&WATCH_SCANS)
-        .counter(&WATCH_TARGETS_ADDED)
-        .counter(&WATCH_TARGETS_CHANGED)
-        .counter(&WATCH_TARGETS_REMOVED)
-        .counter(&WATCH_TARGETS_RECHECKED)
-        .gauge(&QUEUE_DEPTH)
-        .gauge(&QUEUE_CAPACITY)
-        .gauge(&APPS)
-        .gauge(&APPS_READY)
-        .gauge(&EVENTS_WRITTEN)
-        .gauge(&EVENTS_DROPPED)
-        .gauge(&EVENTS_QUEUE_DEPTH)
-        .gauge(&WATCH_TARGETS_TRACKED)
-        .histogram(&REQUEST_DURATION)
-        .histogram(&QUEUE_WAIT)
-}
+/// The `serve` phase.
+pub(crate) static SERVE: Phase = Phase {
+    name: "serve",
+    metrics: &[
+        Metric::Counter(&REQUESTS),
+        Metric::Counter(&CHECKS),
+        Metric::Counter(&TARGETS_CHECKED),
+        Metric::Counter(&REJECTED_BUSY),
+        Metric::Counter(&ERRORS),
+        Metric::Counter(&SNAPSHOT_RELOADS),
+        Metric::Counter(&RELOAD_FAILURES),
+        Metric::Counter(&WATCH_SCANS),
+        Metric::Counter(&WATCH_TARGETS_ADDED),
+        Metric::Counter(&WATCH_TARGETS_CHANGED),
+        Metric::Counter(&WATCH_TARGETS_REMOVED),
+        Metric::Counter(&WATCH_TARGETS_RECHECKED),
+        Metric::Gauge(&QUEUE_DEPTH),
+        Metric::Gauge(&QUEUE_CAPACITY),
+        Metric::Gauge(&APPS),
+        Metric::Gauge(&APPS_READY),
+        Metric::Gauge(&EVENTS_WRITTEN),
+        Metric::Gauge(&EVENTS_DROPPED),
+        Metric::Gauge(&EVENTS_QUEUE_DEPTH),
+        Metric::Gauge(&WATCH_TARGETS_TRACKED),
+        Metric::Histogram(&REQUEST_DURATION),
+        Metric::Histogram(&QUEUE_WAIT),
+    ],
+};
 
 /// The service's scrape view: the six core pipeline phases with the
 /// `serve` section appended.
 pub fn scrape_report() -> PipelineReport {
     sync_event_gauges();
     let mut report = encore::obs::pipeline_report();
-    report.phases.push(serve_phase());
+    report.phases.push(SERVE.report());
     report
 }
 
 /// Bucket bounds for every histogram in [`scrape_report`].
 pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
-    match name {
-        "serve.request_duration_us" => Some(REQUEST_DURATION.bounds()),
-        "serve.queue_wait_us" => Some(QUEUE_WAIT.bounds()),
-        _ => encore::obs::histogram_bounds(name),
-    }
+    SERVE
+        .bounds(name)
+        .or_else(|| encore::obs::histogram_bounds(name))
 }
 
 /// Render the service scrape view in the Prometheus exposition format.
@@ -146,36 +150,7 @@ pub fn render_prometheus() -> String {
 /// Reset every serve-phase instrument (tests only; a live service never
 /// resets).
 pub fn reset() {
-    for counter in [
-        &REQUESTS,
-        &CHECKS,
-        &TARGETS_CHECKED,
-        &REJECTED_BUSY,
-        &ERRORS,
-        &SNAPSHOT_RELOADS,
-        &RELOAD_FAILURES,
-        &WATCH_SCANS,
-        &WATCH_TARGETS_ADDED,
-        &WATCH_TARGETS_CHANGED,
-        &WATCH_TARGETS_REMOVED,
-        &WATCH_TARGETS_RECHECKED,
-    ] {
-        counter.reset();
-    }
-    for gauge in [
-        &QUEUE_DEPTH,
-        &QUEUE_CAPACITY,
-        &APPS,
-        &APPS_READY,
-        &EVENTS_WRITTEN,
-        &EVENTS_DROPPED,
-        &EVENTS_QUEUE_DEPTH,
-        &WATCH_TARGETS_TRACKED,
-    ] {
-        gauge.reset();
-    }
-    REQUEST_DURATION.reset();
-    QUEUE_WAIT.reset();
+    SERVE.reset();
 }
 
 #[cfg(test)]

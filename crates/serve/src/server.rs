@@ -58,9 +58,8 @@ pub struct ServeOptions {
     /// here every poll tick; `None` disables the heartbeat.
     pub heartbeat_path: Option<PathBuf>,
     /// Capture any request whose parse + queue-wait + check + respond
-    /// total reaches this many microseconds: a `request.slow` event with
-    /// the full decomposition, plus per-stage fragments in the trace
-    /// ring.  `None` disables the capture.
+    /// total reaches this many microseconds as a `request.slow` event
+    /// with the full decomposition.  `None` disables the capture.
     pub slow_micros: Option<u64>,
     /// Watched directories, as (registered app, directory) pairs: each
     /// poll tick re-checks their added and changed files against the app
@@ -146,11 +145,16 @@ impl StopFlag {
     }
 }
 
-/// Plain atomic service counters behind the `stats` verb.
+/// Plain atomic service counters behind the `stats` verb, one set per
+/// [`Server`].
 ///
-/// Deliberately *not* the obs instruments: those no-op when the global
-/// sink is disabled, and `stats` must answer truthfully regardless.  The
-/// obs instruments are updated alongside these for the scrape surface.
+/// Deliberately *not* the obs instruments: those are process-global, so
+/// several servers in one process would share them, while `stats` must
+/// report exactly this server's requests (the service tests run several
+/// servers at once and assert exact per-server counts).  The instruments
+/// also no-op while the sink is off, and `stats` must answer truthfully
+/// regardless.  The obs instruments are updated alongside these for the
+/// scrape surface.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Requests read off client connections (any verb).
@@ -592,11 +596,7 @@ fn respond_timed(writer: &mut impl Write, response: &Response) -> io::Result<Dur
 
 /// Close out one request: emit its `request.done` record and, when the
 /// parse + queue-wait + check + respond total reaches the `slow_micros`
-/// threshold, a `request.slow` event plus per-stage trace fragments.
-///
-/// The fragments are laid end to end backwards from "now" (the anchor
-/// right after the response hit the wire), so in the trace viewer the
-/// four stages of a captured request read as one contiguous lane.
+/// threshold, a `request.slow` event carrying the same breakdown.
 fn record_done(
     verb: &'static str,
     response: &Response,
@@ -636,10 +636,7 @@ fn record_done(
         );
     }
     let Some(threshold) = slow_micros else { return };
-    if total_us < threshold {
-        return;
-    }
-    if encore_obs::event::enabled() {
+    if total_us >= threshold && encore_obs::event::enabled() {
         use encore_obs::json::Json;
         encore_obs::event::emit(
             encore_obs::event::Level::Warn,
@@ -647,19 +644,6 @@ fn record_done(
             decomposition(vec![("threshold_us".to_string(), Json::Num(threshold))]),
         );
     }
-    let anchor = Instant::now();
-    let respond_start = anchor.checked_sub(respond).unwrap_or(anchor);
-    let check_start = respond_start
-        .checked_sub(timings.check)
-        .unwrap_or(respond_start);
-    let queue_start = check_start
-        .checked_sub(timings.queue_wait)
-        .unwrap_or(check_start);
-    let parse_start = queue_start.checked_sub(parse).unwrap_or(queue_start);
-    encore_obs::trace::record_external("serve.slow.parse", parse_start, parse);
-    encore_obs::trace::record_external("serve.slow.queue_wait", queue_start, timings.queue_wait);
-    encore_obs::trace::record_external("serve.slow.check", check_start, timings.check);
-    encore_obs::trace::record_external("serve.slow.respond", respond_start, respond);
 }
 
 /// The request loop behind [`serve_connection`].

@@ -6,7 +6,7 @@
 //! so they are deterministic for a given corpus regardless of builder call
 //! order.
 
-use encore_obs::{Counter, PhaseReport, Timer};
+use encore_obs::{Counter, Metric, Phase, Timer};
 
 /// Images finished via `SystemImageBuilder::build`.
 pub static IMAGES_BUILT: Counter = Counter::new("collect.images.built");
@@ -23,25 +23,16 @@ pub static ENV_VARS: Counter = Counter::new("collect.env.vars");
 /// Wall time spent in `build` finalization.
 pub static BUILD_TIME: Timer = Timer::new("collect.build.time");
 
-/// Snapshot of the collection phase.
-pub fn phase_report() -> PhaseReport {
-    PhaseReport::new("collect")
-        .counter(&IMAGES_BUILT)
-        .counter(&VFS_NODES)
-        .counter(&USERS)
-        .counter(&GROUPS)
-        .counter(&SERVICES)
-        .counter(&ENV_VARS)
-        .timer(&BUILD_TIME)
-}
-
-/// Reset every collection-phase instrument.
-pub fn reset() {
-    IMAGES_BUILT.reset();
-    VFS_NODES.reset();
-    USERS.reset();
-    GROUPS.reset();
-    SERVICES.reset();
-    ENV_VARS.reset();
-    BUILD_TIME.reset();
-}
+/// The collection phase: every instrument above, in report order.
+pub static COLLECT: Phase = Phase {
+    name: "collect",
+    metrics: &[
+        Metric::Counter(&IMAGES_BUILT),
+        Metric::Counter(&VFS_NODES),
+        Metric::Counter(&USERS),
+        Metric::Counter(&GROUPS),
+        Metric::Counter(&SERVICES),
+        Metric::Counter(&ENV_VARS),
+        Metric::Timer(&BUILD_TIME),
+    ],
+};
