@@ -1,26 +1,25 @@
 //! Compare and render pipeline reports.
 //!
 //! ```text
-//! encore-report diff base.json current.json            # default policy
-//! encore-report diff base.json current.json --policy p.txt --json
+//! encore-report diff base.json current.json
+//! encore-report diff base.json current.json --json --out delta.json
 //! encore-report show heartbeat.jsonl                   # render (JSONL ok)
 //! ```
 //!
 //! `diff` structurally compares two reports ([`encore::obs::ReportDelta`])
-//! and evaluates the delta against a [`encore::obs::DeltaPolicy`] (the
-//! default gates counters and histograms exactly and treats gauges and
-//! timers as informational; `--policy FILE` pins a different one).  Exit
-//! codes: 0 — no gated metric exceeded its
-//! threshold (the delta itself may be nonempty); 1 — at least one gated
-//! violation, each printed with the metric name and its gate; 2 — usage
-//! or I/O errors.
+//! and gates the work counts: every differing counter or histogram fails,
+//! while gauges and timers are rendered but never fail
+//! ([`encore::obs::ReportDelta::violations`]).  Exit codes: 0 — no counter
+//! or histogram differs (the delta itself may be nonempty); 1 — at least
+//! one does, each printed with the metric name and its gate; 2 — usage or
+//! I/O errors.
 //!
 //! `show` renders report files as text; a file with several JSON lines
 //! (an `encore-serve --heartbeat` file) renders each line in order.
 
-use encore::obs::{DeltaPolicy, PipelineReport, ReportDelta};
+use encore::obs::{PipelineReport, ReportDelta};
 
-const USAGE: &str = "usage: encore-report diff BASE CURRENT [--policy FILE] [--json] [--out FILE]
+const USAGE: &str = "usage: encore-report diff BASE CURRENT [--json] [--out FILE]
        encore-report show FILE";
 
 /// Print a diagnostic plus the usage line to stderr and exit 2.  All
@@ -42,16 +41,11 @@ fn read_report(path: &str) -> PipelineReport {
 
 fn cmd_diff(args: &[String]) -> i32 {
     let mut positional: Vec<&String> = Vec::new();
-    let mut policy_path: Option<&String> = None;
     let mut out_path: Option<&String> = None;
     let mut json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--policy" => match it.next() {
-                Some(path) => policy_path = Some(path),
-                None => usage("--policy requires a file path"),
-            },
             "--out" => match it.next() {
                 Some(path) => out_path = Some(path),
                 None => usage("--out requires a file path"),
@@ -64,16 +58,6 @@ fn cmd_diff(args: &[String]) -> i32 {
     let [base_path, current_path] = positional[..] else {
         usage("diff takes exactly BASE and CURRENT report files");
     };
-    let policy = match policy_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| usage(&format!("cannot read policy `{path}`: {e}")));
-            DeltaPolicy::parse(&text)
-                .unwrap_or_else(|e| usage(&format!("bad policy `{path}`: {e}")))
-        }
-        None => DeltaPolicy::default(),
-    };
-
     let base = read_report(base_path);
     let current = read_report(current_path);
     let delta = ReportDelta::diff(&base, &current);
@@ -91,7 +75,7 @@ fn cmd_diff(args: &[String]) -> i32 {
         }
     }
 
-    let violations = policy.violations(&delta);
+    let violations = delta.violations();
     if violations.is_empty() {
         return 0;
     }

@@ -1,5 +1,5 @@
 //! End-to-end tests for the `encore-report` binary: exit statuses for
-//! clean and gated diffs, policy files, and JSONL rendering.
+//! clean and gated diffs, usage errors, and JSONL rendering.
 
 use encore::obs::{PhaseReport, PipelineReport, TimerSnapshot};
 use std::path::PathBuf;
@@ -86,24 +86,6 @@ fn perturbed_counter_exits_one_naming_metric_and_gate() {
 }
 
 #[test]
-fn policy_file_can_downgrade_the_gate() {
-    let base = sample_report();
-    let mut current = base.clone();
-    current.phases[0].counters[1].1 += 7;
-    let base_path = fixture("policy-base.json", &base.render_json());
-    let current_path = fixture("policy-current.json", &current.render_json());
-    let policy = fixture("policy.txt", "counters info\ntimers ratio 2.0\n");
-    let out = encore_report(&[
-        "diff",
-        base_path.to_str().unwrap(),
-        current_path.to_str().unwrap(),
-        "--policy",
-        policy.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr(&out));
-}
-
-#[test]
 fn json_output_parses_and_out_file_matches_stdout() {
     let path = fixture("json.json", &sample_report().render_json());
     let out_file = std::env::temp_dir().join("encore-report-test-delta-out.json");
@@ -135,11 +117,17 @@ fn show_renders_each_jsonl_line() {
 
 #[test]
 fn usage_errors_exit_two() {
+    // Readable reports and a well-formed policy file, so only the removed
+    // `--policy` option itself can make that input fail.
+    let report = fixture("usage.json", &sample_report().render_json());
+    let policy = fixture("usage-policy.txt", "counters exact\n");
+    let (report, policy) = (report.to_str().unwrap(), policy.to_str().unwrap());
     for args in [
         &["diff", "only-one.json"] as &[&str],
         &["frobnicate"],
         &[],
         &["diff", "/nonexistent/a.json", "/nonexistent/b.json"],
+        &["diff", report, report, "--policy", policy],
     ] {
         let out = encore_report(args);
         assert_eq!(out.status.code(), Some(2), "args={args:?}");

@@ -11,6 +11,7 @@
 //! * `EC05x` — filter-threshold validation,
 //! * `EC06x` — rule-graph analysis (transitive ordering cycles).
 
+use encore::obs::json::Json;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -238,24 +239,23 @@ impl Diagnostic {
         out
     }
 
-    /// JSON object rendering (hand-rolled; the offline serde shim has no
-    /// `serde_json`).
+    /// Compact JSON object rendering.
     pub fn render_json(&self) -> String {
-        let mut out = format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-            self.code,
-            self.severity,
-            escape_json(&self.message)
-        );
-        match &self.context {
-            Some(ctx) => {
-                out.push_str(",\"context\":\"");
-                out.push_str(&escape_json(ctx));
-                out.push_str("\"}");
-            }
-            None => out.push_str(",\"context\":null}"),
-        }
-        out
+        self.to_json().render()
+    }
+
+    /// The JSON object: `code`, `severity`, `message`, then `context`
+    /// (`null` when absent).
+    pub(crate) fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("code".to_string(), Json::Str(self.code.to_string())),
+            ("severity".to_string(), Json::Str(self.severity.to_string())),
+            ("message".to_string(), Json::Str(self.message.clone())),
+            (
+                "context".to_string(),
+                self.context.clone().map_or(Json::Null, Json::Str),
+            ),
+        ])
     }
 }
 
@@ -263,23 +263,6 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render_text())
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

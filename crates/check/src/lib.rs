@@ -35,6 +35,7 @@ pub use finding::{code_registry, Finding, FindingFilter};
 pub use rulelint::{lint_rules, lint_snapshot};
 pub use typecheck::check_templates;
 
+use encore::obs::json::Json;
 use encore::{FilterThresholds, RuleSet, StatsCache, Template};
 
 /// Validate filter thresholds, as `EC050` diagnostics.
@@ -157,17 +158,15 @@ impl LintReport {
 
     /// JSON rendering: an object with a `diagnostics` array and counts.
     pub fn render_json(&self) -> String {
-        let items: Vec<String> = self
-            .diagnostics
-            .iter()
-            .map(Diagnostic::render_json)
-            .collect();
-        format!(
-            "{{\"diagnostics\":[{}],\"errors\":{},\"warnings\":{}}}",
-            items.join(","),
-            self.errors(),
-            self.warnings()
-        )
+        Json::Obj(vec![
+            (
+                "diagnostics".to_string(),
+                Json::Arr(self.diagnostics.iter().map(Diagnostic::to_json).collect()),
+            ),
+            ("errors".to_string(), Json::Num(self.errors() as u64)),
+            ("warnings".to_string(), Json::Num(self.warnings() as u64)),
+        ])
+        .render()
     }
 }
 

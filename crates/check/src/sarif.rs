@@ -1,8 +1,7 @@
 //! SARIF v2.1.0 emission — findings where code-review UIs expect them.
 //!
-//! Hand-rolled like every other JSON renderer in this workspace (the
-//! offline serde shim has no `serde_json`): one [`render`] call produces a
-//! complete, parseable SARIF v2.1.0 log with
+//! One [`render`] call produces a complete, parseable SARIF v2.1.0 log
+//! with
 //!
 //! * `runs[].tool.driver.rules[]` — the shared stable-code registry
 //!   ([`crate::finding::code_registry`]), each rule carrying its summary
@@ -16,10 +15,14 @@
 //!
 //! Output is deterministic: rules in registry order, results in the order
 //! given (which both binaries keep deterministic), every number rendered
-//! via the lossless `{:?}` form.
+//! via the lossless `{:?}` form.  That float form is why the log is a text
+//! template rather than an `encore::obs::json::Json` value, whose numbers
+//! are `u64`; its strings still go through the shared
+//! [`encore::obs::json::quote`] escaper.
 
 use crate::diag::Severity;
 use crate::finding::{code_registry, Finding};
+use encore::obs::json::quote;
 
 /// The emitting tool's identity, recorded under `tool.driver`.
 #[derive(Debug, Clone, Copy)]
@@ -49,9 +52,9 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
     out.push_str("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",");
     out.push_str("\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{");
     out.push_str(&format!(
-        "\"name\":\"{}\",\"version\":\"{}\",\"informationUri\":\"https://example.invalid/encore\",",
-        escape(tool.name),
-        escape(tool.version)
+        "\"name\":{},\"version\":{},\"informationUri\":\"https://example.invalid/encore\",",
+        quote(tool.name),
+        quote(tool.version)
     ));
     out.push_str("\"rules\":[");
     for (i, info) in registry.iter().enumerate() {
@@ -59,10 +62,10 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\
+            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\
              \"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
-            escape(info.id),
-            escape(info.summary),
+            quote(info.id),
+            quote(info.summary),
             level(info.level)
         ));
     }
@@ -71,19 +74,19 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"ruleId\":\"{}\"", escape(finding.code())));
+        out.push_str(&format!("{{\"ruleId\":{}", quote(finding.code())));
         if let Some(index) = rule_index(finding.code()) {
             out.push_str(&format!(",\"ruleIndex\":{index}"));
         }
         out.push_str(&format!(
-            ",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}}",
+            ",\"level\":\"{}\",\"message\":{{\"text\":{}}}",
             level(finding.severity()),
-            escape(finding.message())
+            quote(finding.message())
         ));
         if !finding.location().is_empty() {
             out.push_str(&format!(
-                ",\"locations\":[{{\"logicalLocations\":[{{\"fullyQualifiedName\":\"{}\"}}]}}]",
-                escape(finding.location())
+                ",\"locations\":[{{\"logicalLocations\":[{{\"fullyQualifiedName\":{}}}]}}]",
+                quote(finding.location())
             ));
         }
         out.push_str(&format!(
@@ -94,23 +97,6 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
         ));
     }
     out.push_str("]}]}");
-    out
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

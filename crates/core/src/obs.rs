@@ -17,7 +17,7 @@
 //! time — is a [`Gauge`] or [`Timer`].  `tests/determinism.rs` enforces
 //! the split.
 
-pub use encore_obs::delta::{DeltaPolicy, Gate, ReportDelta, Violation};
+pub use encore_obs::delta::ReportDelta;
 pub use encore_obs::profile::ProfileTable;
 pub use encore_obs::{
     delta, disable, enable, enabled, event, expose, json, profile, trace, Counter, Gauge,

@@ -74,8 +74,30 @@ pub fn evaluate(
         _ => return Applicability::NotApplicable,
     };
     match relation {
-        Relation::Equal => Applicability::from_bool(va.render() == vb.render()),
         Relation::MemberEq => member_eq(va, b, view),
+        Relation::Owns => {
+            let owner = view.value(&a.augmented("owner")).map(ConfigValue::render);
+            owns(va, vb, owner.as_deref(), view.image)
+        }
+        _ => decide(relation, va, vb, view.image),
+    }
+}
+
+/// Decide `relation` from its two present values and, for the
+/// environment-backed relations, the system image.  This is the one
+/// definition of each relation's semantics: the row evaluator
+/// ([`evaluate`], used by detection) and the columnar [`PairEvaluator`]
+/// (used by inference) both call it.  `MemberEq` and `Owns` need more of
+/// the system than two values (the b-entry family, the `a.owner` cell), so
+/// their callers decide them and here they are not applicable.
+fn decide(
+    relation: Relation,
+    va: &ConfigValue,
+    vb: &ConfigValue,
+    image: Option<&SystemImage>,
+) -> Applicability {
+    match relation {
+        Relation::Equal => Applicability::from_bool(va.render() == vb.render()),
         // Association-rule semantics: the implication is only *exercised*
         // when the antecedent fires.  Counting false antecedents as "holds"
         // would admit vacuous rules between any two mostly-off booleans.
@@ -85,24 +107,18 @@ pub fn evaluate(
             _ => Applicability::NotApplicable,
         },
         Relation::SubnetOf => subnet_of(va, vb),
-        Relation::ConcatPath => concat_path(va, vb, view.image),
+        Relation::ConcatPath => concat_path(va, vb, image),
         Relation::SubstringOf => match (va.as_str(), vb.as_str()) {
             (Some(x), Some(y)) => Applicability::from_bool(!x.is_empty() && y.contains(x)),
             _ => Applicability::NotApplicable,
         },
-        Relation::InGroup => in_group(va, vb, view.image),
-        Relation::NotAccessible => not_accessible(va, vb, view.image),
-        Relation::Owns => owns(a, va, vb, view),
-        // `Relation` is non_exhaustive: future variants are inapplicable
-        // until a validator is written, which the catch-all below encodes —
-        // but today every variant above is covered, so allow the lint.
-        #[allow(unreachable_patterns)]
+        Relation::InGroup => in_group(va, vb, image),
+        Relation::NotAccessible => not_accessible(va, vb, image),
         Relation::LessNum | Relation::LessSize => match (va.as_number(), vb.as_number()) {
             (Some(x), Some(y)) => Applicability::from_bool(x < y),
             _ => Applicability::NotApplicable,
         },
-        #[allow(unreachable_patterns)]
-        _ => Applicability::NotApplicable,
+        Relation::MemberEq | Relation::Owns => Applicability::NotApplicable,
     }
 }
 
@@ -254,25 +270,23 @@ fn not_accessible(
 
 /// `[A] => [B]`: the user named by B owns the path named by A.
 ///
-/// Prefers the assembled `A.owner` augmented attribute (always present in
-/// training rows); falls back to live VFS metadata when the row lacks it.
-fn owns(a: &AttrName, va: &ConfigValue, vb: &ConfigValue, view: SystemView<'_>) -> Applicability {
-    let user = match vb.as_str() {
-        Some(u) => u,
-        None => return Applicability::NotApplicable,
+/// `owner` is the system's `A.owner` augmented cell (always present in
+/// training rows); when the system has one, it decides.  Otherwise the
+/// live VFS metadata does.
+fn owns(
+    va: &ConfigValue,
+    vb: &ConfigValue,
+    owner: Option<&str>,
+    image: Option<&SystemImage>,
+) -> Applicability {
+    let Some(user) = vb.as_str() else {
+        return Applicability::NotApplicable;
     };
-    if let Some(owner) = view.row.get(&a.augmented("owner")) {
-        if !owner.is_absent() {
-            return Applicability::from_bool(owner.render() == user);
-        }
+    if let Some(owner) = owner {
+        return Applicability::from_bool(owner == user);
     }
-    let image = match view.image {
-        Some(i) => i,
-        None => return Applicability::NotApplicable,
-    };
-    let path = match va.as_str() {
-        Some(p) => p,
-        None => return Applicability::NotApplicable,
+    let (Some(image), Some(path)) = (image, va.as_str()) else {
+        return Applicability::NotApplicable;
     };
     match image.vfs().metadata(path) {
         Some(meta) => Applicability::from_bool(meta.owner == user),
@@ -282,6 +296,8 @@ fn owns(a: &AttrName, va: &ConfigValue, vb: &ConfigValue, view: SystemView<'_>) 
 
 /// Row-independent evaluation strategy of one `(a, relation, b)` pair over
 /// the columnar store — resolved once per pair instead of once per row.
+/// Only the relations whose inputs are laid out differently in columns get
+/// their own strategy; every other relation is decided by [`decide`].
 enum PairKind<'c> {
     /// `Equal`: compare interned render classes (≡ comparing rendered
     /// strings).
@@ -293,25 +309,10 @@ enum PairKind<'c> {
         /// suffix, in ascending attribute order.
         family: Vec<&'c Column>,
     },
-    /// `ExtBoolImplies`.
-    BoolImplies,
-    /// `SubnetOf`.
-    SubnetOf,
-    /// `ConcatPath` (environment-backed).
-    ConcatPath,
-    /// `SubstringOf`.
-    SubstringOf,
-    /// `InGroup` (environment-backed).
-    InGroup,
-    /// `NotAccessible` (environment-backed).
-    NotAccessible,
     /// `Owns`: the `a.owner` augmented column, if the dataset has one.
     Owns { owner: Option<&'c Column> },
-    /// `LessNum`/`LessSize`.
-    LessNumeric,
-    /// A relation without a columnar strategy — never applicable, matching
-    /// [`evaluate`]'s catch-all.
-    Unsupported,
+    /// Any other relation, decided from the two interned values.
+    Values(Relation),
 }
 
 /// Columnar validator for one attribute pair: scans the two value-id
@@ -319,7 +320,8 @@ enum PairKind<'c> {
 /// row-independent work (render classes, the `=~` family, the `.owner`
 /// column) hoisted out of the row loop.  For every row it reproduces
 /// [`evaluate`] exactly — same helpers, same gating, same tri-state — so
-/// the tallies are bit-identical to the row-major path.
+/// the tallies are bit-identical to the row-major path
+/// (`columnar_tally_matches_the_row_verdict` pins this per relation).
 pub(crate) struct PairEvaluator<'c> {
     store: &'c ColumnStore,
     col_a: &'c Column,
@@ -351,21 +353,12 @@ impl<'c> PairEvaluator<'c> {
                     .collect();
                 PairKind::MemberEq { family }
             }
-            Relation::ExtBoolImplies => PairKind::BoolImplies,
-            Relation::SubnetOf => PairKind::SubnetOf,
-            Relation::ConcatPath => PairKind::ConcatPath,
-            Relation::SubstringOf => PairKind::SubstringOf,
-            Relation::InGroup => PairKind::InGroup,
-            Relation::NotAccessible => PairKind::NotAccessible,
             Relation::Owns => PairKind::Owns {
                 owner: cache
                     .attr_index(&attrs[a_index].augmented("owner"))
                     .map(|j| store.column(j)),
             },
-            #[allow(unreachable_patterns)]
-            Relation::LessNum | Relation::LessSize => PairKind::LessNumeric,
-            #[allow(unreachable_patterns)]
-            _ => PairKind::Unsupported,
+            other => PairKind::Values(other),
         };
         PairEvaluator {
             store,
@@ -427,67 +420,25 @@ impl<'c> PairEvaluator<'c> {
                     Applicability::NotApplicable
                 }
             }
-            PairKind::BoolImplies => {
-                match (
-                    interner.value(va_id).as_bool(),
-                    interner.value(vb_id).as_bool(),
-                ) {
-                    (Some(false), _) => Applicability::NotApplicable,
-                    (Some(true), Some(y)) => Applicability::from_bool(y),
-                    _ => Applicability::NotApplicable,
-                }
-            }
-            PairKind::SubnetOf => subnet_of(interner.value(va_id), interner.value(vb_id)),
-            PairKind::ConcatPath => {
-                concat_path(interner.value(va_id), interner.value(vb_id), Some(image))
-            }
-            PairKind::SubstringOf => {
-                match (
-                    interner.value(va_id).as_str(),
-                    interner.value(vb_id).as_str(),
-                ) {
-                    (Some(x), Some(y)) => Applicability::from_bool(!x.is_empty() && y.contains(x)),
-                    _ => Applicability::NotApplicable,
-                }
-            }
-            PairKind::InGroup => {
-                in_group(interner.value(va_id), interner.value(vb_id), Some(image))
-            }
-            PairKind::NotAccessible => {
-                not_accessible(interner.value(va_id), interner.value(vb_id), Some(image))
-            }
             PairKind::Owns { owner } => {
-                let user = match interner.value(vb_id).as_str() {
-                    Some(u) => u,
-                    None => return Applicability::NotApplicable,
-                };
-                // Prefer the assembled `.owner` column; a present cell
-                // decides, an absent one falls through to the VFS — exactly
-                // the row path's `get().filter(!absent)` behavior.
-                if let Some(column) = owner {
-                    if let Some(owner_id) = column.value_id(i) {
-                        return Applicability::from_bool(interner.render_of(owner_id) == user);
-                    }
-                }
-                let path = match interner.value(va_id).as_str() {
-                    Some(p) => p,
-                    None => return Applicability::NotApplicable,
-                };
-                match image.vfs().metadata(path) {
-                    Some(meta) => Applicability::from_bool(meta.owner == user),
-                    None => Applicability::NotApplicable,
-                }
+                // A present `.owner` cell decides, an absent one falls
+                // through to the VFS, as in the row path.
+                let owner = owner
+                    .and_then(|column| column.value_id(i))
+                    .map(|id| interner.render_of(id));
+                owns(
+                    interner.value(va_id),
+                    interner.value(vb_id),
+                    owner,
+                    Some(image),
+                )
             }
-            PairKind::LessNumeric => {
-                match (
-                    interner.value(va_id).as_number(),
-                    interner.value(vb_id).as_number(),
-                ) {
-                    (Some(x), Some(y)) => Applicability::from_bool(x < y),
-                    _ => Applicability::NotApplicable,
-                }
-            }
-            PairKind::Unsupported => Applicability::NotApplicable,
+            PairKind::Values(relation) => decide(
+                *relation,
+                interner.value(va_id),
+                interner.value(vb_id),
+                Some(image),
+            ),
         }
     }
 }
@@ -495,6 +446,7 @@ impl<'c> PairEvaluator<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::TypeMap;
     use encore_model::SizeUnit;
 
     fn image() -> SystemImage {
@@ -856,6 +808,40 @@ mod tests {
                     outcome,
                     Applicability::NotApplicable,
                     "{relation:?} declared row-level but abstained on present values"
+                );
+            }
+        }
+    }
+
+    /// Detection evaluates rules row by row ([`evaluate`]); inference
+    /// tallies them over columns ([`PairEvaluator`]).  Both must give every
+    /// relation the same verdict, with and without an `alpha.owner` cell
+    /// (which decides `Owns` in place of the VFS).
+    #[test]
+    fn columnar_tally_matches_the_row_verdict() {
+        let img = image();
+        let (a, b) = (AttrName::entry("alpha"), AttrName::entry("beta"));
+        for relation in Relation::ALL {
+            for owner in [None, Some("mysql"), Some("root")] {
+                let (va, vb) = sample_values(relation);
+                let mut r = Row::new("pin");
+                r.set(a.clone(), va);
+                r.set(b.clone(), vb);
+                if let Some(owner) = owner {
+                    r.set(a.augmented("owner"), ConfigValue::str(owner));
+                }
+                let expected = match evaluate(relation, &a, &b, SystemView::new(&r, &img)) {
+                    Applicability::Holds => (1, 1),
+                    Applicability::Violated => (0, 1),
+                    Applicability::NotApplicable => (0, 0),
+                };
+                let cache = StatsCache::from_rows(&[&r], &TypeMap::new());
+                let (ai, bi) = (cache.attr_index(&a).unwrap(), cache.attr_index(&b).unwrap());
+                let systems = [(r.clone(), img.clone())];
+                assert_eq!(
+                    PairEvaluator::new(relation, &cache, ai, bi).tally(&systems),
+                    expected,
+                    "{relation:?} with owner cell {owner:?}"
                 );
             }
         }

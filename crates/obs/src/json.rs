@@ -104,6 +104,14 @@ impl Json {
     }
 }
 
+/// `s` as a JSON string literal, quotes included — the one escaper every
+/// hand-templated JSON renderer in the workspace shares with [`Json`].
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    render_string(s, &mut out);
+    out
+}
+
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -137,14 +145,19 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts.  A pipeline
+/// report nests six levels; the bound keeps hostile input from recursing
+/// the parser off the end of its stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Json`] value.  Rejects trailing input, floats,
-/// and negative numbers (no report quantity is either).
+/// negative numbers (no report quantity is either), and arrays or objects
+/// nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(err(pos, "trailing input after value"));
     }
     Ok(value)
@@ -172,19 +185,26 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value at `depth` enclosing arrays and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            &format!("arrays and objects nest more than {MAX_DEPTH} deep"),
+        )),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b'0'..=b'9') => parse_number(bytes, pos),
         Some(_) => parse_keyword(bytes, pos),
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -194,10 +214,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -211,7 +231,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -220,7 +241,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -233,17 +254,28 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash straight from the
+        // text.  A run starts after one of those ASCII bytes (or an ASCII
+        // escape) and stops at one, so both ends are character boundaries.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -269,14 +301,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one whole UTF-8 scalar from the source text.
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -360,6 +384,46 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("18446744073709551616").is_err()); // u64::MAX + 1
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let err = parse(&nested("[", "]", depth)).expect_err("too deep");
+            assert_eq!(err.at, MAX_DEPTH, "{err}");
+            assert!(err.message.contains("nest"), "{err}");
+            assert!(parse(&nested("{\"a\":", "}", depth)).is_err());
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of string data over 256 strings of 4 KiB, mixing ASCII,
+        // multi-byte characters and escapes.  A parser that rescans the
+        // rest of the input per character takes tens of seconds here.
+        let chunk = format!(r#"abcdefghijklmn\"{}\u00e9\\\nwxyz"#, '\u{e9}').repeat(128);
+        let expected = "abcdefghijklmn\"\u{e9}\u{e9}\\\nwxyz".repeat(128);
+        assert_eq!(chunk.len(), 4096);
+        let text = format!("[{}]", vec![format!("\"{chunk}\""); 256].join(","));
+        // Parse on a worker so a slow parser fails the test at the bound
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(parse(&text));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("1 MiB of strings parses within 5 s");
+        worker.join().expect("the parser thread finishes");
+        let parsed = parsed.expect("parses");
+        let items = parsed.as_arr().expect("array");
+        assert_eq!(items.len(), 256);
+        assert!(items.iter().all(|s| s.as_str() == Some(expected.as_str())));
     }
 
     #[test]

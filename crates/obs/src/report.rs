@@ -213,10 +213,7 @@ impl PhaseReport {
                     n.clone(),
                     HistogramSnapshot {
                         counts,
-                        // `sum` arrived with the exposition work; reports
-                        // written before it (committed perf baselines)
-                        // parse as sum 0 rather than erroring.
-                        sum: v.get("sum").and_then(Json::as_u64).unwrap_or(0),
+                        sum: field("sum")?,
                         p50: field("p50")?,
                         p95: field("p95")?,
                         p99: field("p99")?,
@@ -524,14 +521,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_reports_without_histogram_sum() {
-        // Reports committed before `sum` existed (perf baselines) must
-        // still parse; the missing field reads as 0.
-        let legacy = "{\"phases\":[{\"name\":\"x\",\"counters\":{},\"gauges\":{},\"timers\":{},\
+    fn parse_rejects_histograms_without_sum() {
+        let no_sum = "{\"phases\":[{\"name\":\"x\",\"counters\":{},\"gauges\":{},\"timers\":{},\
             \"histograms\":{\"x.h\":{\"counts\":[1,2],\"p50\":1,\"p95\":1,\"p99\":1}}}]}";
-        let report = PipelineReport::parse_json(legacy).expect("legacy report parses");
-        assert_eq!(report.phases[0].histograms[0].1.sum, 0);
-        assert_eq!(report.phases[0].histograms[0].1.counts, vec![1, 2]);
+        let err = PipelineReport::parse_json(no_sum).expect_err("`sum` is required");
+        assert_eq!(err.message, "histogram `x.h` is missing `sum`");
     }
 
     #[test]

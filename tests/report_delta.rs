@@ -1,12 +1,12 @@
 //! Report deltas and the service's watched-directory source, end to end:
 //! a report diffed against itself is empty, a perturbed counter trips the
-//! default policy with a violation naming the metric and its gate,
+//! fixed work-count gate with a violation naming the metric and its gate,
 //! counter/histogram sections never differ across worker counts, and
 //! [`Poller`] ticks re-check only added/changed targets (all of them after
 //! a hot reload) while each heartbeat line carries exactly one tick.
 
 use encore::obs;
-use encore::obs::{DeltaPolicy, PipelineReport, ReportDelta};
+use encore::obs::{PipelineReport, ReportDelta};
 use encore::prelude::*;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::AppKind;
@@ -69,7 +69,7 @@ fn self_diff_is_empty_and_passes_the_default_policy() {
     let delta = ReportDelta::diff(&report, &report);
     assert!(delta.is_empty(), "self-diff: {}", delta.render_text());
     assert_eq!(delta.render_text(), "== report delta: no differences ==\n");
-    assert!(DeltaPolicy::default().violations(&delta).is_empty());
+    assert!(delta.violations().is_empty());
 }
 
 #[test]
@@ -92,9 +92,9 @@ fn perturbed_counter_violation_names_the_metric_and_gate() {
     assert_eq!(delta.counters[0].name, name);
     assert_eq!(delta.counters[0].current, Some(value));
 
-    let violations = DeltaPolicy::default().violations(&delta);
+    let violations = delta.violations();
     assert_eq!(violations.len(), 1, "exact gate trips on the counter");
-    let rendered = violations[0].to_string();
+    let rendered = &violations[0];
     assert!(rendered.contains(&name), "{rendered}");
     assert!(rendered.contains("exact"), "{rendered}");
 }
@@ -116,9 +116,9 @@ fn worker_count_never_changes_counters_or_histograms() {
             "workers={workers}: histogram deltas\n{}",
             delta.render_text()
         );
-        // Gauges and timers (worker load, wall time) may differ; the
-        // default policy treats them as informational.
-        assert!(DeltaPolicy::default().violations(&delta).is_empty());
+        // Gauges and timers (worker load, wall time) may differ; they
+        // never fail the gate.
+        assert!(delta.violations().is_empty());
     }
 }
 

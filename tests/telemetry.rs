@@ -224,8 +224,8 @@ fn concurrent_scraping_never_changes_the_jsonl_reports() {
     assert_eq!(scraped.len(), 3);
     for (tick, (p, s)) in plain.iter().zip(&scraped).enumerate() {
         // Counters and histograms are deterministic per tick (timers and
-        // wall-clock gauges are not; the delta policy treats those as
-        // informational for the same reason).
+        // wall-clock gauges are not, which is why `ReportDelta::violations`
+        // never fails on them).
         assert_eq!(
             p.counters(),
             s.counters(),
