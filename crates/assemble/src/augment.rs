@@ -33,18 +33,22 @@ pub const IP_SUFFIXES: [&str; 3] = ["Local", "IPv6", "AnyAddr"];
 /// Suffixes attached to a `UserName` entry.
 pub const USER_SUFFIXES: [&str; 3] = ["isRootGroup", "isAdmin", "isGroup"];
 
-/// Whether an IPv4 address is in the RFC 1918 private ranges (or an RFC 4193
-/// unique-local IPv6 address) — the `*.Local` augmented attribute.
+/// Whether an IPv4 address is in the RFC 1918 private ranges or loopback,
+/// or an IPv6 address is an RFC 4193 unique-local one (fc00::/7: a first
+/// group of four hex digits starting `fc` or `fd`, in either case) — the
+/// `*.Local` augmented attribute.
 fn is_local_address(text: &str, v6: bool) -> bool {
     if v6 {
-        return text.starts_with("fc") || text.starts_with("fd");
+        let first = text.split(':').next().unwrap_or_default();
+        return first.len() == 4
+            && first.bytes().all(|b| b.is_ascii_hexdigit())
+            && (first[..2].eq_ignore_ascii_case("fc") || first[..2].eq_ignore_ascii_case("fd"));
     }
-    let octets: Vec<u32> = text.split('.').filter_map(|o| o.parse().ok()).collect();
-    match octets.as_slice() {
-        [10, ..] => true,
-        [172, b, ..] => (16..=31).contains(b),
-        [192, 168, ..] => true,
-        [127, ..] => true,
+    let mut octets = text.split('.').filter_map(|o| o.parse::<u32>().ok());
+    match (octets.next(), octets.next()) {
+        (Some(10 | 127), _) => true,
+        (Some(172), Some(b)) => (16..=31).contains(&b),
+        (Some(192), Some(168)) => true,
         _ => false,
     }
 }
@@ -80,10 +84,9 @@ fn augment_file_path(row: &mut Row, attr: &AttrName, path: &str, image: &SystemI
                 attr.augmented("permission"),
                 ConfigValue::str(format!("{:o}", meta.mode)),
             );
-            let children = vfs.children(path);
             row.set(
                 attr.augmented("contents"),
-                ConfigValue::str(format!("{} entries", children.len())),
+                ConfigValue::str(format!("{} entries", vfs.children(path).len())),
             );
             row.set(
                 attr.augmented("hasDir"),
@@ -107,13 +110,13 @@ fn augment_file_path(row: &mut Row, attr: &AttrName, path: &str, image: &SystemI
 }
 
 fn augment_ip(row: &mut Row, attr: &AttrName, raw: &str) {
-    let (text, v6) = match ConfigValue::parse_ip(raw) {
-        Ok(ConfigValue::Ip { text, v6 }) => (text, v6),
-        _ => return,
+    let text = raw.trim();
+    let Some(v6) = ConfigValue::classify_ip(text) else {
+        return;
     };
     row.set(
         attr.augmented("Local"),
-        ConfigValue::boolean(is_local_address(&text, v6)),
+        ConfigValue::boolean(is_local_address(text, v6)),
     );
     row.set(attr.augmented("IPv6"), ConfigValue::boolean(v6));
     row.set(
@@ -335,6 +338,36 @@ mod tests {
             Some(&ConfigValue::number(8.0))
         );
         assert!(row.has(&AttrName::system("MemSize")));
+    }
+
+    #[test]
+    fn ipv6_local_flag_reads_the_whole_first_group() {
+        // Unique-local is fc00::/7: the first group must be four hex
+        // digits starting `fc`/`fd`, in either case.  `fc::1` and `fd::`
+        // have first groups 00fc/00fd, outside the range.
+        let attr = AttrName::entry("bind-address");
+        let img = image();
+        for (address, local) in [
+            ("FD00::1", true),
+            ("fd00::1", true),
+            ("fcff:1::2", true),
+            ("fc::1", false),
+            ("fd::", false),
+            ("2001:db8::1", false),
+        ] {
+            let mut row = Row::new("t");
+            augment_entry(&mut row, &attr, address, SemType::IpAddress, &img);
+            assert_eq!(
+                row.get(&attr.augmented("Local")),
+                Some(&ConfigValue::boolean(local)),
+                "{address}"
+            );
+            assert_eq!(
+                row.get(&attr.augmented("IPv6")),
+                Some(&ConfigValue::boolean(true)),
+                "{address}"
+            );
+        }
     }
 
     #[test]

@@ -146,10 +146,13 @@ impl TypeInference {
 
     /// Infer the semantic type of a raw value within a system image.
     ///
-    /// Custom types are tried first (in registration order); then each
-    /// syntactic candidate is semantically verified, and the first survivor
-    /// wins.  Values failing every verification fall back to `Str` (or
-    /// `Number` when numeric) — the "trivial" types of §7.2.
+    /// Custom types are tried first (in registration order); then the
+    /// predefined types in [`SemType::PRIORITY`] order, each semantically
+    /// verified as soon as its syntactic pattern matches, and the first
+    /// survivor wins — the first [`syntactic::candidates`] entry that
+    /// verifies, without building the list.  Values failing every
+    /// verification fall back to `Str` (or `Number` when numeric) — the
+    /// "trivial" types of §7.2.
     pub fn infer(&self, value: &str, image: &SystemImage) -> SemType {
         let v = value.trim();
         for c in &self.custom {
@@ -158,8 +161,8 @@ impl TypeInference {
                 return c.maps_to;
             }
         }
-        for ty in syntactic::candidates(v) {
-            if self.verify(ty, v, image) {
+        for ty in SemType::PRIORITY {
+            if syntactic::matches(ty, v) && self.verify(ty, v, image) {
                 if needs_semantic_verification(ty) {
                     crate::obs::TYPES_SEMANTIC.incr();
                 } else {
@@ -198,10 +201,10 @@ impl TypeInference {
                     .file_list()
                     .any(|p| p.ends_with(value) || p.ends_with(value.trim_end_matches('/')))
             }
-            SemType::FileName => {
-                let suffix = format!("/{value}");
-                image.vfs().file_list().any(|p| p.ends_with(&suffix))
-            }
+            SemType::FileName => image.vfs().file_list().any(|p| {
+                p.strip_suffix(value)
+                    .is_some_and(|parent| parent.ends_with('/'))
+            }),
             // Account-backed types.
             SemType::UserName => image.accounts().user(value).is_some(),
             SemType::GroupName => image.accounts().group(value).is_some(),
@@ -216,7 +219,7 @@ impl TypeInference {
                 .map(|(major, _)| IANA_MIME_MAJOR.contains(&major))
                 .unwrap_or(false),
             SemType::Charset => IANA_CHARSETS.iter().any(|c| c.eq_ignore_ascii_case(value)),
-            SemType::Language => ISO_639_1.contains(&value.to_ascii_lowercase().as_str()),
+            SemType::Language => ISO_639_1.iter().any(|c| c.eq_ignore_ascii_case(value)),
             // Purely syntactic types need no external verification (N/A in
             // Table 4); future variants default to accepting.
             _ => true,

@@ -1,8 +1,9 @@
 //! Data assembler (§4): parsing, type inference, environment augmentation.
 //!
 //! The assembler takes raw system files (the target configuration files plus
-//! the system environment captured in a [`SystemImage`]) and produces the
-//! uniform, environment-enriched [`Dataset`] the rule learner consumes:
+//! the system environment captured in a [`SystemImage`]) and produces one
+//! uniform, environment-enriched [`Row`] per system, the table the rule
+//! learner consumes:
 //!
 //! 1. **Parsing** (§4.1) — delegated to `encore-parser` lenses,
 //! 2. **Type inference** (§4.2) — a two-step process: cheap *syntactic
@@ -43,14 +44,13 @@
 #![warn(missing_docs)]
 
 pub mod augment;
-pub mod csv;
 pub mod infer;
 pub mod obs;
 pub mod syntactic;
 
 pub use infer::{CustomType, TypeInference};
 
-use encore_model::{AppKind, AttrName, Dataset, Row, SemType};
+use encore_model::{AppKind, AttrName, Row, SemType};
 use encore_parser::{KeyValue, LensRegistry, ParseError};
 use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
@@ -102,7 +102,9 @@ impl From<ParseError> for AssembleError {
 pub struct AssembledSystem {
     /// The environment-enriched attribute row.
     pub row: Row,
-    /// Inferred semantic type of each *original* entry.
+    /// Inferred semantic type of each *original* entry: the keys are
+    /// exactly the row's original-entry attributes, so `types.values()`
+    /// runs in the row's original-entry order.
     pub types: BTreeMap<AttrName, SemType>,
 }
 
@@ -228,17 +230,6 @@ impl Assembler {
         obs::ROWS_ASSEMBLED.incr();
         AssembledSystem { row, types }
     }
-
-    /// Assemble a whole training set: one row per image.
-    ///
-    /// Images whose configuration is missing or unparseable are skipped —
-    /// the collector tolerates partial training data, as a crawler must.
-    pub fn assemble_training_set(&self, app: AppKind, images: &[SystemImage]) -> Dataset {
-        images
-            .iter()
-            .filter_map(|img| self.assemble_image(app, img).ok())
-            .collect()
-    }
 }
 
 /// Pivot assembled rows, borrowed, into their columnar, interned view — the
@@ -323,13 +314,5 @@ mod tests {
             Err(AssembleError::MissingConfig { app, .. }) => assert_eq!(app, AppKind::Php),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn training_set_skips_broken_images() {
-        let good = mysql_image();
-        let broken = SystemImage::builder("broken").build();
-        let ds = Assembler::new().assemble_training_set(AppKind::Mysql, &[good, broken]);
-        assert_eq!(ds.num_rows(), 1);
     }
 }

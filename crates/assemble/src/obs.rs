@@ -6,9 +6,13 @@
 //! since both crates feed the one `assemble` report section.
 //!
 //! All counters here are pure work counts — assembly is single-threaded
-//! per system, so the totals are deterministic for a given corpus.
+//! per system, so the totals are deterministic for a given corpus.  A
+//! training set assembles its images on the worker pool (`encore::pool`),
+//! which reports into the `assemble.pool.*` set below; like the `infer`
+//! and `detect` pool sets, only `units_run` counts work, the rest is
+//! scheduling-dependent.
 
-use encore_obs::{Counter, Metric, Phase, Timer};
+use encore_obs::{Counter, Gauge, Metric, Phase, Timer};
 use encore_parser::obs::{PARSE_CALLS, PARSE_ENTRIES, PARSE_ERRORS, PARSE_TIME};
 
 /// Systems assembled into dataset rows.
@@ -30,14 +34,28 @@ pub static AUGMENTED_ATTRS: Counter = Counter::new("assemble.augment.attrs");
 pub static COLUMNS_BUILT: Counter = Counter::new("assemble.columns.built");
 /// Distinct values interned while building the columnar store.
 pub static VALUES_INTERNED: Counter = Counter::new("assemble.values.interned");
-/// Wall time assembling rows (parsing excluded — see
-/// `assemble.parse.time`).
+/// Time assembling rows (parsing excluded — see `assemble.parse.time`),
+/// summed over every thread that assembles: on the worker pool it exceeds
+/// the wall time.
 pub static ASSEMBLE_TIME: Timer = Timer::new("assemble.rows.time");
 /// Wall time pivoting the dataset into the columnar store.
 pub static COLUMNS_TIME: Timer = Timer::new("assemble.columns.time");
 
+/// Training images handed to the assembly pool.
+pub static POOL_UNITS_RUN: Counter = Counter::new("assemble.pool.units_run");
+/// Worker threads of the last training-set assembly (gauge).
+pub static POOL_WORKERS: Gauge = Gauge::new("assemble.pool.workers");
+/// Images assembled by the busiest worker of the last run.
+pub static POOL_BUSIEST_WORKER_UNITS: Gauge = Gauge::new("assemble.pool.busiest_worker_units");
+/// Images assembled by the idlest worker of the last run.
+pub static POOL_IDLEST_WORKER_UNITS: Gauge = Gauge::new("assemble.pool.idlest_worker_units");
+/// Images that landed on workers other than worker 0 in the last run.
+pub static POOL_STOLEN_UNITS: Gauge = Gauge::new("assemble.pool.stolen_units");
+/// Per-worker busy time inside training-set assembly.
+pub static POOL_WORKER_BUSY: Timer = Timer::new("assemble.pool.worker_busy");
+
 /// The assembly phase: the parser's instruments first, then the
-/// assembler's, in report order.
+/// assembler's, then the assembly pool's, in report order.
 pub static ASSEMBLE: Phase = Phase {
     name: "assemble",
     metrics: &[
@@ -56,5 +74,11 @@ pub static ASSEMBLE: Phase = Phase {
         Metric::Counter(&VALUES_INTERNED),
         Metric::Timer(&ASSEMBLE_TIME),
         Metric::Timer(&COLUMNS_TIME),
+        Metric::Counter(&POOL_UNITS_RUN),
+        Metric::Gauge(&POOL_WORKERS),
+        Metric::Gauge(&POOL_BUSIEST_WORKER_UNITS),
+        Metric::Gauge(&POOL_IDLEST_WORKER_UNITS),
+        Metric::Gauge(&POOL_STOLEN_UNITS),
+        Metric::Timer(&POOL_WORKER_BUSY),
     ],
 };

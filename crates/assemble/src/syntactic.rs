@@ -58,7 +58,7 @@ pub fn is_account_name(s: &str) -> bool {
 
 /// Does `s` look like an IPv4 or IPv6 address?
 pub fn is_ip_address(s: &str) -> bool {
-    ConfigValue::parse_ip(s).is_ok()
+    ConfigValue::classify_ip(s).is_some()
 }
 
 /// Does `s` look like a port number? (digits in `1..=65535`)
@@ -133,15 +133,43 @@ pub fn is_size(s: &str) -> bool {
 
 /// Does `s` belong to the boolean value set?
 pub fn is_boolean(s: &str) -> bool {
-    matches!(
-        s.to_ascii_lowercase().as_str(),
-        "on" | "off" | "yes" | "no" | "true" | "false"
-    )
+    ["on", "off", "yes", "no", "true", "false"]
+        .iter()
+        .any(|b| s.eq_ignore_ascii_case(b))
 }
 
 /// Does `s` look like octal permission bits? (3–4 octal digits)
 pub fn is_permission(s: &str) -> bool {
     (s.len() == 3 || s.len() == 4) && s.chars().all(|c| ('0'..='7').contains(&c))
+}
+
+/// Does `v` (already trimmed) match the syntactic pattern of `ty`?
+///
+/// This is the pattern table of Table 4, one arm per type.
+pub(crate) fn matches(ty: SemType, v: &str) -> bool {
+    match ty {
+        SemType::Url => is_url(v),
+        SemType::IpAddress => is_ip_address(v),
+        SemType::Size => is_size(v),
+        SemType::Boolean => is_boolean(v),
+        SemType::FilePath => is_file_path(v),
+        SemType::PartialFilePath => is_partial_file_path(v),
+        SemType::MimeType => is_mime_type(v),
+        // Permission (like Enum) is only assigned to augmented
+        // attributes (Table 5a), never inferred from raw entry values —
+        // otherwise any 3-4 digit number would classify as Permission.
+        SemType::Permission => false,
+        SemType::PortNumber => is_port_number(v),
+        SemType::Number => is_number(v),
+        SemType::FileName => is_file_name(v),
+        SemType::UserName => is_account_name(v),
+        SemType::GroupName => is_account_name(v),
+        SemType::Charset => is_charset(v),
+        SemType::Language => is_language(v),
+        SemType::Enum => false, // only assigned to augmented attributes
+        SemType::Str => true,   // universal fall-back
+        _ => false,             // future variants: no syntactic pattern
+    }
 }
 
 /// Syntactic candidate types for a value, in [`SemType::PRIORITY`] order.
@@ -150,36 +178,10 @@ pub fn is_permission(s: &str) -> bool {
 /// The semantic verifier picks the first candidate that survives.
 pub fn candidates(value: &str) -> Vec<SemType> {
     let v = value.trim();
-    let mut out = Vec::new();
-    for ty in SemType::PRIORITY {
-        let hit = match ty {
-            SemType::Url => is_url(v),
-            SemType::IpAddress => is_ip_address(v),
-            SemType::Size => is_size(v),
-            SemType::Boolean => is_boolean(v),
-            SemType::FilePath => is_file_path(v),
-            SemType::PartialFilePath => is_partial_file_path(v),
-            SemType::MimeType => is_mime_type(v),
-            // Permission (like Enum) is only assigned to augmented
-            // attributes (Table 5a), never inferred from raw entry values —
-            // otherwise any 3-4 digit number would classify as Permission.
-            SemType::Permission => false,
-            SemType::PortNumber => is_port_number(v),
-            SemType::Number => is_number(v),
-            SemType::FileName => is_file_name(v),
-            SemType::UserName => is_account_name(v),
-            SemType::GroupName => is_account_name(v),
-            SemType::Charset => is_charset(v),
-            SemType::Language => is_language(v),
-            SemType::Enum => false, // only assigned to augmented attributes
-            SemType::Str => true,   // universal fall-back
-            _ => false,             // future variants: no syntactic pattern
-        };
-        if hit {
-            out.push(ty);
-        }
-    }
-    out
+    SemType::PRIORITY
+        .into_iter()
+        .filter(|&ty| matches(ty, v))
+        .collect()
 }
 
 #[cfg(test)]

@@ -152,10 +152,13 @@ pub fn table_2(config: &ExperimentConfig) -> TableOutput {
     let mut binomials = Vec::new();
     for app in AppKind::EVALUATED {
         let pop = training_population(app, config);
-        let plain = Assembler::new()
-            .without_augmentation()
-            .assemble_training_set(app, pop.images());
-        let augmented = Assembler::new().assemble_training_set(app, pop.images());
+        let plain =
+            TrainingSet::assemble_with(&Assembler::new().without_augmentation(), app, pop.images())
+                .expect("training")
+                .dataset();
+        let augmented = TrainingSet::assemble(app, pop.images())
+            .expect("training")
+            .dataset();
         let binomial = discretize(&augmented);
         originals.push(plain.num_attributes());
         augmenteds.push(augmented.num_attributes());
@@ -239,7 +242,9 @@ pub fn table_3(config: &ExperimentConfig) -> TableOutput {
         .iter()
         .map(|&app| {
             let pop = training_population(app, config);
-            let ds = Assembler::new().assemble_training_set(app, pop.images());
+            let ds = TrainingSet::assemble(app, pop.images())
+                .expect("training")
+                .dataset();
             let n = ds.num_rows();
             (discretize(&ds), n)
         })

@@ -26,8 +26,7 @@
 //! ```
 
 use crate::train::TrainingSet;
-use crate::types::TypeMap;
-use encore_assemble::{AssembleError, Assembler};
+use encore_assemble::{AssembleError, AssembledSystem, Assembler};
 use encore_model::{AppKind, AttrName, Augmentation, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
@@ -40,7 +39,7 @@ pub fn prefixed(app: AppKind, attr: &AttrName) -> AttrName {
         Augmentation::SystemWide => attr.clone(),
         Augmentation::Original => AttrName::entry(format!("{}:{}", app.name(), attr.base())),
         Augmentation::EnvProperty => AttrName::entry(format!("{}:{}", app.name(), attr.base()))
-            .augmented(attr.suffix().unwrap_or_default()),
+            .augmented(attr.suffix().unwrap_or_default().to_string()),
     }
 }
 
@@ -90,8 +89,8 @@ impl CrossAssembler {
         Ok((merged, types))
     }
 
-    /// Assemble a cross-component training set.  Images missing any
-    /// component are skipped.
+    /// Assemble a cross-component training set on the worker pool.
+    /// Images missing any component are skipped.
     ///
     /// # Errors
     ///
@@ -100,35 +99,11 @@ impl CrossAssembler {
         &self,
         images: &[SystemImage],
     ) -> Result<TrainingSet, AssembleError> {
-        let mut systems = Vec::new();
-        let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
-        let mut first_err = None;
-        for image in images {
-            match self.assemble_image(image) {
-                Ok((row, types)) => {
-                    for (attr, ty) in types {
-                        votes.entry(attr).or_default().push(ty);
-                    }
-                    systems.push((row, image.clone()));
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if systems.is_empty() {
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
         let primary = self.apps.first().copied().unwrap_or(AppKind::Apache);
-        Ok(TrainingSet::from_parts(
-            primary,
-            systems,
-            TypeMap::merge_votes(&votes),
-        ))
+        crate::train::collect(primary, images, crate::pool::available_workers(), |image| {
+            self.assemble_image(image)
+                .map(|(row, types)| AssembledSystem { row, types })
+        })
     }
 }
 

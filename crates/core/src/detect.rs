@@ -407,11 +407,7 @@ impl FleetOptions {
     }
 
     fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        self.workers.unwrap_or_else(crate::pool::available_workers)
     }
 }
 

@@ -137,11 +137,7 @@ impl InferOptions {
     }
 
     fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        self.workers.unwrap_or_else(crate::pool::available_workers)
     }
 }
 

@@ -162,6 +162,17 @@ pub static DETECT_POOL_METRICS: crate::pool::PoolMetrics = crate::pool::PoolMetr
     worker_busy: &DETECT_POOL_WORKER_BUSY,
 };
 
+/// The pool instrument bundle for training-set assembly; the statics live
+/// in `encore_assemble::obs`, at the end of the `assemble` phase list.
+pub(crate) static ASSEMBLE_POOL_METRICS: crate::pool::PoolMetrics = crate::pool::PoolMetrics {
+    units_run: &encore_assemble::obs::POOL_UNITS_RUN,
+    workers: &encore_assemble::obs::POOL_WORKERS,
+    busiest_worker_units: &encore_assemble::obs::POOL_BUSIEST_WORKER_UNITS,
+    idlest_worker_units: &encore_assemble::obs::POOL_IDLEST_WORKER_UNITS,
+    stolen_units: &encore_assemble::obs::POOL_STOLEN_UNITS,
+    worker_busy: &encore_assemble::obs::POOL_WORKER_BUSY,
+};
+
 /// The `infer` phase.
 pub(crate) static INFER: Phase = Phase {
     name: "infer",

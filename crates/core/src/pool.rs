@@ -19,10 +19,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The instruments a pool run reports into.
 ///
-/// The pool is shared by the `infer` phase (template instantiation) and the
-/// `detect` phase (fleet checking); each caller hands the pool its own
-/// phase's statics so the two workloads stay separate in the
-/// [`crate::obs::pipeline_report`] roll-up.
+/// The pool is shared by the `assemble` phase (training-set assembly), the
+/// `infer` phase (template instantiation) and the `detect` phase (fleet
+/// checking); each caller hands the pool its own phase's statics so the
+/// three workloads stay separate in the [`crate::obs::pipeline_report`]
+/// roll-up.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolMetrics {
     /// Units handed to the pool (counter: scheduling-independent work).
@@ -64,6 +65,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The worker count a caller gets when it names none: the host's
+/// available parallelism, which follows the process's CPU affinity.
+pub(crate) fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Run `f` over every unit on up to `workers` threads, reporting into the

@@ -5,7 +5,7 @@
 //! path concatenation or accessibility checks).
 
 use crate::types::TypeMap;
-use encore_assemble::{AssembleError, Assembler};
+use encore_assemble::{AssembleError, AssembledSystem, Assembler};
 use encore_model::{AppKind, AttrName, Dataset, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
@@ -48,6 +48,10 @@ impl TrainingSet {
 
     /// Assemble with a caller-supplied (possibly customized) assembler.
     ///
+    /// The images are assembled on the worker pool, one thread per
+    /// available core, and merged in image order: the result is the same
+    /// for every worker count.
+    ///
     /// # Errors
     ///
     /// Returns the first assembly error only if *no* image assembles.
@@ -56,33 +60,8 @@ impl TrainingSet {
         app: AppKind,
         images: &[SystemImage],
     ) -> Result<TrainingSet, AssembleError> {
-        let mut systems = Vec::new();
-        let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
-        let mut first_err = None;
-        for img in images {
-            match assembler.assemble_system(app, img) {
-                Ok(assembled) => {
-                    for (attr, ty) in &assembled.types {
-                        votes.entry(attr.clone()).or_default().push(*ty);
-                    }
-                    systems.push((assembled.row, img.clone()));
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if systems.is_empty() {
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        Ok(TrainingSet {
-            systems,
-            types: TypeMap::merge_votes(&votes),
-            app,
+        collect(app, images, crate::pool::available_workers(), |image| {
+            assembler.assemble_system(app, image)
         })
     }
 
@@ -128,9 +107,90 @@ impl TrainingSet {
     }
 }
 
+/// Assemble `images` with `assemble` on `workers` pool threads, keep the
+/// images that assemble, in image order, and merge their entry types by
+/// majority vote — the one training-set path, shared with
+/// [`crate::cross::CrossAssembler::assemble_training_set`].
+///
+/// Each unit hands back its row plus the types of its original entries as
+/// a `Vec`, in the row's original-entry order (the keys of
+/// [`AssembledSystem::types`] are exactly those entries), so no per-image
+/// map lives until the merge, and a vote clones a name only for a key it
+/// has not seen.
+///
+/// # Errors
+///
+/// The lowest-index image's error, only when no image assembles.
+///
+/// # Panics
+///
+/// Panics when assembling an image panics, as a sequential loop would.
+pub(crate) fn collect<F>(
+    app: AppKind,
+    images: &[SystemImage],
+    workers: usize,
+    assemble: F,
+) -> Result<TrainingSet, AssembleError>
+where
+    F: Fn(&SystemImage) -> Result<AssembledSystem, AssembleError> + Sync,
+{
+    let assembled = crate::pool::run_units_observed(
+        images,
+        workers,
+        &crate::obs::ASSEMBLE_POOL_METRICS,
+        |image| {
+            assemble(image).map(|AssembledSystem { row, types }| {
+                let types: Vec<SemType> = types.into_values().collect();
+                debug_assert_eq!(types.len(), original_entries(&row).count());
+                (row, types)
+            })
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    let mut systems = Vec::new();
+    let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
+    let mut first_err = None;
+    for (image, result) in images.iter().zip(assembled) {
+        match result {
+            Ok((row, types)) => {
+                for (attr, ty) in original_entries(&row).zip(types) {
+                    match votes.get_mut(attr) {
+                        Some(tys) => tys.push(ty),
+                        None => {
+                            votes.insert(attr.clone(), vec![ty]);
+                        }
+                    }
+                }
+                systems.push((row, image.clone()));
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    if systems.is_empty() {
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+    }
+    Ok(TrainingSet {
+        systems,
+        types: TypeMap::merge_votes(&votes),
+        app,
+    })
+}
+
+/// The original-entry attributes of a row, in row order.
+fn original_entries(row: &Row) -> impl Iterator<Item = &AttrName> {
+    row.iter()
+        .map(|(attr, _)| attr)
+        .filter(|attr| attr.is_original())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn img(id: &str) -> SystemImage {
         SystemImage::builder(id)
@@ -169,6 +229,124 @@ mod tests {
     fn all_broken_is_error() {
         let images = vec![SystemImage::builder("b1").build()];
         assert!(TrainingSet::assemble(AppKind::Mysql, &images).is_err());
+    }
+
+    /// `image` with its `app` configuration replaced by `text`.
+    fn with_config(image: &SystemImage, app: AppKind, id: &str, text: &str) -> SystemImage {
+        let mut vfs = image.vfs().clone();
+        vfs.add_file(app.config_path(), "root", "root", 0o644, text);
+        SystemImage::builder(id).build().with_vfs(vfs)
+    }
+
+    /// A generated set with a missing-config image and an unparseable
+    /// image inserted among the good ones.
+    fn broken_set(app: AppKind, n: usize, unparseable: &str) -> Vec<SystemImage> {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        let mut images = Population::training(app, &PopulationOptions::new(n, 5))
+            .images()
+            .to_vec();
+        let donor = images[0].clone();
+        let mut missing = donor.vfs().clone();
+        missing.remove(app.config_path());
+        images.insert(
+            n / 3,
+            SystemImage::builder("missing").build().with_vfs(missing),
+        );
+        let bad = with_config(&donor, app, "unparseable", unparseable);
+        assert!(matches!(
+            Assembler::new().assemble_system(app, &bad),
+            Err(AssembleError::Parse(_))
+        ));
+        images.insert(2 * n / 3, bad);
+        images
+    }
+
+    #[test]
+    fn collect_is_identical_for_every_worker_count() {
+        let assembler = Assembler::new();
+        for (app, n, unparseable) in [
+            (AppKind::Mysql, 60, "[mysqld\nport = 3306\n"),
+            (AppKind::Apache, 40, "</Directory>\n"),
+        ] {
+            let images = broken_set(app, n, unparseable);
+            // The sequential loop `collect` replaced: every image that
+            // assembles, in image order.
+            let reference: Vec<Row> = images
+                .iter()
+                .filter_map(|img| assembler.assemble_image(app, img).ok())
+                .collect();
+            assert_eq!(reference.len(), n, "{app}: two broken images skipped");
+            let one = collect(app, &images, 1, |img| assembler.assemble_system(app, img)).unwrap();
+            assert_eq!(one.rows(), reference.iter().collect::<Vec<_>>(), "{app}");
+            for workers in [2, 3, 8] {
+                let many = collect(app, &images, workers, |img| {
+                    assembler.assemble_system(app, img)
+                })
+                .unwrap();
+                assert_eq!(many.rows(), one.rows(), "{app}, {workers} workers");
+                assert_eq!(many.types(), one.types(), "{app}, {workers} workers");
+                let ids = |ts: &TrainingSet| -> Vec<String> {
+                    ts.systems()
+                        .iter()
+                        .map(|(_, img)| img.id().to_string())
+                        .collect()
+                };
+                assert_eq!(ids(&many), ids(&one), "{app}, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn all_broken_returns_the_lowest_index_error() {
+        let donor = img("donor");
+        let images = [
+            SystemImage::builder("no-config").build(),
+            with_config(&donor, AppKind::Mysql, "bad-1", "[mysqld\n"),
+            with_config(&donor, AppKind::Mysql, "bad-3", "[mysqld]\nport = 1\n[x\n"),
+        ];
+        let assembler = Assembler::new();
+        let errors: BTreeSet<String> = images
+            .iter()
+            .map(|img| {
+                let err = assembler.assemble_system(AppKind::Mysql, img).unwrap_err();
+                err.to_string()
+            })
+            .collect();
+        assert_eq!(
+            errors.len(),
+            3,
+            "the three errors are told apart: {errors:?}"
+        );
+        for start in 0..images.len() {
+            let rotated: Vec<SystemImage> = images[start..]
+                .iter()
+                .chain(&images[..start])
+                .cloned()
+                .collect();
+            let first = assembler
+                .assemble_system(AppKind::Mysql, &rotated[0])
+                .unwrap_err()
+                .to_string();
+            for workers in [1, 2, 3, 8] {
+                let err = collect(AppKind::Mysql, &rotated, workers, |img| {
+                    assembler.assemble_system(AppKind::Mysql, img)
+                })
+                .unwrap_err();
+                assert_eq!(err.to_string(), first, "start {start}, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "assembly blew up")]
+    fn a_panicking_image_panics_the_caller() {
+        let images: Vec<_> = (0..4).map(|i| img(&format!("i{i}"))).collect();
+        let _ = collect(AppKind::Mysql, &images, 2, |image| {
+            if image.id() == "i2" {
+                panic!("assembly blew up");
+            }
+            Assembler::new().assemble_system(AppKind::Mysql, image)
+        });
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! `Sys.HostName` (Table 5b).
 
 use crate::error::ModelError;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// How an attribute was derived from the raw data.
 #[derive(
@@ -25,12 +29,17 @@ pub enum Augmentation {
 }
 
 /// Fully-qualified attribute name.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+///
+/// The base name is shared: [`AttrName::augmented`] and `clone()` bump a
+/// reference count instead of copying it, and the Table 5a suffixes are
+/// `'static` literals, so the ~80 augmented cells of an assembled row
+/// allocate no names.  Equality, ordering and hashing compare base,
+/// suffix and augmentation in that order, as `str`s, exactly as the derived
+/// impls over owned `String`s did.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AttrName {
-    base: String,
-    suffix: Option<String>,
+    base: Arc<str>,
+    suffix: Option<Cow<'static, str>>,
     augmentation: Augmentation,
 }
 
@@ -41,7 +50,7 @@ impl AttrName {
     ///
     /// Panics if `base` is empty; use [`AttrName::try_entry`] for fallible
     /// construction from untrusted input.
-    pub fn entry(base: impl Into<String>) -> AttrName {
+    pub fn entry(base: impl AsRef<str>) -> AttrName {
         AttrName::try_entry(base).expect("attribute base name must be non-empty")
     }
 
@@ -51,43 +60,46 @@ impl AttrName {
     ///
     /// Returns [`ModelError::InvalidAttrName`] when the name is empty or
     /// contains control characters.
-    pub fn try_entry(base: impl Into<String>) -> Result<AttrName, ModelError> {
-        let base = base.into();
+    pub fn try_entry(base: impl AsRef<str>) -> Result<AttrName, ModelError> {
+        let base = base.as_ref();
         if base.is_empty() || base.chars().any(|c| c.is_control()) {
-            return Err(ModelError::InvalidAttrName(base));
+            return Err(ModelError::InvalidAttrName(base.to_string()));
         }
         Ok(AttrName {
-            base,
+            base: Arc::from(base),
             suffix: None,
             augmentation: Augmentation::Original,
         })
     }
 
     /// An augmented environment property of `self` (e.g. `datadir` →
-    /// `datadir.owner`).
-    pub fn augmented(&self, suffix: impl Into<String>) -> AttrName {
+    /// `datadir.owner`).  Shares `self`'s base name; a `'static` suffix is
+    /// not copied either.
+    pub fn augmented(&self, suffix: impl Into<Cow<'static, str>>) -> AttrName {
         AttrName {
-            base: self.base.clone(),
+            base: Arc::clone(&self.base),
             suffix: Some(suffix.into()),
             augmentation: Augmentation::EnvProperty,
         }
     }
 
     /// A system-wide environment attribute (e.g. `Sys.HostName`).
-    pub fn system(name: impl Into<String>) -> AttrName {
+    pub fn system(name: impl AsRef<str>) -> AttrName {
         AttrName {
-            base: name.into(),
+            base: Arc::from(name.as_ref()),
             suffix: None,
             augmentation: Augmentation::SystemWide,
         }
     }
 
     /// The base entry name (without any augmentation suffix).
+    #[inline]
     pub fn base(&self) -> &str {
         &self.base
     }
 
     /// The augmentation suffix, if any.
+    #[inline]
     pub fn suffix(&self) -> Option<&str> {
         self.suffix.as_deref()
     }
@@ -142,7 +154,7 @@ impl AttrName {
                 if suffix.is_empty() {
                     return Err(err());
                 }
-                Ok(AttrName::try_entry(base)?.augmented(suffix))
+                Ok(AttrName::try_entry(base)?.augmented(suffix.to_string()))
             }
             "S" => {
                 if rest.is_empty() {
@@ -174,10 +186,49 @@ impl AttrName {
         }
         match t.rsplit_once('.') {
             Some((base, suffix)) if !base.is_empty() && !suffix.is_empty() => {
-                Ok(AttrName::try_entry(base)?.augmented(suffix))
+                Ok(AttrName::try_entry(base)?.augmented(suffix.to_string()))
             }
             _ => AttrName::try_entry(t),
         }
+    }
+}
+
+// `#[inline]`: every map keyed by attribute calls these from other crates,
+// and an out-of-line call per comparison slows snapshot loads measurably.
+impl PartialEq for AttrName {
+    #[inline]
+    fn eq(&self, other: &AttrName) -> bool {
+        self.base() == other.base()
+            && self.suffix() == other.suffix()
+            && self.augmentation == other.augmentation
+    }
+}
+
+impl Eq for AttrName {}
+
+impl PartialOrd for AttrName {
+    #[inline]
+    fn partial_cmp(&self, other: &AttrName) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AttrName {
+    #[inline]
+    fn cmp(&self, other: &AttrName) -> Ordering {
+        self.base()
+            .cmp(other.base())
+            .then_with(|| self.suffix().cmp(&other.suffix()))
+            .then_with(|| self.augmentation.cmp(&other.augmentation))
+    }
+}
+
+impl Hash for AttrName {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.base().hash(state);
+        self.suffix().hash(state);
+        self.augmentation.hash(state);
     }
 }
 
@@ -254,6 +305,93 @@ mod tests {
         assert!(AttrName::parse_tagged("E:base:").is_err());
         assert!(AttrName::parse_tagged("O:").is_err());
         assert!(AttrName::parse_tagged("S:").is_err());
+    }
+
+    /// The owned layout `AttrName` had before its base became shared:
+    /// derived comparisons over `(base, suffix, augmentation)`.
+    type Reference = (String, Option<String>, Augmentation);
+
+    fn build(base: &str, suffix: &str, kind: u8) -> (AttrName, Reference) {
+        match kind {
+            0 => (
+                AttrName::entry(base),
+                (base.to_string(), None, Augmentation::Original),
+            ),
+            1 => (
+                AttrName::entry(base).augmented(suffix.to_string()),
+                (
+                    base.to_string(),
+                    Some(suffix.to_string()),
+                    Augmentation::EnvProperty,
+                ),
+            ),
+            _ => (
+                AttrName::system(base),
+                (base.to_string(), None, Augmentation::SystemWide),
+            ),
+        }
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Compare two names and their references every way a map can.
+    fn assert_agree((a, ra): &(AttrName, Reference), (b, rb): &(AttrName, Reference)) {
+        assert_eq!(a == b, ra == rb, "{ra:?} == {rb:?}");
+        assert_eq!(a.cmp(b), ra.cmp(rb), "{ra:?} cmp {rb:?}");
+        assert_eq!(
+            a.partial_cmp(b),
+            ra.partial_cmp(rb),
+            "{ra:?} partial_cmp {rb:?}"
+        );
+        assert_eq!(hash_of(a), hash_of(ra), "hash of {ra:?}");
+    }
+
+    #[test]
+    fn a_dotted_entry_differs_from_the_augmented_split() {
+        let dotted = build("session.use_cookies", "", 0);
+        let split = build("session", "use_cookies", 1);
+        assert_eq!(dotted.0.to_string(), split.0.to_string());
+        assert_agree(&dotted, &split);
+        assert_ne!(dotted.0, split.0);
+        // A shared base still compares by its text.
+        let owner = split.0.augmented("owner");
+        assert_agree(
+            &(
+                owner.clone(),
+                (
+                    "session".into(),
+                    Some("owner".into()),
+                    Augmentation::EnvProperty,
+                ),
+            ),
+            &split,
+        );
+        assert_eq!(owner, AttrName::entry("session").augmented("owner"));
+    }
+
+    proptest::proptest! {
+        /// Eq, Ord and Hash agree with the owned-string reference, so map
+        /// orders, interned ids and renderings cannot move.
+        #[test]
+        fn comparisons_agree_with_the_owned_reference(
+            bases in proptest::collection::vec(proptest::sample::select(vec![
+                "session", "session.use_cookies", "session.save_path", "datadir", "a", "a.b", "Sys.HostName",
+            ]), 2..3),
+            suffixes in proptest::collection::vec(proptest::sample::select(vec![
+                "use_cookies", "owner", "b", "save_path", "type",
+            ]), 2..3),
+            kinds in proptest::collection::vec(0u8..3, 2..3),
+        ) {
+            let a = build(bases[0], suffixes[0], kinds[0]);
+            let b = build(bases[1], suffixes[1], kinds[1]);
+            assert_agree(&a, &b);
+            assert_agree(&b, &a);
+            assert_agree(&a, &a.clone());
+        }
     }
 
     #[test]

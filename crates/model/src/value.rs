@@ -124,6 +124,23 @@ impl ConfigValue {
     /// IPv4 quad nor a coloned IPv6 literal.
     pub fn parse_ip(text: &str) -> Result<ConfigValue, ModelError> {
         let t = text.trim();
+        match ConfigValue::classify_ip(t) {
+            Some(v6) => Ok(ConfigValue::Ip {
+                text: t.to_string(),
+                v6,
+            }),
+            None => Err(ModelError::ParseValue {
+                expected: "IP address",
+                input: text.to_string(),
+            }),
+        }
+    }
+
+    /// Classify an IP literal without allocating: `Some(v6)` when the
+    /// trimmed `text` is something [`ConfigValue::parse_ip`] accepts,
+    /// `None` otherwise.
+    pub fn classify_ip(text: &str) -> Option<bool> {
+        let t = text.trim();
         let v4 = t.split('.').count() == 4
             && t.split('.').all(|o| {
                 !o.is_empty()
@@ -131,17 +148,7 @@ impl ConfigValue {
                     && o.parse::<u16>().map(|v| v < 256).unwrap_or(false)
             });
         let v6 = t.contains(':') && t.chars().all(|c| c.is_ascii_hexdigit() || c == ':');
-        if v4 || v6 {
-            Ok(ConfigValue::Ip {
-                text: t.to_string(),
-                v6,
-            })
-        } else {
-            Err(ModelError::ParseValue {
-                expected: "IP address",
-                input: text.to_string(),
-            })
-        }
+        (v4 || v6).then_some(v6)
     }
 
     /// Parse a size literal such as `64M` or `1024`.

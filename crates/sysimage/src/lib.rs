@@ -40,10 +40,20 @@ pub use services::Services;
 pub use vfs::{FileKind, FileMeta, Vfs};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A complete simulated system image: everything the data collector gathers.
+///
+/// The contents sit behind one [`Arc`], so `clone()` is a reference-count
+/// bump: a training set keeps every crawled image without copying it.  The
+/// `with_*` methods copy the contents only when they are shared.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemImage {
+    data: Arc<ImageData>,
+}
+
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ImageData {
     id: String,
     vfs: Vfs,
     accounts: Accounts,
@@ -66,82 +76,82 @@ impl SystemImage {
 
     /// The image identifier.
     pub fn id(&self) -> &str {
-        &self.id
+        &self.data.id
     }
 
     /// The virtual file system.
     pub fn vfs(&self) -> &Vfs {
-        &self.vfs
+        &self.data.vfs
     }
 
     /// Account database (`/etc/passwd`, `/etc/group`).
     pub fn accounts(&self) -> &Accounts {
-        &self.accounts
+        &self.data.accounts
     }
 
     /// Service/port table (`/etc/services`).
     pub fn services(&self) -> &Services {
-        &self.services
+        &self.data.services
     }
 
     /// Environment variables (only populated for running instances; empty
     /// for dormant images, per Table 7's footnote).
     pub fn env_vars(&self) -> &BTreeMap<String, String> {
-        &self.env_vars
+        &self.data.env_vars
     }
 
     /// Hardware specification; `None` for dormant images (EC2 images are
     /// instantiated with varying hardware — Table 7 footnote, and the root
     /// cause of the paper's missed real-world case #8).
     pub fn hardware(&self) -> Option<&HardwareSpec> {
-        self.hardware.as_ref()
+        self.data.hardware.as_ref()
     }
 
     /// Security-module state (SELinux / AppArmor).
     pub fn security(&self) -> &SecurityState {
-        &self.security
+        &self.data.security
     }
 
     /// System host name (`Sys.HostName`).
     pub fn hostname(&self) -> &str {
-        &self.hostname
+        &self.data.hostname
     }
 
     /// Primary IP address (`Sys.IPAddress`).
     pub fn ip_address(&self) -> &str {
-        &self.ip_address
+        &self.data.ip_address
     }
 
     /// OS distribution name (`OS.DistName`).
     pub fn os_dist(&self) -> &str {
-        &self.os_dist
+        &self.data.os_dist
     }
 
     /// OS version string (`OS.Version`).
     pub fn os_version(&self) -> &str {
-        &self.os_version
+        &self.data.os_version
     }
 
     /// Root file-system type (`Sys.FSType`).
     pub fn fs_type(&self) -> &str {
-        &self.fs_type
+        &self.data.fs_type
     }
 
     /// Read a config file's contents from the VFS, if present and regular.
     pub fn read_file(&self, path: &str) -> Option<&str> {
-        self.vfs.contents(path)
+        self.data.vfs.contents(path)
     }
 
     /// Replace the VFS wholesale — scenario builders use this to derive a
     /// broken image from a generated one.
     pub fn with_vfs(mut self, vfs: Vfs) -> SystemImage {
-        self.vfs = vfs;
+        Arc::make_mut(&mut self.data).vfs = vfs;
         self
     }
 
     /// Replace the security-module state.
     pub fn with_security(mut self, state: SecurityState) -> SystemImage {
-        self.security = state;
+        Arc::make_mut(&mut self.data).security = state;
         self
     }
 }
@@ -149,19 +159,19 @@ impl SystemImage {
 /// Builder for [`SystemImage`] (C-BUILDER).
 #[derive(Debug, Clone)]
 pub struct SystemImageBuilder {
-    image: SystemImage,
+    image: ImageData,
 }
 
 impl SystemImageBuilder {
     fn new(id: impl Into<String>) -> SystemImageBuilder {
-        let mut image = SystemImage {
+        let mut image = ImageData {
             id: id.into(),
             hostname: "localhost".to_string(),
             ip_address: "10.0.0.1".to_string(),
             os_dist: "AmazonLinux".to_string(),
             os_version: "2013.03".to_string(),
             fs_type: "ext4".to_string(),
-            ..SystemImage::default()
+            ..ImageData::default()
         };
         // Every Unix image has root and a root group.
         image.accounts.add_user(User::new("root", 0, 0));
@@ -264,7 +274,9 @@ impl SystemImageBuilder {
             obs::SERVICES.add(self.image.services.len() as u64);
             obs::ENV_VARS.add(self.image.env_vars.len() as u64);
         }
-        self.image
+        SystemImage {
+            data: Arc::new(self.image),
+        }
     }
 }
 
@@ -299,6 +311,29 @@ mod tests {
             .build();
         assert_eq!(img.read_file("/etc/php.ini"), Some("memory_limit = 64M\n"));
         assert_eq!(img.read_file("/missing"), None);
+    }
+
+    #[test]
+    fn with_methods_copy_on_write() {
+        let original = SystemImage::builder("i")
+            .file("/etc/my.cnf", "root", "root", 0o644, "[mysqld]\n")
+            .build();
+        let shared = original.clone();
+        assert_eq!(shared, original);
+
+        let mut vfs = shared.vfs().clone();
+        vfs.add_file("/etc/my.cnf", "root", "root", 0o644, "broken");
+        let edited = shared.clone().with_vfs(vfs);
+        assert_eq!(edited.read_file("/etc/my.cnf"), Some("broken"));
+        assert_eq!(original.read_file("/etc/my.cnf"), Some("[mysqld]\n"));
+        assert_eq!(shared, original);
+
+        let state = SecurityState::enforcing(SecurityModule::AppArmor, &["/var/lib/mysql"]);
+        let secured = shared.clone().with_security(state.clone());
+        assert_eq!(secured.security(), &state);
+        assert_eq!(original.security(), &SecurityState::default());
+        assert_eq!(shared, original);
+        assert_ne!(secured, original);
     }
 
     #[test]

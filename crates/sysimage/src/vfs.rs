@@ -8,6 +8,7 @@
 //! template).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Kind of a VFS node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,25 +60,24 @@ pub struct Vfs {
     nodes: BTreeMap<String, Node>,
 }
 
-fn normalize(path: &str) -> String {
-    if path == "/" {
-        return "/".to_string();
-    }
+/// The map key of `path`: trailing slashes dropped, `/` for the root.
+/// Borrows from `path`, so a lookup allocates nothing.
+fn normalize(path: &str) -> &str {
     let trimmed = path.trim_end_matches('/');
     if trimmed.is_empty() {
-        "/".to_string()
+        "/"
     } else {
-        trimmed.to_string()
+        trimmed
     }
 }
 
-fn parent_of(path: &str) -> Option<String> {
+fn parent_of(path: &str) -> Option<&str> {
     if path == "/" {
         return None;
     }
     match path.rfind('/') {
-        Some(0) => Some("/".to_string()),
-        Some(i) => Some(path[..i].to_string()),
+        Some(0) => Some("/"),
+        Some(i) => Some(&path[..i]),
         None => None,
     }
 }
@@ -92,15 +92,15 @@ impl Vfs {
         let mut missing = Vec::new();
         let mut cur = parent_of(path);
         while let Some(p) = cur {
-            if self.nodes.contains_key(&p) {
+            if self.nodes.contains_key(p) {
                 break;
             }
-            missing.push(p.clone());
-            cur = parent_of(&p);
+            missing.push(p);
+            cur = parent_of(p);
         }
         for p in missing.into_iter().rev() {
             self.nodes.insert(
-                p,
+                p.to_string(),
                 Node {
                     meta: FileMeta {
                         owner: "root".to_string(),
@@ -118,9 +118,9 @@ impl Vfs {
     /// Add (or replace) a directory, creating root-owned parents as needed.
     pub fn add_dir(&mut self, path: &str, owner: &str, group: &str, mode: u32) {
         let path = normalize(path);
-        self.ensure_parents(&path);
+        self.ensure_parents(path);
         self.nodes.insert(
-            path,
+            path.to_string(),
             Node {
                 meta: FileMeta {
                     owner: owner.to_string(),
@@ -137,9 +137,9 @@ impl Vfs {
     /// Add (or replace) a regular file, creating parents as needed.
     pub fn add_file(&mut self, path: &str, owner: &str, group: &str, mode: u32, contents: &str) {
         let path = normalize(path);
-        self.ensure_parents(&path);
+        self.ensure_parents(path);
         self.nodes.insert(
-            path,
+            path.to_string(),
             Node {
                 meta: FileMeta {
                     owner: owner.to_string(),
@@ -156,9 +156,9 @@ impl Vfs {
     /// Add (or replace) a symlink, creating parents as needed.
     pub fn add_symlink(&mut self, path: &str, target: &str) {
         let path = normalize(path);
-        self.ensure_parents(&path);
+        self.ensure_parents(path);
         self.nodes.insert(
-            path,
+            path.to_string(),
             Node {
                 meta: FileMeta {
                     owner: "root".to_string(),
@@ -174,7 +174,7 @@ impl Vfs {
 
     /// Change owner/group of an existing node; returns `false` if absent.
     pub fn chown(&mut self, path: &str, owner: &str, group: &str) -> bool {
-        match self.nodes.get_mut(&normalize(path)) {
+        match self.nodes.get_mut(normalize(path)) {
             Some(n) => {
                 n.meta.owner = owner.to_string();
                 n.meta.group = group.to_string();
@@ -186,7 +186,7 @@ impl Vfs {
 
     /// Change mode of an existing node; returns `false` if absent.
     pub fn chmod(&mut self, path: &str, mode: u32) -> bool {
-        match self.nodes.get_mut(&normalize(path)) {
+        match self.nodes.get_mut(normalize(path)) {
             Some(n) => {
                 n.meta.mode = mode;
                 true
@@ -198,19 +198,19 @@ impl Vfs {
     /// Remove a node (and any children, if a directory).
     pub fn remove(&mut self, path: &str) {
         let path = normalize(path);
-        let prefix = format!("{}/", path);
+        let prefix = format!("{path}/");
         self.nodes
-            .retain(|p, _| p != &path && !p.starts_with(&prefix));
+            .retain(|p, _| p != path && !p.starts_with(&prefix));
     }
 
     /// Metadata of a node.
     pub fn metadata(&self, path: &str) -> Option<&FileMeta> {
-        self.nodes.get(&normalize(path)).map(|n| &n.meta)
+        self.nodes.get(normalize(path)).map(|n| &n.meta)
     }
 
     /// Whether a path exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.nodes.contains_key(&normalize(path))
+        self.nodes.contains_key(normalize(path))
     }
 
     /// Whether a path exists and is a directory.
@@ -230,40 +230,50 @@ impl Vfs {
     /// Contents of a regular file.
     pub fn contents(&self, path: &str) -> Option<&str> {
         self.nodes
-            .get(&normalize(path))
+            .get(normalize(path))
             .and_then(|n| n.contents.as_deref())
+    }
+
+    /// The nodes directly under `path`, in key order.
+    ///
+    /// A child's key is `dir/name` with no further `/`, so every child lies
+    /// in the key range that starts after `dir` and shares its prefix; only
+    /// that range is read.  Siblings such as `dir-x` or `dir.d` also share
+    /// the prefix and are skipped by the separator check.
+    fn child_nodes<'s, 'p>(
+        &'s self,
+        path: &'p str,
+    ) -> impl Iterator<Item = (&'s str, &'s Node)> + use<'s, 'p> {
+        let dir = normalize(path);
+        // The root's children start right after its own `/`.
+        let names_at = if dir == "/" { 1 } else { dir.len() + 1 };
+        self.nodes
+            .range::<str, _>((Bound::Excluded(dir), Bound::Unbounded))
+            .take_while(move |(p, _)| p.starts_with(dir))
+            .filter(move |(p, _)| {
+                p.len() > names_at
+                    && p.as_bytes()[names_at - 1] == b'/'
+                    && !p[names_at..].contains('/')
+            })
+            .map(|(p, node)| (p.as_str(), node))
     }
 
     /// Immediate children of a directory (full paths, sorted).
     pub fn children(&self, path: &str) -> Vec<&str> {
-        let dir = normalize(path);
-        let prefix = if dir == "/" {
-            "/".to_string()
-        } else {
-            format!("{dir}/")
-        };
-        self.nodes
-            .keys()
-            .filter(|p| {
-                p.starts_with(&prefix) && p.len() > prefix.len() && !p[prefix.len()..].contains('/')
-            })
-            .map(String::as_str)
-            .collect()
+        self.child_nodes(path).map(|(p, _)| p).collect()
     }
 
     /// Whether a directory directly contains a sub-directory.
     pub fn has_subdir(&self, path: &str) -> bool {
-        self.children(path).iter().any(|c| self.is_dir(c))
+        self.child_nodes(path)
+            .any(|(_, n)| n.meta.kind == FileKind::Directory)
     }
 
     /// Whether a directory directly contains a symlink — drives the
     /// `FollowSymLinks` correlation (real-world case #6).
     pub fn has_symlink(&self, path: &str) -> bool {
-        self.children(path).iter().any(|c| {
-            self.metadata(c)
-                .map(|m| m.kind == FileKind::Symlink)
-                .unwrap_or(false)
-        })
+        self.child_nodes(path)
+            .any(|(_, n)| n.meta.kind == FileKind::Symlink)
     }
 
     /// All paths in the tree (the `FS.FileList` view of Table 7).
@@ -362,6 +372,67 @@ mod tests {
         assert!(v.has_symlink("/var/www/html"));
         assert!(!v.has_symlink("/var/lib/mysql"));
         assert!(v.has_subdir("/var"));
+    }
+
+    /// The full-scan listing `children` used before it read key ranges.
+    fn scan_children<'v>(v: &'v Vfs, path: &str) -> Vec<&'v str> {
+        let dir = normalize(path);
+        let prefix = if dir == "/" {
+            "/".to_string()
+        } else {
+            format!("{dir}/")
+        };
+        v.file_list()
+            .filter(|p| {
+                p.starts_with(&prefix) && p.len() > prefix.len() && !p[prefix.len()..].contains('/')
+            })
+            .collect()
+    }
+
+    #[test]
+    fn range_reads_equal_a_full_scan() {
+        let mut v = vfs();
+        // Siblings that share the directory's name as a prefix sort
+        // between it and its own children (`-` and `.` sort before `/`).
+        v.add_dir("/a/b", "root", "root", 0o755);
+        v.add_file("/a/b-c", "root", "root", 0o644, "");
+        v.add_dir("/a/b.d", "root", "root", 0o755);
+        v.add_symlink("/a/b.d/link", "/etc");
+        v.add_dir("/a/bc", "root", "root", 0o755);
+        v.add_dir("/a/bc/sub", "root", "root", 0o755);
+        v.add_file("/a/b/c/d", "root", "root", 0o644, "");
+        v.add_symlink("/a/b/e", "/a/bc");
+        let mut paths: Vec<String> = v.file_list().map(str::to_string).collect();
+        paths.extend(
+            [
+                "/", "", "//", "/a/", "/a/b/", "/a/b//", "/missing", "/a/b/zz", "/a/b-",
+            ]
+            .map(String::from),
+        );
+        for path in &paths {
+            let reference = scan_children(&v, path);
+            assert_eq!(v.children(path), reference, "children({path:?})");
+            let kind_among = |kind| {
+                reference
+                    .iter()
+                    .any(|c| v.metadata(c).map(|m| m.kind) == Some(kind))
+            };
+            assert_eq!(
+                v.has_subdir(path),
+                kind_among(FileKind::Directory),
+                "has_subdir({path:?})"
+            );
+            assert_eq!(
+                v.has_symlink(path),
+                kind_among(FileKind::Symlink),
+                "has_symlink({path:?})"
+            );
+        }
+        assert_eq!(v.children("/a/b"), vec!["/a/b/c", "/a/b/e"]);
+        assert!(v.has_symlink("/a/b/") && v.has_subdir("/a/b"));
+        assert!(!v.has_symlink("/a/bc") && v.has_subdir("/a/bc"));
+        assert_eq!(v.children("/"), vec!["/a", "/etc", "/var"]);
+        assert!(v.children("/missing").is_empty());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! ```
 
 use encore::prelude::*;
-use encore_assemble::Assembler;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_mining::{discretize, FpGrowth, MiningLimits};
 use encore_model::AppKind;
@@ -15,7 +14,8 @@ use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = Population::training(AppKind::Mysql, &PopulationOptions::new(60, 11));
-    let dataset = Assembler::new().assemble_training_set(AppKind::Mysql, fleet.images());
+    let training = TrainingSet::assemble(AppKind::Mysql, fleet.images())?;
+    let dataset = training.dataset();
     let tx = discretize(&dataset);
     println!(
         "assembled {} systems, {} attributes, {} binomial items",
@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // EnCore: type-guided template instantiation over the same data.
-    let training = TrainingSet::assemble(AppKind::Mysql, fleet.images())?;
     let started = Instant::now();
     let engine = EnCore::learn(&training, &LearnOptions::default());
     println!(

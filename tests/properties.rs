@@ -102,7 +102,7 @@ proptest! {
     /// AttrName display/parse round-trips for augmented attributes.
     #[test]
     fn attr_name_round_trip(base in "[a-z][a-z_]{1,12}", suffix in "[a-z]{2,8}") {
-        let attr = AttrName::entry(&base).augmented(&suffix);
+        let attr = AttrName::entry(&base).augmented(suffix.clone());
         let parsed = AttrName::parse(&attr.to_string()).expect("parses");
         prop_assert_eq!(parsed.base(), base.as_str());
         prop_assert_eq!(parsed.suffix(), Some(suffix.as_str()));
