@@ -10,7 +10,7 @@ use encore_corpus::schema::AppSchema;
 use encore_corpus::study;
 use encore_injector::Injector;
 use encore_mining::{discretize, FpGrowth, MiningLimits, Transactions};
-use encore_model::{AppKind, SemType};
+use encore_model::{AppKind, ColumnStore, SemType};
 use encore_parser::LensRegistry;
 use encore_sysimage::SystemImage;
 use std::fmt::Write as _;
@@ -154,15 +154,11 @@ pub fn table_2(config: &ExperimentConfig) -> TableOutput {
         let pop = training_population(app, config);
         let plain =
             TrainingSet::assemble_with(&Assembler::new().without_augmentation(), app, pop.images())
-                .expect("training")
-                .dataset();
-        let augmented = TrainingSet::assemble(app, pop.images())
-            .expect("training")
-            .dataset();
-        let binomial = discretize(&augmented);
-        originals.push(plain.num_attributes());
-        augmenteds.push(augmented.num_attributes());
-        binomials.push(binomial.num_items());
+                .expect("training");
+        let augmented = TrainingSet::assemble(app, pop.images()).expect("training");
+        originals.push(ColumnStore::from_rows(&plain.rows()).num_columns());
+        augmenteds.push(ColumnStore::from_rows(&augmented.rows()).num_columns());
+        binomials.push(discretize(&augmented.rows()).num_items());
     }
     out.row(
         "header",
@@ -242,11 +238,8 @@ pub fn table_3(config: &ExperimentConfig) -> TableOutput {
         .iter()
         .map(|&app| {
             let pop = training_population(app, config);
-            let ds = TrainingSet::assemble(app, pop.images())
-                .expect("training")
-                .dataset();
-            let n = ds.num_rows();
-            (discretize(&ds), n)
+            let training = TrainingSet::assemble(app, pop.images()).expect("training");
+            (discretize(&training.rows()), training.len())
         })
         .collect();
     // The guard standing in for the paper's 16 GB testbed.  Every frequent

@@ -9,57 +9,34 @@
 //!   attribute set, and type violations are checked — but no correlation
 //!   rules are learned ("Baseline+Env" in the paper).
 
-use crate::detect::{Report, Warning, WarningKind};
+use crate::detect::{Report, TrainingStats, Warning, WarningKind};
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, Assembler};
 use encore_model::{AppKind, AttrName, Row};
 use encore_sysimage::SystemImage;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Shared value-comparison machinery.
-#[derive(Debug, Clone, Default)]
-struct ValueStats {
-    values: BTreeMap<AttrName, BTreeSet<String>>,
-}
-
-impl ValueStats {
-    fn from_rows<'a>(rows: impl Iterator<Item = &'a Row>) -> ValueStats {
-        let mut stats = ValueStats::default();
-        for row in rows {
-            for (attr, value) in row.iter() {
-                if !value.is_absent() {
-                    stats
-                        .values
-                        .entry(attr.clone())
-                        .or_default()
-                        .insert(value.render());
-                }
-            }
+/// Shared value comparison: flag each present value of `row` whose render
+/// the training histogram of the same attribute never saw.
+fn compare(stats: &TrainingStats, row: &Row, report: &mut Vec<Warning>) {
+    for (attr, value) in row.iter() {
+        if value.is_absent() {
+            continue;
         }
-        stats
-    }
-
-    fn compare(&self, row: &Row, report: &mut Vec<Warning>) {
-        for (attr, value) in row.iter() {
-            if value.is_absent() {
-                continue;
+        // PeerPressure-style comparison scores a value against the peers'
+        // distribution *of the same entry*.  An entry name never seen in
+        // training has no peer distribution, so it is silently skipped —
+        // misspelled names are invisible to value comparison (entry-name
+        // checking is an EnCore check, §6).
+        match stats.values().get(attr) {
+            Some(seen) if !seen.contains_key(&value.render()) => {
+                report.push(Warning::new_suspicious(
+                    attr.clone(),
+                    value.render(),
+                    seen.len(),
+                ));
             }
-            // PeerPressure-style comparison scores a value against the
-            // peers' distribution *of the same entry*.  An entry name never
-            // seen in training has no peer distribution, so it is silently
-            // skipped — misspelled names are invisible to value comparison
-            // (entry-name checking is an EnCore check, §6).
-            match self.values.get(attr) {
-                Some(seen) if !seen.contains(&value.render()) => {
-                    report.push(Warning::new_suspicious(
-                        attr.clone(),
-                        value.render(),
-                        seen.len(),
-                    ));
-                }
-                _ => {}
-            }
+            _ => {}
         }
     }
 }
@@ -79,7 +56,7 @@ impl Warning {
 /// correlations).
 #[derive(Debug)]
 pub struct Baseline {
-    stats: ValueStats,
+    stats: TrainingStats,
     assembler: Assembler,
 }
 
@@ -89,7 +66,7 @@ impl Baseline {
         let assembler = Assembler::new().without_augmentation();
         let training = TrainingSet::assemble_with(&assembler, app, images)?;
         Ok(Baseline {
-            stats: ValueStats::from_rows(training.systems().iter().map(|(r, _)| r)),
+            stats: TrainingStats::from_training(&training),
             assembler,
         })
     }
@@ -102,7 +79,7 @@ impl Baseline {
     pub fn check_image(&self, app: AppKind, image: &SystemImage) -> Result<Report, AssembleError> {
         let row = self.assembler.assemble_image(app, image)?;
         let mut warnings = Vec::new();
-        self.stats.compare(&row, &mut warnings);
+        compare(&self.stats, &row, &mut warnings);
         Ok(Report::from_warnings(warnings))
     }
 }
@@ -111,7 +88,7 @@ impl Baseline {
 /// rules) — "Baseline+Env" in Table 8.
 #[derive(Debug)]
 pub struct BaselineEnv {
-    stats: ValueStats,
+    stats: TrainingStats,
     types: TypeMap,
     assembler: Assembler,
 }
@@ -122,7 +99,7 @@ impl BaselineEnv {
         let assembler = Assembler::new();
         let training = TrainingSet::assemble_with(&assembler, app, images)?;
         Ok(BaselineEnv {
-            stats: ValueStats::from_rows(training.systems().iter().map(|(r, _)| r)),
+            stats: TrainingStats::from_training(&training),
             types: training.types().clone(),
             assembler,
         })
@@ -137,7 +114,7 @@ impl BaselineEnv {
     pub fn check_image(&self, app: AppKind, image: &SystemImage) -> Result<Report, AssembleError> {
         let row = self.assembler.assemble_image(app, image)?;
         let mut warnings = Vec::new();
-        self.stats.compare(&row, &mut warnings);
+        compare(&self.stats, &row, &mut warnings);
         // Type violations, as in the full detector.
         let inference = self.assembler.inference();
         for (attr, value) in row.iter() {

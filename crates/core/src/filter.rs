@@ -12,8 +12,8 @@
 //! staged-filter analysis can be regenerated.
 
 use crate::stats::StatsCache;
-use encore_mining::metrics::{entropy, DEFAULT_ENTROPY_THRESHOLD};
-use encore_model::{AttrName, Dataset};
+use encore_mining::metrics::DEFAULT_ENTROPY_THRESHOLD;
+use encore_model::AttrName;
 
 /// Thresholds for rule admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,14 +111,6 @@ pub enum Verdict {
     Reject(RejectReason),
 }
 
-/// Entropy of an attribute's value distribution in a dataset.
-///
-/// Reference (uncached) computation; the inference path goes through
-/// [`StatsCache::entropy`], which memoizes this per attribute per run.
-pub fn attribute_entropy(dataset: &Dataset, attr: &AttrName) -> f64 {
-    entropy(dataset.value_histogram(attr).into_values())
-}
-
 /// Judge one candidate rule against the statistics of one training run.
 ///
 /// `support` and `confidence` come from the inference pass;
@@ -165,24 +157,25 @@ mod tests {
     use crate::types::TypeMap;
     use encore_model::{ConfigValue, Row};
 
-    /// Dataset where `varied` takes many values and `fixed` only one.
-    fn dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        for i in 0..10 {
-            let mut r = Row::new(format!("s{i}"));
-            r.set(AttrName::entry("varied"), ConfigValue::str(format!("v{i}")));
-            r.set(AttrName::entry("fixed"), ConfigValue::str("10"));
-            r.set(
-                AttrName::entry("half"),
-                ConfigValue::str(if i < 5 { "x" } else { "y" }),
-            );
-            ds.push_row(r);
-        }
-        ds
+    fn cache_of(rows: &[Row]) -> StatsCache {
+        StatsCache::from_rows(&rows.iter().collect::<Vec<_>>(), &TypeMap::new())
     }
 
+    /// Rows where `varied` takes many values and `fixed` only one.
     fn cache() -> StatsCache {
-        StatsCache::new(dataset(), &TypeMap::new())
+        let rows: Vec<Row> = (0..10)
+            .map(|i| {
+                let mut r = Row::new(format!("s{i}"));
+                r.set(AttrName::entry("varied"), ConfigValue::str(format!("v{i}")));
+                r.set(AttrName::entry("fixed"), ConfigValue::str("10"));
+                r.set(
+                    AttrName::entry("half"),
+                    ConfigValue::str(if i < 5 { "x" } else { "y" }),
+                );
+                r
+            })
+            .collect();
+        cache_of(&rows)
     }
 
     #[test]
@@ -291,9 +284,8 @@ mod tests {
 
     #[test]
     fn paper_entropy_boundary() {
-        let ds = {
-            let mut ds = Dataset::new();
-            for i in 0..100 {
+        let rows: Vec<Row> = (0..100)
+            .map(|i| {
                 let mut r = Row::new(format!("s{i}"));
                 // 92/8 split: entropy ≈ 0.279 < Ht = 0.325 → rejected.
                 // (An exact 90/10 split sits marginally above Ht ≈ 0.32508
@@ -303,11 +295,10 @@ mod tests {
                     ConfigValue::str(if i < 92 { "a" } else { "b" }),
                 );
                 r.set(AttrName::entry("varied"), ConfigValue::str(format!("v{i}")));
-                ds.push_row(r);
-            }
-            ds
-        };
-        let stats = StatsCache::new(ds, &TypeMap::new());
+                r
+            })
+            .collect();
+        let stats = cache_of(&rows);
         let t = FilterThresholds::default();
         let v = judge(
             &t,

@@ -728,7 +728,7 @@ mod tests {
         let images = fleet(6);
         let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
         let engine = RuleInference::predefined();
-        let cache = StatsCache::new(ts.dataset(), ts.types());
+        let cache = ts.stats_cache();
         let err = engine
             .collect_candidates_via(
                 &ts,

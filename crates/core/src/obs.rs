@@ -79,15 +79,14 @@ pub static INFER_POOL_METRICS: crate::pool::PoolMetrics = crate::pool::PoolMetri
     worker_busy: &POOL_WORKER_BUSY,
 };
 
-// ---- stats: the sharded entropy memo ----
+// ---- stats: the stats cache and its entropy memo ----
 
 /// Attributes resolved into a stats cache.
 pub static STATS_ATTRIBUTES: Counter = Counter::new("stats.cache.attributes");
-/// Entropy-memo hits, bucketed by shard index.
-pub static STATS_ENTROPY_HITS: Histogram = Histogram::new("stats.entropy.memo_hits", &INDEX_BOUNDS);
-/// Entropy-memo misses (fresh computations), bucketed by shard index.
-pub static STATS_ENTROPY_MISSES: Histogram =
-    Histogram::new("stats.entropy.memo_misses", &INDEX_BOUNDS);
+/// Entropy-memo hits.
+pub static STATS_ENTROPY_HITS: Counter = Counter::new("stats.entropy.memo_hits");
+/// Entropy-memo misses (fresh computations).
+pub static STATS_ENTROPY_MISSES: Counter = Counter::new("stats.entropy.memo_misses");
 /// Wall time building stats caches.
 pub static STATS_BUILD_TIME: Timer = Timer::new("stats.cache.build");
 
@@ -201,8 +200,8 @@ pub(crate) static STATS: Phase = Phase {
     metrics: &[
         Metric::Counter(&STATS_ATTRIBUTES),
         Metric::Timer(&STATS_BUILD_TIME),
-        Metric::Histogram(&STATS_ENTROPY_HITS),
-        Metric::Histogram(&STATS_ENTROPY_MISSES),
+        Metric::Counter(&STATS_ENTROPY_HITS),
+        Metric::Counter(&STATS_ENTROPY_MISSES),
     ],
 };
 

@@ -13,12 +13,11 @@
 //!   eligibility analysis decide in O(rows/64) words whether two attributes
 //!   ever co-occur — the precondition for any candidate rule between them.
 //!
-//! [`StatsCache`] resolves types and presence masks once up front and
-//! memoizes entropies on first use.  The entropy memo is sharded 16 ways by
-//! attribute hash so that concurrent readers (eligibility precomputation,
-//! any future in-worker judging) do not contend on a single lock; everything
-//! else is immutable after construction, so the cache can be shared
-//! read-only across the inference worker pool.
+//! [`StatsCache`] resolves types up front, reads presence bitsets off its
+//! columns and memoizes entropies on first use, in one slot per column.
+//! Everything is immutable after construction except those write-once
+//! slots, so the cache can be shared read-only across the inference worker
+//! pool.
 //!
 //! The cache borrows the training rows to pivot them into a [`ColumnStore`]
 //! in one pass and keeps only that store and the system ids; attributes,
@@ -26,16 +25,9 @@
 
 use crate::types::TypeMap;
 use encore_mining::metrics::entropy;
-use encore_model::{AttrName, ColumnStore, Dataset, Row, SemType};
-use std::collections::hash_map::DefaultHasher;
+use encore_model::{AttrName, ColumnStore, Row, SemType};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
-
-/// Number of entropy-memo shards.  A small power of two: enough to make
-/// same-shard collisions rare across a worker pool, cheap enough to build
-/// per run.
-const ENTROPY_SHARDS: usize = 16;
+use std::sync::OnceLock;
 
 /// Per-run cache of attribute statistics: resolved types, the columnar
 /// interned view of the rows (value-id columns + presence bitsets),
@@ -57,21 +49,12 @@ pub struct StatsCache {
     stripped_bases: Vec<String>,
     columns: ColumnStore,
     type_map: TypeMap,
-    entropies: [Mutex<BTreeMap<AttrName, f64>>; ENTROPY_SHARDS],
-}
-
-fn shard_of(attr: &AttrName) -> usize {
-    let mut h = DefaultHasher::new();
-    attr.hash(&mut h);
-    (h.finish() as usize) % ENTROPY_SHARDS
+    /// Entropy of `attributes()[i]`, indexed like the columns, filled on
+    /// first use.
+    entropies: Vec<OnceLock<f64>>,
 }
 
 impl StatsCache {
-    /// Build a cache over a dataset's rows (see [`StatsCache::from_rows`]).
-    pub fn new(dataset: Dataset, types: &TypeMap) -> StatsCache {
-        StatsCache::from_rows(&dataset.rows().iter().collect::<Vec<_>>(), types)
-    }
-
     /// Build a cache over borrowed training rows: pivot them into columns
     /// in one pass, then resolve the type of every attribute once through
     /// `types`.
@@ -91,12 +74,12 @@ impl StatsCache {
             .collect();
         StatsCache {
             system_ids: rows.iter().map(|row| row.id().to_string()).collect(),
+            entropies: attributes.iter().map(|_| OnceLock::new()).collect(),
             types_by_index,
             buckets,
             stripped_bases,
             columns,
             type_map: types.clone(),
-            entropies: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
         }
     }
 
@@ -159,45 +142,40 @@ impl StatsCache {
         &self.stripped_bases[index]
     }
 
-    /// The row-presence bitset of an attribute: bit `i` set iff row `i` has
-    /// a present value.  `None` for attributes outside the dataset.
-    pub fn presence_mask(&self, attr: &AttrName) -> Option<&[u64]> {
-        self.attr_index(attr)
-            .map(|i| self.columns.column(i).presence())
-    }
-
     /// Whether two attributes are both present in at least one row — a
     /// necessary condition for *any* relation between them to be applicable
     /// anywhere, and therefore for any candidate rule to exist.
     pub fn co_occurs(&self, a: &AttrName, b: &AttrName) -> bool {
-        match (self.presence_mask(a), self.presence_mask(b)) {
-            (Some(ma), Some(mb)) => ma.iter().zip(mb).any(|(x, y)| x & y != 0),
+        match (self.columns.column_of(a), self.columns.column_of(b)) {
+            (Some(ca), Some(cb)) => ca
+                .presence()
+                .iter()
+                .zip(cb.presence())
+                .any(|(x, y)| x & y != 0),
             _ => false,
         }
     }
 
     /// Shannon entropy of the attribute's value distribution, computed at
-    /// most once per attribute per run.  The memo is sharded by attribute
-    /// hash, so concurrent lookups of different attributes rarely share a
-    /// lock.
+    /// most once per attribute per run.  An attribute outside the dataset
+    /// has an empty histogram, entropy 0, and is not memoized or counted.
     pub fn entropy(&self, attr: &AttrName) -> f64 {
-        let shard = shard_of(attr);
-        let mut memo = self.entropies[shard].lock().expect("entropy memo poisoned");
-        if let Some(&h) = memo.get(attr) {
-            crate::obs::STATS_ENTROPY_HITS.observe(shard as u64);
-            return h;
-        }
-        crate::obs::STATS_ENTROPY_MISSES.observe(shard as u64);
-        // Histograms come from the interned columns: the render strings and
-        // their counts are identical to `Dataset::value_histogram`, and both
-        // maps iterate in sorted-render order, so the f64 summation order —
-        // and therefore the entropy, bit for bit — is unchanged.  An
-        // attribute outside the rows has an empty histogram.
-        let h = match self.attr_index(attr) {
-            Some(i) => entropy(self.columns.value_histogram(i).into_values()),
-            None => entropy([]),
+        let Some(i) = self.attr_index(attr) else {
+            return entropy([]);
         };
-        memo.insert(attr.clone(), h);
+        let mut computed = false;
+        // The column histogram iterates in sorted-render order, as a row
+        // loop's `BTreeMap` of renders would, so the f64 summation order —
+        // and therefore the entropy, bit for bit — is that of a row loop.
+        let h = *self.entropies[i].get_or_init(|| {
+            computed = true;
+            entropy(self.columns.value_histogram(i).into_values())
+        });
+        if computed {
+            crate::obs::STATS_ENTROPY_MISSES.incr();
+        } else {
+            crate::obs::STATS_ENTROPY_HITS.incr();
+        }
         h
     }
 }
@@ -205,53 +183,74 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::attribute_entropy;
-    use encore_model::{ConfigValue, Row};
+    use encore_model::ConfigValue;
 
-    fn dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        for i in 0..12 {
-            let mut r = Row::new(format!("s{i}"));
-            r.set(AttrName::entry("varied"), ConfigValue::str(format!("v{i}")));
-            r.set(AttrName::entry("fixed"), ConfigValue::str("same"));
-            r.set(
-                AttrName::entry("thirds"),
-                ConfigValue::str(format!("t{}", i % 3)),
-            );
-            if i < 6 {
-                r.set(AttrName::entry("early"), ConfigValue::str("e"));
-            } else {
-                r.set(AttrName::entry("late"), ConfigValue::str("l"));
+    fn rows() -> Vec<Row> {
+        (0..12)
+            .map(|i| {
+                let mut r = Row::new(format!("s{i}"));
+                r.set(AttrName::entry("varied"), ConfigValue::str(format!("v{i}")));
+                r.set(AttrName::entry("fixed"), ConfigValue::str("same"));
+                r.set(
+                    AttrName::entry("thirds"),
+                    ConfigValue::str(format!("t{}", i % 3)),
+                );
+                if i < 6 {
+                    r.set(AttrName::entry("early"), ConfigValue::str("e"));
+                } else {
+                    r.set(AttrName::entry("late"), ConfigValue::str("l"));
+                }
+                r
+            })
+            .collect()
+    }
+
+    fn cache(rows: &[Row], types: &TypeMap) -> StatsCache {
+        StatsCache::from_rows(&rows.iter().collect::<Vec<_>>(), types)
+    }
+
+    /// The uncached reference: entropy of the attribute's present renders,
+    /// counted into a `BTreeMap` by a loop over the rows.
+    fn row_entropy(rows: &[Row], attr: &AttrName) -> f64 {
+        let mut hist: BTreeMap<String, usize> = BTreeMap::new();
+        for v in rows.iter().filter_map(|r| r.get(attr)) {
+            if !v.is_absent() {
+                *hist.entry(v.render()).or_insert(0) += 1;
             }
-            ds.push_row(r);
         }
-        ds
+        entropy(hist.into_values())
     }
 
     #[test]
-    fn entropy_matches_uncached_computation() {
-        let ds = dataset();
-        let cache = StatsCache::new(ds.clone(), &TypeMap::new());
-        for name in ["varied", "fixed", "thirds", "absent"] {
+    fn entropy_matches_the_row_histogram_bit_for_bit() {
+        let rows = rows();
+        let cache = cache(&rows, &TypeMap::new());
+        for name in ["varied", "fixed", "thirds", "early", "late", "absent"] {
             let attr = AttrName::entry(name);
-            let direct = attribute_entropy(&ds, &attr);
+            let direct = row_entropy(&rows, &attr);
             // Query twice: the second answer comes from the memo.
-            assert_eq!(cache.entropy(&attr), direct, "{name}");
-            assert_eq!(cache.entropy(&attr), direct, "{name} (memoized)");
+            assert_eq!(cache.entropy(&attr).to_bits(), direct.to_bits(), "{name}");
+            assert_eq!(
+                cache.entropy(&attr).to_bits(),
+                direct.to_bits(),
+                "{name} (memoized)"
+            );
         }
+        assert_eq!(cache.entropy(&AttrName::entry("absent")), 0.0);
+        assert!(cache.entropy(&AttrName::entry("varied")) > 0.0);
     }
 
     #[test]
-    fn sharded_memo_is_consistent_under_concurrent_readers() {
-        let ds = dataset();
-        let cache = StatsCache::new(ds.clone(), &TypeMap::new());
-        let names = ["varied", "fixed", "thirds", "early", "late"];
+    fn memo_is_consistent_under_concurrent_readers() {
+        let rows = rows();
+        let cache = cache(&rows, &TypeMap::new());
+        let names = ["varied", "fixed", "thirds", "early", "late", "absent"];
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for name in names {
                         let attr = AttrName::entry(name);
-                        assert_eq!(cache.entropy(&attr), attribute_entropy(&ds, &attr));
+                        assert_eq!(cache.entropy(&attr), row_entropy(&rows, &attr));
                     }
                 });
             }
@@ -260,10 +259,9 @@ mod tests {
 
     #[test]
     fn types_resolved_once_match_type_map() {
-        let ds = dataset();
         let mut tm = TypeMap::new();
         tm.set(AttrName::entry("varied"), SemType::FilePath);
-        let cache = StatsCache::new(ds, &tm);
+        let cache = cache(&rows(), &tm);
         assert_eq!(cache.type_of(&AttrName::entry("varied")), SemType::FilePath);
         // Unstored attributes fall back to the TypeMap's own fallback rules.
         assert_eq!(
@@ -274,7 +272,7 @@ mod tests {
 
     #[test]
     fn attributes_are_sorted_and_complete() {
-        let cache = StatsCache::new(dataset(), &TypeMap::new());
+        let cache = cache(&rows(), &TypeMap::new());
         let names: Vec<String> = cache.attributes().iter().map(|a| a.to_string()).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -286,7 +284,7 @@ mod tests {
     fn type_buckets_partition_sorted_attributes() {
         let mut tm = TypeMap::new();
         tm.set(AttrName::entry("varied"), SemType::FilePath);
-        let cache = StatsCache::new(dataset(), &tm);
+        let cache = cache(&rows(), &tm);
         let mut seen = vec![false; cache.attributes().len()];
         for ty in SemType::PRIORITY {
             let bucket = cache.type_bucket(ty);
@@ -305,22 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn columnar_presence_matches_dataset_masks() {
-        let ds = dataset();
-        let cache = StatsCache::new(ds.clone(), &TypeMap::new());
-        for attr in cache.attributes() {
-            assert_eq!(
-                cache.presence_mask(attr),
-                Some(ds.presence_mask(attr).as_slice()),
-                "{attr}"
-            );
-        }
-        assert_eq!(cache.presence_mask(&AttrName::entry("absent")), None);
-    }
-
-    #[test]
     fn co_occurrence_follows_presence() {
-        let cache = StatsCache::new(dataset(), &TypeMap::new());
+        let cache = cache(&rows(), &TypeMap::new());
         let (varied, early, late) = (
             AttrName::entry("varied"),
             AttrName::entry("early"),
@@ -333,6 +317,5 @@ mod tests {
         assert!(!cache.co_occurs(&varied, &AttrName::entry("absent")));
         assert!(cache.has_attribute(&varied));
         assert!(!cache.has_attribute(&AttrName::entry("absent")));
-        assert_eq!(cache.presence_mask(&varied).map(<[u64]>::len), Some(1));
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, AssembledSystem, Assembler};
-use encore_model::{AppKind, AttrName, Dataset, Row, SemType};
+use encore_model::{AppKind, AttrName, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
 
@@ -19,20 +19,6 @@ pub struct TrainingSet {
 }
 
 impl TrainingSet {
-    /// Build a training set from pre-assembled parts (used by the
-    /// cross-component extension, [`crate::cross`]).
-    pub fn from_parts(
-        app: AppKind,
-        systems: Vec<(Row, SystemImage)>,
-        types: TypeMap,
-    ) -> TrainingSet {
-        TrainingSet {
-            systems,
-            types,
-            app,
-        }
-    }
-
     /// Assemble a training set from images with the default [`Assembler`].
     ///
     /// Images whose configuration is missing or unparseable are skipped, as
@@ -88,11 +74,6 @@ impl TrainingSet {
     /// The merged type map.
     pub fn types(&self) -> &TypeMap {
         &self.types
-    }
-
-    /// A dataset view of the rows (cloned), for statistics and mining.
-    pub fn dataset(&self) -> Dataset {
-        self.systems.iter().map(|(r, _)| r.clone()).collect()
     }
 
     /// The assembled rows, borrowed, in training order.
@@ -347,12 +328,5 @@ mod tests {
             }
             Assembler::new().assemble_system(AppKind::Mysql, image)
         });
-    }
-
-    #[test]
-    fn dataset_view_matches() {
-        let images: Vec<_> = (0..2).map(|i| img(&format!("i{i}"))).collect();
-        let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
-        assert_eq!(ts.dataset().num_rows(), 2);
     }
 }

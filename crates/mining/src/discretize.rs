@@ -7,16 +7,16 @@
 //! Table 2's `Binominal` row — and we reproduce the exact conversion here.
 
 use crate::Transactions;
-use encore_model::Dataset;
+use encore_model::Row;
 
-/// Convert an assembled dataset into a boolean transaction database.
+/// Convert assembled rows into a boolean transaction database.
 ///
-/// Each row becomes one transaction whose items are `attr=value` strings.
-/// Returns the transaction database together with the binomial attribute
-/// count (the number of distinct items).
-pub fn discretize(dataset: &Dataset) -> Transactions {
+/// Each row becomes one transaction, in row order, whose items are the
+/// `attr=value` strings of its present cells; the database's item count is
+/// the binomial attribute count (the number of distinct items).
+pub fn discretize(rows: &[&Row]) -> Transactions {
     let mut tx = Transactions::new();
-    for row in dataset.rows() {
+    for row in rows {
         let items: Vec<String> = row
             .iter()
             .filter(|(_, v)| !v.is_absent())
@@ -30,26 +30,28 @@ pub fn discretize(dataset: &Dataset) -> Transactions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encore_model::{AttrName, ConfigValue, Row};
+    use encore_model::{AttrName, ConfigValue};
 
-    fn dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        for (id, user, port) in [
+    fn rows() -> Vec<Row> {
+        [
             ("a", "mysql", 3306.0),
             ("b", "mysql", 3307.0),
             ("c", "root", 3306.0),
-        ] {
+        ]
+        .into_iter()
+        .map(|(id, user, port)| {
             let mut r = Row::new(id);
             r.set(AttrName::entry("user"), ConfigValue::str(user));
             r.set(AttrName::entry("port"), ConfigValue::number(port));
-            ds.push_row(r);
-        }
-        ds
+            r
+        })
+        .collect()
     }
 
     #[test]
     fn binomial_count_is_distinct_attr_value_pairs() {
-        let tx = discretize(&dataset());
+        let rows = rows();
+        let tx = discretize(&rows.iter().collect::<Vec<_>>());
         // user ∈ {mysql, root} + port ∈ {3306, 3307} = 4 binomial items
         assert_eq!(tx.num_items(), 4);
         assert_eq!(tx.len(), 3);
@@ -57,19 +59,18 @@ mod tests {
 
     #[test]
     fn binomial_count_at_least_nominal_count() {
-        let ds = dataset();
-        let tx = discretize(&ds);
-        assert!(tx.num_items() >= ds.num_attributes());
+        let rows = rows();
+        let rows: Vec<&Row> = rows.iter().collect();
+        let nominal = encore_model::ColumnStore::from_rows(&rows).num_columns();
+        assert!(discretize(&rows).num_items() >= nominal);
     }
 
     #[test]
     fn absent_cells_skipped() {
-        let mut ds = Dataset::new();
         let mut r = Row::new("x");
         r.set(AttrName::entry("a"), ConfigValue::Absent);
         r.set(AttrName::entry("b"), ConfigValue::str("v"));
-        ds.push_row(r);
-        let tx = discretize(&ds);
+        let tx = discretize(&[&r]);
         assert_eq!(tx.num_items(), 1);
     }
 }

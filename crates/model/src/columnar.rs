@@ -13,13 +13,13 @@
 //! [`ColumnStore::from_rows`] builds it in one pass over borrowed rows,
 //! cloning neither rows nor attribute names, then interns column by column.
 //! Attribute ids follow sorted attribute order — `AttrId(i)` is the `i`-th
-//! attribute of [`crate::Dataset::attributes`] over the same rows — and
-//! values intern in column-major, row-ascending order, so every id and
-//! render class is deterministic for a given row list.
+//! of the sorted set of attributes any row's cells name, all-absent ones
+//! included — and values intern in column-major, row-ascending order, so
+//! every id and render class is deterministic for a given row list.
 
 use crate::attr::AttrName;
-use crate::dataset::Row;
 use crate::intern::{Interner, ValueId};
+use crate::row::Row;
 use crate::value::ConfigValue;
 use std::collections::BTreeMap;
 
@@ -49,8 +49,7 @@ impl Column {
     }
 
     /// The row-presence bitset: bit `r` of the words is set iff row `r` has
-    /// a present value.  Identical to [`crate::Dataset::presence_mask`] for
-    /// the same attribute.
+    /// a present value.
     pub fn presence(&self) -> &[u64] {
         &self.presence
     }
@@ -110,7 +109,7 @@ impl ColumnStore {
         &self.interner
     }
 
-    /// Number of rows in the pivoted dataset.
+    /// Number of pivoted rows.
     pub fn num_rows(&self) -> usize {
         self.num_rows
     }
@@ -125,7 +124,7 @@ impl ColumnStore {
         &self.columns[index]
     }
 
-    /// The column of an attribute, if the dataset contains it.
+    /// The column of an attribute, if any row names it.
     pub fn column_of(&self, attr: &AttrName) -> Option<&Column> {
         self.interner
             .attr_id(attr)
@@ -138,9 +137,9 @@ impl ColumnStore {
     }
 
     /// Frequency of each rendered value in column `index`, keyed by the
-    /// interned render strings.  Iterating the map yields the same
-    /// (sorted-render) order and counts as
-    /// [`crate::Dataset::value_histogram`] on the source dataset.
+    /// interned render strings: the number of present cells whose
+    /// [`ConfigValue::render`] is each key, iterated in sorted-render
+    /// order, as a row loop counting renders into a `BTreeMap` would give.
     pub fn value_histogram(&self, index: usize) -> BTreeMap<&str, usize> {
         // Count runs of equal ids, then merge the few distinct ids by
         // render: one map update per distinct value, not per row.
@@ -164,74 +163,108 @@ impl ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
     use crate::intern::AttrId;
     use crate::value::SizeUnit;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    fn build(dataset: &Dataset) -> ColumnStore {
-        ColumnStore::from_rows(&dataset.rows().iter().collect::<Vec<_>>())
+    fn build(rows: &[Row]) -> ColumnStore {
+        ColumnStore::from_rows(&rows.iter().collect::<Vec<_>>())
     }
 
-    fn dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        for i in 0..70 {
-            let mut r = Row::new(format!("s{i}"));
-            r.set(AttrName::entry("user"), ConfigValue::str("mysql"));
-            if i % 2 == 0 {
-                r.set(
-                    AttrName::entry("datadir"),
-                    ConfigValue::path(format!("/var/lib/mysql{}", i % 3)),
-                );
+    /// 70 rows, so every presence bitset spans two words.
+    fn rows() -> Vec<Row> {
+        (0..70)
+            .map(|i| {
+                let mut r = Row::new(format!("s{i}"));
+                r.set(AttrName::entry("user"), ConfigValue::str("mysql"));
+                if i % 2 == 0 {
+                    r.set(
+                        AttrName::entry("datadir"),
+                        ConfigValue::path(format!("/var/lib/mysql{}", i % 3)),
+                    );
+                }
+                if i == 5 {
+                    r.set(AttrName::entry("port"), ConfigValue::Absent);
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// Every attribute any row names, sorted: the reference column order.
+    fn attributes(rows: &[Row]) -> BTreeSet<AttrName> {
+        rows.iter()
+            .flat_map(|r| r.iter().map(|(a, _)| a.clone()))
+            .collect()
+    }
+
+    /// Reference presence words: bit `i` set iff `rows[i]` has a present
+    /// value for `attr`.
+    fn presence_of(rows: &[Row], attr: &AttrName) -> Vec<u64> {
+        let mut mask = vec![0u64; rows.len().div_ceil(64)];
+        for (i, row) in rows.iter().enumerate() {
+            if row.has(attr) {
+                mask[i / 64] |= 1u64 << (i % 64);
             }
-            if i == 5 {
-                r.set(AttrName::entry("port"), ConfigValue::Absent);
-            }
-            ds.push_row(r);
         }
-        ds
+        mask
+    }
+
+    /// Reference histogram: present renders counted into a `BTreeMap`.
+    fn histogram_of(rows: &[Row], attr: &AttrName) -> BTreeMap<String, usize> {
+        let mut hist = BTreeMap::new();
+        for v in rows.iter().filter_map(|r| r.get(attr)) {
+            if !v.is_absent() {
+                *hist.entry(v.render()).or_insert(0) += 1;
+            }
+        }
+        hist
     }
 
     #[test]
-    fn presence_matches_dataset_masks() {
-        let ds = dataset();
-        let store = build(&ds);
+    fn presence_and_support_match_a_row_loop() {
+        let rows = rows();
+        let store = build(&rows);
         assert_eq!(store.num_rows(), 70);
-        for (i, attr) in ds.attributes().iter().enumerate() {
-            assert_eq!(
-                store.column(i).presence(),
-                ds.presence_mask(attr).as_slice(),
-                "{attr}"
-            );
-            assert_eq!(store.column(i).support(), ds.support(attr), "{attr}");
+        let attrs = attributes(&rows);
+        assert_eq!(store.num_columns(), attrs.len());
+        for (i, attr) in attrs.iter().enumerate() {
+            let want = presence_of(&rows, attr);
+            assert_eq!(want.len(), 2, "{attr}: two presence words");
+            assert_eq!(store.column(i).presence(), want.as_slice(), "{attr}");
+            let support = rows.iter().filter(|r| r.has(attr)).count();
+            assert_eq!(store.column(i).support(), support, "{attr}");
             assert!(std::ptr::eq(
                 store.column_of(attr).unwrap(),
                 store.column(i)
             ));
         }
+        assert!(store.column_of(&AttrName::entry("missing")).is_none());
     }
 
     #[test]
-    fn histograms_match_dataset_histograms() {
-        let ds = dataset();
-        let store = build(&ds);
-        for (i, attr) in ds.attributes().iter().enumerate() {
-            let row_major = ds.value_histogram(attr);
-            let columnar = store.value_histogram(i);
-            let columnar_owned: Vec<(String, usize)> =
-                columnar.iter().map(|(k, &v)| (k.to_string(), v)).collect();
-            let row_major_vec: Vec<(String, usize)> = row_major.into_iter().collect();
-            assert_eq!(columnar_owned, row_major_vec, "{attr}");
+    fn histograms_match_a_row_loop() {
+        let rows = rows();
+        let store = build(&rows);
+        for (i, attr) in attributes(&rows).iter().enumerate() {
+            let columnar: Vec<(String, usize)> = store
+                .value_histogram(i)
+                .iter()
+                .map(|(k, &v)| (k.to_string(), v))
+                .collect();
+            let row_major: Vec<(String, usize)> = histogram_of(&rows, attr).into_iter().collect();
+            assert_eq!(columnar, row_major, "{attr}");
         }
     }
 
     #[test]
     fn cells_round_trip_through_ids() {
-        let ds = dataset();
-        let store = build(&ds);
-        for (i, attr) in ds.attributes().iter().enumerate() {
+        let rows = rows();
+        let store = build(&rows);
+        for (i, attr) in attributes(&rows).iter().enumerate() {
             let column = store.column(i);
-            for (r, row) in ds.rows().iter().enumerate() {
+            for (r, row) in rows.iter().enumerate() {
                 match row.get(attr).filter(|v| !v.is_absent()) {
                     Some(v) => {
                         let id = column.value_id(r).expect("present cell has an id");
@@ -253,8 +286,7 @@ mod tests {
 
     #[test]
     fn absent_cells_are_not_interned_as_present() {
-        let ds = dataset();
-        let store = build(&ds);
+        let store = build(&rows());
         let port = store.column_of(&AttrName::entry("port")).expect("column");
         assert_eq!(port.support(), 0);
         assert_eq!(port.value_id(5), None);
@@ -262,15 +294,15 @@ mod tests {
 
     /// The per-attribute pivot the one-pass build replaced: a sorted
     /// attribute scan, then one map lookup per (attribute, row).
-    fn build_reference(dataset: &Dataset) -> ColumnStore {
+    fn build_reference(rows: &[Row]) -> ColumnStore {
         let mut interner = Interner::new();
-        let num_rows = dataset.num_rows();
+        let num_rows = rows.len();
         let mut columns = Vec::new();
-        for attr in &dataset.attributes() {
+        for attr in &attributes(rows) {
             interner.intern_attr(attr);
             let mut ids = vec![ABSENT; num_rows];
             let mut presence = vec![0u64; num_rows.div_ceil(64)];
-            for (r, row) in dataset.rows().iter().enumerate() {
+            for (r, row) in rows.iter().enumerate() {
                 if let Some(value) = row.get(attr).filter(|v| !v.is_absent()) {
                     ids[r] = interner.intern_value(value).0;
                     presence[r / 64] |= 1u64 << (r % 64);
@@ -330,7 +362,7 @@ mod tests {
                 0..80,
             ),
         ) {
-            let ds: Dataset = cells
+            let rows: Vec<Row> = cells
                 .iter()
                 .enumerate()
                 .map(|(r, row_cells)| {
@@ -341,8 +373,7 @@ mod tests {
                     row
                 })
                 .collect();
-            let rows: Vec<&Row> = ds.rows().iter().collect();
-            let (got, want) = (ColumnStore::from_rows(&rows), build_reference(&ds));
+            let (got, want) = (build(&rows), build_reference(&rows));
             prop_assert_eq!(got.num_rows(), want.num_rows());
             prop_assert_eq!(got.interner().attrs(), want.interner().attrs());
             prop_assert_eq!(got.interner().num_values(), want.interner().num_values());

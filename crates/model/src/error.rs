@@ -17,8 +17,6 @@ pub enum ModelError {
     },
     /// An attribute name was syntactically invalid (empty, embedded NUL, ...).
     InvalidAttrName(String),
-    /// A dataset operation referenced a row that does not exist.
-    NoSuchRow(String),
 }
 
 impl fmt::Display for ModelError {
@@ -29,7 +27,6 @@ impl fmt::Display for ModelError {
                 write!(f, "cannot parse `{input}` as {expected}")
             }
             ModelError::InvalidAttrName(name) => write!(f, "invalid attribute name `{name}`"),
-            ModelError::NoSuchRow(id) => write!(f, "no row with system id `{id}`"),
         }
     }
 }

@@ -9,19 +9,21 @@
 //! * [`SemType`] — the semantic type lattice of §4.2 / Table 4,
 //! * [`AttrName`] — an attribute name (a config entry or an augmented
 //!   attribute such as `datadir.owner`),
-//! * [`Dataset`] — the systems × attributes table the rule learner consumes,
+//! * [`Row`] — one system's attribute values, a row of the systems ×
+//!   attributes table the rule learner consumes,
+//! * [`ColumnStore`] — that table pivoted into interned columns,
 //! * [`AppKind`] — the applications studied by the paper.
 //!
 //! # Examples
 //!
 //! ```
-//! use encore_model::{AttrName, ConfigValue, Dataset, Row};
+//! use encore_model::{AttrName, ColumnStore, ConfigValue, Row};
 //!
-//! let mut ds = Dataset::new();
 //! let mut row = Row::new("image-0");
 //! row.set(AttrName::entry("datadir"), ConfigValue::path("/var/lib/mysql"));
-//! ds.push_row(row);
-//! assert_eq!(ds.num_rows(), 1);
+//! let store = ColumnStore::from_rows(&[&row]);
+//! assert_eq!(store.num_rows(), 1);
+//! assert_eq!(store.num_columns(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,17 +31,17 @@
 
 pub mod attr;
 pub mod columnar;
-pub mod dataset;
 pub mod error;
 pub mod intern;
+pub mod row;
 pub mod semtype;
 pub mod value;
 
 pub use attr::{AttrName, Augmentation};
 pub use columnar::{Column, ColumnStore};
-pub use dataset::{Dataset, Row};
 pub use error::ModelError;
 pub use intern::{AttrId, Interner, ValueId};
+pub use row::Row;
 pub use semtype::SemType;
 pub use value::{ConfigValue, SizeUnit};
 

@@ -9,25 +9,25 @@
 use encore::prelude::*;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_mining::{discretize, FpGrowth, MiningLimits};
-use encore_model::AppKind;
+use encore_model::{AppKind, ColumnStore};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = Population::training(AppKind::Mysql, &PopulationOptions::new(60, 11));
     let training = TrainingSet::assemble(AppKind::Mysql, fleet.images())?;
-    let dataset = training.dataset();
-    let tx = discretize(&dataset);
+    let rows = training.rows();
+    let tx = discretize(&rows);
     println!(
         "assembled {} systems, {} attributes, {} binomial items",
-        dataset.num_rows(),
-        dataset.num_attributes(),
+        training.len(),
+        ColumnStore::from_rows(&rows).num_columns(),
         tx.num_items()
     );
 
     // Off-the-shelf: FP-Growth with a resource guard standing in for the
     // paper's 16 GB testbed.
     for min_support_pct in [20, 10, 5] {
-        let min_support = (dataset.num_rows() * min_support_pct / 100).max(2);
+        let min_support = (training.len() * min_support_pct / 100).max(2);
         let started = Instant::now();
         match FpGrowth::new(min_support).mine(&tx, &MiningLimits::capped(2_000_000)) {
             Ok(result) => println!(

@@ -7,7 +7,7 @@ use encore::prelude::*;
 use encore::{StatsCache, TypeMap};
 use encore_check::{check_all, Code, LintReport, Severity};
 use encore_corpus::genimage::{Population, PopulationOptions};
-use encore_model::{AppKind, AttrName, ConfigValue, Dataset, Row, SemType};
+use encore_model::{AppKind, AttrName, ConfigValue, Row, SemType};
 
 fn mysql_training() -> TrainingSet {
     let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(20, 7));
@@ -132,22 +132,23 @@ fn seeded_transitive_ordering_cycle_is_flagged_ec060() {
 fn conflicting_owners_with_row_evidence_is_an_error() {
     // Hand-built corpus where two user-typed entries genuinely differ, so
     // two Owns rules claiming the same path for each are contradictory.
-    let mut ds = Dataset::new();
-    for i in 0..4 {
-        let mut row = Row::new(format!("s{i}"));
-        row.set(AttrName::entry("run_user"), ConfigValue::str("mysql"));
-        row.set(AttrName::entry("backup_user"), ConfigValue::str("backup"));
-        row.set(
-            AttrName::entry("datadir"),
-            ConfigValue::path("/var/lib/mysql"),
-        );
-        ds.push_row(row);
-    }
+    let rows: Vec<Row> = (0..4)
+        .map(|i| {
+            let mut row = Row::new(format!("s{i}"));
+            row.set(AttrName::entry("run_user"), ConfigValue::str("mysql"));
+            row.set(AttrName::entry("backup_user"), ConfigValue::str("backup"));
+            row.set(
+                AttrName::entry("datadir"),
+                ConfigValue::path("/var/lib/mysql"),
+            );
+            row
+        })
+        .collect();
     let mut types = TypeMap::new();
     types.set(AttrName::entry("run_user"), SemType::UserName);
     types.set(AttrName::entry("backup_user"), SemType::UserName);
     types.set(AttrName::entry("datadir"), SemType::FilePath);
-    let cache = StatsCache::new(ds, &types);
+    let cache = StatsCache::from_rows(&rows.iter().collect::<Vec<_>>(), &types);
 
     let mut rules = RuleSet::new();
     rules.push(Rule::new(

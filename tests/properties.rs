@@ -1,7 +1,7 @@
 //! Property-based tests over the core invariants (proptest).
 
 use encore_mining::{entropy, Apriori, FpGrowth, MiningLimits, Transactions};
-use encore_model::{AttrName, ConfigValue, Dataset, Row, SemType};
+use encore_model::{AttrName, ColumnStore, ConfigValue, Row, SemType};
 use encore_parser::{IniLens, KeyValue, Lens, SshdLens};
 use proptest::prelude::*;
 
@@ -108,24 +108,34 @@ proptest! {
         prop_assert_eq!(parsed.suffix(), Some(suffix.as_str()));
     }
 
-    /// Dataset support never exceeds the row count, and histograms sum to
-    /// the support.
+    /// A column's support never exceeds the row count, equals the number
+    /// of `Some` cells, and its histogram sums to the support.
     #[test]
-    fn dataset_support_invariants(values in proptest::collection::vec(
+    fn column_support_invariants(values in proptest::collection::vec(
         proptest::option::of("[a-z]{1,4}"), 1..30
     )) {
-        let mut ds = Dataset::new();
         let attr = AttrName::entry("x");
-        for (i, v) in values.iter().enumerate() {
-            let mut row = Row::new(format!("s{i}"));
-            if let Some(s) = v {
-                row.set(attr.clone(), ConfigValue::str(s.clone()));
-            }
-            ds.push_row(row);
-        }
-        let support = ds.support(&attr);
-        prop_assert!(support <= ds.num_rows());
-        let hist_total: usize = ds.value_histogram(&attr).values().sum();
+        let rows: Vec<Row> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let mut row = Row::new(format!("s{i}"));
+                if let Some(s) = v {
+                    row.set(attr.clone(), ConfigValue::str(s.clone()));
+                }
+                row
+            })
+            .collect();
+        let store = ColumnStore::from_rows(&rows.iter().collect::<Vec<_>>());
+        prop_assert_eq!(store.num_rows(), values.len());
+        let present = values.iter().filter(|v| v.is_some()).count();
+        let support = store.column_of(&attr).map_or(0, |c| c.support());
+        prop_assert!(support <= store.num_rows());
+        prop_assert_eq!(support, present);
+        let hist_total: usize = store
+            .interner()
+            .attr_id(&attr)
+            .map_or(0, |id| store.value_histogram(id.index()).values().sum());
         prop_assert_eq!(hist_total, support);
     }
 
@@ -158,14 +168,15 @@ proptest! {
         use encore::filter::{judge, FilterThresholds, Verdict};
         use encore::stats::StatsCache;
         use encore::types::TypeMap;
-        let mut ds = Dataset::new();
-        for i in 0..20 {
-            let mut r = Row::new(format!("s{i}"));
-            r.set(AttrName::entry("a"), ConfigValue::str(format!("v{i}")));
-            r.set(AttrName::entry("b"), ConfigValue::str(format!("w{}", i % 5)));
-            ds.push_row(r);
-        }
-        let stats = StatsCache::new(ds, &TypeMap::new());
+        let rows: Vec<Row> = (0..20)
+            .map(|i| {
+                let mut r = Row::new(format!("s{i}"));
+                r.set(AttrName::entry("a"), ConfigValue::str(format!("v{i}")));
+                r.set(AttrName::entry("b"), ConfigValue::str(format!("w{}", i % 5)));
+                r
+            })
+            .collect();
+        let stats = StatsCache::from_rows(&rows.iter().collect::<Vec<_>>(), &TypeMap::new());
         let lax = FilterThresholds {
             min_support_fraction: 0.05,
             min_confidence: 0.5,
