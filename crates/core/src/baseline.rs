@@ -9,7 +9,7 @@
 //!   attribute set, and type violations are checked — but no correlation
 //!   rules are learned ("Baseline+Env" in the paper).
 
-use crate::detect::{Report, TrainingStats, Warning, WarningKind};
+use crate::detect::{observed_type, Report, TrainingStats, Warning, WarningKind};
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, Assembler};
@@ -29,7 +29,7 @@ fn compare(stats: &TrainingStats, row: &Row, report: &mut Vec<Warning>) {
         // misspelled names are invisible to value comparison (entry-name
         // checking is an EnCore check, §6).
         match stats.values().get(attr) {
-            Some(seen) if !seen.contains_key(&value.render()) => {
+            Some(seen) if !seen.contains_key(value.rendered().as_ref()) => {
                 report.push(Warning::new_suspicious(
                     attr.clone(),
                     value.render(),
@@ -112,12 +112,12 @@ impl BaselineEnv {
     ///
     /// Propagates assembly failures.
     pub fn check_image(&self, app: AppKind, image: &SystemImage) -> Result<Report, AssembleError> {
-        let row = self.assembler.assemble_image(app, image)?;
+        let system = self.assembler.assemble_system(app, image)?;
         let mut warnings = Vec::new();
-        compare(&self.stats, &row, &mut warnings);
-        // Type violations, as in the full detector.
+        compare(&self.stats, &system.row, &mut warnings);
+        // Type violations, typed as in the full detector.
         let inference = self.assembler.inference();
-        for (attr, value) in row.iter() {
+        for (attr, value) in system.row.iter() {
             if !attr.is_original() || value.is_absent() {
                 continue;
             }
@@ -125,8 +125,9 @@ impl BaselineEnv {
             if expected.is_trivial() {
                 continue;
             }
-            let rendered = value.render();
-            let inferred = inference.infer(&rendered, image);
+            let rendered = value.rendered();
+            let assembled = system.types.get(attr).copied();
+            let inferred = observed_type(inference, value, &rendered, assembled, image);
             if inferred != expected {
                 warnings.push(Warning::internal(
                     WarningKind::TypeViolation,

@@ -20,11 +20,13 @@ use crate::rules::{Rule, RuleSet};
 use crate::snapshot::DetectorSnapshot;
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
-use encore_assemble::{AssembleError, Assembler};
-use encore_model::{AppKind, AttrName, ColumnStore, Row, SemType};
+use encore_assemble::{AssembleError, Assembler, TypeInference};
+use encore_model::{AppKind, AttrName, ColumnStore, ConfigValue, Row, SemType};
 use encore_sysimage::SystemImage;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::iter::Peekable;
 use std::time::Instant;
 
 /// Kind of a detected anomaly.
@@ -307,7 +309,7 @@ impl TrainingStats {
             if attr.is_original() {
                 stats
                     .known_entries
-                    .insert(crate::relation::canonical_entry_name(attr.base()));
+                    .insert(crate::relation::canonical_entry_name(attr.base()).into_owned());
             }
             let hist = store.value_histogram(i);
             if !hist.is_empty() {
@@ -372,21 +374,56 @@ impl DetectorIndex {
             rules: rules.len(),
         }
     }
+}
 
-    /// Indices of rules whose `A` slot is present (non-absent) on the row,
-    /// in ascending rule order.
-    fn candidates(&self, row: &Row) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (attr, value) in row.iter() {
-            if value.is_absent() {
-                continue;
+/// What one ordered pass over a target row finds: the entry-name, type and
+/// value warnings, each in row order, and the indices of the rules whose
+/// `A` slot the row carries, ascending.
+#[derive(Debug, Default)]
+struct RowScan {
+    names: Vec<Warning>,
+    types: Vec<Warning>,
+    values: Vec<Warning>,
+    candidates: Vec<usize>,
+}
+
+/// Advance `cursor`, an iterator over a map sorted by [`AttrName`], to
+/// `attr` and take the value stored there.  Seeking attributes in
+/// ascending order passes every key at most once per row.
+fn seek<'m, V>(
+    cursor: &mut Peekable<impl Iterator<Item = (&'m AttrName, V)>>,
+    attr: &AttrName,
+) -> Option<V> {
+    while let Some((key, _)) = cursor.peek() {
+        match (*key).cmp(attr) {
+            Ordering::Less => {
+                cursor.next();
             }
-            if let Some(bucket) = self.by_a.get(attr) {
-                out.extend_from_slice(bucket);
-            }
+            Ordering::Equal => return cursor.next().map(|(_, value)| value),
+            Ordering::Greater => return None,
         }
-        out.sort_unstable();
-        out
+    }
+    None
+}
+
+/// The type a target entry's value has in `image`, for the type check.
+///
+/// A text cell ([`ConfigValue::as_str`] is `Some`) renders back to exactly
+/// the trimmed text assembly typed, so it takes `assembled`, the type
+/// assembly already inferred.  Every other cell is re-inferred from
+/// `rendered`, its [`ConfigValue::render`] text, because rendering can
+/// change what inference sees: `3306.0` assembles as a `Number` but
+/// renders `3306`, which a `mysql` service makes a `PortNumber`.
+pub(crate) fn observed_type(
+    inference: &TypeInference,
+    value: &ConfigValue,
+    rendered: &str,
+    assembled: Option<SemType>,
+    image: &SystemImage,
+) -> SemType {
+    match assembled {
+        Some(ty) if value.as_str().is_some() => ty,
+        _ => inference.infer(rendered, image),
     }
 }
 
@@ -476,14 +513,17 @@ impl AnomalyDetector {
         self.stats.systems
     }
 
-    /// Assemble a target image and check it.
+    /// Assemble a target image and check it.  The type check reuses the
+    /// types assembly inferred for the image's text entries, so those
+    /// entries are not typed twice; the reports equal
+    /// [`AnomalyDetector::check`] of the assembled row.
     ///
     /// # Errors
     ///
     /// Propagates assembly failures.
     pub fn check_image(&self, app: AppKind, image: &SystemImage) -> Result<Report, AssembleError> {
-        let row = self.assembler.assemble_image(app, image)?;
-        Ok(self.check(&row, Some(image)))
+        let system = self.assembler.assemble_system(app, image)?;
+        Ok(self.check_typed(&system.row, Some(image), Some(&system.types)))
     }
 
     /// Check a whole target fleet in one batch over the work-stealing pool.
@@ -540,15 +580,30 @@ impl AnomalyDetector {
     }
 
     /// Check an already-assembled row (image optional; environment-backed
-    /// rules are skipped without it).
+    /// rules and the type check are skipped without it).
     pub fn check(&self, row: &Row, image: Option<&SystemImage>) -> Report {
+        self.check_typed(row, image, None)
+    }
+
+    /// [`AnomalyDetector::check`], given assembly's per-entry types of the
+    /// row when the caller has them.
+    fn check_typed(
+        &self,
+        row: &Row,
+        image: Option<&SystemImage>,
+        assembled: Option<&BTreeMap<AttrName, SemType>>,
+    ) -> Report {
         let _span = crate::obs::DETECT_TIME.span();
         crate::obs::DETECT_SYSTEMS_CHECKED.incr();
-        let mut report = Report::default();
-        self.check_entry_names(row, &mut report);
-        self.check_correlations(row, image, &mut report);
-        self.check_types(row, image, &mut report);
-        self.check_values(row, &mut report);
+        let scan = self.scan(row, image, assembled);
+        // The four checks' warnings in check order, so equal-rank ties
+        // keep their order through the stable rank sort.
+        let mut report = Report {
+            warnings: scan.names,
+        };
+        self.check_correlations(row, image, &scan.candidates, &mut report);
+        report.warnings.extend(scan.types);
+        report.warnings.extend(scan.values);
         if crate::obs::enabled() {
             for warning in &report.warnings {
                 match warning.kind {
@@ -563,43 +618,135 @@ impl AnomalyDetector {
         report.finish()
     }
 
-    /// Check 1: unknown entry names (likely misspellings, [31]).
+    /// Checks 1, 3 and 4, and check 2's rule candidates, in one walk over
+    /// the row.  The type map, the training histograms, the rule index and
+    /// `assembled` are all sorted by [`AttrName`] like the row, so each is
+    /// read through a cursor that only moves forward.
     ///
-    /// Warnings are deduplicated by canonical base name: a misspelled entry
-    /// repeated on the target (`dataadir#1`, `dataadir#2`, or the same
-    /// unknown directive under several Apache section scopes) is one
-    /// anomaly, not one warning per occurrence flooding the ranked list.
-    fn check_entry_names(&self, row: &Row, report: &mut Report) {
+    /// 1. **Unknown entry names** (likely misspellings, [31]), deduplicated
+    ///    by canonical base name: a misspelled entry repeated on the target
+    ///    (`dataadir#1`, `dataadir#2`, or the same unknown directive under
+    ///    several Apache section scopes) is one anomaly, not one warning per
+    ///    occurrence flooding the ranked list.
+    /// 3. **Data-type violations**: each original entry's value must still
+    ///    pass the syntactic match and semantic verification of the type
+    ///    learned in training.
+    /// 4. **Suspicious (never-seen) values**, ranked by Inverse Change
+    ///    Frequency [42].
+    fn scan(
+        &self,
+        row: &Row,
+        image: Option<&SystemImage>,
+        assembled: Option<&BTreeMap<AttrName, SemType>>,
+    ) -> RowScan {
+        let mut scan = RowScan::default();
         let mut reported: BTreeSet<String> = BTreeSet::new();
-        for (attr, _) in row.iter() {
-            if !attr.is_original() {
+        let mut trained_types = self.types.iter().peekable();
+        let mut histograms = self.stats.values.iter().peekable();
+        let mut buckets = self.index.by_a.iter().peekable();
+        let mut assembled = assembled.map(|types| types.iter().peekable());
+        for (attr, value) in row.iter() {
+            let original = attr.is_original();
+            if original {
+                let base = crate::relation::canonical_entry_name(attr.base());
+                if !self.stats.known_entries.contains(base.as_ref())
+                    && reported.insert(base.to_string())
+                {
+                    scan.names.push(Warning {
+                        kind: WarningKind::UnknownEntry,
+                        attr: attr.clone(),
+                        detail: format!("entry `{base}` never appears in the training set"),
+                        score: 70.0,
+                        rule: None,
+                    });
+                }
+            }
+            if value.is_absent() {
                 continue;
             }
-            let base = crate::relation::canonical_entry_name(attr.base());
-            if !self.stats.known_entries.contains(&base) && reported.insert(base.clone()) {
-                report.warnings.push(Warning {
-                    kind: WarningKind::UnknownEntry,
-                    attr: attr.clone(),
-                    detail: format!("entry `{base}` never appears in the training set"),
-                    score: 70.0,
-                    rule: None,
-                });
+            if let Some(bucket) = seek(&mut buckets, attr) {
+                scan.candidates.extend_from_slice(bucket);
             }
+            let hist = seek(&mut histograms, attr);
+            // `TypeMap::type_of` of an original entry.
+            let trained = original.then(|| {
+                seek(&mut trained_types, attr)
+                    .copied()
+                    .unwrap_or(SemType::Str)
+            });
+            let rendered = value.rendered();
+            if let (Some(expected), Some(image)) = (trained.filter(|ty| !ty.is_trivial()), image) {
+                let assembled = assembled.as_mut().and_then(|types| seek(types, attr));
+                let inference = self.assembler.inference();
+                let inferred =
+                    observed_type(inference, value, &rendered, assembled.copied(), image);
+                if inferred != expected {
+                    // Cardinality of training values drives the rank: a
+                    // type violation on an entry that always had one value
+                    // is near certain (§6's extension_dir example).
+                    let cardinality = hist.map(|h| h.len()).unwrap_or(1).max(1);
+                    scan.types.push(Warning {
+                        kind: WarningKind::TypeViolation,
+                        attr: attr.clone(),
+                        detail: format!(
+                            "value `{rendered}` is {inferred}, trained type is {expected}"
+                        ),
+                        score: 90.0 + 10.0 / cardinality as f64,
+                        rule: None,
+                    });
+                }
+            }
+            // A new attribute has no histogram: check 1 reports it.
+            let Some(hist) = hist else { continue };
+            // File paths legitimately vary across systems (§7.1.1's Baseline
+            // misses wrong paths for this reason); the pure value comparison
+            // stays quiet on env-related types and leaves them to checks 2/3.
+            if hist.contains_key(rendered.as_ref()) || trained == Some(SemType::FilePath) {
+                continue;
+            }
+            // ICF: fewer distinct training values → higher rank, weighted
+            // by the modal value's dominance so the per-value counts the
+            // histogram tracks actually matter.  An entry where 9 of 10
+            // training systems agree on one value (dominance 0.9) changed
+            // rarely — a deviation is a strong signal; an entry whose
+            // values are spread evenly changed often, which is exactly what
+            // the Inverse *Change Frequency* heuristic down-ranks.
+            let total: usize = hist.values().sum();
+            let modal = hist.values().copied().max().unwrap_or(1);
+            let dominance = modal as f64 / total.max(1) as f64;
+            let icf = 1.0 / hist.len() as f64;
+            scan.values.push(Warning {
+                kind: WarningKind::SuspiciousValue,
+                attr: attr.clone(),
+                detail: format!(
+                    "value `{rendered}` never seen in training ({} known values, modal share {modal}/{total})",
+                    hist.len()
+                ),
+                score: 40.0 * icf * dominance,
+                rule: None,
+            });
         }
+        scan.candidates.sort_unstable();
+        scan
     }
 
     /// Check 2: correlation-rule violations.
     ///
-    /// Only the [`DetectorIndex`] candidates — rules whose `A`-slot
+    /// Only the [`DetectorIndex`] `candidates` — rules whose `A`-slot
     /// attribute the target actually carries — are evaluated; the skipped
     /// rules would all be [`Applicability::NotApplicable`], so the warnings
     /// are byte-identical to a full scan of the rule list.
-    fn check_correlations(&self, row: &Row, image: Option<&SystemImage>, report: &mut Report) {
+    fn check_correlations(
+        &self,
+        row: &Row,
+        image: Option<&SystemImage>,
+        candidates: &[usize],
+        report: &mut Report,
+    ) {
         let view = match image {
             Some(img) => SystemView::new(row, img),
             None => SystemView::row_only(row),
         };
-        let candidates = self.index.candidates(row);
         if crate::obs::enabled() {
             crate::obs::DETECT_INDEX_RULES_EVALUATED.add(candidates.len() as u64);
             crate::obs::DETECT_INDEX_RULES_SKIPPED
@@ -610,7 +757,7 @@ impl AnomalyDetector {
         // check, not one per rule.
         let profiling = crate::obs::profile::enabled();
         let mut buckets: BTreeMap<&AttrName, (u64, u64, u64)> = BTreeMap::new();
-        for i in candidates {
+        for &i in candidates {
             let rule = &self.rules.rules()[i];
             let profiled = profiling.then(Instant::now);
             let verdict = rule.evaluate(view);
@@ -641,10 +788,42 @@ impl AnomalyDetector {
             );
         }
     }
+}
 
-    /// Reference full scan of the rule list (what `check_correlations`
-    /// replaced); kept for the index-equivalence regression tests.
-    #[cfg(test)]
+/// The per-check row loops that [`AnomalyDetector::scan`] and the rule
+/// index replaced, kept as the reference the one pass is tested against:
+/// a full scan of the rule list, and every type re-inferred from its
+/// rendered value.
+#[cfg(test)]
+impl AnomalyDetector {
+    fn check_reference(&self, row: &Row, image: Option<&SystemImage>) -> Report {
+        let mut report = Report::default();
+        self.check_entry_names(row, &mut report);
+        self.check_correlations_unindexed(row, image, &mut report);
+        self.check_types(row, image, &mut report);
+        self.check_values(row, &mut report);
+        report.finish()
+    }
+
+    fn check_entry_names(&self, row: &Row, report: &mut Report) {
+        let mut reported: BTreeSet<String> = BTreeSet::new();
+        for (attr, _) in row.iter() {
+            if !attr.is_original() {
+                continue;
+            }
+            let base = crate::relation::canonical_entry_name(attr.base()).into_owned();
+            if !self.stats.known_entries.contains(&base) && reported.insert(base.clone()) {
+                report.warnings.push(Warning {
+                    kind: WarningKind::UnknownEntry,
+                    attr: attr.clone(),
+                    detail: format!("entry `{base}` never appears in the training set"),
+                    score: 70.0,
+                    rule: None,
+                });
+            }
+        }
+    }
+
     fn check_correlations_unindexed(
         &self,
         row: &Row,
@@ -668,10 +847,6 @@ impl AnomalyDetector {
         }
     }
 
-    /// Check 3: data-type violations.
-    ///
-    /// Each original entry's target value must still pass the syntactic
-    /// match and semantic verification of the type learned in training.
     fn check_types(&self, row: &Row, image: Option<&SystemImage>, report: &mut Report) {
         let image = match image {
             Some(i) => i,
@@ -689,9 +864,6 @@ impl AnomalyDetector {
             let rendered = value.render();
             let inferred = inference.infer(&rendered, image);
             if inferred != expected {
-                // Cardinality of training values drives the rank: a type
-                // violation on an entry that always had one value is near
-                // certain (§6's extension_dir example).
                 let cardinality = self
                     .stats
                     .values
@@ -710,8 +882,6 @@ impl AnomalyDetector {
         }
     }
 
-    /// Check 4: suspicious (never-seen) values with Inverse Change
-    /// Frequency ranking [42].
     fn check_values(&self, row: &Row, report: &mut Report) {
         for (attr, value) in row.iter() {
             if value.is_absent() {
@@ -719,26 +889,16 @@ impl AnomalyDetector {
             }
             let hist = match self.stats.values.get(attr) {
                 Some(h) => h,
-                None => continue, // new attribute: reported by check 1
+                None => continue,
             };
             let rendered = value.render();
             if hist.contains_key(&rendered) {
                 continue;
             }
-            // File paths legitimately vary across systems (§7.1.1's Baseline
-            // misses wrong paths for this reason); the pure value comparison
-            // stays quiet on env-related types and leaves them to checks 2/3.
             let ty = self.types.type_of(attr);
             if attr.is_original() && ty == SemType::FilePath {
                 continue;
             }
-            // ICF: fewer distinct training values → higher rank, weighted
-            // by the modal value's dominance so the per-value counts the
-            // histogram tracks actually matter.  An entry where 9 of 10
-            // training systems agree on one value (dominance 0.9) changed
-            // rarely — a deviation is a strong signal; an entry whose
-            // values are spread evenly changed often, which is exactly what
-            // the Inverse *Change Frequency* heuristic down-ranks.
             let total: usize = hist.values().sum();
             let modal = hist.values().copied().max().unwrap_or(1);
             let dominance = modal as f64 / total.max(1) as f64;
@@ -1112,11 +1272,142 @@ mod tests {
                 .assembler
                 .assemble_image(AppKind::Mysql, image)
                 .expect("assembles");
+            let candidates = det.scan(&row, Some(image), None).candidates;
             let mut indexed = Report::default();
-            det.check_correlations(&row, Some(image), &mut indexed);
+            det.check_correlations(&row, Some(image), &candidates, &mut indexed);
             let mut full = Report::default();
             det.check_correlations_unindexed(&row, Some(image), &mut full);
             assert_eq!(indexed, full, "index must be invisible in the warnings");
+        }
+    }
+
+    /// A detector learned from `n` training images of `app` (seed 1).
+    fn learned(app: AppKind, n: usize) -> AnomalyDetector {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        let pop = Population::training(app, &PopulationOptions::new(n, 1));
+        let training = TrainingSet::assemble(app, pop.images()).expect("assembles");
+        let options = crate::LearnOptions {
+            workers: Some(2),
+            ..crate::LearnOptions::default()
+        };
+        crate::EnCore::try_learn(&training, &options)
+            .expect("learns")
+            .into_detector()
+    }
+
+    const APPS: [AppKind; 3] = [AppKind::Apache, AppKind::Mysql, AppKind::Php];
+
+    /// A MySQL target whose `my.cnf` is `body`, with the `mysql` service on
+    /// 3306.
+    fn mysql_target(id: &str, body: &str) -> SystemImage {
+        SystemImage::builder(id)
+            .user("mysql", 27, &["mysql"])
+            .dir("/var/lib/mysql", "mysql", "mysql", 0o700)
+            .service("mysql", 3306)
+            .file("/etc/mysql/my.cnf", "root", "root", 0o644, body)
+            .build()
+    }
+
+    /// Taking assembly's types must be invisible: `check_image` reports
+    /// exactly what checking the assembled row, with every type
+    /// re-inferred, reports.
+    #[test]
+    fn check_image_matches_checking_the_assembled_row() {
+        use encore_corpus::genimage::Population;
+        for app in APPS {
+            let det = learned(app, 40);
+            for image in Population::ec2_fresh(app, 40, 77).images() {
+                let row = det.assembler.assemble_image(app, image).expect("assembles");
+                assert_eq!(
+                    det.check_image(app, image).expect("checks").render(),
+                    det.check(&row, Some(image)).render(),
+                    "{app:?} {}",
+                    image.id()
+                );
+            }
+        }
+        // Cells whose render is not the text assembly typed.
+        let det = learned(AppKind::Mysql, 40);
+        let port = AttrName::entry("port");
+        assert_eq!(det.types().type_of(&port), SemType::PortNumber);
+        for body in [
+            "[mysqld]\nport = 3306.0\n",
+            "[mysqld]\nskip-external-locking = yes\n",
+            "[mysqld]\nmax_allowed_packet = 16m\n",
+        ] {
+            let image = mysql_target("hand", body);
+            let system = det
+                .assembler
+                .assemble_system(AppKind::Mysql, &image)
+                .expect("assembles");
+            let report = det.check_image(AppKind::Mysql, &image).expect("checks");
+            assert_eq!(
+                report.render(),
+                det.check(&system.row, Some(&image)).render(),
+                "{body}"
+            );
+            if body.contains("port") {
+                // Assembly typed `3306.0` a Number; its render `3306` is
+                // the PortNumber the entry was trained as.
+                assert_eq!(system.types.get(&port), Some(&SemType::Number));
+                assert!(
+                    report
+                        .warnings()
+                        .iter()
+                        .all(|w| w.kind() != WarningKind::TypeViolation),
+                    "{report:?}"
+                );
+            }
+        }
+    }
+
+    /// The one pass must report exactly what the per-check loops did, with
+    /// and without the image.  Apache brings section-scoped and
+    /// occurrence-marked names, which take the allocating canonical path.
+    #[test]
+    fn one_pass_matches_the_per_check_loops() {
+        use encore_corpus::genimage::Population;
+        for app in APPS {
+            let det = learned(app, 40);
+            for image in Population::ec2_fresh(app, 30, 77).images() {
+                let row = det.assembler.assemble_image(app, image).expect("assembles");
+                let ctx = format!("{app:?} {}", image.id());
+                assert_eq!(
+                    det.check_image(app, image).expect("checks").render(),
+                    det.check_reference(&row, Some(image)).render(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    det.check(&row, None).render(),
+                    det.check_reference(&row, None).render(),
+                    "{ctx}"
+                );
+            }
+        }
+        // Unknown entries repeated under occurrence markers and section
+        // scopes warn once each.
+        let mysql = learned(AppKind::Mysql, 40);
+        let mut row = Row::new("dedup");
+        row.set(AttrName::entry("dataadir#1"), ConfigValue::str("/tmp/a"));
+        row.set(AttrName::entry("dataadir#2"), ConfigValue::str("/tmp/b"));
+        row.set(AttrName::entry("user"), ConfigValue::str("mysql"));
+        let apache = learned(AppKind::Apache, 40);
+        let mut scoped = Row::new("scoped");
+        for scope in ["/var/www/html", "/srv/www"] {
+            scoped.set(
+                AttrName::entry(format!("Directory:{scope}|AllowOveride")),
+                ConfigValue::str("None"),
+            );
+        }
+        for (det, row) in [(&mysql, &row), (&apache, &scoped)] {
+            let report = det.check(row, None);
+            assert_eq!(report.render(), det.check_reference(row, None).render());
+            let unknown = report
+                .warnings()
+                .iter()
+                .filter(|w| w.kind() == WarningKind::UnknownEntry)
+                .count();
+            assert_eq!(unknown, 1, "{report:?}");
         }
     }
 
@@ -1158,7 +1449,7 @@ mod tests {
                 if attr.is_original() {
                     stats
                         .known_entries
-                        .insert(crate::relation::canonical_entry_name(attr.base()));
+                        .insert(crate::relation::canonical_entry_name(attr.base()).into_owned());
                 }
                 if !value.is_absent() {
                     *stats

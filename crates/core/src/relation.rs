@@ -11,6 +11,7 @@ use crate::stats::StatsCache;
 use crate::template::Relation;
 use encore_model::{AttrName, Column, ColumnStore, ConfigValue, Row};
 use encore_sysimage::SystemImage;
+use std::borrow::Cow;
 
 /// Evaluation of a relation instance on one system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,7 @@ pub fn evaluate(
     match relation {
         Relation::MemberEq => member_eq(va, b, view),
         Relation::Owns => {
-            let owner = view.value(&a.augmented("owner")).map(ConfigValue::render);
+            let owner = view.value(&a.augmented("owner")).map(ConfigValue::rendered);
             owns(va, vb, owner.as_deref(), view.image)
         }
         _ => decide(relation, va, vb, view.image),
@@ -97,7 +98,7 @@ fn decide(
     image: Option<&SystemImage>,
 ) -> Applicability {
     match relation {
-        Relation::Equal => Applicability::from_bool(va.render() == vb.render()),
+        Relation::Equal => Applicability::from_bool(va.rendered() == vb.rendered()),
         // Association-rule semantics: the implication is only *exercised*
         // when the antecedent fires.  Counting false antecedents as "holds"
         // would admit vacuous rules between any two mostly-off booleans.
@@ -128,16 +129,16 @@ fn decide(
 /// (`LoadModule#3/arg1`); the family of `B` is every attribute sharing B's
 /// base name with the occurrence index stripped.
 fn member_eq(va: &ConfigValue, b: &AttrName, view: SystemView<'_>) -> Applicability {
-    let family_base = strip_occurrence(b.base());
-    let target = va.render();
+    let family = occurrence_parts(b.base());
+    let target = va.rendered();
     let mut seen_any = false;
     for (attr, value) in view.row.iter() {
-        if strip_occurrence(attr.base()) == family_base
-            && attr.suffix() == b.suffix()
+        if attr.suffix() == b.suffix()
             && !value.is_absent()
+            && same_parts(occurrence_parts(attr.base()), family)
         {
             seen_any = true;
-            if value.render() == target {
+            if value.rendered() == target {
                 return Applicability::Holds;
             }
         }
@@ -151,16 +152,30 @@ fn member_eq(va: &ConfigValue, b: &AttrName, view: SystemView<'_>) -> Applicabil
 
 /// Strip the `#N` occurrence marker from a flattened entry name.
 pub(crate) fn strip_occurrence(base: &str) -> String {
-    match base.find('#') {
-        Some(i) => {
-            let (head, tail) = base.split_at(i);
-            match tail[1..].find('/') {
-                Some(j) => format!("{head}{}", &tail[1 + j..]),
-                None => head.to_string(),
-            }
-        }
-        None => base.to_string(),
+    let (head, tail) = occurrence_parts(base);
+    [head, tail].concat()
+}
+
+/// [`strip_occurrence`] as the two borrowed pieces it concatenates: the
+/// name before the `#`, and the rest from the `/` that ends the marker.
+fn occurrence_parts(base: &str) -> (&str, &str) {
+    match base.split_once('#') {
+        Some((head, marked)) => match marked.find('/') {
+            Some(j) => (head, &marked[j..]),
+            None => (head, ""),
+        },
+        None => (base, ""),
     }
+}
+
+/// Whether two [`occurrence_parts`] concatenate to the same name, compared
+/// without building either.
+fn same_parts((a_head, a_tail): (&str, &str), (b_head, b_tail): (&str, &str)) -> bool {
+    a_head.len() + a_tail.len() == b_head.len() + b_tail.len()
+        && a_head
+            .bytes()
+            .chain(a_tail.bytes())
+            .eq(b_head.bytes().chain(b_tail.bytes()))
 }
 
 /// Canonicalize an entry name for *name-novelty* checks: occurrence markers
@@ -168,17 +183,22 @@ pub(crate) fn strip_occurrence(base: &str) -> String {
 /// (`Directory:/srv/www|AllowOverride` → `Directory:*|AllowOverride`).
 /// Without this, every unseen section path would flood the unknown-entry
 /// check — the Apache false-warning source the paper describes in §7.1.2,
-/// scoped here to genuinely novel section/entry *combinations*.
-pub(crate) fn canonical_entry_name(base: &str) -> String {
+/// scoped here to genuinely novel section/entry *combinations*.  A name
+/// with no `#`, `|` or `:` is its own canonical form and is lent back.
+pub(crate) fn canonical_entry_name(base: &str) -> Cow<'_, str> {
+    if !base.contains(['#', '|', ':']) {
+        return Cow::Borrowed(base);
+    }
     let stripped = strip_occurrence(base);
-    stripped
+    let canonical = stripped
         .split('|')
         .map(|segment| match segment.split_once(':') {
             Some((name, _arg)) => format!("{name}:*"),
             None => segment.to_string(),
         })
         .collect::<Vec<_>>()
-        .join("|")
+        .join("|");
+    Cow::Owned(canonical)
 }
 
 fn subnet_of(va: &ConfigValue, vb: &ConfigValue) -> Applicability {
@@ -750,6 +770,55 @@ mod tests {
         assert_eq!(strip_occurrence("LoadModule#3"), "LoadModule");
         assert_eq!(strip_occurrence("LoadModule#3/arg2"), "LoadModule/arg2");
         assert_eq!(strip_occurrence("Plain"), "Plain");
+    }
+
+    /// Every name of up to four characters over the marker alphabet.
+    fn generated_names() -> Vec<String> {
+        let mut names = vec![String::new()];
+        let mut frontier = names.clone();
+        for _ in 0..4 {
+            frontier = frontier
+                .iter()
+                .flat_map(|name| ['a', 'b', '#', '/', '1'].map(|c| format!("{name}{c}")))
+                .collect();
+            names.extend(frontier.iter().cloned());
+        }
+        names
+    }
+
+    #[test]
+    fn same_parts_equals_comparing_stripped_names() {
+        let names = generated_names();
+        assert_eq!(names.len(), 781);
+        for a in &names {
+            for b in &names {
+                assert_eq!(
+                    same_parts(occurrence_parts(a), occurrence_parts(b)),
+                    strip_occurrence(a) == strip_occurrence(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_names_borrow_exactly_the_plain_names() {
+        let cases = [
+            ("datadir", "datadir"),
+            ("session.use_cookies", "session.use_cookies"),
+            ("dataadir#2", "dataadir"),
+            ("LoadModule#3/arg2", "LoadModule/arg2"),
+            (
+                "Directory:/var/www/html10|AllowOverride",
+                "Directory:*|AllowOverride",
+            ),
+            ("IfModule:mod_ssl.c|Listen#1", "IfModule:*|Listen"),
+        ];
+        for (name, canonical) in cases {
+            let got = canonical_entry_name(name);
+            assert_eq!(got, canonical);
+            assert_eq!(matches!(got, Cow::Borrowed(_)), name == canonical, "{name}");
+        }
     }
 
     /// Well-typed, applicable sample values for each relation (no augmented

@@ -6,6 +6,7 @@
 //! value-comparison baselines and by reporting).
 
 use crate::error::ModelError;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Unit suffix of a [`ConfigValue::Size`] value.
@@ -310,27 +311,34 @@ impl ConfigValue {
     /// Canonical textual rendering used for value-equality comparison by the
     /// baselines and for CSV export.
     pub fn render(&self) -> String {
+        self.rendered().into_owned()
+    }
+
+    /// The [`ConfigValue::render`] text, borrowed wherever the value holds
+    /// it: the text variants lend their string and `Bool`/`Absent` a
+    /// literal, so only `Number` and `Size` format a new one.
+    pub fn rendered(&self) -> Cow<'_, str> {
         match self {
-            ConfigValue::Str(s) => s.clone(),
-            ConfigValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
+            ConfigValue::Str(s) | ConfigValue::Path(s) | ConfigValue::Ip { text: s, .. } => {
+                Cow::Borrowed(s)
             }
-            ConfigValue::Size { magnitude, unit } => format!("{magnitude}{}", unit.suffix()),
-            ConfigValue::Bool(b) => if *b { "On" } else { "Off" }.to_string(),
-            ConfigValue::Path(p) => p.clone(),
-            ConfigValue::Ip { text, .. } => text.clone(),
-            ConfigValue::Absent => String::new(),
+            ConfigValue::Number(n) => Cow::Owned(if n.fract() == 0.0 && n.abs() < 1e15 {
+                format!("{}", *n as i64)
+            } else {
+                format!("{n}")
+            }),
+            ConfigValue::Size { magnitude, unit } => {
+                Cow::Owned(format!("{magnitude}{}", unit.suffix()))
+            }
+            ConfigValue::Bool(b) => Cow::Borrowed(if *b { "On" } else { "Off" }),
+            ConfigValue::Absent => Cow::Borrowed(""),
         }
     }
 }
 
 impl fmt::Display for ConfigValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        f.write_str(&self.rendered())
     }
 }
 
@@ -409,6 +417,28 @@ mod tests {
         assert_eq!(v.to_string(), "42");
         let v = ConfigValue::boolean(true);
         assert_eq!(v.to_string(), "On");
+    }
+
+    #[test]
+    fn rendered_borrows_all_but_numbers_and_sizes() {
+        let cases = [
+            (ConfigValue::str("mysql"), "mysql", true),
+            (ConfigValue::path("/var/lib/mysql"), "/var/lib/mysql", true),
+            (ConfigValue::parse_ip("fe80::1").unwrap(), "fe80::1", true),
+            (ConfigValue::boolean(false), "Off", true),
+            (ConfigValue::Absent, "", true),
+            (ConfigValue::number(3306.0), "3306", false),
+            (ConfigValue::number(0.5), "0.5", false),
+            (ConfigValue::number(1e15), "1000000000000000", false),
+            (ConfigValue::size(16, SizeUnit::M), "16M", false),
+        ];
+        for (value, text, borrowed) in &cases {
+            let rendered = value.rendered();
+            assert_eq!(rendered, *text, "{value:?}");
+            assert_eq!(matches!(rendered, Cow::Borrowed(_)), *borrowed, "{value:?}");
+            assert_eq!(value.render(), *text);
+            assert_eq!(value.to_string(), *text);
+        }
     }
 
     #[test]

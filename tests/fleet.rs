@@ -89,6 +89,39 @@ fn snapshot_save_load_produces_identical_reports() {
     }
 }
 
+/// The rendered `check_fleet` reports of 30 `ec2_fresh` Apache and PHP
+/// targets (seed 77), checked by detectors learned from 127 Apache and 123
+/// PHP training images (seed 1).  Regenerate after an intentional change
+/// with `UPDATE_GOLDEN=1 cargo test --test fleet apache_and_php`.
+const APACHE_PHP_GOLDEN: &str = include_str!("golden/detect_apache_php.txt");
+
+/// Section-scoped Apache names and PHP's dotted entries go through every
+/// detection check; their reports must match the recorded ones byte for
+/// byte.
+#[test]
+fn apache_and_php_fleet_reports_match_the_golden() {
+    let mut got = String::new();
+    for (app, images) in [(AppKind::Apache, 127), (AppKind::Php, 123)] {
+        let engine = learn(app, images, 1);
+        let targets = Population::ec2_fresh(app, 30, 77);
+        let results = engine.check_fleet(app, targets.images(), &FleetOptions::default());
+        got.push_str(&format!("=== {}\n{}", app.name(), render_fleet(&results)));
+    }
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/detect_apache_php.txt"
+        );
+        std::fs::write(path, got).expect("write golden");
+        return;
+    }
+    assert!(
+        got == APACHE_PHP_GOLDEN,
+        "Apache/PHP fleet reports drifted from tests/golden/detect_apache_php.txt; \
+         run with UPDATE_GOLDEN=1 if intentional\n{got}"
+    );
+}
+
 #[test]
 fn fleet_results_stay_index_aligned_with_broken_images() {
     let app = AppKind::Mysql;
