@@ -27,8 +27,8 @@
 //! `metrics listening on <addr>` — `HOST:0` picks a free port) on stderr.
 //! The metrics sink is always on; `--event-log FILE` and `--profile FILE`
 //! go through the same [`encore::obs::ObsConfig`] as the other binaries.
-//! `--slow-micros N` marks requests whose parse + queue + check + respond
-//! total reaches N µs with a `request.slow` event in the event log.
+//! The event log holds one `request.done` line per request, with its
+//! parse + queue + check + respond breakdown and their sum `total_us`.
 //!
 //! Client mode drives one verb against a running server:
 //!
@@ -52,7 +52,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: encore-serve --socket PATH \
 --app NAME=KIND=SNAPSHOT [--app ...] [--watch NAME=DIR ...] \
 [--queue-capacity N] [--workers N] [--poll-interval-ms N] \
-[--metrics-addr HOST:PORT] [--heartbeat FILE] [--event-log FILE] [--slow-micros N] [--profile FILE]
+[--metrics-addr HOST:PORT] [--heartbeat FILE] [--event-log FILE] [--profile FILE]
        encore-serve --socket PATH --check APP FILE [FILE...]
        encore-serve --socket PATH --apps | --stats | --reload APP | --shutdown";
 
@@ -93,7 +93,6 @@ struct Args {
     metrics_addr: Option<String>,
     heartbeat: Option<PathBuf>,
     obs: ObsConfig,
-    slow_micros: Option<u64>,
 }
 
 fn parse_app(spec: &str) -> AppArg {
@@ -127,7 +126,6 @@ fn parse_args() -> Args {
         metrics_addr: None,
         heartbeat: None,
         obs: ObsConfig::default(),
-        slow_micros: None,
     };
     let mut argv = std::env::args().skip(1);
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
@@ -169,13 +167,6 @@ fn parse_args() -> Args {
             }
             "--event-log" => {
                 args.obs.event_log = Some(PathBuf::from(value(&mut argv, "--event-log")));
-            }
-            "--slow-micros" => {
-                args.slow_micros = Some(
-                    value(&mut argv, "--slow-micros")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--slow-micros wants a number")),
-                );
             }
             "--profile" => {
                 args.obs.profile = Some(PathBuf::from(value(&mut argv, "--profile")));
@@ -252,7 +243,6 @@ fn run_server(args: &Args) -> ! {
     options.poll_interval = Duration::from_millis(args.poll_interval_ms.max(1));
     options.metrics_addr = args.metrics_addr.clone();
     options.heartbeat_path = args.heartbeat.clone();
-    options.slow_micros = args.slow_micros;
     options.watch = args.watch.clone();
     let server =
         Server::start(registry, options).unwrap_or_else(|e| fail(&format!("starting server: {e}")));

@@ -205,8 +205,6 @@ fn event_log_grammar_holds_over_a_live_run() {
     let profile = dir.join("profile.json");
     let app = format!("mysql=mysql={}", snap.display());
 
-    // --slow-micros 0: every request total is >= 0µs, so the slow path
-    // must fire for each one.
     let (mut child, _, _stderr) = spawn_server(
         &[
             "--socket",
@@ -215,8 +213,6 @@ fn event_log_grammar_holds_over_a_live_run() {
             &app,
             "--event-log",
             events.to_str().unwrap(),
-            "--slow-micros",
-            "0",
             "--profile",
             profile.to_str().unwrap(),
         ],
@@ -259,37 +255,36 @@ fn event_log_grammar_holds_over_a_live_run() {
     assert_eq!(status.code(), Some(0));
 
     // Every line parses; request.done records are one-per-request with
-    // strictly dense ids 1..=max; the slow path fired for every request.
+    // strictly dense ids 1..=max, and each total is exactly the sum of
+    // its parse, queue, check and respond stages.
     let text = std::fs::read_to_string(&events).expect("event log written");
     let mut done_ids = Vec::new();
     let mut done_checks = 0usize;
-    let mut slow = 0usize;
     for line in text.lines() {
         let value = json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
-        let event = value.get("event").and_then(Json::as_str).expect("event");
-        match event {
-            "request.done" => {
-                let req = value.get("req").and_then(Json::as_u64);
-                done_ids.push(req.expect("request.done carries req"));
-                if value
-                    .get("fields")
-                    .and_then(|f| f.get("verb"))
-                    .and_then(Json::as_str)
-                    == Some("check")
-                {
-                    done_checks += 1;
-                }
-            }
-            "request.slow" => slow += 1,
-            _ => {}
+        if value.get("event").and_then(Json::as_str) != Some("request.done") {
+            continue;
         }
+        let req = value.get("req").and_then(Json::as_u64);
+        done_ids.push(req.expect("request.done carries req"));
+        let fields = value.get("fields").expect("fields");
+        if fields.get("verb").and_then(Json::as_str) == Some("check") {
+            done_checks += 1;
+        }
+        let us = |key: &str| {
+            fields
+                .get(key)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("`{key}` missing from {line}"))
+        };
+        let stages = us("parse_us") + us("queue_us") + us("check_us") + us("respond_us");
+        assert_eq!(us("total_us"), stages, "total is the stage sum: {line}");
     }
     // 6 requests total: apps, check, check, stats, malformed, shutdown.
     done_ids.sort_unstable();
     let expected: Vec<u64> = (1..=6).collect();
     assert_eq!(done_ids, expected, "ids dense, one done per request");
     assert_eq!(done_checks, 2, "one request.done per accepted check");
-    assert_eq!(slow, 6, "--slow-micros 0 captures every request");
 
     // The profile file is valid JSON with the expected table layout.
     let profile_text = std::fs::read_to_string(&profile).expect("profile written");
@@ -368,6 +363,14 @@ fn usage_errors_exit_2() {
         "just-a-name",
     ]);
     assert_eq!(out.status.code(), Some(2));
+    // Unknown flag.
+    let out = encore_serve(&["--socket", "s.sock", "--no-such-flag", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown argument `--no-such-flag`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,8 +11,7 @@
 //!
 //! * `ts` — microseconds since the log was installed, from the monotonic
 //!   clock (never wall time, so lines sort correctly across NTP steps).
-//! * `level` — `debug` / `info` / `warn` / `error`; lines below the
-//!   configured minimum are not emitted.
+//! * `level` — `debug` / `info` / `warn` / `error`.
 //! * `event` — a stable dotted name (`request.done`, `detect.fleet`).
 //! * `req` — the dense request id of the enclosing [`with_request`]
 //!   scope; omitted outside any request.
@@ -38,7 +37,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -54,7 +53,7 @@ pub enum Level {
     Debug,
     /// Normal request/cycle lifecycle events.
     Info,
-    /// Unusual but handled conditions (slow requests, malformed input).
+    /// Unusual but handled conditions.
     Warn,
     /// Failures.
     Error,
@@ -70,21 +69,10 @@ impl Level {
             Level::Error => "error",
         }
     }
-
-    fn rank(self) -> u8 {
-        match self {
-            Level::Debug => 0,
-            Level::Info => 1,
-            Level::Warn => 2,
-            Level::Error => 3,
-        }
-    }
 }
 
 /// Whether the log is installed and accepting events.
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
-/// Minimum level admitted (rank of [`Level`]; default `Debug`).
-static MIN_LEVEL: AtomicU8 = AtomicU8::new(0);
 /// Lines the writer thread has written to the file.
 static WRITTEN: AtomicU64 = AtomicU64::new(0);
 /// Lines dropped because the queue was full.
@@ -124,11 +112,6 @@ thread_local! {
 #[inline]
 pub fn enabled() -> bool {
     EVENTS_ON.load(Ordering::Relaxed)
-}
-
-/// Raise the minimum admitted level (default: `Debug`, i.e. everything).
-pub fn set_min_level(level: Level) {
-    MIN_LEVEL.store(level.rank(), Ordering::Relaxed);
 }
 
 /// Open `path` (append mode), start the writer thread, and start
@@ -231,11 +214,10 @@ pub fn current_request() -> Option<u64> {
 
 /// Emit one event.  `fields` become the `fields` object verbatim; the
 /// line inherits the thread's [`with_request`] id.  A no-op (no
-/// allocation beyond the caller's `fields`) while the log is off or the
-/// level is below the configured minimum; a full queue drops the line
-/// and counts it.
+/// allocation beyond the caller's `fields`) while the log is off; a full
+/// queue drops the line and counts it.
 pub fn emit(level: Level, event: &str, fields: Vec<(String, Json)>) {
-    if !enabled() || level.rank() < MIN_LEVEL.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     let origin = *ORIGIN.get_or_init(Instant::now);
@@ -330,22 +312,6 @@ mod tests {
         assert_eq!(second.get("req").and_then(Json::as_u64), Some(7));
         assert_eq!(health().written, 2);
         assert_eq!(health().dropped, 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn min_level_filters_and_restores() {
-        let _gate = gate();
-        let path = temp_log("level");
-        install(&path).expect("install");
-        set_min_level(Level::Warn);
-        emit(Level::Debug, "dropped.by.level", vec![]);
-        emit(Level::Error, "kept", vec![]);
-        set_min_level(Level::Debug);
-        shutdown();
-        let text = std::fs::read_to_string(&path).expect("log file");
-        assert_eq!(text.lines().count(), 1, "log: {text}");
-        assert!(text.contains("\"kept\""));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -90,20 +90,4 @@ impl Client {
     pub fn shutdown(&mut self) -> io::Result<Vec<String>> {
         self.lines(&Request::Shutdown)
     }
-
-    /// Occupy a dispatcher slot for `ms` milliseconds (diagnostics: makes
-    /// queue depth and `busy` observable).  Returns the reply lines, or
-    /// `None` when the queue was full.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and protocol-level `error` responses.
-    pub fn sleep(&mut self, ms: u64) -> io::Result<Option<Vec<String>>> {
-        protocol::write_request(&mut self.writer, &Request::Sleep { ms })?;
-        match protocol::read_lines_response(&mut self.reader)? {
-            Ok(lines) => Ok(Some(lines)),
-            Err(reason) if reason == "busy" => Ok(None),
-            Err(reason) => Err(protocol_error(reason)),
-        }
-    }
 }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! request    := check-req | "apps" LF | "reload" SP app LF | "stats" LF
-//!             | "shutdown" LF | "sleep" SP ms LF
+//!             | "shutdown" LF
 //! check-req  := "check" SP app SP count LF target*          (count targets)
 //! target     := "target" SP name SP len LF raw(len) LF
 //!
@@ -28,9 +28,11 @@
 //!
 //! The framing carries explicit ceilings — [`MAX_TARGETS`] per check and
 //! [`MAX_PAYLOAD`] bytes per target — so a malformed or malicious length
-//! prefix cannot make the server allocate unboundedly.
+//! prefix cannot make the server allocate unboundedly.  Neither side
+//! sizes a buffer from a length prefix: a frame body's buffer grows only
+//! with the bytes that arrive.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Most targets accepted in one `check` request.
 pub const MAX_TARGETS: usize = 1024;
@@ -56,9 +58,6 @@ pub enum Request {
     Stats,
     /// Stop the service (drains queued work, then exits).
     Shutdown,
-    /// Occupy a dispatcher slot for `ms` milliseconds — a diagnostics
-    /// verb for probing queue depth and backpressure behaviour.
-    Sleep { ms: u64 },
 }
 
 /// One server response.
@@ -96,9 +95,18 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
 }
 
 /// Read one length-prefixed frame body plus its terminating LF.
+///
+/// The buffer grows with the bytes that actually arrive, never with the
+/// prefix: a lying `len` ends in an EOF error, not a huge allocation.
 fn read_body(reader: &mut impl BufRead, len: usize) -> io::Result<Result<String, String>> {
-    let mut raw = vec![0u8; len];
-    reader.read_exact(&mut raw)?;
+    let mut raw = Vec::new();
+    reader.by_ref().take(len as u64).read_to_end(&mut raw)?;
+    if raw.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame body",
+        ));
+    }
     let mut terminator = [0u8; 1];
     reader.read_exact(&mut terminator)?;
     if terminator[0] != b'\n' {
@@ -162,10 +170,6 @@ fn finish_request(reader: &mut impl BufRead, line: &str) -> io::Result<Result<Re
         ("shutdown", None, ..) => Request::Shutdown,
         ("reload", Some(app), None, _) if valid_token(app) => Request::Reload {
             app: app.to_string(),
-        },
-        ("sleep", Some(ms), None, _) => match ms.parse::<u64>() {
-            Ok(ms) => Request::Sleep { ms },
-            Err(_) => return malformed(format!("bad sleep duration `{ms}`")),
         },
         ("check", Some(app), Some(count), None) if valid_token(app) => {
             let count: usize = match count.parse() {
@@ -234,7 +238,6 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<(
         Request::Reload { app } => writeln!(writer, "reload {app}")?,
         Request::Stats => writer.write_all(b"stats\n")?,
         Request::Shutdown => writer.write_all(b"shutdown\n")?,
-        Request::Sleep { ms } => writeln!(writer, "sleep {ms}")?,
     }
     writer.flush()
 }
@@ -366,7 +369,11 @@ pub fn read_check_response(reader: &mut impl BufRead) -> io::Result<Result<Check
                 };
                 let mut words = frame.split_whitespace();
                 let (header, name, len) = (words.next(), words.next(), words.next());
-                if header != Some("report") || name.is_none() || len.is_none() {
+                if header != Some("report")
+                    || name.is_none()
+                    || len.is_none()
+                    || words.next().is_some()
+                {
                     return Ok(Err(format!("bad report frame `{frame}`")));
                 }
                 let len: usize = match len.expect("checked above").parse() {
@@ -414,7 +421,6 @@ mod tests {
             },
             Request::Stats,
             Request::Shutdown,
-            Request::Sleep { ms: 250 },
         ] {
             assert_eq!(round_trip(&request), request);
         }
@@ -454,7 +460,7 @@ mod tests {
             ),
             (&b"check mysql 9999999\n"[..], "exceeds"),
             (&b"check mysql 1\ntarget a 99999999\n"[..], "exceeds"),
-            (&b"sleep forever\n"[..], "bad sleep duration"),
+            (&b"sleep 250\n"[..], "bad request line"),
             (&b"reload\n"[..], "bad request line"),
         ] {
             let mut reader = BufReader::new(wire);
@@ -516,6 +522,25 @@ mod tests {
             .expect("read")
             .expect_err("error response");
         assert_eq!(reason, "error: multi; line");
+    }
+
+    #[test]
+    fn bad_report_frames_are_errors_not_panics() {
+        // A length prefix the body never fills must not size an
+        // allocation: it ends in EOF, not an abort.
+        for wire in [
+            &b"ok 1\nreport a 18446744073709551615\n"[..],
+            &b"ok 1\nreport a 1000000000000\nshort\n"[..],
+        ] {
+            let err = read_check_response(&mut BufReader::new(wire)).expect_err("truncated body");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
+        // Extra tokens are rejected, as on the request side.
+        let wire = &b"ok 1\nreport a 5 extra\nhello\n"[..];
+        let reason = read_check_response(&mut BufReader::new(wire))
+            .expect("no I/O error")
+            .expect_err("extra token");
+        assert!(reason.contains("bad report frame"), "{reason}");
     }
 
     #[test]

@@ -182,10 +182,6 @@ impl SnapshotRegistry {
     /// `Err` for an unknown app or a failed load; a failed load keeps the
     /// old detector serving and flips only this app's readiness.
     pub fn reload(&self, name: &str) -> Result<(), String> {
-        self.reload_inner(name, true)
-    }
-
-    fn reload_inner(&self, name: &str, forced: bool) -> Result<(), String> {
         // Load outside the lock: a slow disk must not stall `detector()`
         // lookups for every other app.
         let path = {
@@ -193,9 +189,6 @@ impl SnapshotRegistry {
             let Some(app) = apps.get(name) else {
                 return Err(format!("unknown app `{name}`"));
             };
-            if !forced && FileSig::of(&app.path) == app.sig {
-                return Ok(());
-            }
             app.path.clone()
         };
         let loaded = load_snapshot(&path);
@@ -241,7 +234,7 @@ impl SnapshotRegistry {
                 }
             };
             if changed {
-                let _ = self.reload_inner(&name, true);
+                let _ = self.reload(&name);
                 touched.push(name);
             }
         }

@@ -16,8 +16,8 @@
 //! Admin verbs (`apps`, `reload`, `stats`, `shutdown`) are answered on
 //! the connection thread — they must keep working while the queue is
 //! saturated, or an operator could never diagnose a stuck service.
-//! `check` and `sleep` go through the bounded queue; a full queue answers
-//! `busy` immediately (the backpressure contract — see DESIGN.md §15).
+//! `check` goes through the bounded queue; a full queue answers `busy`
+//! immediately (the backpressure contract — see DESIGN.md §15).
 //! The single dispatcher keeps fleet checks serialized so concurrent
 //! clients contend for the work-stealing pool in a deterministic order
 //! and each response stays byte-identical to a direct
@@ -57,10 +57,6 @@ pub struct ServeOptions {
     /// Append one JSONL heartbeat line (the per-interval metric delta)
     /// here every poll tick; `None` disables the heartbeat.
     pub heartbeat_path: Option<PathBuf>,
-    /// Capture any request whose parse + queue-wait + check + respond
-    /// total reaches this many microseconds as a `request.slow` event
-    /// with the full decomposition.  `None` disables the capture.
-    pub slow_micros: Option<u64>,
     /// Watched directories, as (registered app, directory) pairs: each
     /// poll tick re-checks their added and changed files against the app
     /// and prints the reports on stdout (see [`crate::watch`]).
@@ -69,7 +65,7 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Defaults: queue of 16, all-core checks, 1 s poll, no HTTP surface,
-    /// no heartbeat, no slow-request capture, nothing watched.
+    /// no heartbeat, nothing watched.
     pub fn new(socket: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             socket: socket.into(),
@@ -78,7 +74,6 @@ impl ServeOptions {
             poll_interval: Duration::from_secs(1),
             metrics_addr: None,
             heartbeat_path: None,
-            slow_micros: None,
             watch: Vec::new(),
         }
     }
@@ -209,27 +204,19 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 struct JobTimings {
     /// Enqueue to dequeue.
     queue_wait: Duration,
-    /// Dequeue to response ready (fleet check or sleep).
+    /// Dequeue to response ready (the fleet check).
     check: Duration,
 }
 
-/// What a connection thread hands the dispatcher.
+/// One check a connection thread (or the poll thread) hands the
+/// dispatcher.
 struct Job {
     id: u64,
-    kind: JobKind,
-    /// Capacity-1 rendezvous back to the connection thread.
+    app: String,
+    targets: Vec<(String, String)>,
+    /// Capacity-1 rendezvous back to the submitting thread.
     reply: SyncSender<(Response, JobTimings)>,
     enqueued: Instant,
-}
-
-enum JobKind {
-    Check {
-        app: String,
-        targets: Vec<(String, String)>,
-    },
-    Sleep {
-        ms: u64,
-    },
 }
 
 /// A running detection service; stops (and unlinks its socket) on drop.
@@ -306,7 +293,6 @@ impl Server {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
             let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
             let interval = options.poll_interval;
             let heartbeat = options.heartbeat_path.clone();
             std::thread::spawn(move || {
@@ -315,7 +301,6 @@ impl Server {
                     &registry,
                     &stop,
                     &queue,
-                    &stats,
                     interval,
                     heartbeat.as_deref(),
                 );
@@ -327,10 +312,7 @@ impl Server {
             let stop = Arc::clone(&stop);
             let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
-            let slow_micros = options.slow_micros;
-            std::thread::spawn(move || {
-                accept_loop(&listener, &registry, &stop, &queue, &stats, slow_micros);
-            })
+            std::thread::spawn(move || accept_loop(&listener, &registry, &stop, &queue, &stats))
         };
 
         Ok(Server {
@@ -430,12 +412,8 @@ fn dispatch_loop(queue: &BoundedQueue<Job>, registry: &SnapshotRegistry, workers
         let started = Instant::now();
         // Dispatcher-side events (detect.fleet, ...) join the request's
         // scope: the id rode along through the queue.
-        let response = encore_obs::event::with_request(job.id, || match job.kind {
-            JobKind::Check { app, targets } => registry.check(&app, &targets, workers),
-            JobKind::Sleep { ms } => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Response::Lines(vec![format!("slept {ms}")])
-            }
+        let response = encore_obs::event::with_request(job.id, || {
+            registry.check(&job.app, &job.targets, workers)
         });
         let check = started.elapsed();
         crate::obs::REQUEST_DURATION.observe(micros(check));
@@ -453,7 +431,6 @@ fn poll_loop(
     registry: &SnapshotRegistry,
     stop: &StopFlag,
     queue: &BoundedQueue<Job>,
-    stats: &ServeStats,
     interval: Duration,
     heartbeat: Option<&Path>,
 ) {
@@ -465,12 +442,8 @@ fn poll_loop(
             return;
         }
         let scans = poller.tick(registry, |app, targets| {
-            let kind = JobKind::Check {
-                app: app.to_string(),
-                targets,
-            };
-            // Id 0: watched re-checks are not client requests.
-            enqueue(queue, kind, stats, None, 0).0
+            // Id 0 and no stats: watched re-checks are not client requests.
+            enqueue(queue, 0, app.to_string(), targets, None).0
         });
         print_scans(&scans);
         if let Some(path) = heartbeat {
@@ -515,7 +488,6 @@ fn accept_loop(
     stop: &Arc<StopFlag>,
     queue: &Arc<BoundedQueue<Job>>,
     stats: &Arc<ServeStats>,
-    slow_micros: Option<u64>,
 ) {
     let mut connections: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
     for stream in listener.incoming() {
@@ -531,7 +503,7 @@ fn accept_loop(
         let queue = Arc::clone(queue);
         let stats = Arc::clone(stats);
         let handle = std::thread::spawn(move || {
-            let _ = serve_connection(stream, &registry, &stop, &queue, &stats, slow_micros);
+            let _ = serve_connection(stream, &registry, &stop, &queue, &stats);
         });
         connections.push((hangup, handle));
         connections.retain(|(_, handle)| !handle.is_finished());
@@ -558,10 +530,9 @@ fn serve_connection(
     stop: &StopFlag,
     queue: &BoundedQueue<Job>,
     stats: &ServeStats,
-    slow_micros: Option<u64>,
 ) -> io::Result<()> {
     let hangup = stream.try_clone()?;
-    let result = serve_requests(stream, registry, stop, queue, stats, slow_micros);
+    let result = serve_requests(stream, registry, stop, queue, stats);
     let _ = hangup.shutdown(std::net::Shutdown::Both);
     result
 }
@@ -574,7 +545,6 @@ fn verb_of(request: &Request) -> &'static str {
         Request::Reload { .. } => "reload",
         Request::Stats => "stats",
         Request::Shutdown => "shutdown",
-        Request::Sleep { .. } => "sleep",
     }
 }
 
@@ -594,56 +564,42 @@ fn respond_timed(writer: &mut impl Write, response: &Response) -> io::Result<Dur
     Ok(started.elapsed())
 }
 
-/// Close out one request: emit its `request.done` record and, when the
-/// parse + queue-wait + check + respond total reaches the `slow_micros`
-/// threshold, a `request.slow` event carrying the same breakdown.
+/// Close out request `id` with its `request.done` record: verb, status,
+/// and the parse + queue-wait + check + respond breakdown, whose sum is
+/// `total_us` (an operator finds slow requests by filtering on it).
 fn record_done(
+    id: u64,
     verb: &'static str,
     response: &Response,
     parse: Duration,
     timings: JobTimings,
     respond: Duration,
-    slow_micros: Option<u64>,
 ) {
+    use encore_obs::json::Json;
+    if !encore_obs::event::enabled() {
+        return;
+    }
     let (parse_us, queue_us) = (micros(parse), micros(timings.queue_wait));
     let (check_us, respond_us) = (micros(timings.check), micros(respond));
     let total_us = parse_us
         .saturating_add(queue_us)
         .saturating_add(check_us)
         .saturating_add(respond_us);
-    let decomposition = |extra: Vec<(String, encore_obs::json::Json)>| {
-        use encore_obs::json::Json;
-        let mut fields = vec![
-            ("verb".to_string(), Json::Str(verb.to_string())),
-            (
-                "status".to_string(),
-                Json::Str(status_of(response).to_string()),
-            ),
-            ("parse_us".to_string(), Json::Num(parse_us)),
-            ("queue_us".to_string(), Json::Num(queue_us)),
-            ("check_us".to_string(), Json::Num(check_us)),
-            ("respond_us".to_string(), Json::Num(respond_us)),
-            ("total_us".to_string(), Json::Num(total_us)),
-        ];
-        fields.extend(extra);
-        fields
-    };
-    if encore_obs::event::enabled() {
-        encore_obs::event::emit(
-            encore_obs::event::Level::Info,
-            "request.done",
-            decomposition(Vec::new()),
-        );
-    }
-    let Some(threshold) = slow_micros else { return };
-    if total_us >= threshold && encore_obs::event::enabled() {
-        use encore_obs::json::Json;
-        encore_obs::event::emit(
-            encore_obs::event::Level::Warn,
-            "request.slow",
-            decomposition(vec![("threshold_us".to_string(), Json::Num(threshold))]),
-        );
-    }
+    let fields = vec![
+        ("verb".to_string(), Json::Str(verb.to_string())),
+        (
+            "status".to_string(),
+            Json::Str(status_of(response).to_string()),
+        ),
+        ("parse_us".to_string(), Json::Num(parse_us)),
+        ("queue_us".to_string(), Json::Num(queue_us)),
+        ("check_us".to_string(), Json::Num(check_us)),
+        ("respond_us".to_string(), Json::Num(respond_us)),
+        ("total_us".to_string(), Json::Num(total_us)),
+    ];
+    encore_obs::event::with_request(id, || {
+        encore_obs::event::emit(encore_obs::event::Level::Info, "request.done", fields);
+    });
 }
 
 /// The request loop behind [`serve_connection`].
@@ -653,7 +609,6 @@ fn serve_requests(
     stop: &StopFlag,
     queue: &BoundedQueue<Job>,
     stats: &ServeStats,
-    slow_micros: Option<u64>,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -672,16 +627,14 @@ fn serve_requests(
                 crate::obs::ERRORS.incr();
                 let response = Response::Error(reason);
                 let respond = respond_timed(&mut writer, &response)?;
-                encore_obs::event::with_request(id, || {
-                    record_done(
-                        "malformed",
-                        &response,
-                        parse,
-                        JobTimings::default(),
-                        respond,
-                        slow_micros,
-                    );
-                });
+                record_done(
+                    id,
+                    "malformed",
+                    &response,
+                    parse,
+                    JobTimings::default(),
+                    respond,
+                );
                 return Ok(());
             }
             Ok(request) => request,
@@ -690,16 +643,7 @@ fn serve_requests(
         if matches!(request, Request::Shutdown) {
             let response = Response::Lines(vec!["stopping".into()]);
             let respond = respond_timed(&mut writer, &response)?;
-            encore_obs::event::with_request(id, || {
-                record_done(
-                    verb,
-                    &response,
-                    parse,
-                    JobTimings::default(),
-                    respond,
-                    slow_micros,
-                );
-            });
+            record_done(id, verb, &response, parse, JobTimings::default(), respond);
             stop.stop();
             queue.close();
             return Ok(());
@@ -733,18 +677,7 @@ fn serve_requests(
             Request::Stats => (Response::Lines(stats.lines(queue, registry)), None),
             Request::Shutdown => unreachable!("handled above"),
             Request::Check { app, targets } => {
-                let count = targets.len() as u64;
-                let (response, timings) = enqueue(
-                    queue,
-                    JobKind::Check { app, targets },
-                    stats,
-                    Some(count),
-                    id,
-                );
-                (response, Some(timings))
-            }
-            Request::Sleep { ms } => {
-                let (response, timings) = enqueue(queue, JobKind::Sleep { ms }, stats, None, id);
+                let (response, timings) = enqueue(queue, id, app, targets, Some(stats));
                 (response, Some(timings))
             }
         };
@@ -765,25 +698,27 @@ fn serve_requests(
             _ => {}
         }
         let respond = respond_timed(&mut writer, &response)?;
-        encore_obs::event::with_request(id, || {
-            record_done(verb, &response, parse, timings, respond, slow_micros);
-        });
+        record_done(id, verb, &response, parse, timings, respond);
     }
 }
 
-/// Push a job through the bounded queue and wait for the dispatcher's
-/// reply.  A full (or closing) queue yields `busy` without blocking.
+/// Push a check through the bounded queue and wait for the dispatcher's
+/// reply.  A full (or closing) queue yields `busy` without blocking.  A
+/// client check counts in `stats` once accepted; watched re-checks pass
+/// `None`.
 fn enqueue(
     queue: &BoundedQueue<Job>,
-    kind: JobKind,
-    stats: &ServeStats,
-    check_targets: Option<u64>,
     id: u64,
+    app: String,
+    targets: Vec<(String, String)>,
+    stats: Option<&ServeStats>,
 ) -> (Response, JobTimings) {
+    let count = targets.len() as u64;
     let (reply, receive) = std::sync::mpsc::sync_channel(1);
     let job = Job {
         id,
-        kind,
+        app,
+        targets,
         reply,
         enqueued: Instant::now(),
     };
@@ -791,7 +726,7 @@ fn enqueue(
         Err(_) => (Response::Busy, JobTimings::default()),
         Ok(depth) => {
             crate::obs::QUEUE_DEPTH.set(depth as u64);
-            if let Some(count) = check_targets {
+            if let Some(stats) = stats {
                 stats.checks.fetch_add(1, Ordering::Relaxed);
                 stats.targets_checked.fetch_add(count, Ordering::Relaxed);
                 crate::obs::CHECKS.incr();
@@ -812,6 +747,54 @@ fn enqueue(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn full_queue_answers_busy_and_stats_sees_it() {
+        // One job parked in a capacity-1 queue that no dispatcher drains:
+        // the queue stays full for the whole connection.
+        let queue = BoundedQueue::new(1);
+        let (reply, _receive) = std::sync::mpsc::sync_channel(1);
+        let parked = Job {
+            id: 0,
+            app: "mysql".to_string(),
+            targets: vec![("parked.cnf".to_string(), "[mysqld]\n".to_string())],
+            reply,
+            enqueued: Instant::now(),
+        };
+        assert!(queue.try_push(parked).is_ok(), "the first job fits");
+
+        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        let request = Request::Check {
+            app: "mysql".to_string(),
+            targets: vec![("a.cnf".to_string(), "[mysqld]\nport = 3306\n".to_string())],
+        };
+        protocol::write_request(&mut client, &request).expect("send check");
+        protocol::write_request(&mut client, &Request::Stats).expect("send stats");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("end of requests");
+
+        let stats = ServeStats::default();
+        let registry = SnapshotRegistry::new();
+        serve_connection(server, &registry, &StopFlag::new(), &queue, &stats).expect("served");
+
+        let mut wire = String::new();
+        client.read_to_string(&mut wire).expect("read replies");
+        let (busy, stats_reply) = wire.split_once('\n').expect("two replies");
+        assert_eq!(busy, "busy");
+        let lines: Vec<&str> = stats_reply.lines().collect();
+        for line in [
+            "rejected_busy 1",
+            "queue_depth 1",
+            "queue_capacity 1",
+            "checks 0",
+        ] {
+            assert!(lines.contains(&line), "`{line}` missing from {lines:?}");
+        }
+        let job = queue.pop().expect("the parked job is still queued");
+        assert_eq!(job.targets[0].0, "parked.cnf");
+    }
 
     #[test]
     fn stop_flag_wait_reports_timeout_vs_stop() {
