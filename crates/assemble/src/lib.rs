@@ -233,9 +233,10 @@ impl Assembler {
 }
 
 /// Pivot assembled rows, borrowed, into their columnar, interned view — the
-/// layout rule inference scans (`encore_model::columnar`).  This is the
-/// assembly phase's last step: built once per training set, shared
-/// read-only by everything downstream.
+/// layout rule inference, the rule filters and the detector's statistics
+/// read (`encore_model::columnar`).  This is the assembly phase's last
+/// step: a training set calls it once, when it is assembled, and keeps
+/// the table in place of its rows.
 pub fn column_store(rows: &[&Row]) -> encore_model::ColumnStore {
     let _span = obs::COLUMNS_TIME.span();
     let store = encore_model::ColumnStore::from_rows(rows);

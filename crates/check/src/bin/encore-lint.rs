@@ -294,7 +294,7 @@ fn run(options: &Options) -> Result<(LintReport, bool), String> {
         (None, None) => None,
     };
 
-    let all = check_all(&templates, &options.thresholds, &cache, rules.as_ref());
+    let all = check_all(&templates, &options.thresholds, cache, rules.as_ref());
     report.extend(all.diagnostics().to_vec());
     Ok((report, options.deny_warnings))
 }

@@ -57,7 +57,7 @@ mod tests {
     use encore_model::{AppKind, SemType};
     use encore_sysimage::SystemImage;
 
-    fn cache() -> StatsCache {
+    fn training() -> TrainingSet {
         let fleet: Vec<SystemImage> = (0..6)
             .map(|i| {
                 SystemImage::builder(format!("img-{i}"))
@@ -73,21 +73,19 @@ mod tests {
                     .build()
             })
             .collect();
-        TrainingSet::assemble(AppKind::Mysql, &fleet)
-            .unwrap()
-            .stats_cache()
+        TrainingSet::assemble(AppKind::Mysql, &fleet).unwrap()
     }
 
     #[test]
     fn live_template_produces_no_diagnostics() {
         let live = Template::new(SemType::FilePath, Relation::Owns, SemType::UserName);
-        assert!(analyze_corpus(&[live], &cache()).is_empty());
+        assert!(analyze_corpus(&[live], training().stats_cache()).is_empty());
     }
 
     #[test]
     fn type_starved_template_gets_ec010() {
         let dead = Template::new(SemType::Url, Relation::Equal, SemType::Url);
-        let diags = analyze_corpus(&[dead], &cache());
+        let diags = analyze_corpus(&[dead], training().stats_cache());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::DeadTemplateNoSlots);
     }
@@ -101,7 +99,7 @@ mod tests {
         // LessSize template when only one Size attribute exists (pairs
         // require two distinct attrs).
         let sizes = Template::new(SemType::Size, Relation::LessSize, SemType::Size);
-        let diags = analyze_corpus(&[sizes], &cache());
+        let diags = analyze_corpus(&[sizes], training().stats_cache());
         // Either no Size attrs at all (EC010) or no pair (EC011) — both mark
         // the template dead; assert it is flagged.
         assert_eq!(diags.len(), 1, "{diags:?}");

@@ -21,7 +21,7 @@ use crate::snapshot::DetectorSnapshot;
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, Assembler, TypeInference};
-use encore_model::{AppKind, AttrName, ColumnStore, ConfigValue, Row, SemType};
+use encore_model::{AppKind, AttrName, ConfigValue, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -290,17 +290,12 @@ pub struct TrainingStats {
 }
 
 impl TrainingStats {
-    /// Gather the statistics from an assembled training set, through its
-    /// column store (see [`TrainingStats::from_columns`]).
-    pub fn from_training(training: &TrainingSet) -> TrainingStats {
-        TrainingStats::from_columns(&ColumnStore::from_rows(&training.rows()))
-    }
-
-    /// Read the statistics off a training set's column store: one entry
+    /// Read the statistics off a training set's column table: one entry
     /// name per original-entry column (all-absent columns included, as
     /// every row cell names an entry) and one render histogram per column
     /// with a present value.
-    pub fn from_columns(store: &ColumnStore) -> TrainingStats {
+    pub fn from_training(training: &TrainingSet) -> TrainingStats {
+        let store = training.stats_cache().columns();
         let mut stats = TrainingStats {
             systems: store.num_rows(),
             ..TrainingStats::default()
@@ -1439,12 +1434,12 @@ mod tests {
     }
 
     /// The per-cell row loop the column-based constructor replaced.
-    fn training_stats_from_rows(training: &TrainingSet) -> TrainingStats {
+    fn training_stats_from_rows(rows: &[Row]) -> TrainingStats {
         let mut stats = TrainingStats {
-            systems: training.len(),
+            systems: rows.len(),
             ..TrainingStats::default()
         };
-        for (row, _) in training.systems() {
+        for row in rows {
             for (attr, value) in row.iter() {
                 if attr.is_original() {
                     stats
@@ -1471,12 +1466,15 @@ mod tests {
         for (app, images) in [(AppKind::Mysql, 30), (AppKind::Apache, 127)] {
             let pop = Population::training(app, &PopulationOptions::new(images, 1));
             let training = TrainingSet::assemble(app, pop.images()).expect("assembles");
-            let want = training_stats_from_rows(&training);
-            assert_eq!(TrainingStats::from_training(&training), want, "{app:?}");
-            let cache = training.stats_cache();
+            let assembler = Assembler::new();
+            let rows: Vec<Row> = pop
+                .images()
+                .iter()
+                .filter_map(|img| assembler.assemble_image(app, img).ok())
+                .collect();
             assert_eq!(
-                TrainingStats::from_columns(cache.columns()),
-                want,
+                TrainingStats::from_training(&training),
+                training_stats_from_rows(&rows),
                 "{app:?}"
             );
         }

@@ -263,7 +263,7 @@ mod tests {
             Relation::Owns,
             SemType::UserName,
         )];
-        let reports = analyze_templates(&templates, &cache);
+        let reports = analyze_templates(&templates, cache);
         assert_eq!(reports.len(), 1);
         assert!(!reports[0].is_dead(), "{:?}", reports[0]);
         assert!(reports[0].live_pairs > 0);
@@ -276,7 +276,7 @@ mod tests {
         let cache = ts.stats_cache();
         // The MySQL corpus has no URL-typed attributes.
         let templates = vec![Template::new(SemType::Url, Relation::Equal, SemType::Url)];
-        let reports = analyze_templates(&templates, &cache);
+        let reports = analyze_templates(&templates, cache);
         assert!(reports[0].is_dead(), "{:?}", reports[0]);
         assert_eq!(reports[0].eligible_a, 0);
     }
@@ -286,7 +286,7 @@ mod tests {
         let ts = TrainingSet::assemble(AppKind::Mysql, &fleet(8)).unwrap();
         let cache = ts.stats_cache();
         for ty in SemType::PRIORITY {
-            let via_buckets = eligible_indices(&cache, ty);
+            let via_buckets = eligible_indices(cache, ty);
             let reference: Vec<usize> = cache
                 .attributes()
                 .iter()
@@ -319,10 +319,9 @@ mod tests {
                 continue;
             }
             for &ai in &all {
-                let survives = |&&bi: &&usize| {
-                    pair_considered(&template, true, &cache, &attrs[ai], &attrs[bi])
-                };
-                let joined: Vec<usize> = partner_indices(&cache, true, &all, ai)
+                let survives =
+                    |&&bi: &&usize| pair_considered(&template, true, cache, &attrs[ai], &attrs[bi]);
+                let joined: Vec<usize> = partner_indices(cache, true, &all, ai)
                     .iter()
                     .filter(survives)
                     .copied()
@@ -339,14 +338,14 @@ mod tests {
         let cache = ts.stats_cache();
         let t = Template::new(SemType::FilePath, Relation::Owns, SemType::UserName);
         let a = AttrName::entry("datadir");
-        assert!(!pair_considered(&t, false, &cache, &a, &a));
+        assert!(!pair_considered(&t, false, cache, &a, &a));
         // Owns must bind an original user entry, not an augmented mirror.
         let aug = AttrName::entry("pid_file").augmented("owner");
-        assert!(!pair_considered(&t, false, &cache, &a, &aug));
+        assert!(!pair_considered(&t, false, cache, &a, &aug));
         assert!(pair_considered(
             &t,
             false,
-            &cache,
+            cache,
             &a,
             &AttrName::entry("user")
         ));

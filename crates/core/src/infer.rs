@@ -15,7 +15,8 @@
 //! [`crate::pool`]; chunk results are merged back in unit order, so the
 //! learned [`RuleSet`] is byte-identical to a sequential run no matter how
 //! many workers steal.  Per-attribute statistics (semantic types, value
-//! entropies) are resolved once per run in a shared [`StatsCache`].
+//! entropies) come from the training set's [`StatsCache`], built once at
+//! assembly and shared read-only by every run.
 //!
 //! Slot bindings are *indices* into the cache's sorted attribute list, and
 //! evaluation is *columnar*: each pair is tallied by a
@@ -37,6 +38,7 @@ use crate::rules::{Rule, RuleSet};
 use crate::stats::StatsCache;
 use crate::template::Template;
 use crate::train::TrainingSet;
+use encore_sysimage::SystemImage;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -214,25 +216,12 @@ impl RuleInference {
         thresholds: &FilterThresholds,
         options: &InferOptions,
     ) -> Result<(RuleSet, InferenceStats), InferError> {
-        self.try_infer_with_cache(training, &training.stats_cache(), thresholds, options)
-    }
-
-    /// [`RuleInference::try_infer_with`] over a statistics cache the caller
-    /// built from `training` ([`TrainingSet::stats_cache`]), so a learn can
-    /// read the detector's statistics off the same columns afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::WorkerPanicked`] if any work unit panics.
-    pub(crate) fn try_infer_with_cache(
-        &self,
-        training: &TrainingSet,
-        cache: &StatsCache,
-        thresholds: &FilterThresholds,
-        options: &InferOptions,
-    ) -> Result<(RuleSet, InferenceStats), InferError> {
-        let candidates = self.collect_candidates(training, cache, options)?;
-        Ok(judge_candidates(&candidates, thresholds, cache))
+        let candidates = self.collect_candidates(training, options)?;
+        Ok(judge_candidates(
+            &candidates,
+            thresholds,
+            training.stats_cache(),
+        ))
     }
 
     /// Judge one candidate pass under the given thresholds **and** their
@@ -249,31 +238,14 @@ impl RuleInference {
         options: &InferOptions,
     ) -> Result<DualInference, InferError> {
         let cache = training.stats_cache();
-        let candidates = self.collect_candidates(training, &cache, options)?;
+        let candidates = self.collect_candidates(training, options)?;
         let mut on = *thresholds;
         on.use_entropy = true;
         let off = on.without_entropy();
         Ok(DualInference {
-            entropy_on: judge_candidates(&candidates, &on, &cache),
-            entropy_off: judge_candidates(&candidates, &off, &cache),
+            entropy_on: judge_candidates(&candidates, &on, cache),
+            entropy_off: judge_candidates(&candidates, &off, cache),
         })
-    }
-
-    /// Count, for every candidate surviving support+confidence, whether the
-    /// entropy filter would drop it — the staged analysis behind Table 13.
-    /// Runs one inference pass and judges it under both filter settings.
-    pub fn entropy_filter_effect(
-        &self,
-        training: &TrainingSet,
-        thresholds: &FilterThresholds,
-    ) -> EntropyEffect {
-        let dual = self
-            .try_infer_dual(training, thresholds, &InferOptions::default())
-            .expect("inference worker panicked");
-        EntropyEffect {
-            original: dual.entropy_off.0.len(),
-            after_entropy: dual.entropy_on.0.len(),
-        }
     }
 
     /// Generate the (deduplicated, deterministically ordered) candidate
@@ -281,10 +253,9 @@ impl RuleInference {
     fn collect_candidates(
         &self,
         training: &TrainingSet,
-        cache: &StatsCache,
         options: &InferOptions,
     ) -> Result<Vec<Candidate>, InferError> {
-        self.collect_candidates_via(training, cache, options, instantiate_unit)
+        self.collect_candidates_via(training, options, instantiate_unit)
     }
 
     /// Worker seam: `run_unit` processes one `(template, a-chunk)` unit.
@@ -293,19 +264,20 @@ impl RuleInference {
     fn collect_candidates_via<F>(
         &self,
         training: &TrainingSet,
-        cache: &StatsCache,
         options: &InferOptions,
         run_unit: F,
     ) -> Result<Vec<Candidate>, InferError>
     where
-        F: Fn(&WorkUnit<'_, '_>, &TrainingSet, &StatsCache) -> Vec<Candidate> + Sync,
+        F: Fn(&WorkUnit<'_, '_>, &[SystemImage], &StatsCache) -> Vec<Candidate> + Sync,
     {
         let _span = obs::INFER_TIME.span();
+        let (images, cache) = (training.images(), training.stats_cache());
         // Pipeline phases outside the per-unit loop get pseudo-rows in the
         // template table — `(plan)`, `(attribute)`, `(dedup)` — so the
         // table accounts for (almost) everything under `infer.time`, not
-        // just instantiation (the ≥95% coverage invariant, DESIGN.md §16).
+        // just instantiation (the coverage invariant, DESIGN.md §16).
         let profiling = obs::profile::enabled();
+        let [plan_row, attribute_row, dedup_row] = obs::INFER_MAIN_THREAD_ROWS;
         let plan_started = profiling.then(Instant::now);
         obs::INFER_TEMPLATES.add(self.templates.len() as u64);
         let works: Vec<TemplateWork<'_>> = self
@@ -333,10 +305,10 @@ impl RuleInference {
         obs::INFER_UNITS_PRUNED.add((total_units - units.len()) as u64);
         if let Some(started) = plan_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            obs::INFER_TEMPLATE_PROFILE.record("(plan)", nanos, &[("units", units.len() as u64)]);
+            obs::INFER_TEMPLATE_PROFILE.record(plan_row, nanos, &[("units", units.len() as u64)]);
         }
         let workers = options.resolved_workers();
-        let chunks = pool::run_units(&units, workers, |unit| run_unit(unit, training, cache))?;
+        let chunks = pool::run_units(&units, workers, |unit| run_unit(unit, images, cache))?;
         let attribute_started = profiling.then(Instant::now);
         if obs::enabled() {
             // Attribute candidates to templates on the main thread, after
@@ -350,14 +322,14 @@ impl RuleInference {
         }
         if let Some(started) = attribute_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            obs::INFER_TEMPLATE_PROFILE.record("(attribute)", nanos, &[]);
+            obs::INFER_TEMPLATE_PROFILE.record(attribute_row, nanos, &[]);
         }
         let dedup_started = profiling.then(Instant::now);
         let deduped = dedup_candidates(chunks.into_iter().flatten());
         if let Some(started) = dedup_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             obs::INFER_TEMPLATE_PROFILE.record(
-                "(dedup)",
+                dedup_row,
                 nanos,
                 &[("candidates", deduped.len() as u64)],
             );
@@ -448,26 +420,6 @@ impl WorkUnit<'_, '_> {
     }
 }
 
-/// Result of the staged entropy-filter analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntropyEffect {
-    /// Rules admitted by support+confidence alone.
-    pub original: usize,
-    /// Rules remaining once the entropy filter also applies.
-    pub after_entropy: usize,
-}
-
-impl EntropyEffect {
-    /// How many rules the entropy filter removed.
-    ///
-    /// Saturates at zero: the two counts come from independently judged
-    /// passes, and a caller-constructed (or future relaxed-filter) effect
-    /// where `after_entropy > original` must not panic on underflow.
-    pub fn removed(&self) -> usize {
-        self.original.saturating_sub(self.after_entropy)
-    }
-}
-
 #[derive(Debug)]
 struct Candidate {
     rule: Rule,
@@ -533,9 +485,8 @@ fn judge_candidates(
 /// Flush one finished unit's self-time and work counts into the
 /// per-template profile table.  `profiled` is the unit's start instant,
 /// present only when the profiler was on at unit start; worker self-time
-/// sums across the pool, so per-template totals cover the whole
-/// instantiation loop (the ≥95%-of-`infer.time` invariant, DESIGN.md
-/// §16).
+/// sums across the pool, as the summed worker-busy time the table is
+/// referenced against does (the coverage invariant, DESIGN.md §16).
 fn finish_unit_profile(
     work: &TemplateWork<'_>,
     profiled: Option<Instant>,
@@ -560,13 +511,12 @@ fn finish_unit_profile(
 /// is a bitset intersection and `Equal`/`=~` are integer compares.
 fn instantiate_unit(
     unit: &WorkUnit<'_, '_>,
-    training: &TrainingSet,
+    images: &[SystemImage],
     cache: &StatsCache,
 ) -> Vec<Candidate> {
     let work = unit.work;
     let template = work.template;
     let attrs = cache.attributes();
-    let systems = training.systems();
     // Self-time per unit, attributed to the unit's template when the
     // profiler is on (the decision is made here, once per unit, so the
     // per-pair loop below stays branch-free).
@@ -587,7 +537,7 @@ fn instantiate_unit(
             }
             pairs_evaluated += 1;
             let (holds, applicable) =
-                PairEvaluator::new(template.relation, cache, ai, bi).tally(systems);
+                PairEvaluator::new(template.relation, cache, ai, bi).tally(images);
             if applicable == 0 {
                 continue;
             }
@@ -656,16 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_filter_reduces_rule_count() {
-        let images = fleet(12);
-        let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
-        let engine = RuleInference::predefined();
-        let effect = engine.entropy_filter_effect(&ts, &FilterThresholds::default());
-        assert!(effect.original >= effect.after_entropy);
-        assert!(effect.removed() > 0, "{effect:?}");
-    }
-
-    #[test]
     fn stats_attribute_drops() {
         let images = fleet(12);
         let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
@@ -721,6 +661,13 @@ mod tests {
         let without = engine.infer(&ts, &thresholds.without_entropy());
         assert_eq!(dual.entropy_on, with);
         assert_eq!(dual.entropy_off, without);
+        // On this fleet the entropy filter removes rules.
+        assert!(
+            dual.entropy_on.0.len() < dual.entropy_off.0.len(),
+            "{} rules with the entropy filter, {} without",
+            dual.entropy_on.0.len(),
+            dual.entropy_off.0.len()
+        );
     }
 
     #[test]
@@ -728,11 +675,9 @@ mod tests {
         let images = fleet(6);
         let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
         let engine = RuleInference::predefined();
-        let cache = ts.stats_cache();
         let err = engine
             .collect_candidates_via(
                 &ts,
-                &cache,
                 &InferOptions::with_workers(4),
                 |_, _, _| -> Vec<Candidate> { panic!("malformed attribute") },
             )
@@ -811,21 +756,5 @@ mod tests {
                 "workers={workers}; run with UPDATE_GOLDEN=1 if intentional"
             );
         }
-    }
-
-    #[test]
-    fn entropy_effect_removed_saturates_instead_of_panicking() {
-        // Regression: `removed()` used unchecked subtraction and panicked on
-        // underflow for caller-constructed effects.
-        let effect = EntropyEffect {
-            original: 3,
-            after_entropy: 10,
-        };
-        assert_eq!(effect.removed(), 0);
-        let normal = EntropyEffect {
-            original: 10,
-            after_entropy: 3,
-        };
-        assert_eq!(normal.removed(), 7);
     }
 }

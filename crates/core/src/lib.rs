@@ -161,22 +161,17 @@ impl EnCore {
     /// Returns [`InferError::WorkerPanicked`] if a template-instantiation
     /// work unit panics.
     pub fn try_learn(training: &TrainingSet, options: &LearnOptions) -> Result<EnCore, InferError> {
-        let inference = RuleInference::new(options.templates.clone());
         let infer_options = InferOptions {
             workers: options.workers,
             ..InferOptions::default()
         };
-        // One column store serves inference and the detector's statistics.
-        let cache = training.stats_cache();
-        let (rules, stats) = inference.try_infer_with_cache(
+        let (rules, stats) = RuleInference::new(options.templates.clone()).try_infer_with(
             training,
-            &cache,
             &options.thresholds,
             &infer_options,
         )?;
-        let training_stats = TrainingStats::from_columns(cache.columns());
         Ok(EnCore {
-            detector: AnomalyDetector::from_parts(rules, training.types().clone(), training_stats),
+            detector: AnomalyDetector::new(training, rules),
             stats,
         })
     }

@@ -388,9 +388,10 @@ impl<'c> PairEvaluator<'c> {
         }
     }
 
-    /// Tally `(holds, applicable)` over every training system — the counts
-    /// [`crate::infer`] turns into a candidate's support and confidence.
-    pub(crate) fn tally(&self, systems: &[(Row, SystemImage)]) -> (usize, usize) {
+    /// Tally `(holds, applicable)` over every training system, given its
+    /// images in row order — the counts [`crate::infer`] turns into a
+    /// candidate's support and confidence.
+    pub(crate) fn tally(&self, images: &[SystemImage]) -> (usize, usize) {
         let mut holds = 0usize;
         let mut applicable = 0usize;
         let words = self.col_a.presence().iter().zip(self.col_b.presence());
@@ -401,7 +402,7 @@ impl<'c> PairEvaluator<'c> {
             while both != 0 {
                 let i = w * 64 + both.trailing_zeros() as usize;
                 both &= both - 1;
-                match self.eval_row(i, &systems[i].1) {
+                match self.eval_row(i, &images[i]) {
                     Applicability::Holds => {
                         holds += 1;
                         applicable += 1;
@@ -906,9 +907,8 @@ mod tests {
                 };
                 let cache = StatsCache::from_rows(&[&r], &TypeMap::new());
                 let (ai, bi) = (cache.attr_index(&a).unwrap(), cache.attr_index(&b).unwrap());
-                let systems = [(r.clone(), img.clone())];
                 assert_eq!(
-                    PairEvaluator::new(relation, &cache, ai, bi).tally(&systems),
+                    PairEvaluator::new(relation, &cache, ai, bi).tally(std::slice::from_ref(&img)),
                     expected,
                     "{relation:?} with owner cell {owner:?}"
                 );

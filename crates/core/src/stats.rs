@@ -1,14 +1,14 @@
-//! Shared read-only statistics for one inference run.
+//! A training set's column table and the statistics read off it.
 //!
-//! Rule inference consults three per-attribute statistics over and over:
+//! Rule inference, the filters and the detector consult three
+//! per-attribute statistics over and over:
 //!
 //! * the **semantic type** of each attribute, when gathering eligible slot
-//!   bindings — previously re-derived through [`TypeMap::type_of`] for every
-//!   template;
+//!   bindings — resolved once here instead of through [`TypeMap::type_of`]
+//!   for every template;
 //! * the **Shannon entropy** of each attribute's value distribution, when
-//!   the entropy filter judges a candidate — previously recomputed from a
-//!   fresh value histogram for every candidate, O(candidates × rows) of
-//!   redundant work since many candidates share attributes;
+//!   the entropy filter judges a candidate — memoized here, since many
+//!   candidates share attributes;
 //! * the **row-presence bitset** of each attribute, which lets the
 //!   eligibility analysis decide in O(rows/64) words whether two attributes
 //!   ever co-occur — the precondition for any candidate rule between them.
@@ -19,9 +19,11 @@
 //! slots, so the cache can be shared read-only across the inference worker
 //! pool.
 //!
-//! The cache borrows the training rows to pivot them into a [`ColumnStore`]
-//! in one pass and keeps only that store and the system ids; attributes,
-//! entropy histograms and the detector's statistics are read off it.
+//! A training set builds its cache once, at assembly
+//! ([`crate::TrainingSet::stats_cache`]): the cache pivots the borrowed
+//! rows into a [`ColumnStore`] in one pass and keeps only that store, the
+//! system ids and the type map.  Attributes, entropy histograms and the
+//! detector's statistics are all read off it, by every run over the set.
 
 use crate::types::TypeMap;
 use encore_mining::metrics::entropy;
@@ -29,10 +31,9 @@ use encore_model::{AttrName, ColumnStore, Row, SemType};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Per-run cache of attribute statistics: resolved types, the columnar
+/// One training set's attribute statistics: resolved types, the columnar
 /// interned view of the rows (value-id columns + presence bitsets),
-/// per-type attribute buckets, and memoized entropies over one training
-/// set.
+/// per-type attribute buckets, and memoized entropies.
 #[derive(Debug)]
 pub struct StatsCache {
     /// System id of each row, in row order.
@@ -103,6 +104,11 @@ impl StatsCache {
         self.attr_index(attr).is_some()
     }
 
+    /// The type map the attribute types were resolved through.
+    pub fn types(&self) -> &TypeMap {
+        &self.type_map
+    }
+
     /// The resolved semantic type of an attribute (falling back to the
     /// source [`TypeMap`] for attributes outside the dataset).
     pub fn type_of(&self, attr: &AttrName) -> SemType {
@@ -157,26 +163,16 @@ impl StatsCache {
     }
 
     /// Shannon entropy of the attribute's value distribution, computed at
-    /// most once per attribute per run.  An attribute outside the dataset
-    /// has an empty histogram, entropy 0, and is not memoized or counted.
+    /// most once per attribute.  An attribute outside the dataset has an
+    /// empty histogram and entropy 0.
     pub fn entropy(&self, attr: &AttrName) -> f64 {
         let Some(i) = self.attr_index(attr) else {
             return entropy([]);
         };
-        let mut computed = false;
         // The column histogram iterates in sorted-render order, as a row
         // loop's `BTreeMap` of renders would, so the f64 summation order —
         // and therefore the entropy, bit for bit — is that of a row loop.
-        let h = *self.entropies[i].get_or_init(|| {
-            computed = true;
-            entropy(self.columns.value_histogram(i).into_values())
-        });
-        if computed {
-            crate::obs::STATS_ENTROPY_MISSES.incr();
-        } else {
-            crate::obs::STATS_ENTROPY_HITS.incr();
-        }
-        h
+        *self.entropies[i].get_or_init(|| entropy(self.columns.value_histogram(i).into_values()))
     }
 }
 

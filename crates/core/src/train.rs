@@ -1,9 +1,15 @@
-//! Training sets: assembled rows paired with their system images.
+//! Training sets: the systems of one application, pivoted once into the
+//! column table every learner reads.
 //!
-//! Rule inference needs both the environment-enriched rows (for value-level
-//! relations) and the raw images (for environment-level validation such as
-//! path concatenation or accessibility checks).
+//! Assembly turns each image into a row.  `collect` merges the rows'
+//! entry types by majority vote, pivots the rows into a [`StatsCache`] —
+//! the one `encore_assemble::column_store` call per training set — and
+//! drops them.  A [`TrainingSet`] keeps that table, for the value-level
+//! work (rule inference, the filters, the detector's statistics), and the
+//! images in row order, for environment-level validation such as path
+//! ownership or accessibility checks.
 
+use crate::stats::StatsCache;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, AssembledSystem, Assembler};
 use encore_model::{AppKind, AttrName, Row, SemType};
@@ -11,10 +17,11 @@ use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
 
 /// A fully assembled training set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TrainingSet {
-    systems: Vec<(Row, SystemImage)>,
-    types: TypeMap,
+    /// The images that assembled, in row order.
+    images: Vec<SystemImage>,
+    cache: StatsCache,
     app: AppKind,
 }
 
@@ -56,41 +63,38 @@ impl TrainingSet {
         self.app
     }
 
-    /// The assembled systems (row + image).
-    pub fn systems(&self) -> &[(Row, SystemImage)] {
-        &self.systems
+    /// The images that assembled, in row order: image `i` is row `i` of
+    /// [`TrainingSet::stats_cache`].
+    pub fn images(&self) -> &[SystemImage] {
+        &self.images
     }
 
     /// Number of training systems.
     pub fn len(&self) -> usize {
-        self.systems.len()
+        self.images.len()
     }
 
     /// Whether the training set is empty.
     pub fn is_empty(&self) -> bool {
-        self.systems.is_empty()
+        self.images.is_empty()
     }
 
     /// The merged type map.
     pub fn types(&self) -> &TypeMap {
-        &self.types
+        self.cache.types()
     }
 
-    /// The assembled rows, borrowed, in training order.
-    pub fn rows(&self) -> Vec<&Row> {
-        self.systems.iter().map(|(r, _)| r).collect()
-    }
-
-    /// A fresh per-run statistics cache (resolved attribute types + memoized
-    /// value entropies) over this training set's rows.
-    pub fn stats_cache(&self) -> crate::stats::StatsCache {
-        crate::stats::StatsCache::from_rows(&self.rows(), &self.types)
+    /// The training set's column table: resolved attribute types, the
+    /// interned value columns and memoized value entropies.
+    pub fn stats_cache(&self) -> &StatsCache {
+        &self.cache
     }
 }
 
 /// Assemble `images` with `assemble` on `workers` pool threads, keep the
-/// images that assemble, in image order, and merge their entry types by
-/// majority vote — the one training-set path, shared with
+/// images that assemble, in image order, merge their entry types by
+/// majority vote, and pivot their rows into the training set's table —
+/// the one training-set path, shared with
 /// [`crate::cross::CrossAssembler::assemble_training_set`].
 ///
 /// Each unit hands back its row plus the types of its original entries as
@@ -128,7 +132,8 @@ where
         },
     )
     .unwrap_or_else(|e| panic!("{e}"));
-    let mut systems = Vec::new();
+    let mut rows = Vec::new();
+    let mut kept = Vec::new();
     let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
     let mut first_err = None;
     for (image, result) in images.iter().zip(assembled) {
@@ -142,21 +147,27 @@ where
                         }
                     }
                 }
-                systems.push((row, image.clone()));
+                rows.push(row);
+                kept.push(image.clone());
             }
             Err(e) => {
                 first_err.get_or_insert(e);
             }
         }
     }
-    if systems.is_empty() {
+    if rows.is_empty() {
         if let Some(e) = first_err {
             return Err(e);
         }
     }
+    // The one pivot: every learner reads the table, so the rows go here.
+    let cache = StatsCache::from_rows(
+        &rows.iter().collect::<Vec<_>>(),
+        &TypeMap::merge_votes(&votes),
+    );
     Ok(TrainingSet {
-        systems,
-        types: TypeMap::merge_votes(&votes),
+        images: kept,
+        cache,
         app,
     })
 }
@@ -171,6 +182,7 @@ fn original_entries(row: &Row) -> impl Iterator<Item = &AttrName> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encore_model::ValueId;
     use std::collections::BTreeSet;
 
     fn img(id: &str) -> SystemImage {
@@ -242,6 +254,26 @@ mod tests {
         images
     }
 
+    /// The table a pivot decides: the attributes, and each column's value
+    /// ids and presence bits.
+    type Table = (Vec<AttrName>, Vec<(Vec<Option<ValueId>>, Vec<u64>)>);
+
+    fn table(cache: &StatsCache) -> Table {
+        let store = cache.columns();
+        let columns = (0..store.num_columns())
+            .map(|i| {
+                let column = store.column(i);
+                let ids = (0..store.num_rows()).map(|r| column.value_id(r)).collect();
+                (ids, column.presence().to_vec())
+            })
+            .collect();
+        (cache.attributes().to_vec(), columns)
+    }
+
+    fn ids(images: &[SystemImage]) -> Vec<&str> {
+        images.iter().map(SystemImage::id).collect()
+    }
+
     #[test]
     fn collect_is_identical_for_every_worker_count() {
         let assembler = Assembler::new();
@@ -251,28 +283,30 @@ mod tests {
         ] {
             let images = broken_set(app, n, unparseable);
             // The sequential loop `collect` replaced: every image that
-            // assembles, in image order.
-            let reference: Vec<Row> = images
+            // assembles, in image order, pivoted.
+            let (kept, rows): (Vec<&SystemImage>, Vec<Row>) = images
                 .iter()
-                .filter_map(|img| assembler.assemble_image(app, img).ok())
-                .collect();
-            assert_eq!(reference.len(), n, "{app}: two broken images skipped");
+                .filter_map(|img| Some((img, assembler.assemble_image(app, img).ok()?)))
+                .unzip();
+            assert_eq!(rows.len(), n, "{app}: two broken images skipped");
+            let reference =
+                StatsCache::from_rows(&rows.iter().collect::<Vec<_>>(), &TypeMap::new());
             let one = collect(app, &images, 1, |img| assembler.assemble_system(app, img)).unwrap();
-            assert_eq!(one.rows(), reference.iter().collect::<Vec<_>>(), "{app}");
+            assert_eq!(table(one.stats_cache()), table(&reference), "{app}");
+            assert_eq!(
+                ids(one.images()),
+                kept.iter().map(|img| img.id()).collect::<Vec<_>>(),
+                "{app}"
+            );
             for workers in [2, 3, 8] {
                 let many = collect(app, &images, workers, |img| {
                     assembler.assemble_system(app, img)
                 })
                 .unwrap();
-                assert_eq!(many.rows(), one.rows(), "{app}, {workers} workers");
-                assert_eq!(many.types(), one.types(), "{app}, {workers} workers");
-                let ids = |ts: &TrainingSet| -> Vec<String> {
-                    ts.systems()
-                        .iter()
-                        .map(|(_, img)| img.id().to_string())
-                        .collect()
-                };
-                assert_eq!(ids(&many), ids(&one), "{app}, {workers} workers");
+                let ctx = format!("{app}, {workers} workers");
+                assert_eq!(table(many.stats_cache()), table(one.stats_cache()), "{ctx}");
+                assert_eq!(many.types(), one.types(), "{ctx}");
+                assert_eq!(ids(many.images()), ids(one.images()), "{ctx}");
             }
         }
     }

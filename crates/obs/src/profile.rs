@@ -9,12 +9,11 @@
 //! determinism suite keeps proving the disabled path non-perturbing.
 //!
 //! [`render_text`] / [`render_json`] roll one or more tables into a cost
-//! report.  Each table may carry a *reference* total (e.g. the
-//! `infer.time` wall timer): the report states how much of the reference
-//! the rows account for, which is the profiler's coverage invariant —
-//! per-template rows must explain ≥95% of `infer.time` (DESIGN.md §16).
-//! Attributed time is summed across workers, so on a multi-worker run
-//! coverage can legitimately exceed 100% of the wall-clock reference.
+//! report.  Each table may carry a *reference* total: the report states
+//! how much of the reference the rows account for, which is the
+//! profiler's coverage invariant (DESIGN.md §16).  Attributed time is
+//! summed across workers, so the reference must be summed the same way —
+//! against a wall-clock reference a multi-worker run reads above 100%.
 
 use crate::json::Json;
 use std::collections::BTreeMap;

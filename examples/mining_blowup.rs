@@ -9,18 +9,18 @@
 use encore::prelude::*;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_mining::{discretize, FpGrowth, MiningLimits};
-use encore_model::{AppKind, ColumnStore};
+use encore_model::AppKind;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = Population::training(AppKind::Mysql, &PopulationOptions::new(60, 11));
     let training = TrainingSet::assemble(AppKind::Mysql, fleet.images())?;
-    let rows = training.rows();
-    let tx = discretize(&rows);
+    let columns = training.stats_cache().columns();
+    let tx = discretize(columns);
     println!(
         "assembled {} systems, {} attributes, {} binomial items",
         training.len(),
-        ColumnStore::from_rows(&rows).num_columns(),
+        columns.num_columns(),
         tx.num_items()
     );
 

@@ -312,6 +312,50 @@ fn template_profiler_covers_the_inference_wall_clock() {
     );
 }
 
+/// The template rows sum self-time across workers, so the profile
+/// compares them with time summed the same way: the worker-busy spans
+/// plus the main-thread rows.  Every unit runs inside its worker's busy
+/// span, so with two workers the BENCH fleet's profile still reads at
+/// most 100% (against the `infer.time` wall clock it read above).
+#[test]
+fn multi_worker_profile_coverage_is_at_most_100_percent() {
+    use encore::obs::json::{self, Json};
+    let _gate = gate();
+    let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(30, 1));
+    let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("training assembles");
+    encore::obs::reset();
+    encore::obs::enable();
+    encore::obs::profile::enable();
+    RuleInference::predefined()
+        .try_infer_with(
+            &training,
+            &FilterThresholds::default(),
+            &InferOptions::with_workers(2),
+        )
+        .expect("inference");
+    let text = encore::obs::profile::render_json(&encore::obs::profile_sections());
+    encore::obs::profile::disable();
+    encore::obs::disable();
+    let profile = json::parse(&text).expect("profile parses");
+    let templates = profile
+        .get("tables")
+        .and_then(Json::as_arr)
+        .and_then(|tables| tables.first())
+        .expect("the template table");
+    assert_eq!(
+        templates.get("name").and_then(Json::as_str),
+        Some("infer.templates")
+    );
+    let permille = templates
+        .get("coverage_permille")
+        .and_then(Json::as_u64)
+        .expect("coverage_permille");
+    assert!(
+        permille <= 1000,
+        "two-worker profile reads {permille}\u{2030}: {text}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

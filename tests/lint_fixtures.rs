@@ -58,7 +58,7 @@ fn seeded_defects_are_flagged_with_stable_codes() {
     let report = check_all(
         &templates,
         &FilterThresholds::default(),
-        &cache,
+        cache,
         Some(&rules),
     );
 
@@ -114,7 +114,7 @@ fn seeded_transitive_ordering_cycle_is_flagged_ec060() {
     let report = check_all(
         &Template::predefined(),
         &FilterThresholds::default(),
-        &cache,
+        cache,
         Some(&rules),
     );
     let cycles: Vec<_> = report.with_code(Code::OrderingCycle).collect();
@@ -188,7 +188,7 @@ fn clean_templates_and_learned_rules_have_zero_errors() {
     let report: LintReport = check_all(
         &Template::predefined(),
         &FilterThresholds::default(),
-        &cache,
+        cache,
         Some(engine.rules()),
     );
     assert_eq!(

@@ -3,8 +3,10 @@
 //! [`encore::obs::PipelineReport`] carrying all six phase sections with
 //! plausible counts, and the report must survive a JSON round-trip.
 
+use encore::infer::{InferOptions, RuleInference};
 use encore::obs;
 use encore::prelude::*;
+use encore::{AnomalyDetector, TrainingStats};
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::AppKind;
 use std::sync::{Mutex, MutexGuard};
@@ -93,5 +95,45 @@ fn disabled_sink_leaves_the_report_empty() {
         report.counters().values().all(|&v| v == 0),
         "disabled sink must record nothing: {}",
         report.render_text()
+    );
+}
+
+/// A training set is pivoted into its column table once, at assembly:
+/// learning, both inference entry points, the detector and its statistics
+/// all read that table instead of pivoting the rows again.
+#[test]
+fn one_training_set_is_pivoted_once() {
+    let _gate = gate();
+    obs::reset();
+    obs::enable();
+    let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(15, 3));
+    let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("training assembles");
+    let engine = EnCore::learn(&training, &LearnOptions::default());
+    let inference = RuleInference::predefined();
+    let thresholds = FilterThresholds::default();
+    let (rules, _) = inference
+        .try_infer_with(&training, &thresholds, &InferOptions::default())
+        .expect("inference");
+    inference
+        .try_infer_dual(&training, &thresholds, &InferOptions::default())
+        .expect("dual inference");
+    let detector = AnomalyDetector::new(&training, rules);
+    let stats = TrainingStats::from_training(&training);
+    let report = obs::pipeline_report();
+    obs::disable();
+
+    assert_eq!(engine.rules(), detector.rules());
+    assert_eq!(&stats, detector.training_stats());
+    let pivots = report
+        .phases
+        .iter()
+        .flat_map(|phase| &phase.timers)
+        .find(|(name, _)| name == "assemble.columns.time")
+        .map(|(_, timer)| timer.spans);
+    assert_eq!(pivots, Some(1), "pivots of one training set");
+    assert_eq!(
+        report.counters()["assemble.columns.built"],
+        training.stats_cache().attributes().len() as u64,
+        "columns built"
     );
 }
