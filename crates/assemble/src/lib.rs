@@ -232,14 +232,19 @@ impl Assembler {
     }
 }
 
-/// Pivot assembled rows, borrowed, into their columnar, interned view — the
-/// layout rule inference, the rule filters and the detector's statistics
-/// read (`encore_model::columnar`).  This is the assembly phase's last
-/// step: a training set calls it once, when it is assembled, and keeps
-/// the table in place of its rows.
-pub fn column_store(rows: &[&Row]) -> encore_model::ColumnStore {
+/// Merge the assembly workers' encoded rows into their columnar, interned
+/// view — the layout rule inference, the rule filters and the detector's
+/// statistics read (`encore_model::columnar`).  This is the assembly
+/// phase's last step: each worker encodes the rows it assembles, and a
+/// training set calls this once, when it is assembled, and keeps the
+/// table in place of its rows.  `rows` are in row order, each with the
+/// index in `encoders` of the encoder that encoded it.
+pub fn column_store(
+    encoders: &[encore_model::RowEncoder],
+    rows: &[(usize, encore_model::EncodedRow)],
+) -> encore_model::ColumnStore {
     let _span = obs::COLUMNS_TIME.span();
-    let store = encore_model::ColumnStore::from_rows(rows);
+    let store = encore_model::ColumnStore::merge(encoders, rows);
     obs::COLUMNS_BUILT.add(store.num_columns() as u64);
     obs::VALUES_INTERNED.add(store.interner().num_values() as u64);
     store

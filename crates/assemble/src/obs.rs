@@ -38,7 +38,9 @@ pub static VALUES_INTERNED: Counter = Counter::new("assemble.values.interned");
 /// summed over every thread that assembles: on the worker pool it exceeds
 /// the wall time.
 pub static ASSEMBLE_TIME: Timer = Timer::new("assemble.rows.time");
-/// Wall time pivoting the dataset into the columnar store.
+/// Wall time merging a training set's encoded rows into the columnar
+/// store.  Encoding each row runs on the assembly pool, so it counts
+/// toward `assemble.pool.worker_busy` instead.
 pub static COLUMNS_TIME: Timer = Timer::new("assemble.columns.time");
 
 /// Training images handed to the assembly pool.

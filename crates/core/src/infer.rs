@@ -36,11 +36,12 @@ use crate::pool::{self, PoolError};
 use crate::relation::PairEvaluator;
 use crate::rules::{Rule, RuleSet};
 use crate::stats::StatsCache;
-use crate::template::Template;
+use crate::template::{Relation, Template};
 use crate::train::TrainingSet;
+use encore_model::AttrName;
 use encore_sysimage::SystemImage;
-use std::collections::BTreeSet;
-use std::fmt;
+use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -325,7 +326,7 @@ impl RuleInference {
             obs::INFER_TEMPLATE_PROFILE.record(attribute_row, nanos, &[]);
         }
         let dedup_started = profiling.then(Instant::now);
-        let deduped = dedup_candidates(chunks.into_iter().flatten());
+        let deduped = dedup_candidates(chunks);
         if let Some(started) = dedup_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             obs::INFER_TEMPLATE_PROFILE.record(
@@ -428,15 +429,38 @@ struct Candidate {
 
 /// Drop duplicate template instances (the same `(a, relation, b)` can fall
 /// out of several templates), keeping first-seen order.
-fn dedup_candidates(candidates: impl IntoIterator<Item = Candidate>) -> Vec<Candidate> {
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut out = Vec::new();
+///
+/// Two candidates are the same when their relations are and their
+/// attribute names render the same; `AttrName` equality would tell apart
+/// names that render alike, such as an entry literally named
+/// `datadir.owner` and the augmented `datadir.owner`.  Each distinct
+/// rendered name gets a small id once, so a candidate costs two renders
+/// into one reused buffer and one insert of three small integers, and the
+/// output and the set are sized once from the chunks.  With no allocation
+/// per candidate, the pass holds little besides its output while it frees
+/// the chunks.
+fn dedup_candidates(chunks: Vec<Vec<Candidate>>) -> Vec<Candidate> {
+    let total = chunks.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut names: HashMap<String, u32> = HashMap::new();
+    let mut rendered = String::new();
+    let mut name_id = |attr: &AttrName| -> u32 {
+        rendered.clear();
+        write!(rendered, "{attr}").expect("writing to a String cannot fail");
+        if let Some(&id) = names.get(rendered.as_str()) {
+            return id;
+        }
+        let id = u32::try_from(names.len()).expect("< 2^32 names");
+        names.insert(rendered.clone(), id);
+        id
+    };
+    let mut seen: HashSet<(u32, Relation, u32)> = HashSet::with_capacity(total);
     let mut dropped = 0u64;
-    for cand in candidates {
+    for cand in chunks.into_iter().flatten() {
         let key = (
-            cand.rule.a.to_string(),
-            format!("{:?}", cand.rule.relation),
-            cand.rule.b.to_string(),
+            name_id(&cand.rule.a),
+            cand.rule.relation,
+            name_id(&cand.rule.b),
         );
         if seen.insert(key) {
             out.push(cand);
@@ -603,6 +627,34 @@ mod tests {
             "rules: {}",
             rules.render()
         );
+    }
+
+    #[test]
+    fn dedup_keeps_the_first_candidate_of_each_rendered_key() {
+        let cand = |a: &AttrName, relation, b: &AttrName, support| Candidate {
+            rule: Rule::new(a.clone(), relation, b.clone(), support, 1.0),
+            template_min_confidence: None,
+        };
+        let user = AttrName::entry("user");
+        let owner = AttrName::entry("datadir").augmented("owner");
+        // An entry literally named `datadir.owner` renders as the
+        // augmented name does, so the two make one key.
+        let literal = AttrName::entry("datadir.owner");
+        let chunks = vec![
+            vec![cand(&owner, Relation::Owns, &user, 1)],
+            vec![],
+            vec![
+                cand(&literal, Relation::Owns, &user, 2),
+                cand(&owner, Relation::Equal, &user, 3),
+                cand(&user, Relation::Owns, &owner, 4),
+            ],
+            vec![cand(&owner, Relation::Equal, &user, 5)],
+        ];
+        let kept: Vec<usize> = dedup_candidates(chunks)
+            .iter()
+            .map(|c| c.rule.support)
+            .collect();
+        assert_eq!(kept, [1, 3, 4]);
     }
 
     #[test]

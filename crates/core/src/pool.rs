@@ -12,6 +12,12 @@
 //! which unit, so callers get output byte-identical to a sequential pass.
 //! A panicking unit is caught and surfaced as a [`PoolError`] instead of
 //! poisoning the process.
+//!
+//! A worker may carry state of its own (`run_units_with`): worker `w`
+//! starts from `init(w)`, each unit it runs gets `&mut` access to that
+//! state, and the states come back in worker order.  Training-set assembly
+//! keeps one row encoder per worker this way; [`run_units`] and
+//! [`run_units_observed`] are the same worker loop with no state.
 
 use crate::obs::{Counter, Gauge, Timer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,6 +73,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// One worker's results, each tagged with the index of its unit.
+type Tagged<O> = Vec<(usize, Result<O, String>)>;
+
 /// The worker count a caller gets when it names none: the host's
 /// available parallelism, which follows the process's CPU affinity.
 pub(crate) fn available_workers() -> usize {
@@ -109,67 +118,90 @@ where
     O: Send,
     F: Fn(&U) -> O + Sync,
 {
+    run_units_with(units, workers, metrics, |_| (), |(), unit| f(unit)).map(|(out, _)| out)
+}
+
+/// Run `f` over every unit on up to `workers` threads, each worker with its
+/// own state: worker `w` starts from `init(w)`, and every unit it runs gets
+/// `&mut` access to that state.  Returns the results in unit order and the
+/// states in worker order, one per worker that ran (the worker count
+/// clamped to `1..=units.len()`).
+///
+/// # Errors
+///
+/// Returns the first (lowest-index) [`PoolError`] if any unit panics; the
+/// remaining units still run to completion.
+pub(crate) fn run_units_with<U, S, O, I, F>(
+    units: &[U],
+    workers: usize,
+    metrics: &PoolMetrics,
+    init: I,
+    f: F,
+) -> Result<(Vec<O>, Vec<S>), PoolError>
+where
+    U: Sync,
+    S: Send,
+    O: Send,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, &U) -> O + Sync,
+{
     let workers = workers.clamp(1, units.len().max(1));
     metrics.units_run.add(units.len() as u64);
     metrics.workers.set(workers as u64);
-    let run_one = |index: usize| -> (usize, Result<O, String>) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(&units[index]))).map_err(panic_message);
-        (index, outcome)
-    };
-
-    let mut tagged: Vec<(usize, Result<O, String>)> = if workers <= 1 {
-        metrics.busiest_worker_units.set(units.len() as u64);
-        metrics.idlest_worker_units.set(units.len() as u64);
-        metrics.stolen_units.set(0);
+    let cursor = AtomicUsize::new(0);
+    // The one worker loop: pull the next unit off the shared cursor until
+    // none is left, catching each unit's panic.
+    let work = |w: usize| -> (S, Tagged<O>) {
+        let mut state = init(w);
         let _busy = metrics.worker_busy.span();
-        (0..units.len()).map(run_one).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, Result<O, String>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _busy = metrics.worker_busy.span();
-                        let mut local = Vec::new();
-                        loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= units.len() {
-                                break;
-                            }
-                            local.push(run_one(index));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Unit panics are caught inside run_one; a worker thread
-                    // can only panic through harness bugs, which we surface
-                    // as an empty contribution judged below by the
-                    // completeness check.
-                    h.join().unwrap_or_default()
-                })
-                .collect()
-        });
-        if crate::obs::enabled() {
-            let loads: Vec<u64> = per_worker.iter().map(|w| w.len() as u64).collect();
-            metrics
-                .busiest_worker_units
-                .set(loads.iter().copied().max().unwrap_or(0));
-            metrics
-                .idlest_worker_units
-                .set(loads.iter().copied().min().unwrap_or(0));
-            // Units that landed anywhere but worker 0 — what the stealing
-            // actually spread.  Scheduling-dependent, hence a gauge.
-            metrics.stolen_units.set(loads.iter().skip(1).sum::<u64>());
+        let mut local = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= units.len() {
+                break;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut state, &units[index])))
+                .map_err(panic_message);
+            local.push((index, outcome));
         }
-        per_worker.into_iter().flatten().collect()
+        (state, local)
     };
 
+    let per_worker: Vec<Option<(S, Tagged<O>)>> = if workers <= 1 {
+        vec![Some(work(0))]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            // Unit panics are caught inside the loop; a worker thread can
+            // only die through harness bugs, which we surface as a missing
+            // contribution judged below by the completeness check.
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    };
+    if crate::obs::enabled() {
+        let loads: Vec<u64> = per_worker
+            .iter()
+            .map(|w| w.as_ref().map_or(0, |(_, local)| local.len() as u64))
+            .collect();
+        metrics
+            .busiest_worker_units
+            .set(loads.iter().copied().max().unwrap_or(0));
+        metrics
+            .idlest_worker_units
+            .set(loads.iter().copied().min().unwrap_or(0));
+        // Units that landed anywhere but worker 0 — what the stealing
+        // actually spread.  Scheduling-dependent, hence a gauge.
+        metrics.stolen_units.set(loads.iter().skip(1).sum::<u64>());
+    }
+
+    let mut states = Vec::with_capacity(workers);
+    let mut tagged = Vec::with_capacity(units.len());
+    for (state, local) in per_worker.into_iter().flatten() {
+        states.push(state);
+        tagged.extend(local);
+    }
     tagged.sort_by_key(|(index, _)| *index);
-    if tagged.len() != units.len() {
+    if states.len() != workers || tagged.len() != units.len() {
         return Err(PoolError {
             unit: tagged.len(),
             message: "worker thread died without reporting".to_string(),
@@ -187,7 +219,7 @@ where
             }
         }
     }
-    Ok(out)
+    Ok((out, states))
 }
 
 #[cfg(test)]
@@ -237,5 +269,67 @@ mod tests {
         })
         .expect_err("must fail");
         assert_eq!(err.unit, 12);
+    }
+
+    /// Per unit, the unit tripled and the worker that ran it; per worker,
+    /// its index and the units it ran.
+    type Counted = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
+    /// `run_units_with` over `units`, each worker's state its index and
+    /// the units it ran, panicking on every unit `u % 13 == 12`.
+    fn run_counted(units: &[usize], workers: usize) -> Result<Counted, PoolError> {
+        run_units_with(
+            units,
+            workers,
+            &crate::obs::INFER_POOL_METRICS,
+            |w| (w, 0),
+            |(w, ran), &u| {
+                *ran += 1;
+                if u % 13 == 12 {
+                    panic!("boom {u}");
+                }
+                (u * 3, *w)
+            },
+        )
+    }
+
+    #[test]
+    fn every_unit_runs_against_exactly_one_worker_state() {
+        for (len, workers) in [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|w| [(0, w), (3, w), (12, w)])
+        {
+            let units: Vec<usize> = (0..len).collect();
+            let (results, states) = run_counted(&units, workers).expect("no panics");
+            let ctx = format!("{len} units, {workers} workers");
+            let tripled: Vec<usize> = results.iter().map(|&(v, _)| v).collect();
+            assert_eq!(
+                tripled,
+                units.iter().map(|u| u * 3).collect::<Vec<_>>(),
+                "{ctx}"
+            );
+            let started = workers.clamp(1, len.max(1));
+            let ids: Vec<usize> = states.iter().map(|&(w, _)| w).collect();
+            assert_eq!(ids, (0..started).collect::<Vec<_>>(), "{ctx}");
+            assert_eq!(
+                states.iter().map(|&(_, ran)| ran).sum::<usize>(),
+                len,
+                "{ctx}"
+            );
+            for &(w, ran) in &states {
+                let by_w = results.iter().filter(|&&(_, by)| by == w).count();
+                assert_eq!(by_w, ran, "{ctx}, worker {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_with_state_is_the_lowest_index_error() {
+        let units: Vec<usize> = (0..50).collect();
+        for workers in [1, 2, 4, 8] {
+            let err = run_counted(&units, workers).expect_err("must fail");
+            assert_eq!(err.unit, 12, "workers={workers}");
+            assert!(err.message.contains("boom 12"), "{err}");
+        }
     }
 }

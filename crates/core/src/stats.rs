@@ -20,14 +20,15 @@
 //! pool.
 //!
 //! A training set builds its cache once, at assembly
-//! ([`crate::TrainingSet::stats_cache`]): the cache pivots the borrowed
-//! rows into a [`ColumnStore`] in one pass and keeps only that store, the
-//! system ids and the type map.  Attributes, entropy histograms and the
-//! detector's statistics are all read off it, by every run over the set.
+//! ([`crate::TrainingSet::stats_cache`]): the cache merges the rows the
+//! assembly workers encoded into a [`ColumnStore`] and keeps only that
+//! store, the system ids and the type map.  Attributes, entropy histograms
+//! and the detector's statistics are all read off it, by every run over
+//! the set.
 
 use crate::types::TypeMap;
 use encore_mining::metrics::entropy;
-use encore_model::{AttrName, ColumnStore, Row, SemType};
+use encore_model::{AttrName, ColumnStore, EncodedRow, Row, RowEncoder, SemType};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -56,12 +57,26 @@ pub struct StatsCache {
 }
 
 impl StatsCache {
-    /// Build a cache over borrowed training rows: pivot them into columns
-    /// in one pass, then resolve the type of every attribute once through
-    /// `types`.
+    /// Build a cache over borrowed training rows: encode them with one
+    /// encoder, then [`StatsCache::from_encoded`].
     pub fn from_rows(rows: &[&Row], types: &TypeMap) -> StatsCache {
+        let mut encoder = RowEncoder::new();
+        let encoded: Vec<(usize, EncodedRow)> =
+            rows.iter().map(|row| (0, encoder.encode(row))).collect();
+        StatsCache::from_encoded(&[encoder], &encoded, types)
+    }
+
+    /// Build a cache over encoded training rows, in row order, each with
+    /// the index in `encoders` of the encoder that encoded it: merge them
+    /// into columns, then resolve the type of every attribute once through
+    /// `types`.
+    pub fn from_encoded(
+        encoders: &[RowEncoder],
+        rows: &[(usize, EncodedRow)],
+        types: &TypeMap,
+    ) -> StatsCache {
         let _span = crate::obs::STATS_BUILD_TIME.span();
-        let columns = encore_assemble::column_store(rows);
+        let columns = encore_assemble::column_store(encoders, rows);
         let attributes = columns.interner().attrs();
         crate::obs::STATS_ATTRIBUTES.add(attributes.len() as u64);
         let types_by_index: Vec<SemType> = attributes.iter().map(|a| types.type_of(a)).collect();
@@ -74,7 +89,7 @@ impl StatsCache {
             .map(|a| crate::relation::strip_occurrence(a.base()))
             .collect();
         StatsCache {
-            system_ids: rows.iter().map(|row| row.id().to_string()).collect(),
+            system_ids: rows.iter().map(|(_, row)| row.id().to_string()).collect(),
             entropies: attributes.iter().map(|_| OnceLock::new()).collect(),
             types_by_index,
             buckets,

@@ -1,18 +1,22 @@
 //! Training sets: the systems of one application, pivoted once into the
 //! column table every learner reads.
 //!
-//! Assembly turns each image into a row.  `collect` merges the rows'
-//! entry types by majority vote, pivots the rows into a [`StatsCache`] —
-//! the one `encore_assemble::column_store` call per training set — and
-//! drops them.  A [`TrainingSet`] keeps that table, for the value-level
-//! work (rule inference, the filters, the detector's statistics), and the
-//! images in row order, for environment-level validation such as path
-//! ownership or accessibility checks.
+//! Assembly turns each image into a row.  `collect` assembles the images
+//! on the worker pool, where each worker encodes every row it assembles
+//! against its own dictionaries, tallies the row's entry-type votes and
+//! frees the row before it takes the next image.  The main thread then
+//! merges the workers' votes into a [`TypeMap`] by majority and their
+//! encoded rows into a [`StatsCache`] — the one
+//! `encore_assemble::column_store` call per training set.  A
+//! [`TrainingSet`] keeps that table, for the value-level work (rule
+//! inference, the filters, the detector's statistics), and the images in
+//! row order, for environment-level validation such as path ownership or
+//! accessibility checks.
 
 use crate::stats::StatsCache;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, AssembledSystem, Assembler};
-use encore_model::{AppKind, AttrName, Row, SemType};
+use encore_model::{AppKind, AttrName, EncodedRow, RowEncoder, SemType};
 use encore_sysimage::SystemImage;
 use std::collections::BTreeMap;
 
@@ -91,17 +95,48 @@ impl TrainingSet {
     }
 }
 
+/// One assembly worker's state: its encoder, and the type votes of the
+/// original entries it has encoded, by encoder-local attribute id.
+struct Worker {
+    index: usize,
+    encoder: RowEncoder,
+    votes: Vec<Vec<SemType>>,
+}
+
+impl Worker {
+    /// Encode an assembled row, tally its entry types and free both.  The
+    /// keys of [`AssembledSystem::types`] are exactly the row's original
+    /// entries, so its values line up with those cells in row order.
+    fn encode(&mut self, AssembledSystem { row, types }: AssembledSystem) -> (usize, EncodedRow) {
+        let encoded = self.encoder.encode(&row);
+        self.votes.resize(self.encoder.attrs().len(), Vec::new());
+        debug_assert_eq!(
+            types.len(),
+            row.iter().filter(|(attr, _)| attr.is_original()).count()
+        );
+        let locals = row
+            .iter()
+            .zip(encoded.attrs())
+            .filter(|((attr, _), _)| attr.is_original())
+            .map(|(_, local)| local);
+        for (local, ty) in locals.zip(types.into_values()) {
+            self.votes[local].push(ty);
+        }
+        (self.index, encoded)
+    }
+}
+
 /// Assemble `images` with `assemble` on `workers` pool threads, keep the
 /// images that assemble, in image order, merge their entry types by
-/// majority vote, and pivot their rows into the training set's table —
-/// the one training-set path, shared with
+/// majority vote, and merge their encoded rows into the training set's
+/// table — the one training-set path, shared with
 /// [`crate::cross::CrossAssembler::assemble_training_set`].
 ///
-/// Each unit hands back its row plus the types of its original entries as
-/// a `Vec`, in the row's original-entry order (the keys of
-/// [`AssembledSystem::types`] are exactly those entries), so no per-image
-/// map lives until the merge, and a vote clones a name only for a key it
-/// has not seen.
+/// No row outlives its unit: the worker that assembles an image encodes
+/// the row, tallies its votes and frees it, so the main thread only merges
+/// the workers' dictionaries, votes and integer cells.  The name-keyed
+/// vote map is built once per attribute per worker, and the merged table
+/// is the same for every worker count.
 ///
 /// # Errors
 ///
@@ -119,34 +154,24 @@ pub(crate) fn collect<F>(
 where
     F: Fn(&SystemImage) -> Result<AssembledSystem, AssembleError> + Sync,
 {
-    let assembled = crate::pool::run_units_observed(
+    let (assembled, states) = crate::pool::run_units_with(
         images,
         workers,
         &crate::obs::ASSEMBLE_POOL_METRICS,
-        |image| {
-            assemble(image).map(|AssembledSystem { row, types }| {
-                let types: Vec<SemType> = types.into_values().collect();
-                debug_assert_eq!(types.len(), original_entries(&row).count());
-                (row, types)
-            })
+        |index| Worker {
+            index,
+            encoder: RowEncoder::new(),
+            votes: Vec::new(),
         },
+        |worker, image| assemble(image).map(|system| worker.encode(system)),
     )
     .unwrap_or_else(|e| panic!("{e}"));
     let mut rows = Vec::new();
     let mut kept = Vec::new();
-    let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
     let mut first_err = None;
     for (image, result) in images.iter().zip(assembled) {
         match result {
-            Ok((row, types)) => {
-                for (attr, ty) in original_entries(&row).zip(types) {
-                    match votes.get_mut(attr) {
-                        Some(tys) => tys.push(ty),
-                        None => {
-                            votes.insert(attr.clone(), vec![ty]);
-                        }
-                    }
-                }
+            Ok(row) => {
                 rows.push(row);
                 kept.push(image.clone());
             }
@@ -160,29 +185,27 @@ where
             return Err(e);
         }
     }
-    // The one pivot: every learner reads the table, so the rows go here.
-    let cache = StatsCache::from_rows(
-        &rows.iter().collect::<Vec<_>>(),
-        &TypeMap::merge_votes(&votes),
-    );
+    let mut votes: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
+    for worker in &states {
+        for (attr, tys) in worker.encoder.attrs().iter().zip(&worker.votes) {
+            if !tys.is_empty() {
+                votes.entry(attr.clone()).or_default().extend(tys);
+            }
+        }
+    }
+    let types = TypeMap::merge_votes(&votes);
+    let encoders: Vec<RowEncoder> = states.into_iter().map(|w| w.encoder).collect();
     Ok(TrainingSet {
         images: kept,
-        cache,
+        cache: StatsCache::from_encoded(&encoders, &rows, &types),
         app,
     })
-}
-
-/// The original-entry attributes of a row, in row order.
-fn original_entries(row: &Row) -> impl Iterator<Item = &AttrName> {
-    row.iter()
-        .map(|(attr, _)| attr)
-        .filter(|attr| attr.is_original())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encore_model::ValueId;
+    use encore_model::{Row, ValueId};
     use std::collections::BTreeSet;
 
     fn img(id: &str) -> SystemImage {

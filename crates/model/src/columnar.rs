@@ -10,20 +10,27 @@
 //! and a presence bitset (bit `r` set iff row `r` has a present, non-absent
 //! value) lets pair loops intersect two columns one 64-row word at a time.
 //!
-//! [`ColumnStore::from_rows`] builds it in one pass over borrowed rows,
-//! cloning neither rows nor attribute names, then interns column by column.
-//! Attribute ids follow sorted attribute order — `AttrId(i)` is the `i`-th
-//! of the sorted set of attributes any row's cells name, all-absent ones
-//! included — and values intern in column-major, row-ascending order, so
-//! every id and render class is deterministic for a given row list.
+//! The pivot has two halves, so the per-cell half can run where the rows
+//! are assembled.  A [`RowEncoder`] keeps one worker's attribute and value
+//! dictionaries and turns each row it is handed into integer cells, so the
+//! row can be freed at once.  [`ColumnStore::merge`] then builds the store
+//! from the encoders and their encoded rows; [`ColumnStore::from_rows`] is
+//! one encoder followed by that merge.  Attribute ids follow sorted
+//! attribute order — `AttrId(i)` is the `i`-th of the sorted set of
+//! attributes any row's cells name, all-absent ones included — and values
+//! intern in column-major, row-ascending order, so every id and render
+//! class is deterministic for a given row list, however the rows were
+//! split among encoders.
 
 use crate::attr::AttrName;
 use crate::intern::{Interner, ValueId};
 use crate::row::Row;
 use crate::value::ConfigValue;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-/// Sentinel stored in a column's id vector for an absent cell.
+/// Sentinel for an absent cell, in a column's id vector and in an encoded
+/// cell.  The merge's per-encoder value tables also use it for a local
+/// value not yet given a global id.
 const ABSENT: u32 = u32::MAX;
 
 /// One attribute's values across all rows: interned ids plus a presence
@@ -68,35 +75,188 @@ pub struct ColumnStore {
     columns: Vec<Column>,
 }
 
-impl ColumnStore {
-    /// Pivot borrowed rows into columns in one pass over their cells,
-    /// interning every attribute and distinct value.  An attribute whose
-    /// cells are all absent still gets an (empty) column.
-    pub fn from_rows(rows: &[&Row]) -> ColumnStore {
-        let mut slots: BTreeMap<&AttrName, Vec<(usize, &ConfigValue)>> = BTreeMap::new();
-        for (r, row) in rows.iter().enumerate() {
-            for (attr, value) in row.iter() {
-                let slot = slots.entry(attr).or_default();
-                if !value.is_absent() {
-                    slot.push((r, value));
-                }
-            }
-        }
-        let num_rows = rows.len();
-        let mut interner = Interner::new();
-        let columns = slots
-            .into_iter()
-            .map(|(attr, cells)| {
-                interner.intern_attr(attr);
-                let mut ids = vec![ABSENT; num_rows];
-                let mut presence = vec![0u64; num_rows.div_ceil(64)];
-                for (r, value) in cells {
-                    ids[r] = interner.intern_value(value).0;
-                    presence[r / 64] |= 1u64 << (r % 64);
-                }
-                Column { ids, presence }
+/// One cell of an encoded row: an encoder-local attribute id and an
+/// encoder-local value id, or `ABSENT` for an absent value.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    attr: u32,
+    value: u32,
+}
+
+/// One assembled row with its names and values replaced by the ids of the
+/// [`RowEncoder`] that encoded it, in row order.
+#[derive(Debug, Clone)]
+pub struct EncodedRow {
+    id: String,
+    cells: Vec<Cell>,
+}
+
+impl EncodedRow {
+    /// The system id of the row.
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// The encoder-local attribute id of every cell, in row order: an
+    /// index into [`RowEncoder::attrs`].
+    pub fn attrs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cells.iter().map(|cell| cell.attr as usize)
+    }
+}
+
+/// One worker's dictionaries for the pivot's per-cell work: it turns each
+/// borrowed [`Row`] into an [`EncodedRow`] of local ids, so the row can be
+/// freed before the next one is assembled.
+///
+/// Values are keyed by their tagged form ([`ConfigValue::write_tagged`]),
+/// as the [`Interner`] keys them, so two values share a local id iff they
+/// share a global one.  Both maps use the default hasher, since the names
+/// and values come from configuration files.  Ids follow first-seen order
+/// and never the maps' order.
+#[derive(Debug, Clone, Default)]
+pub struct RowEncoder {
+    attrs: Vec<AttrName>,
+    attr_ids: HashMap<AttrName, u32>,
+    values: Vec<ConfigValue>,
+    value_ids: HashMap<String, u32>,
+    /// Reused buffer holding the tagged key of the value being encoded.
+    key: String,
+}
+
+impl RowEncoder {
+    /// An encoder with empty dictionaries.
+    pub fn new() -> RowEncoder {
+        RowEncoder::default()
+    }
+
+    /// Encode a row, cell by cell in row order.  An absent cell still
+    /// records its attribute, since an all-absent attribute still gets a
+    /// column.
+    pub fn encode(&mut self, row: &Row) -> EncodedRow {
+        let cells = row
+            .iter()
+            .map(|(attr, value)| Cell {
+                attr: self.attr_id(attr),
+                value: if value.is_absent() {
+                    ABSENT
+                } else {
+                    self.value_id(value)
+                },
             })
             .collect();
+        EncodedRow {
+            id: row.id().to_string(),
+            cells,
+        }
+    }
+
+    /// Every attribute the encoder has met, indexed by local id.
+    pub fn attrs(&self) -> &[AttrName] {
+        &self.attrs
+    }
+
+    fn attr_id(&mut self, attr: &AttrName) -> u32 {
+        if let Some(&id) = self.attr_ids.get(attr) {
+            return id;
+        }
+        let id = u32::try_from(self.attrs.len()).expect("< 2^32 attributes");
+        self.attrs.push(attr.clone());
+        self.attr_ids.insert(attr.clone(), id);
+        id
+    }
+
+    fn value_id(&mut self, value: &ConfigValue) -> u32 {
+        self.key.clear();
+        value.write_tagged(&mut self.key);
+        if let Some(&id) = self.value_ids.get(self.key.as_str()) {
+            return id;
+        }
+        let id = u32::try_from(self.values.len()).expect("< 2^32 values");
+        self.values.push(value.clone());
+        self.value_ids.insert(self.key.clone(), id);
+        id
+    }
+}
+
+impl ColumnStore {
+    /// Pivot borrowed rows into columns: one encoder over every row, then
+    /// [`ColumnStore::merge`].  An attribute whose cells are all absent
+    /// still gets an (empty) column.
+    pub fn from_rows(rows: &[&Row]) -> ColumnStore {
+        let mut encoder = RowEncoder::new();
+        let encoded: Vec<(usize, EncodedRow)> =
+            rows.iter().map(|row| (0, encoder.encode(row))).collect();
+        ColumnStore::merge(&[encoder], &encoded)
+    }
+
+    /// Build the store from encoded rows, in row order, each paired with
+    /// the index in `encoders` of the encoder that encoded it.  Every row
+    /// an encoder encoded must be here: its attributes all get columns.
+    ///
+    /// The sorted union of the encoders' attribute names is interned
+    /// first, so `AttrId(i)` is the sorted index, and the cells are
+    /// scattered into those columns.  Then one pass, column by column and
+    /// row by row within a column, maps each encoder-local value to its
+    /// global id, interning it the first time it is met.  That meets the
+    /// values in the order a pivot of the rows themselves would and keys
+    /// them by the same tagged form, so every id, stored value and render
+    /// class is the same for any split of the rows among encoders.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row's encoder index is out of range of `encoders`.  A
+    /// row paired with an encoder other than its own may panic too, or
+    /// give a wrong table.
+    pub fn merge(encoders: &[RowEncoder], rows: &[(usize, EncodedRow)]) -> ColumnStore {
+        let mut names: Vec<&AttrName> = encoders.iter().flat_map(|e| &e.attrs).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut interner = Interner::new();
+        for name in names {
+            interner.intern_attr(name);
+        }
+        let global_attrs: Vec<Vec<u32>> = encoders
+            .iter()
+            .map(|e| {
+                e.attrs
+                    .iter()
+                    .map(|attr| interner.attr_id(attr).expect("interned above").0)
+                    .collect()
+            })
+            .collect();
+
+        let num_rows = rows.len();
+        let mut columns: Vec<Column> = (0..interner.num_attrs())
+            .map(|_| Column {
+                ids: vec![ABSENT; num_rows],
+                presence: vec![0u64; num_rows.div_ceil(64)],
+            })
+            .collect();
+        for (r, (e, row)) in rows.iter().enumerate() {
+            for cell in row.cells.iter().filter(|cell| cell.value != ABSENT) {
+                let column = &mut columns[global_attrs[*e][cell.attr as usize] as usize];
+                column.ids[r] = cell.value;
+                column.presence[r / 64] |= 1u64 << (r % 64);
+            }
+        }
+
+        let row_encoders: Vec<usize> = rows.iter().map(|(e, _)| *e).collect();
+        let mut global_values: Vec<Vec<u32>> = encoders
+            .iter()
+            .map(|e| vec![ABSENT; e.values.len()])
+            .collect();
+        for column in &mut columns {
+            for (id, &e) in column.ids.iter_mut().zip(&row_encoders) {
+                if *id == ABSENT {
+                    continue;
+                }
+                let global = &mut global_values[e][*id as usize];
+                if *global == ABSENT {
+                    *global = interner.intern_value(&encoders[e].values[*id as usize]).0;
+                }
+                *id = *global;
+            }
+        }
         ColumnStore {
             interner,
             num_rows,
@@ -348,6 +508,35 @@ mod tests {
         }
     }
 
+    /// The merged store is the reference pivot: attribute order, every
+    /// value id and stored value, render classes, each column's ids,
+    /// presence words and histogram.
+    fn assert_same_store(got: &ColumnStore, want: &ColumnStore) {
+        assert_eq!(got.num_rows(), want.num_rows());
+        assert_eq!(got.interner().attrs(), want.interner().attrs());
+        assert_eq!(got.interner().num_values(), want.interner().num_values());
+        for v in 0..want.interner().num_values() {
+            let id = ValueId(u32::try_from(v).expect("small"));
+            assert_eq!(got.value(id), want.value(id));
+            assert_eq!(
+                got.interner().render_class(id),
+                want.interner().render_class(id)
+            );
+        }
+        for i in 0..want.num_columns() {
+            let attr = want
+                .interner()
+                .attr(AttrId(u32::try_from(i).expect("small")));
+            assert_eq!(&got.column(i).ids, &want.column(i).ids, "{attr}");
+            assert_eq!(
+                got.column(i).presence(),
+                want.column(i).presence(),
+                "{attr}"
+            );
+            assert_eq!(got.value_histogram(i), want.value_histogram(i), "{attr}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -391,6 +580,39 @@ mod tests {
                 prop_assert_eq!(got.column(i).presence(), want.column(i).presence(), "{}", attr);
                 prop_assert_eq!(got.value_histogram(i), want.value_histogram(i), "{}", attr);
             }
+        }
+
+        /// Rows split among one to four encoders, each row going to any
+        /// encoder, merge into the reference pivot of the same rows.
+        #[test]
+        fn merged_encoders_match_the_reference_loop(
+            cells in prop::collection::vec(
+                (prop::collection::vec((0usize..8, 0usize..8), 0..10), 0usize..4),
+                0..80,
+            ),
+            num_encoders in 1usize..5,
+        ) {
+            let rows: Vec<Row> = cells
+                .iter()
+                .enumerate()
+                .map(|(r, (row_cells, _))| {
+                    let mut row = Row::new(format!("s{r}"));
+                    for &(a, v) in row_cells {
+                        row.set(attr_of(a), value_of(v));
+                    }
+                    row
+                })
+                .collect();
+            let mut encoders = vec![RowEncoder::new(); num_encoders];
+            let encoded: Vec<(usize, EncodedRow)> = rows
+                .iter()
+                .zip(&cells)
+                .map(|(row, (_, pick))| {
+                    let e = pick % num_encoders;
+                    (e, encoders[e].encode(row))
+                })
+                .collect();
+            assert_same_store(&ColumnStore::merge(&encoders, &encoded), &build_reference(&rows));
         }
     }
 }

@@ -124,16 +124,33 @@ fn one_training_set_is_pivoted_once() {
 
     assert_eq!(engine.rules(), detector.rules());
     assert_eq!(&stats, detector.training_stats());
-    let pivots = report
-        .phases
-        .iter()
-        .flat_map(|phase| &phase.timers)
-        .find(|(name, _)| name == "assemble.columns.time")
-        .map(|(_, timer)| timer.spans);
-    assert_eq!(pivots, Some(1), "pivots of one training set");
+    let spans = |timer: &str| {
+        report
+            .phases
+            .iter()
+            .flat_map(|phase| &phase.timers)
+            .find(|(name, _)| name == timer)
+            .map(|(_, timer)| timer.spans)
+    };
     assert_eq!(
-        report.counters()["assemble.columns.built"],
+        spans("assemble.columns.time"),
+        Some(1),
+        "pivots of one training set"
+    );
+    assert_eq!(
+        spans("stats.cache.build"),
+        Some(1),
+        "stats builds of one training set"
+    );
+    let counters = report.counters();
+    assert_eq!(
+        counters["assemble.columns.built"],
         training.stats_cache().attributes().len() as u64,
         "columns built"
+    );
+    assert_eq!(
+        counters["assemble.values.interned"],
+        training.stats_cache().columns().interner().num_values() as u64,
+        "values interned"
     );
 }
