@@ -70,18 +70,15 @@ pub fn is_port_number(s: &str) -> bool {
             .unwrap_or(false)
 }
 
-/// Does `s` look like a plain number? (`[0-9]+[.0-9]*`)
+/// Does `s` look like a plain number? (`-?[0-9.]+` with at most one `.`;
+/// without the `-`, it starts with a digit)
 pub fn is_number(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .map(|c| c.is_ascii_digit() || c == '-')
-            .unwrap_or(false)
-        && s.trim_start_matches('-')
-            .chars()
-            .all(|c| c.is_ascii_digit() || c == '.')
-        && s.chars().filter(|&c| c == '.').count() <= 1
-        && !s.trim_start_matches('-').is_empty()
+    // At most one leading `-`: `--5` is text, as `coerce` stores it.
+    let unsigned = s.strip_prefix('-').unwrap_or(s);
+    s.starts_with(|c: char| c.is_ascii_digit() || c == '-')
+        && !unsigned.is_empty()
+        && unsigned.chars().all(|c| c.is_ascii_digit() || c == '.')
+        && unsigned.chars().filter(|&c| c == '.').count() <= 1
 }
 
 /// Does `s` look like a URL? (`[a-z]+://...`)
@@ -215,6 +212,7 @@ mod tests {
         assert!(!is_number("12a"));
         assert!(!is_number(""));
         assert!(!is_number("-"));
+        assert!(!is_number("--5"));
     }
 
     #[test]

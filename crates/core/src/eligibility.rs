@@ -17,7 +17,7 @@
 
 use crate::stats::StatsCache;
 use crate::template::{Relation, Template};
-use encore_model::{AttrName, SemType};
+use encore_model::SemType;
 
 /// Sorted attribute indices eligible for a slot type, served from the
 /// per-type buckets the [`StatsCache`] inverts out of its resolved types —
@@ -99,19 +99,27 @@ pub(crate) fn is_same_type_generic(template: &Template) -> bool {
         && template.b.ty == SemType::Str
 }
 
-/// Whether the instantiation loop would evaluate the pair `(a, b)` for this
-/// template at all — the structural filters applied before any row is
-/// touched.  Shared by [`crate::infer`] and the eligibility analysis.
+/// Whether the instantiation loop would evaluate the pair of attributes at
+/// sorted indices `(ai, bi)` for this template at all — the structural
+/// filters applied before any row is touched.  Shared by [`crate::infer`]
+/// and the eligibility analysis.
+///
+/// The cache's attribute table is sorted and holds each name once, so
+/// index equality is name equality and index order is name order: self
+/// pairs and the `Equal` symmetry are decided without comparing names, and
+/// types come from the per-index table.
 pub(crate) fn pair_considered(
     template: &Template,
     generic: bool,
     cache: &StatsCache,
-    a: &AttrName,
-    b: &AttrName,
+    ai: usize,
+    bi: usize,
 ) -> bool {
-    if a == b {
+    if ai == bi {
         return false;
     }
+    let attrs = cache.attributes();
+    let (a, b) = (&attrs[ai], &attrs[bi]);
     // Rules must anchor on at least one original configuration entry.
     // Augmented attributes of ownership-coupled paths form large
     // equivalence cliques (X.owner == Y.owner == ... for every pair); the
@@ -128,7 +136,7 @@ pub(crate) fn pair_considered(
         return false;
     }
     if generic {
-        let (ta, tb) = (cache.type_of(a), cache.type_of(b));
+        let (ta, tb) = (cache.type_at(ai), cache.type_at(bi));
         // Same-type restriction, and equality over booleans/enums is
         // vacuous co-occurrence rather than correlation — skip it,
         // matching the spirit of the paper's type-based selection.
@@ -136,7 +144,7 @@ pub(crate) fn pair_considered(
             return false;
         }
         // Equality is symmetric: keep the canonical ordering only.
-        if template.relation == Relation::Equal && a > b {
+        if template.relation == Relation::Equal && ai > bi {
             return false;
         }
         // `=~` quantifies over an entry *family* (occurrence-indexed
@@ -192,10 +200,10 @@ pub fn analyze_templates(templates: &[Template], cache: &StatsCache) -> Vec<Elig
     templates
         .iter()
         .map(|template| {
-            let attrs = cache.attributes();
+            let n = cache.attributes().len();
             let generic = is_same_type_generic(template);
             let (eligible_a, eligible_b): (Vec<usize>, Vec<usize>) = if generic {
-                ((0..attrs.len()).collect(), (0..attrs.len()).collect())
+                ((0..n).collect(), (0..n).collect())
             } else {
                 (
                     eligible_indices(cache, template.a.ty),
@@ -205,14 +213,12 @@ pub fn analyze_templates(templates: &[Template], cache: &StatsCache) -> Vec<Elig
             let mut considered = 0usize;
             let mut live = 0usize;
             for &ai in &eligible_a {
-                let a = &attrs[ai];
                 for &bi in partner_indices(cache, generic, &eligible_b, ai) {
-                    let b = &attrs[bi];
-                    if !pair_considered(template, generic, cache, a, b) {
+                    if !pair_considered(template, generic, cache, ai, bi) {
                         continue;
                     }
                     considered += 1;
-                    if cache.co_occurs(a, b) {
+                    if cache.co_occurs(ai, bi) {
                         live += 1;
                     }
                 }
@@ -232,7 +238,7 @@ pub fn analyze_templates(templates: &[Template], cache: &StatsCache) -> Vec<Elig
 mod tests {
     use super::*;
     use crate::train::TrainingSet;
-    use encore_model::AppKind;
+    use encore_model::{AppKind, AttrName};
     use encore_sysimage::SystemImage;
 
     fn fleet(n: usize) -> Vec<SystemImage> {
@@ -319,8 +325,7 @@ mod tests {
                 continue;
             }
             for &ai in &all {
-                let survives =
-                    |&&bi: &&usize| pair_considered(&template, true, cache, &attrs[ai], &attrs[bi]);
+                let survives = |&&bi: &&usize| pair_considered(&template, true, cache, ai, bi);
                 let joined: Vec<usize> = partner_indices(cache, true, &all, ai)
                     .iter()
                     .filter(survives)
@@ -336,18 +341,121 @@ mod tests {
     fn pair_filters_reject_self_and_augmented_pairs() {
         let ts = TrainingSet::assemble(AppKind::Mysql, &fleet(4)).unwrap();
         let cache = ts.stats_cache();
+        let index = |attr: &AttrName| cache.attr_index(attr).expect("attribute in the cache");
         let t = Template::new(SemType::FilePath, Relation::Owns, SemType::UserName);
-        let a = AttrName::entry("datadir");
-        assert!(!pair_considered(&t, false, cache, &a, &a));
+        let a = index(&AttrName::entry("datadir"));
+        assert!(!pair_considered(&t, false, cache, a, a));
         // Owns must bind an original user entry, not an augmented mirror.
-        let aug = AttrName::entry("pid_file").augmented("owner");
-        assert!(!pair_considered(&t, false, cache, &a, &aug));
-        assert!(pair_considered(
-            &t,
-            false,
-            cache,
-            &a,
-            &AttrName::entry("user")
-        ));
+        let aug = index(&AttrName::entry("datadir").augmented("owner"));
+        assert!(!pair_considered(&t, false, cache, a, aug));
+        let user = index(&AttrName::entry("user"));
+        assert!(pair_considered(&t, false, cache, a, user));
+    }
+
+    /// The name-based pair filter the index version replaced: self pairs
+    /// and the `Equal` symmetry by name comparison, types through
+    /// [`StatsCache::type_of`].
+    fn pair_considered_by_name(
+        template: &Template,
+        generic: bool,
+        cache: &StatsCache,
+        a: &AttrName,
+        b: &AttrName,
+    ) -> bool {
+        if a == b {
+            return false;
+        }
+        if !a.is_original() && !b.is_original() {
+            return false;
+        }
+        if matches!(template.relation, Relation::Owns | Relation::NotAccessible) && !b.is_original()
+        {
+            return false;
+        }
+        if generic {
+            let (ta, tb) = (cache.type_of(a), cache.type_of(b));
+            if ta != tb || matches!(ta, SemType::Boolean | SemType::Enum) {
+                return false;
+            }
+            if template.relation == Relation::Equal && a > b {
+                return false;
+            }
+            if template.relation == Relation::MemberEq && !b.base().contains('#') {
+                return false;
+            }
+        }
+        !(a.base() == b.base()
+            && matches!(
+                template.relation,
+                Relation::Owns | Relation::Equal | Relation::MemberEq
+            ))
+    }
+
+    /// The per-pair `=~` family scan the family table replaced: every
+    /// attribute whose occurrence-stripped base and suffix match `b`'s.
+    fn family_by_scan(cache: &StatsCache, b: usize) -> Vec<usize> {
+        let attrs = cache.attributes();
+        let stripped = crate::relation::strip_occurrence(attrs[b].base());
+        (0..attrs.len())
+            .filter(|&j| {
+                crate::relation::strip_occurrence(attrs[j].base()) == stripped
+                    && attrs[j].suffix() == attrs[b].suffix()
+            })
+            .collect()
+    }
+
+    /// The BENCH training set (MySQL, 30 images, seed 1) and the
+    /// `train-wide` one (Apache, 127 images, seed 1).
+    fn reference_sets() -> [TrainingSet; 2] {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        [(AppKind::Mysql, 30), (AppKind::Apache, 127)].map(|(app, n)| {
+            let pop = Population::training(app, &PopulationOptions::new(n, 1));
+            TrainingSet::assemble(app, pop.images()).unwrap()
+        })
+    }
+
+    #[test]
+    fn index_pair_filter_matches_the_name_reference() {
+        for ts in reference_sets() {
+            let cache = ts.stats_cache();
+            let attrs = cache.attributes();
+            for template in Template::predefined() {
+                let generic = is_same_type_generic(&template);
+                for ai in 0..attrs.len() {
+                    for bi in 0..attrs.len() {
+                        assert_eq!(
+                            pair_considered(&template, generic, cache, ai, bi),
+                            pair_considered_by_name(
+                                &template, generic, cache, &attrs[ai], &attrs[bi]
+                            ),
+                            "{:?} {template} ({}, {})",
+                            ts.app(),
+                            attrs[ai],
+                            attrs[bi]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn family_table_matches_the_per_pair_scan() {
+        for ts in reference_sets() {
+            let cache = ts.stats_cache();
+            let mut multi = 0;
+            for b in 0..cache.attributes().len() {
+                assert_eq!(
+                    cache.family(b),
+                    family_by_scan(cache, b),
+                    "{:?} {}",
+                    ts.app(),
+                    cache.attributes()[b]
+                );
+                multi += usize::from(cache.family(b).len() > 1);
+            }
+            // Apache's `#n` entries form real families; MySQL has none.
+            assert_eq!(multi > 0, ts.app() == AppKind::Apache, "{:?}", ts.app());
+        }
     }
 }

@@ -23,9 +23,16 @@
 //! `relation::PairEvaluator` scanning the interned value-id columns of the
 //! [`StatsCache`]'s column store, with generic same-type templates drawing
 //! their B partners from per-type attribute buckets instead of filtering
-//! the full cross product.  Its output is pinned by golden files — the
-//! learned rules, the fleet reports they produce and the evaluated-pair
-//! count — recorded from the row-major evaluator this path replaced.
+//! the full cross product.  Every per-pair and per-candidate step works
+//! on those indices: the pair filters, the candidates themselves (index
+//! records, deduplicated by the display classes of their attributes), and
+//! the judging, which borrows names from the cache's table and builds a
+//! [`Rule`] only for the candidates the filters keep.  The output is
+//! pinned by golden files — the learned rules, the fleet reports they
+//! produce and the evaluated-pair count — recorded from the row-major
+//! evaluator this path replaced, and, for the 127-image Apache set whose
+//! `#n` families and dotted names exercise the family table and the
+//! display classes, from the name-keyed candidates before them.
 
 use crate::eligibility::{
     eligible_indices, is_same_type_generic, pair_considered, partner_indices,
@@ -38,10 +45,10 @@ use crate::rules::{Rule, RuleSet};
 use crate::stats::StatsCache;
 use crate::template::{Relation, Template};
 use crate::train::TrainingSet;
-use encore_model::AttrName;
+use encore_model::{AttrId, AttrName};
 use encore_sysimage::SystemImage;
 use std::collections::{HashMap, HashSet};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -249,13 +256,14 @@ impl RuleInference {
         })
     }
 
-    /// Generate the (deduplicated, deterministically ordered) candidate
-    /// list via the work-stealing pool.
+    /// Generate the deduplicated candidates via the work-stealing pool: one
+    /// chunk per work unit, in unit order, so the concatenation is
+    /// deterministic.
     fn collect_candidates(
         &self,
         training: &TrainingSet,
         options: &InferOptions,
-    ) -> Result<Vec<Candidate>, InferError> {
+    ) -> Result<Vec<Vec<Candidate>>, InferError> {
         self.collect_candidates_via(training, options, instantiate_unit)
     }
 
@@ -267,7 +275,7 @@ impl RuleInference {
         training: &TrainingSet,
         options: &InferOptions,
         run_unit: F,
-    ) -> Result<Vec<Candidate>, InferError>
+    ) -> Result<Vec<Vec<Candidate>>, InferError>
     where
         F: Fn(&WorkUnit<'_, '_>, &[SystemImage], &StatsCache) -> Vec<Candidate> + Sync,
     {
@@ -309,7 +317,7 @@ impl RuleInference {
             obs::INFER_TEMPLATE_PROFILE.record(plan_row, nanos, &[("units", units.len() as u64)]);
         }
         let workers = options.resolved_workers();
-        let chunks = pool::run_units(&units, workers, |unit| run_unit(unit, images, cache))?;
+        let mut chunks = pool::run_units(&units, workers, |unit| run_unit(unit, images, cache))?;
         let attribute_started = profiling.then(Instant::now);
         if obs::enabled() {
             // Attribute candidates to templates on the main thread, after
@@ -326,16 +334,13 @@ impl RuleInference {
             obs::INFER_TEMPLATE_PROFILE.record(attribute_row, nanos, &[]);
         }
         let dedup_started = profiling.then(Instant::now);
-        let deduped = dedup_candidates(chunks);
+        dedup_candidates(&mut chunks, &display_classes(cache.attributes()));
         if let Some(started) = dedup_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            obs::INFER_TEMPLATE_PROFILE.record(
-                dedup_row,
-                nanos,
-                &[("candidates", deduped.len() as u64)],
-            );
+            let kept = chunks.iter().map(Vec::len).sum::<usize>();
+            obs::INFER_TEMPLATE_PROFILE.record(dedup_row, nanos, &[("candidates", kept as u64)]);
         }
-        Ok(deduped)
+        Ok(chunks)
     }
 }
 
@@ -421,82 +426,104 @@ impl WorkUnit<'_, '_> {
     }
 }
 
+/// One template instance that was applicable somewhere, as an index
+/// record: the pair is two indices into the cache's attribute table, so a
+/// candidate copies no name.  A [`Rule`] is built only for the candidates
+/// the filters accept.
 #[derive(Debug)]
 struct Candidate {
-    rule: Rule,
+    a: AttrId,
+    b: AttrId,
+    relation: Relation,
+    support: usize,
+    confidence: f64,
     template_min_confidence: Option<f64>,
 }
 
-/// Drop duplicate template instances (the same `(a, relation, b)` can fall
-/// out of several templates), keeping first-seen order.
-///
-/// Two candidates are the same when their relations are and their
-/// attribute names render the same; `AttrName` equality would tell apart
-/// names that render alike, such as an entry literally named
-/// `datadir.owner` and the augmented `datadir.owner`.  Each distinct
-/// rendered name gets a small id once, so a candidate costs two renders
-/// into one reused buffer and one insert of three small integers, and the
-/// output and the set are sized once from the chunks.  With no allocation
-/// per candidate, the pass holds little besides its output while it frees
-/// the chunks.
-fn dedup_candidates(chunks: Vec<Vec<Candidate>>) -> Vec<Candidate> {
-    let total = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut names: HashMap<String, u32> = HashMap::new();
-    let mut rendered = String::new();
-    let mut name_id = |attr: &AttrName| -> u32 {
-        rendered.clear();
-        write!(rendered, "{attr}").expect("writing to a String cannot fail");
-        if let Some(&id) = names.get(rendered.as_str()) {
-            return id;
-        }
-        let id = u32::try_from(names.len()).expect("< 2^32 names");
-        names.insert(rendered.clone(), id);
-        id
-    };
-    let mut seen: HashSet<(u32, Relation, u32)> = HashSet::with_capacity(total);
-    let mut dropped = 0u64;
-    for cand in chunks.into_iter().flatten() {
-        let key = (
-            name_id(&cand.rule.a),
-            cand.rule.relation,
-            name_id(&cand.rule.b),
-        );
-        if seen.insert(key) {
-            out.push(cand);
-        } else {
-            dropped += 1;
-        }
-    }
-    obs::INFER_CANDIDATES_DEDUPED.add(dropped);
-    out
+/// The id of the attribute at sorted index `index`: ids are sorted
+/// indices, and the interner gave every attribute one.
+fn attr_id(index: usize) -> AttrId {
+    AttrId(u32::try_from(index).expect("< 2^32 attributes"))
 }
 
-/// Run the §5.2 filters over a deduplicated candidate list.
+/// Each attribute's display class, indexed like the attribute table: a
+/// small id shared by exactly the attributes whose names render alike,
+/// such as an entry literally named `datadir.owner` and the augmented
+/// `datadir.owner`.  One render per attribute, once per run.
+fn display_classes(attrs: &[AttrName]) -> Vec<u32> {
+    let mut ids: HashMap<String, u32> = HashMap::with_capacity(attrs.len());
+    attrs
+        .iter()
+        .map(|attr| {
+            let next = u32::try_from(ids.len()).expect("< 2^32 names");
+            *ids.entry(attr.to_string()).or_insert(next)
+        })
+        .collect()
+}
+
+/// Drop duplicate template instances (the same `(a, relation, b)` can fall
+/// out of several templates) from the unit-ordered chunks, in place,
+/// keeping the first seen.
+///
+/// Two candidates are the same when their relations are and their
+/// attribute names render the same, that is when their attributes'
+/// `classes` ([`display_classes`]) are; `AttrName` equality would tell
+/// apart names that render alike.  A candidate costs one insert of three
+/// small integers into a set sized once from the chunks, and no candidate
+/// is copied into a second list.
+fn dedup_candidates(chunks: &mut [Vec<Candidate>], classes: &[u32]) {
+    let total = chunks.iter().map(Vec::len).sum();
+    let mut seen: HashSet<(u32, Relation, u32)> = HashSet::with_capacity(total);
+    let mut dropped = 0u64;
+    for chunk in chunks {
+        chunk.retain(|cand| {
+            let fresh = seen.insert((
+                classes[cand.a.index()],
+                cand.relation,
+                classes[cand.b.index()],
+            ));
+            dropped += u64::from(!fresh);
+            fresh
+        });
+    }
+    obs::INFER_CANDIDATES_DEDUPED.add(dropped);
+}
+
+/// Run the §5.2 filters over the deduplicated candidate chunks, in order,
+/// reading each candidate's names from the cache's attribute table and
+/// building a [`Rule`] only for the candidates accepted.
 fn judge_candidates(
-    candidates: &[Candidate],
+    candidates: &[Vec<Candidate>],
     thresholds: &FilterThresholds,
     cache: &StatsCache,
 ) -> (RuleSet, InferenceStats) {
     let _span = obs::FILTER_TIME.span();
+    let attrs = cache.attributes();
     let mut stats = InferenceStats {
-        candidates: candidates.len(),
+        candidates: candidates.iter().map(Vec::len).sum(),
         ..InferenceStats::default()
     };
     let mut rules = RuleSet::new();
-    for cand in candidates {
+    for cand in candidates.iter().flatten() {
+        let (a, b) = (&attrs[cand.a.index()], &attrs[cand.b.index()]);
         match judge(
             thresholds,
             cache,
-            &cand.rule.a,
-            &cand.rule.b,
-            cand.rule.support,
-            cand.rule.confidence,
+            a,
+            b,
+            cand.support,
+            cand.confidence,
             cand.template_min_confidence,
         ) {
             Verdict::Accept => {
                 stats.kept += 1;
-                rules.push(cand.rule.clone());
+                rules.push(Rule::new(
+                    a.clone(),
+                    cand.relation,
+                    b.clone(),
+                    cand.support,
+                    cand.confidence,
+                ));
             }
             Verdict::Reject(RejectReason::LowSupport) => stats.dropped_by_support += 1,
             Verdict::Reject(RejectReason::LowConfidence) => stats.dropped_by_confidence += 1,
@@ -540,7 +567,6 @@ fn instantiate_unit(
 ) -> Vec<Candidate> {
     let work = unit.work;
     let template = work.template;
-    let attrs = cache.attributes();
     // Self-time per unit, attributed to the unit's template when the
     // profiler is on (the decision is made here, once per unit, so the
     // per-pair loop below stays branch-free).
@@ -550,13 +576,11 @@ fn instantiate_unit(
     // instead of one per pair across the worker pool.
     let mut pairs_evaluated = 0u64;
     for &ai in &work.eligible_a[unit.a_range.clone()] {
-        let a = &attrs[ai];
         for &bi in partner_indices(cache, work.generic, &work.eligible_b, ai) {
-            let b = &attrs[bi];
             // Structural filters (self-pairs, original-entry anchoring,
             // generic same-type restriction, symmetry canonicalization) —
             // shared with the eligibility analyzer in [`crate::eligibility`].
-            if !pair_considered(template, work.generic, cache, a, b) {
+            if !pair_considered(template, work.generic, cache, ai, bi) {
                 continue;
             }
             pairs_evaluated += 1;
@@ -565,15 +589,12 @@ fn instantiate_unit(
             if applicable == 0 {
                 continue;
             }
-            let confidence = holds as f64 / applicable as f64;
             out.push(Candidate {
-                rule: Rule::new(
-                    a.clone(),
-                    template.relation,
-                    b.clone(),
-                    applicable,
-                    confidence,
-                ),
+                a: attr_id(ai),
+                b: attr_id(bi),
+                relation: template.relation,
+                support: applicable,
+                confidence: holds as f64 / applicable as f64,
                 template_min_confidence: template.min_confidence,
             });
         }
@@ -631,16 +652,29 @@ mod tests {
 
     #[test]
     fn dedup_keeps_the_first_candidate_of_each_rendered_key() {
-        let cand = |a: &AttrName, relation, b: &AttrName, support| Candidate {
-            rule: Rule::new(a.clone(), relation, b.clone(), support, 1.0),
-            template_min_confidence: None,
-        };
+        use crate::types::TypeMap;
+        use encore_model::{ConfigValue, Row};
         let user = AttrName::entry("user");
         let owner = AttrName::entry("datadir").augmented("owner");
         // An entry literally named `datadir.owner` renders as the
         // augmented name does, so the two make one key.
         let literal = AttrName::entry("datadir.owner");
-        let chunks = vec![
+        let mut row = Row::new("s0");
+        for attr in [&user, &owner, &literal] {
+            row.set(attr.clone(), ConfigValue::str("mysql"));
+        }
+        let cache = StatsCache::from_rows(&[&row], &TypeMap::new());
+        assert_eq!(cache.attributes().len(), 3, "both spellings are columns");
+        let id = |attr: &AttrName| attr_id(cache.attr_index(attr).expect("attribute in the cache"));
+        let cand = |a: &AttrName, relation, b: &AttrName, support| Candidate {
+            a: id(a),
+            b: id(b),
+            relation,
+            support,
+            confidence: 1.0,
+            template_min_confidence: None,
+        };
+        let mut chunks = vec![
             vec![cand(&owner, Relation::Owns, &user, 1)],
             vec![],
             vec![
@@ -650,10 +684,8 @@ mod tests {
             ],
             vec![cand(&owner, Relation::Equal, &user, 5)],
         ];
-        let kept: Vec<usize> = dedup_candidates(chunks)
-            .iter()
-            .map(|c| c.rule.support)
-            .collect();
+        dedup_candidates(&mut chunks, &display_classes(cache.attributes()));
+        let kept: Vec<usize> = chunks.iter().flatten().map(|c| c.support).collect();
         assert_eq!(kept, [1, 3, 4]);
     }
 

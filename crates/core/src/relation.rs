@@ -322,12 +322,13 @@ enum PairKind<'c> {
     /// `Equal`: compare interned render classes (≡ comparing rendered
     /// strings).
     RenderEqual,
-    /// `MemberEq`: the b-entry family columns, resolved once — the per-row
-    /// scan over every row cell becomes a probe of just these columns.
+    /// `MemberEq`: the b-entry family, read off the cache's family table —
+    /// the per-row scan over every row cell becomes a probe of just these
+    /// columns.
     MemberEq {
-        /// Columns whose attribute shares b's occurrence-stripped base and
-        /// suffix, in ascending attribute order.
-        family: Vec<&'c Column>,
+        /// Indices of the attributes sharing b's occurrence-stripped base and
+        /// suffix, ascending.
+        family: &'c [usize],
     },
     /// `Owns`: the `a.owner` augmented column, if the dataset has one.
     Owns { owner: Option<&'c Column> },
@@ -359,23 +360,14 @@ impl<'c> PairEvaluator<'c> {
         b_index: usize,
     ) -> PairEvaluator<'c> {
         let store = cache.columns();
-        let attrs = cache.attributes();
         let kind = match relation {
             Relation::Equal => PairKind::RenderEqual,
-            Relation::MemberEq => {
-                let b = &attrs[b_index];
-                let family = (0..attrs.len())
-                    .filter(|&j| {
-                        cache.stripped_base(j) == cache.stripped_base(b_index)
-                            && attrs[j].suffix() == b.suffix()
-                    })
-                    .map(|j| store.column(j))
-                    .collect();
-                PairKind::MemberEq { family }
-            }
+            Relation::MemberEq => PairKind::MemberEq {
+                family: cache.family(b_index),
+            },
             Relation::Owns => PairKind::Owns {
                 owner: cache
-                    .attr_index(&attrs[a_index].augmented("owner"))
+                    .attr_index(&cache.attributes()[a_index].augmented("owner"))
                     .map(|j| store.column(j)),
             },
             other => PairKind::Values(other),
@@ -427,8 +419,8 @@ impl<'c> PairEvaluator<'c> {
             PairKind::MemberEq { family } => {
                 let target = interner.render_class(va_id);
                 let mut seen_any = false;
-                for column in family {
-                    if let Some(member) = column.value_id(i) {
+                for &j in *family {
+                    if let Some(member) = self.store.column(j).value_id(i) {
                         seen_any = true;
                         if interner.render_class(member) == target {
                             return Applicability::Holds;

@@ -11,13 +11,17 @@
 //!   candidates share attributes;
 //! * the **row-presence bitset** of each attribute, which lets the
 //!   eligibility analysis decide in O(rows/64) words whether two attributes
-//!   ever co-occur — the precondition for any candidate rule between them.
+//!   ever co-occur — the precondition for any candidate rule between them;
+//! * the **`=~` family** of each attribute: the attributes sharing its
+//!   occurrence-stripped base name and suffix, which `=~` candidates probe.
 //!
-//! [`StatsCache`] resolves types up front, reads presence bitsets off its
-//! columns and memoizes entropies on first use, in one slot per column.
-//! Everything is immutable after construction except those write-once
-//! slots, so the cache can be shared read-only across the inference worker
-//! pool.
+//! [`StatsCache`] resolves types and groups families up front, reads
+//! presence bitsets off its columns and memoizes entropies on first use,
+//! in one slot per column.  All of these are indexed like the columns, by
+//! the sorted attribute index, so inference's pair loop reads them without
+//! a name search.  Everything is immutable after construction except the
+//! write-once entropy slots, so the cache can be shared read-only across
+//! the inference worker pool.
 //!
 //! A training set builds its cache once, at assembly
 //! ([`crate::TrainingSet::stats_cache`]): the cache merges the rows the
@@ -26,10 +30,11 @@
 //! and the detector's statistics are all read off it, by every run over
 //! the set.
 
+use crate::relation::strip_occurrence;
 use crate::types::TypeMap;
 use encore_mining::metrics::entropy;
 use encore_model::{AttrName, ColumnStore, EncodedRow, Row, RowEncoder, SemType};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// One training set's attribute statistics: resolved types, the columnar
@@ -46,9 +51,11 @@ pub struct StatsCache {
     /// the enumeration structure, so slot bindings come from a bucket
     /// lookup instead of a filter over every attribute.
     buckets: BTreeMap<SemType, Vec<usize>>,
-    /// `strip_occurrence(attributes[i].base())`, precomputed for the `=~`
-    /// family joins.
-    stripped_bases: Vec<String>,
+    /// The `=~` family table: `families[family_of[i]]` holds the ascending
+    /// indices of every attribute sharing `attributes()[i]`'s
+    /// occurrence-stripped base name and its suffix, `i` included.
+    family_of: Vec<usize>,
+    families: Vec<Vec<usize>>,
     columns: ColumnStore,
     type_map: TypeMap,
     /// Entropy of `attributes()[i]`, indexed like the columns, filled on
@@ -84,16 +91,25 @@ impl StatsCache {
         for (i, &ty) in types_by_index.iter().enumerate() {
             buckets.entry(ty).or_default().push(i);
         }
-        let stripped_bases = attributes
-            .iter()
-            .map(|a| crate::relation::strip_occurrence(a.base()))
-            .collect();
+        let mut family_ids: HashMap<(String, Option<&str>), usize> = HashMap::new();
+        let mut families: Vec<Vec<usize>> = Vec::new();
+        let mut family_of = Vec::with_capacity(attributes.len());
+        for (i, attr) in attributes.iter().enumerate() {
+            let key = (strip_occurrence(attr.base()), attr.suffix());
+            let id = *family_ids.entry(key).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[id].push(i);
+            family_of.push(id);
+        }
         StatsCache {
             system_ids: rows.iter().map(|(_, row)| row.id().to_string()).collect(),
             entropies: attributes.iter().map(|_| OnceLock::new()).collect(),
             types_by_index,
             buckets,
-            stripped_bases,
+            family_of,
+            families,
             columns,
             type_map: types.clone(),
         }
@@ -157,24 +173,25 @@ impl StatsCache {
         self.buckets.get(&ty).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// `strip_occurrence` of the base name of the attribute at `index`,
-    /// precomputed for `=~` family joins.
-    pub(crate) fn stripped_base(&self, index: usize) -> &str {
-        &self.stripped_bases[index]
+    /// The `=~` family of the attribute at `index`: the ascending indices of
+    /// every attribute that shares its occurrence-stripped base name
+    /// (`LoadModule#3/arg1` → `LoadModule/arg1`) and its suffix, itself
+    /// included.
+    pub(crate) fn family(&self, index: usize) -> &[usize] {
+        &self.families[self.family_of[index]]
     }
 
-    /// Whether two attributes are both present in at least one row — a
-    /// necessary condition for *any* relation between them to be applicable
-    /// anywhere, and therefore for any candidate rule to exist.
-    pub fn co_occurs(&self, a: &AttrName, b: &AttrName) -> bool {
-        match (self.columns.column_of(a), self.columns.column_of(b)) {
-            (Some(ca), Some(cb)) => ca
-                .presence()
-                .iter()
-                .zip(cb.presence())
-                .any(|(x, y)| x & y != 0),
-            _ => false,
-        }
+    /// Whether the attributes at indices `a` and `b` are both present in at
+    /// least one row — a necessary condition for *any* relation between
+    /// them to be applicable anywhere, and therefore for any candidate rule
+    /// to exist.
+    pub fn co_occurs(&self, a: usize, b: usize) -> bool {
+        self.columns
+            .column(a)
+            .presence()
+            .iter()
+            .zip(self.columns.column(b).presence())
+            .any(|(x, y)| x & y != 0)
     }
 
     /// Shannon entropy of the attribute's value distribution, computed at
@@ -316,17 +333,13 @@ mod tests {
     #[test]
     fn co_occurrence_follows_presence() {
         let cache = cache(&rows(), &TypeMap::new());
-        let (varied, early, late) = (
-            AttrName::entry("varied"),
-            AttrName::entry("early"),
-            AttrName::entry("late"),
-        );
-        assert!(cache.co_occurs(&varied, &early));
-        assert!(cache.co_occurs(&varied, &late));
+        let index = |name: &str| cache.attr_index(&AttrName::entry(name)).unwrap();
+        let (varied, early, late) = (index("varied"), index("early"), index("late"));
+        assert!(cache.co_occurs(varied, early));
+        assert!(cache.co_occurs(varied, late));
         // `early` fills rows 0..6, `late` rows 6..12 — never together.
-        assert!(!cache.co_occurs(&early, &late));
-        assert!(!cache.co_occurs(&varied, &AttrName::entry("absent")));
-        assert!(cache.has_attribute(&varied));
+        assert!(!cache.co_occurs(early, late));
+        assert!(cache.has_attribute(&AttrName::entry("varied")));
         assert!(!cache.has_attribute(&AttrName::entry("absent")));
     }
 }

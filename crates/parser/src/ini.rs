@@ -92,9 +92,14 @@ impl Lens for IniLens {
                         text: raw.to_string(),
                     });
                 }
-                // Strip a trailing same-line comment and surrounding quotes.
+                // Strip a trailing same-line comment, cut at whichever marker
+                // comes first, and surrounding quotes.
                 let mut value = v.trim();
-                if let Some(i) = value.find(" ;").or_else(|| value.find(" #")) {
+                if let Some(i) = [value.find(" ;"), value.find(" #")]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                {
                     value = value[..i].trim();
                 }
                 let value = value.trim_matches('"');
@@ -192,6 +197,11 @@ log_error = /var/log/mysql/error.log
             .parse("[PHP]\nextension_dir = \"/usr/lib/php\" ; where modules live\n")
             .unwrap();
         assert_eq!(pairs[0].value, "/usr/lib/php");
+        // The first marker cuts, whichever of the two it is.
+        let pairs = IniLens::mysql()
+            .parse("[mysqld]\nsocket = /tmp/a.sock #old ; was here\n")
+            .unwrap();
+        assert_eq!(pairs[0].value, "/tmp/a.sock");
     }
 
     #[test]

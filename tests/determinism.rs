@@ -205,6 +205,57 @@ fn columnar_path_is_byte_identical_on_the_bench_workload() {
     }
 }
 
+/// The Apache inference work counts, filter statistics and learned
+/// `RuleSet` on the 127-image seed-1 training set — the `train-wide`
+/// workload, whose `#n` entry families and dotted names the BENCH golden
+/// (MySQL only) does not reach.  Regenerate after an intentional change
+/// with `UPDATE_GOLDEN=1 cargo test --test determinism apache_inference`.
+const APACHE_GOLDEN: &str = include_str!("golden/infer_apache127.txt");
+
+#[test]
+fn apache_inference_matches_the_golden_file() {
+    let _gate = gate();
+    let pop = Population::training(AppKind::Apache, &PopulationOptions::new(127, 1));
+    let training =
+        TrainingSet::assemble(AppKind::Apache, pop.images()).expect("training assembles");
+    let engine = RuleInference::predefined();
+    let run = |options: &InferOptions| {
+        encore::obs::reset();
+        encore::obs::enable();
+        let (rules, stats) = engine
+            .try_infer_with(&training, &FilterThresholds::default(), options)
+            .expect("inference");
+        let counters = encore::obs::pipeline_report().counters();
+        encore::obs::disable();
+        let mut out = String::new();
+        for name in [
+            "infer.pairs.evaluated",
+            "infer.candidates.emitted",
+            "infer.candidates.deduped",
+        ] {
+            out.push_str(&format!("{name} {}\n", counters[name]));
+        }
+        format!("{out}{stats:?}\n== rules\n{}", rules.render())
+    };
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/infer_apache127.txt"
+        );
+        std::fs::write(path, run(&InferOptions::with_workers(1))).expect("write golden");
+        return;
+    }
+    assert!(APACHE_GOLDEN.starts_with("infer.pairs.evaluated 48192\n"));
+    for workers in [1usize, 2, 4] {
+        let got = run(&InferOptions::with_workers(workers));
+        assert!(
+            got == APACHE_GOLDEN,
+            "Apache inference drifted from tests/golden/infer_apache127.txt at \
+             workers={workers}; run with UPDATE_GOLDEN=1 if intentional\n{got}"
+        );
+    }
+}
+
 /// The event log and the cost profiler must be invisible in the output:
 /// on the BENCH workload the learned `RuleSet` and the fleet transcript
 /// are byte-identical with both fully on and with everything off, and
