@@ -28,12 +28,16 @@
 //! # CI/CD surface
 //!
 //! Warnings also flow through the unified finding model (stable `EW0xx`
-//! codes with content fingerprints): `--severity`/`--min-report-confidence`
-//! filter findings, `--sarif FILE` writes a SARIF v2.1.0 log, and
-//! `--write-baseline`/`--baseline FILE` record/diff accepted fingerprints so
-//! only *new* findings fail the build (exit 1).  `--quiet` suppresses
-//! stdout and turns any admitted finding into exit 1.  Flag-free
-//! invocations keep the historical stdout and exit-0 behavior exactly.
+//! codes with content fingerprints), and the six findings flags go
+//! through the same [`FindingsConfig`] as `encore-lint`:
+//! `--severity`/`--min-report-confidence` filter findings, `--sarif FILE`
+//! writes a SARIF v2.1.0 log, and `--write-baseline`/`--baseline FILE`
+//! record/diff accepted fingerprints so only *new* findings fail the build
+//! (exit 1).  The baseline is read before training, so a missing or
+//! malformed one exits 2 with nothing written.  `--quiet` suppresses
+//! stdout and turns any admitted finding into exit 1.  Without `--quiet`
+//! or `--baseline` the run exits 0, so flag-free invocations keep the
+//! historical stdout and exit code exactly.
 //!
 //! # Continuous checking
 //!
@@ -44,11 +48,7 @@
 use encore::obs::ObsConfig;
 use encore::prelude::*;
 use encore::write_atomically;
-use encore_check::{
-    baseline::FindingBaseline,
-    finding::{self, Finding, FindingFilter},
-    sarif, Severity,
-};
+use encore_check::{Finding, FindingsConfig};
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::AppKind;
 
@@ -86,11 +86,7 @@ struct Args {
     load_detector: Option<String>,
     no_entropy: bool,
     obs: ObsConfig,
-    filter: FindingFilter,
-    quiet: bool,
-    sarif: Option<String>,
-    baseline: Option<String>,
-    write_baseline: Option<String>,
+    findings: FindingsConfig,
 }
 
 fn parse_args() -> Option<Args> {
@@ -106,11 +102,7 @@ fn parse_args() -> Option<Args> {
         load_detector: None,
         no_entropy: false,
         obs: ObsConfig::from_env(),
-        filter: FindingFilter::default(),
-        quiet: false,
-        sarif: None,
-        baseline: None,
-        write_baseline: None,
+        findings: FindingsConfig::default(),
     };
     let mut args = std::env::args().skip(1);
     // One shape for every `--flag VALUE` pair: take the value or die with
@@ -176,33 +168,15 @@ fn parse_args() -> Option<Args> {
             "--trace-out" => parsed.obs.trace_out = Some(value("--trace-out", args.next()).into()),
             "--event-log" => parsed.obs.event_log = Some(value("--event-log", args.next()).into()),
             "--profile" => parsed.obs.profile = Some(value("--profile", args.next()).into()),
-            "--severity" => {
-                let v = value("--severity", args.next());
-                parsed.filter.min_severity = Severity::parse_name(&v).unwrap_or_else(|| {
-                    usage(&format!("bad --severity `{v}` (error|warning|info)"))
-                });
-            }
-            "--min-report-confidence" => {
-                let v = value("--min-report-confidence", args.next());
-                let x: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--min-report-confidence requires a number"));
-                if !(0.0..=1.0).contains(&x) {
-                    usage("--min-report-confidence must be in [0, 1]");
-                }
-                parsed.filter.min_confidence = x;
-            }
-            "--quiet" | "-q" => parsed.quiet = true,
-            "--sarif" => parsed.sarif = Some(value("--sarif", args.next())),
-            "--baseline" => parsed.baseline = Some(value("--baseline", args.next())),
-            "--write-baseline" => {
-                parsed.write_baseline = Some(value("--write-baseline", args.next()));
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return None;
             }
-            other => usage(&format!("unknown argument `{other}`")),
+            other => match parsed.findings.parse_flag(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => usage(&format!("unknown argument `{other}`")),
+                Err(e) => usage(&e),
+            },
         }
     }
     Some(parsed)
@@ -233,16 +207,13 @@ fn build_detector(args: &Args) -> AnomalyDetector {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Some(args) => args,
-        None => return,
+    let Some(mut args) = parse_args() else {
+        return;
     };
     if args.load_detector.is_some() && args.save_detector.is_some() {
         usage("--load-detector and --save-detector are mutually exclusive");
     }
-    if args.baseline.is_some() && args.write_baseline.is_some() {
-        usage("--baseline and --write-baseline are mutually exclusive");
-    }
+    args.findings.start().unwrap_or_else(|e| usage(&e));
     args.obs.start().unwrap_or_else(|e| fail(&e));
 
     let detector = build_detector(&args);
@@ -271,8 +242,9 @@ fn main() {
     // Findings accumulate in fleet order — deterministic for every worker
     // count, because check_fleet returns results in image order.
     let mut findings: Vec<Finding> = Vec::new();
+    let quiet = args.findings.quiet;
     for (image, result) in fleet.images().iter().zip(&results) {
-        if !args.quiet {
+        if !quiet {
             println!("== system {}", image.id());
         }
         match result {
@@ -282,19 +254,19 @@ fn main() {
                 }
                 for w in report.warnings() {
                     let f = Finding::from_warning(image.id(), w);
-                    if args.filter.admits(&f) {
+                    if args.findings.filter.admits(&f) {
                         findings.push(f);
                     }
                 }
-                if !args.quiet {
+                if !quiet {
                     print!("{}", report.render());
                 }
             }
-            Err(e) if args.quiet => eprintln!("encore-detect: system {}: {e}", image.id()),
+            Err(e) if quiet => eprintln!("encore-detect: system {}: {e}", image.id()),
             Err(e) => println!("error: {e}"),
         }
     }
-    if !args.quiet {
+    if !quiet {
         println!(
             "== summary: {} systems checked, {} with warnings",
             results.len(),
@@ -304,50 +276,14 @@ fn main() {
 
     args.obs.finish().unwrap_or_else(|e| fail(&e));
 
-    // The CI surface: SARIF log, baseline write/diff, and the findings
-    // exit code.  A flag-free invocation keeps the historical behavior —
-    // stdout reports, exit 0 — so the snapshot round-trip diff in CI and
-    // every existing consumer are unaffected.
-    if let Some(path) = &args.sarif {
-        let tool = sarif::SarifTool {
-            name: "encore-detect",
-            version: env!("CARGO_PKG_VERSION"),
-        };
-        write_atomically(path, sarif::render(&tool, &findings))
-            .unwrap_or_else(|e| fail(&format!("cannot write SARIF to `{path}`: {e}")));
-    }
-    if let Some(path) = &args.write_baseline {
-        let baseline = FindingBaseline::from_findings(&findings);
-        write_atomically(path, baseline.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write baseline to `{path}`: {e}")));
-        eprintln!(
-            "encore-detect: wrote baseline `{path}` accepting {} finding(s)",
-            baseline.len()
-        );
-        return;
-    }
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read baseline `{path}`: {e}")));
-        let baseline = FindingBaseline::parse(&text)
-            .unwrap_or_else(|e| usage(&format!("baseline `{path}`: {e}")));
-        let diff = baseline.diff(&findings);
-        eprintln!(
-            "encore-detect: baseline `{path}`: {} fresh, {} suppressed, {} stale",
-            diff.fresh.len(),
-            diff.suppressed,
-            diff.stale.len()
-        );
-        for (fingerprint, annotation) in &diff.stale {
-            eprintln!("encore-detect: stale baseline entry {fingerprint}\t{annotation}");
-        }
-        // Detection findings are at most warning severity, so the gate
-        // denies warnings: any fresh (unbaselined) finding fails the build.
-        std::process::exit(finding::exit_code(&diff.fresh, true));
-    }
-    if args.quiet {
-        // Exit-code-only mode without a baseline: the presence of any
-        // admitted finding is the signal.
-        std::process::exit(finding::exit_code(&findings, true));
+    // Detection findings are at most warnings, so the gate denies them.  A
+    // run without --quiet or --baseline keeps the historical exit 0, which
+    // the snapshot round-trip diff in CI and every existing consumer rely on.
+    let code = args
+        .findings
+        .finish("encore-detect", &findings, true)
+        .unwrap_or_else(|e| fail(&e));
+    if quiet || args.findings.baseline.is_some() {
+        std::process::exit(code);
     }
 }

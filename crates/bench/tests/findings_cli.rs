@@ -157,3 +157,41 @@ fn severity_filter_narrows_the_sarif_log() {
     );
     assert!(narrowed.len() < full.len());
 }
+
+#[test]
+fn malformed_baseline_fails_before_any_work() {
+    // The baseline is read before training: exit 2 with nothing on stdout,
+    // no training line on stderr, and neither the SARIF log nor the report
+    // written.
+    let baseline = tmp("malformed-baseline.txt");
+    std::fs::write(&baseline, "not a baseline\n").expect("write fixture");
+    let sarif = tmp("malformed.sarif");
+    let report = tmp("malformed-report.json");
+    let _ = std::fs::remove_file(&sarif);
+    let _ = std::fs::remove_file(&report);
+    let mut args = FLEET.to_vec();
+    args.extend([
+        "--sarif",
+        sarif.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+        "--baseline",
+        baseline.to_str().unwrap(),
+    ]);
+    let out = encore_detect(&args);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
+    assert!(stdout(&out).is_empty(), "stdout:\n{}", stdout(&out));
+    assert!(
+        !stderr(&out).contains("rules,"),
+        "stderr:\n{}",
+        stderr(&out)
+    );
+    assert!(
+        !sarif.exists(),
+        "SARIF written before the baseline was read"
+    );
+    assert!(
+        !report.exists(),
+        "report written before the baseline was read"
+    );
+}

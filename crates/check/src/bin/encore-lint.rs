@@ -17,13 +17,18 @@
 //!
 //! # CI/CD surface
 //!
-//! Diagnostics also flow through the unified [`Finding`] model:
-//! `--severity`/`--min-report-confidence` filter findings before any
-//! output or exit-code computation, `--sarif FILE` writes a SARIF v2.1.0
-//! log for code-scanning upload, and `--write-baseline`/`--baseline FILE`
+//! Diagnostics also flow through the unified [`encore_check::Finding`]
+//! model, and the six findings flags go through the same
+//! [`FindingsConfig`] as `encore-detect`: `--severity`/
+//! `--min-report-confidence` filter findings before any output or
+//! exit-code computation, `--sarif FILE` writes a SARIF v2.1.0 log for
+//! code-scanning upload, and `--write-baseline`/`--baseline FILE`
 //! record/diff accepted-finding fingerprints so only *new* findings fail
-//! the build (stale suppressions are reported on stderr).  `--quiet`
-//! suppresses stdout entirely — the exit code is the only signal.
+//! the build (stale suppressions are reported on stderr).  The baseline
+//! is read before any work, so a missing or malformed one exits 2 with
+//! nothing written.  `--quiet` suppresses stdout entirely — the exit code
+//! is the only signal.  The linter always gates: errors exit 1, and
+//! warnings too under `--deny-warnings`.
 //!
 //! `--report FILE`, `--trace-out FILE` and `ENCORE_TRACE` go through the
 //! same [`encore::obs::ObsConfig`] as the other binaries, and every file
@@ -31,15 +36,8 @@
 //! atomically.
 
 use encore::obs::ObsConfig;
-use encore::{
-    write_atomically, EnCore, FilterThresholds, LearnOptions, RuleSet, Template, TrainingSet,
-};
-use encore_check::{
-    baseline::FindingBaseline,
-    check_all,
-    finding::{self, FindingFilter},
-    lint_snapshot, sarif, Code, Diagnostic, Finding, LintReport, Severity,
-};
+use encore::{EnCore, FilterThresholds, LearnOptions, RuleSet, Template, TrainingSet};
+use encore_check::{check_all, lint_snapshot, Code, Diagnostic, FindingsConfig, LintReport};
 use encore_corpus::{Population, PopulationOptions};
 use encore_model::AppKind;
 use std::process::ExitCode;
@@ -87,11 +85,7 @@ struct Options {
     thresholds: FilterThresholds,
     json: bool,
     deny_warnings: bool,
-    filter: FindingFilter,
-    quiet: bool,
-    sarif_file: Option<String>,
-    baseline_file: Option<String>,
-    write_baseline_file: Option<String>,
+    findings: FindingsConfig,
     obs: ObsConfig,
 }
 
@@ -105,7 +99,7 @@ fn parse_app(name: &str) -> Result<AppKind, String> {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
     let mut options = Options {
         app: AppKind::Mysql,
         images: 20,
@@ -116,21 +110,16 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         thresholds: FilterThresholds::default(),
         json: false,
         deny_warnings: false,
-        filter: FindingFilter::default(),
-        quiet: false,
-        sarif_file: None,
-        baseline_file: None,
-        write_baseline_file: None,
+        findings: FindingsConfig::default(),
         obs: ObsConfig::from_env(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| -> Result<String, String> {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--app" => options.app = parse_app(value("--app")?)?,
+            "--app" => options.app = parse_app(&value("--app")?)?,
             "--images" => {
                 options.images = value("--images")?
                     .parse()
@@ -141,9 +130,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
-            "--templates" => options.templates_file = Some(value("--templates")?.clone()),
-            "--rules" => options.rules_file = Some(value("--rules")?.clone()),
-            "--detector" => options.detector_file = Some(value("--detector")?.clone()),
+            "--templates" => options.templates_file = Some(value("--templates")?),
+            "--rules" => options.rules_file = Some(value("--rules")?),
+            "--detector" => options.detector_file = Some(value("--detector")?),
             "--min-confidence" => {
                 options.thresholds.min_confidence = value("--min-confidence")?
                     .parse()
@@ -162,35 +151,17 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--no-entropy" => options.thresholds.use_entropy = false,
             "--json" => options.json = true,
             "--deny-warnings" => options.deny_warnings = true,
-            "--severity" => {
-                let name = value("--severity")?;
-                options.filter.min_severity = Severity::parse_name(name)
-                    .ok_or_else(|| format!("bad --severity `{name}` (error|warning|info)"))?;
-            }
-            "--min-report-confidence" => {
-                options.filter.min_confidence = value("--min-report-confidence")?
-                    .parse()
-                    .map_err(|e| format!("bad --min-report-confidence: {e}"))?;
-            }
-            "--quiet" | "-q" => options.quiet = true,
-            "--sarif" => options.sarif_file = Some(value("--sarif")?.clone()),
-            "--baseline" => options.baseline_file = Some(value("--baseline")?.clone()),
-            "--write-baseline" => {
-                options.write_baseline_file = Some(value("--write-baseline")?.clone());
-            }
             "--report" => options.obs.report = Some(value("--report")?.into()),
             "--trace-out" => options.obs.trace_out = Some(value("--trace-out")?.into()),
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            other => {
+                if !options.findings.parse_flag(other, &mut args)? {
+                    return Err(format!("unknown argument `{other}`\n{USAGE}"));
+                }
+            }
         }
     }
     if options.rules_file.is_some() && options.detector_file.is_some() {
         return Err("--rules and --detector are mutually exclusive".to_string());
-    }
-    if options.baseline_file.is_some() && options.write_baseline_file.is_some() {
-        return Err("--baseline and --write-baseline are mutually exclusive".to_string());
-    }
-    if !(0.0..=1.0).contains(&options.filter.min_confidence) {
-        return Err("--min-report-confidence must be in [0, 1]".to_string());
     }
     Ok(Some(options))
 }
@@ -217,7 +188,7 @@ fn load_templates(text: &str) -> (Vec<Template>, Vec<Diagnostic>) {
     (templates, diags)
 }
 
-fn run(options: &Options) -> Result<(LintReport, bool), String> {
+fn run(options: &Options) -> Result<LintReport, String> {
     let mut report = LintReport::new();
 
     let templates = match &options.templates_file {
@@ -296,70 +267,26 @@ fn run(options: &Options) -> Result<(LintReport, bool), String> {
 
     let all = check_all(&templates, &options.thresholds, cache, rules.as_ref());
     report.extend(all.diagnostics().to_vec());
-    Ok((report, options.deny_warnings))
+    Ok(report)
 }
 
-/// Everything after the analyzers: filter, render, SARIF, baseline, exit
-/// code.  Split from `main` so the policy is readable top to bottom.
+/// Print the diagnostics the filter admits, then gate on their findings.
 fn finish(options: &Options, report: &LintReport) -> Result<i32, String> {
-    let filtered = report.filtered(&options.filter);
-    let findings: Vec<Finding> = filtered.findings();
-
-    if !options.quiet {
+    let filtered = report.filtered(&options.findings.filter);
+    if !options.findings.quiet {
         if options.json {
             println!("{}", filtered.render_json());
         } else {
             print!("{}", filtered.render_text());
         }
     }
-
-    // SARIF sees the full filtered findings: the baseline only decides the
-    // exit code, while code-scanning consumers do their own tracking via
-    // partialFingerprints.
-    if let Some(path) = &options.sarif_file {
-        let tool = sarif::SarifTool {
-            name: "encore-lint",
-            version: env!("CARGO_PKG_VERSION"),
-        };
-        write_atomically(path, sarif::render(&tool, &findings))
-            .map_err(|e| format!("cannot write SARIF to `{path}`: {e}"))?;
-    }
-
-    if let Some(path) = &options.write_baseline_file {
-        let baseline = FindingBaseline::from_findings(&findings);
-        write_atomically(path, baseline.render())
-            .map_err(|e| format!("cannot write baseline to `{path}`: {e}"))?;
-        eprintln!(
-            "encore-lint: wrote baseline `{path}` accepting {} finding(s)",
-            baseline.len()
-        );
-        return Ok(0);
-    }
-
-    if let Some(path) = &options.baseline_file {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
-        let baseline =
-            FindingBaseline::parse(&text).map_err(|e| format!("baseline `{path}`: {e}"))?;
-        let diff = baseline.diff(&findings);
-        eprintln!(
-            "encore-lint: baseline `{path}`: {} fresh, {} suppressed, {} stale",
-            diff.fresh.len(),
-            diff.suppressed,
-            diff.stale.len()
-        );
-        for (fingerprint, annotation) in &diff.stale {
-            eprintln!("encore-lint: stale baseline entry {fingerprint}\t{annotation}");
-        }
-        return Ok(finding::exit_code(&diff.fresh, options.deny_warnings));
-    }
-
-    Ok(filtered.exit_code(options.deny_warnings))
+    options
+        .findings
+        .finish("encore-lint", &filtered.findings(), options.deny_warnings)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_args(&args) {
+    let mut options = match parse_args(std::env::args().skip(1)) {
         Ok(Some(options)) => options,
         Ok(None) => {
             println!("{USAGE}");
@@ -370,12 +297,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = options.findings.start() {
+        eprintln!("encore-lint: {e}");
+        return ExitCode::from(2);
+    }
     let outcome = options.obs.start().and_then(|()| run(&options));
     if let Err(e) = options.obs.finish() {
         eprintln!("encore-lint: {e}");
         return ExitCode::from(2);
     }
-    match outcome.and_then(|(report, _)| finish(&options, &report)) {
+    match outcome.and_then(|report| finish(&options, &report)) {
         Ok(code) => ExitCode::from(code as u8),
         Err(e) => {
             eprintln!("encore-lint: {e}");

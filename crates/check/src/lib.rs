@@ -24,6 +24,7 @@ pub mod baseline;
 pub mod corpus;
 pub mod diag;
 pub mod finding;
+pub mod gate;
 pub mod rulelint;
 pub mod sarif;
 pub mod typecheck;
@@ -32,6 +33,7 @@ pub use baseline::{BaselineDiff, FindingBaseline};
 pub use corpus::analyze_corpus;
 pub use diag::{Code, Diagnostic, Severity};
 pub use finding::{code_registry, Finding, FindingFilter};
+pub use gate::FindingsConfig;
 pub use rulelint::{lint_rules, lint_snapshot};
 pub use typecheck::check_templates;
 
@@ -98,22 +100,11 @@ impl LintReport {
         self.errors() > 0
     }
 
-    /// The process exit code `encore-lint` should return: `1` on errors
-    /// (or on warnings when `deny_warnings`), `0` otherwise.
+    /// The process exit code the report's findings imply
+    /// ([`finding::exit_code`]): `1` on errors (or on warnings when
+    /// `deny_warnings`), `0` otherwise.
     pub fn exit_code(&self, deny_warnings: bool) -> i32 {
-        self.exit_code_with(deny_warnings, &FindingFilter::default())
-    }
-
-    /// Filter-aware exit code: only diagnostics the filter admits count
-    /// toward the error/warning gate, so `--severity`/`--min-report-confidence`
-    /// apply consistently *before* exit-code computation.
-    pub fn exit_code_with(&self, deny_warnings: bool, filter: &FindingFilter) -> i32 {
-        let admitted = self.filtered(filter);
-        if admitted.has_errors() || (deny_warnings && admitted.warnings() > 0) {
-            1
-        } else {
-            0
-        }
+        finding::exit_code(&self.findings(), deny_warnings)
     }
 
     /// The report restricted to diagnostics the filter admits (lint
@@ -243,14 +234,14 @@ mod tests {
             min_severity: Severity::Error,
             ..FindingFilter::default()
         };
-        assert_eq!(report.exit_code_with(true, &errors_only), 0);
+        assert_eq!(report.filtered(&errors_only).exit_code(true), 0);
         assert_eq!(report.filtered(&errors_only).diagnostics().len(), 0);
         let warnings_up = FindingFilter {
             min_severity: Severity::Warning,
             ..FindingFilter::default()
         };
         assert_eq!(report.filtered(&warnings_up).diagnostics().len(), 1);
-        assert_eq!(report.exit_code_with(true, &warnings_up), 1);
+        assert_eq!(report.filtered(&warnings_up).exit_code(true), 1);
         // findings() maps one-to-one with stable fingerprints.
         let findings = report.findings();
         assert_eq!(findings.len(), 2);

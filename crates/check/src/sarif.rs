@@ -24,15 +24,6 @@ use crate::diag::Severity;
 use crate::finding::{code_registry, Finding};
 use encore::obs::json::quote;
 
-/// The emitting tool's identity, recorded under `tool.driver`.
-#[derive(Debug, Clone, Copy)]
-pub struct SarifTool<'a> {
-    /// Tool name (`encore-lint` / `encore-detect`).
-    pub name: &'a str,
-    /// Tool version (the crate version).
-    pub version: &'a str,
-}
-
 /// The SARIF `level` for a severity.
 pub fn level(severity: Severity) -> &'static str {
     match severity {
@@ -42,9 +33,9 @@ pub fn level(severity: Severity) -> &'static str {
     }
 }
 
-/// Render a complete SARIF v2.1.0 log for one run of `tool` over
-/// `findings`.
-pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
+/// Render a complete SARIF v2.1.0 log for one run of the binary named
+/// `tool` over `findings`; the driver version is the workspace version.
+pub fn render(tool: &str, findings: &[Finding]) -> String {
     let registry = code_registry();
     let rule_index = |id: &str| registry.iter().position(|info| info.id == id);
 
@@ -53,8 +44,8 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
     out.push_str("\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{");
     out.push_str(&format!(
         "\"name\":{},\"version\":{},\"informationUri\":\"https://example.invalid/encore\",",
-        quote(tool.name),
-        quote(tool.version)
+        quote(tool),
+        quote(env!("CARGO_PKG_VERSION"))
     ));
     out.push_str("\"rules\":[");
     for (i, info) in registry.iter().enumerate() {
@@ -104,16 +95,9 @@ pub fn render(tool: &SarifTool<'_>, findings: &[Finding]) -> String {
 mod tests {
     use super::*;
 
-    fn tool() -> SarifTool<'static> {
-        SarifTool {
-            name: "encore-lint",
-            version: "0.1.0",
-        }
-    }
-
     #[test]
     fn empty_run_is_still_a_complete_log() {
-        let log = render(&tool(), &[]);
+        let log = render("encore-lint", &[]);
         assert!(log.contains("\"version\":\"2.1.0\""));
         assert!(log.contains("\"name\":\"encore-lint\""));
         assert!(log.contains("\"rules\":["));
@@ -128,7 +112,7 @@ mod tests {
             Finding::new("EC040", Severity::Error, 1.0, "a == b", "orphan \"x\""),
             Finding::new("EW004", Severity::Info, 0.45, "system/img-1:O:port", "odd"),
         ];
-        let log = render(&tool(), &findings);
+        let log = render("encore-lint", &findings);
         assert!(log.contains("\"ruleId\":\"EC040\""));
         assert!(log.contains("\"level\":\"error\""));
         assert!(log.contains("\"level\":\"note\""));
@@ -152,6 +136,9 @@ mod tests {
             "a == b",
             "dup",
         )];
-        assert_eq!(render(&tool(), &findings), render(&tool(), &findings));
+        assert_eq!(
+            render("encore-lint", &findings),
+            render("encore-lint", &findings)
+        );
     }
 }

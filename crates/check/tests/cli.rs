@@ -388,3 +388,36 @@ fn report_and_trace_out_write_parseable_files() {
     let _ = std::fs::remove_file(&report);
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn malformed_baseline_fails_before_any_work() {
+    // The baseline is read before the corpus is built: exit 2 with nothing
+    // on stdout and neither the SARIF log nor the report written.
+    let baseline = fixture("malformed-baseline.txt", "not a baseline\n");
+    let sarif = std::env::temp_dir().join("encore-lint-test-malformed.sarif");
+    let report = std::env::temp_dir().join("encore-lint-test-malformed-report.json");
+    let _ = std::fs::remove_file(&sarif);
+    let _ = std::fs::remove_file(&report);
+    let out = encore_lint(&[
+        "--app",
+        "mysql",
+        "--images",
+        "8",
+        "--sarif",
+        sarif.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+        "--baseline",
+        baseline.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "stdout:\n{}", stdout(&out));
+    assert!(stdout(&out).is_empty(), "stdout:\n{}", stdout(&out));
+    assert!(
+        !sarif.exists(),
+        "SARIF written before the baseline was read"
+    );
+    assert!(
+        !report.exists(),
+        "report written before the baseline was read"
+    );
+}

@@ -16,58 +16,24 @@
 //! The paper embeds Python snippets in the file; a Rust library cannot
 //! execute arbitrary code from text, so the file format supports a small
 //! matcher vocabulary for type inference (`prefix:`, `suffix:`,
-//! `contains:`, `dotted-digits`, `charset:<chars>`), while fully
-//! programmatic customization — arbitrary matchers, semantic verifiers, and
-//! relation validators — is available through [`CustomType`] and
-//! [`CustomRelation`] closures, which are strictly more expressive.
+//! `contains:`, `dotted-digits`, `charset:<chars>`), while arbitrary
+//! matchers and semantic verifiers are available programmatically through
+//! [`CustomType`] closures.  Every declared type needs a `$$TypeInference`
+//! line and every such line a declared type, so a misspelled name is an
+//! error rather than a type the assembler silently never learns.
+//! Templates combine the predefined relations only: [`Relation`] is a
+//! closed set that learning and detection both evaluate.
+//!
+//! [`Relation`]: crate::template::Relation
 
 use crate::template::Template;
 use encore_assemble::CustomType;
 use encore_model::SemType;
-use encore_sysimage::SystemImage;
 use std::fmt;
 use std::sync::Arc;
 
-/// Shared validator closure deciding whether a relation holds between two
-/// rendered values within an image.
-type RelationValidator = Arc<dyn Fn(&str, &str, &SystemImage) -> bool + Send + Sync>;
-
 /// Shared matcher closure over one rendered value.
 type ValueMatcher = Arc<dyn Fn(&str) -> bool + Send + Sync>;
-
-/// A user-defined relation validator (§5.3.2's programmatic path).
-#[derive(Clone)]
-pub struct CustomRelation {
-    /// Name for reports.
-    pub name: String,
-    validator: RelationValidator,
-}
-
-impl fmt::Debug for CustomRelation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CustomRelation")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl CustomRelation {
-    /// Define a relation over two rendered values within an image.
-    pub fn new(
-        name: impl Into<String>,
-        validator: impl Fn(&str, &str, &SystemImage) -> bool + Send + Sync + 'static,
-    ) -> CustomRelation {
-        CustomRelation {
-            name: name.into(),
-            validator: Arc::new(validator),
-        }
-    }
-
-    /// Evaluate the relation.
-    pub fn holds(&self, a: &str, b: &str, image: &SystemImage) -> bool {
-        (self.validator)(a, b, image)
-    }
-}
 
 /// Parsed contents of a customization file.
 #[derive(Debug, Default)]
@@ -131,7 +97,8 @@ fn build_matcher(spec: &str) -> Option<ValueMatcher> {
 ///
 /// # Errors
 ///
-/// Reports the first malformed line.
+/// Reports the first malformed line, or the line of a type that only one
+/// of `$$TypeDeclaration` and `$$TypeInference` names.
 pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
     #[derive(PartialEq, Clone, Copy)]
     enum Section {
@@ -142,9 +109,9 @@ pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
     }
     let mut section = Section::None;
     let mut out = Customization::default();
-    // name → (maps_to, matcher?)
-    let mut declared: Vec<(String, SemType)> = Vec::new();
-    let mut matchers: Vec<(String, ValueMatcher)> = Vec::new();
+    // (name, base type or matcher, line number), in file order.
+    let mut declared: Vec<(String, SemType, usize)> = Vec::new();
+    let mut matchers: Vec<(String, ValueMatcher, usize)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -181,7 +148,7 @@ pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
                     line: lineno,
                     message: format!("unknown base type `{}`", ty.trim()),
                 })?;
-                declared.push((name.trim().to_string(), ty));
+                declared.push((name.trim().to_string(), ty, lineno));
             }
             Section::TypeInference => {
                 let (name, spec) = line.split_once(':').ok_or_else(|| CustomizeError {
@@ -192,7 +159,7 @@ pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
                     line: lineno,
                     message: format!("unknown matcher `{}`", spec.trim()),
                 })?;
-                matchers.push((name.trim().to_string(), matcher));
+                matchers.push((name.trim().to_string(), matcher, lineno));
             }
             Section::Template => {
                 let t = Template::parse(line).map_err(|e| CustomizeError {
@@ -207,18 +174,29 @@ pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
         }
     }
 
+    // A matcher for an undeclared name, or a declaration no matcher names,
+    // is a misspelling, not a type to drop without a word.
+    if let Some((name, _, line)) = matchers
+        .iter()
+        .find(|(name, _, _)| !declared.iter().any(|(n, _, _)| n == name))
+    {
+        return Err(CustomizeError {
+            line: *line,
+            message: format!("type `{name}` is not declared in $$TypeDeclaration"),
+        });
+    }
     // Join declarations with matchers, preserving declaration order
     // (priority order, §5.3.1).
-    for (name, maps_to) in declared {
-        let matcher = matchers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, m)| Arc::clone(m));
-        if let Some(m) = matcher {
-            let m2 = Arc::clone(&m);
-            out.types
-                .push(CustomType::new(name, maps_to, move |v| m2(v)));
-        }
+    for (name, maps_to, line) in declared {
+        let Some((_, matcher, _)) = matchers.iter().find(|(n, _, _)| *n == name) else {
+            return Err(CustomizeError {
+                line,
+                message: format!("type `{name}` has no $$TypeInference line"),
+            });
+        };
+        let matcher = Arc::clone(matcher);
+        out.types
+            .push(CustomType::new(name, maps_to, move |v| matcher(v)));
     }
     Ok(out)
 }
@@ -226,6 +204,7 @@ pub fn parse(text: &str) -> Result<Customization, CustomizeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encore_sysimage::SystemImage;
 
     const SAMPLE: &str = "\
 # sample customization
@@ -281,6 +260,21 @@ $$Template
         assert_eq!(err.line, 2);
         let err = parse("$$Template\n[A:What] == [B:Str]\n").unwrap_err();
         assert_eq!(err.line, 2);
+        // A misspelled type name on either side names its own line.
+        let err = parse(
+            "$$TypeDeclaration\nSharedObject : PartialFilePath\n\
+             $$TypeInference\nSharedObj : suffix:.so\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.message.contains("`SharedObj`"), "{err}");
+        let err = parse(
+            "$$TypeDeclaration\nVersion : String\nSharedObject : PartialFilePath\n\
+             $$TypeInference\nVersion : dotted-digits\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.message.contains("`SharedObject`"), "{err}");
     }
 
     #[test]
@@ -289,13 +283,5 @@ $$Template
             "$$TypeValidation\n(value): { return True }\n$$Template\n[A:Number] < [B:Number]\n";
         let c = parse(text).unwrap();
         assert_eq!(c.templates.len(), 1);
-    }
-
-    #[test]
-    fn custom_relation_closure() {
-        let rel = CustomRelation::new("same-length", |a, b, _| a.len() == b.len());
-        let img = SystemImage::builder("t").build();
-        assert!(rel.holds("abc", "xyz", &img));
-        assert!(!rel.holds("abc", "wxyz", &img));
     }
 }

@@ -324,9 +324,8 @@ impl RuleInference {
             // the pool returns, so the tallies are scheduling-independent.
             for (unit, chunk) in units.iter().zip(&chunks) {
                 obs::INFER_CANDIDATES.add(chunk.len() as u64);
-                for _ in chunk {
-                    obs::INFER_CANDIDATES_BY_TEMPLATE.observe(unit.work.index as u64);
-                }
+                obs::INFER_CANDIDATES_BY_TEMPLATE
+                    .observe_n(unit.work.index as u64, chunk.len() as u64);
             }
         }
         if let Some(started) = attribute_started {

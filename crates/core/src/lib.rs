@@ -16,9 +16,9 @@
 //!    value-comparison [`baseline::Baseline`] and the environment-enhanced
 //!    [`baseline::BaselineEnv`] ([`baseline`]).
 //!
-//! Customization (§5.3) is supported at every level: user templates, custom
-//! relations with programmatic validators, and customization files
-//! ([`customize`]).
+//! Customization (§5.3) covers user templates over the predefined
+//! relations, custom types with programmatic matchers, and customization
+//! files ([`customize`]).
 //!
 //! # Examples
 //!

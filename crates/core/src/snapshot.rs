@@ -156,21 +156,7 @@ impl DetectorSnapshot {
     /// Returns a description of a missing or malformed `encore-detector-snapshot vN`
     /// header.
     pub fn peek_version(text: &str) -> Result<u32, String> {
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let rest = line
-                .strip_prefix(MAGIC)
-                .ok_or_else(|| format!("line {}: expected `{MAGIC} vN` header", i + 1))?;
-            return rest
-                .trim()
-                .strip_prefix('v')
-                .and_then(|v| v.parse::<u32>().ok())
-                .ok_or_else(|| format!("line {}: malformed version `{rest}`", i + 1));
-        }
-        Err(format!("missing `{MAGIC} vN` header"))
+        read_header(&mut text.lines().enumerate())
     }
 
     /// Parse a rendered snapshot.
@@ -181,23 +167,7 @@ impl DetectorSnapshot {
     /// malformed line, or a description of a missing/unsupported header.
     pub fn parse(text: &str) -> Result<DetectorSnapshot, String> {
         let mut lines = text.lines().enumerate();
-        let version = loop {
-            let (i, line) = lines
-                .next()
-                .ok_or_else(|| format!("missing `{MAGIC} vN` header"))?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let rest = line
-                .strip_prefix(MAGIC)
-                .ok_or_else(|| format!("line {}: expected `{MAGIC} vN` header", i + 1))?;
-            break rest
-                .trim()
-                .strip_prefix('v')
-                .and_then(|v| v.parse::<u32>().ok())
-                .ok_or_else(|| format!("line {}: malformed version `{rest}`", i + 1))?;
-        };
+        let version = read_header(&mut lines)?;
         if version != FORMAT_VERSION {
             return Err(format!(
                 "unsupported snapshot version {version} (this build reads v{FORMAT_VERSION})"
@@ -292,6 +262,27 @@ impl DetectorSnapshot {
     }
 }
 
+/// Read the `encore-detector-snapshot vN` header, the first line that is
+/// neither blank nor a `#` comment, and return `N`; `lines` is left just
+/// past the header.
+fn read_header<'a>(lines: &mut impl Iterator<Item = (usize, &'a str)>) -> Result<u32, String> {
+    for (i, line) in lines {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let rest = line
+            .strip_prefix(MAGIC)
+            .ok_or_else(|| format!("line {}: expected `{MAGIC} vN` header", i + 1))?;
+        return rest
+            .trim()
+            .strip_prefix('v')
+            .and_then(|v| v.parse::<u32>().ok())
+            .ok_or_else(|| format!("line {}: malformed version `{rest}`", i + 1));
+    }
+    Err(format!("missing `{MAGIC} vN` header"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +354,24 @@ mod tests {
         assert!(DetectorSnapshot::parse("encore-detector-snapshot v1\nstray line\n").is_err());
         // systems= is mandatory.
         assert!(DetectorSnapshot::parse("encore-detector-snapshot v1\n[meta]\n").is_err());
+    }
+
+    #[test]
+    fn types_section_round_trips_dotted_entries_and_rejects_bad_lines() {
+        let snapshot = sample();
+        let back = DetectorSnapshot::parse(&snapshot.render()).expect("parses");
+        assert_eq!(back.types(), snapshot.types());
+        assert_eq!(
+            back.types()
+                .type_of(&AttrName::entry("session.use_cookies")),
+            SemType::Boolean
+        );
+        let with_types = |line: &str| format!("{MAGIC} v1\n[meta]\nsystems=1\n[types]\n{line}\n");
+        assert!(DetectorSnapshot::parse(&with_types("O:user\tUserName")).is_ok());
+        let err = DetectorSnapshot::parse(&with_types("no-tab-here")).unwrap_err();
+        assert!(err.starts_with("line 5: expected `attr\\ttype`"), "{err}");
+        let err = DetectorSnapshot::parse(&with_types("O:x\tNotAType")).unwrap_err();
+        assert!(err.starts_with("line 5: unknown type"), "{err}");
     }
 
     #[test]

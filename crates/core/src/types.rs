@@ -99,8 +99,8 @@ impl TypeMap {
 
     /// Render the stored types, one `attr\ttype` line each, with attributes
     /// in the unambiguous tagged encoding ([`AttrName::render_tagged`]) so
-    /// dotted entry names survive a round-trip.  Used by detector
-    /// snapshots.
+    /// dotted entry names survive a round-trip: the `[types]` section of a
+    /// [`crate::DetectorSnapshot`], which parses it back.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (attr, ty) in &self.types {
@@ -110,31 +110,6 @@ impl TypeMap {
             out.push('\n');
         }
         out
-    }
-
-    /// Parse lines rendered by [`TypeMap::render`].  Blank lines and `#`
-    /// comments are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns the 1-based line number and description of the first
-    /// malformed line.
-    pub fn parse(text: &str) -> Result<TypeMap, String> {
-        let mut map = TypeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                continue;
-            }
-            let (attr, ty) = line
-                .split_once('\t')
-                .ok_or_else(|| format!("line {}: expected `attr\\ttype`", i + 1))?;
-            let attr = AttrName::parse_tagged(attr).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let ty = SemType::parse_name(ty.trim())
-                .ok_or_else(|| format!("line {}: unknown type `{ty}`", i + 1))?;
-            map.set(attr, ty);
-        }
-        Ok(map)
     }
 
     /// Number of stored entries.
@@ -189,19 +164,6 @@ mod tests {
             SemType::IpAddress
         );
         assert_eq!(map.type_of(&AttrName::system("MemSize")), SemType::Number);
-    }
-
-    #[test]
-    fn render_parse_round_trips_dotted_entries() {
-        let mut map = TypeMap::new();
-        map.set(AttrName::entry("datadir"), SemType::FilePath);
-        map.set(AttrName::entry("session.use_cookies"), SemType::Boolean);
-        map.set(AttrName::entry("user"), SemType::UserName);
-        let back = TypeMap::parse(&map.render()).unwrap();
-        assert_eq!(back, map);
-        assert_eq!(back.render(), map.render());
-        assert!(TypeMap::parse("no-tab-here").is_err());
-        assert!(TypeMap::parse("O:x\tNotAType").is_err());
     }
 
     #[test]

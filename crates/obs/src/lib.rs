@@ -335,10 +335,19 @@ impl Histogram {
     /// Record one observation of `v`; a no-op while the sink is disabled.
     #[inline]
     pub fn observe(&self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Record `n` observations of `v` at once: `n` is added to `v`'s
+    /// bucket and `v * n` (wrapping, like the sum) to the sum, as `n`
+    /// calls of [`Histogram::observe`] would.  A no-op while the sink is
+    /// disabled.
+    #[inline]
+    pub fn observe_n(&self, v: u64, n: u64) {
         if enabled() {
             let index = Self::bucket_index(self.bounds, v);
-            self.buckets[index].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
+            self.buckets[index].fetch_add(n, Ordering::Relaxed);
+            self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         }
     }
 
@@ -521,6 +530,26 @@ mod tests {
         H.reset();
         assert_eq!(H.counts(), vec![0, 0, 0, 0]);
         assert_eq!(H.sum(), 0);
+    }
+
+    #[test]
+    fn observe_n_matches_n_single_observations() {
+        let _gate = gate();
+        static ONE_BY_ONE: Histogram = Histogram::new("test.hist.one_by_one", &[1, 10, 100]);
+        static BATCHED: Histogram = Histogram::new("test.hist.batched", &[1, 10, 100]);
+        enable();
+        for (v, n) in [(0, 3), (7, 0), (10, 5), (64, 1), (u64::MAX, 2)] {
+            for _ in 0..n {
+                ONE_BY_ONE.observe(v);
+            }
+            BATCHED.observe_n(v, n);
+        }
+        disable();
+        assert_eq!(BATCHED.counts(), ONE_BY_ONE.counts());
+        assert_eq!(BATCHED.sum(), ONE_BY_ONE.sum());
+        assert_eq!(BATCHED.counts(), vec![3, 5, 1, 2]);
+        BATCHED.observe_n(5, 4); // disabled: ignored
+        assert_eq!(BATCHED.total(), 11);
     }
 
     #[test]
