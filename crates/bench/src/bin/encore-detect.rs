@@ -59,16 +59,17 @@ const USAGE: &str = "usage: encore-detect [--app NAME] [--train N] [--seed N] \
 [--min-report-confidence X] [--quiet] [--sarif FILE] \
 [--baseline FILE | --write-baseline FILE]";
 
-/// Print a diagnostic plus the usage line to stderr and exit 2.  All
-/// argument-handling failures funnel through here so the binary has exactly
-/// one error shape.
+/// Print a diagnostic plus the usage line to stderr and exit 2.  Every
+/// malformed command line funnels through here.
 fn usage(problem: &str) -> ! {
     eprintln!("encore-detect: {problem}");
     eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
-/// Print an I/O failure (no usage line) to stderr and exit 2.
+/// Print a failure of a well-formed command (an unreadable or malformed
+/// input file, a corpus that does not assemble, an output that cannot be
+/// written) as one stderr line, without the usage line, and exit 2.
 fn fail(problem: &str) -> ! {
     eprintln!("encore-detect: {problem}");
     std::process::exit(2);
@@ -186,14 +187,14 @@ fn parse_args() -> Option<Args> {
 fn build_detector(args: &Args) -> AnomalyDetector {
     if let Some(path) = &args.load_detector {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read detector `{path}`: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot read detector `{path}`: {e}")));
         let snapshot = DetectorSnapshot::parse(&text)
-            .unwrap_or_else(|e| usage(&format!("bad detector `{path}`: {e}")));
+            .unwrap_or_else(|e| fail(&format!("bad detector `{path}`: {e}")));
         return AnomalyDetector::from_snapshot(snapshot);
     }
     let pop = Population::training(args.app, &PopulationOptions::new(args.train, args.seed));
     let training = TrainingSet::assemble(args.app, pop.images())
-        .unwrap_or_else(|e| usage(&format!("training corpus does not assemble: {e}")));
+        .unwrap_or_else(|e| fail(&format!("training corpus does not assemble: {e}")));
     let thresholds = if args.no_entropy {
         FilterThresholds::default().without_entropy()
     } else {
@@ -213,7 +214,7 @@ fn main() {
     if args.load_detector.is_some() && args.save_detector.is_some() {
         usage("--load-detector and --save-detector are mutually exclusive");
     }
-    args.findings.start().unwrap_or_else(|e| usage(&e));
+    args.findings.start().unwrap_or_else(|e| fail(&e));
     args.obs.start().unwrap_or_else(|e| fail(&e));
 
     let detector = build_detector(&args);

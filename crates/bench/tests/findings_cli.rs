@@ -1,6 +1,7 @@
 //! End-to-end tests for the `encore-detect` findings surface: SARIF
 //! emission, fingerprint stability across worker counts, baseline gating,
-//! and the quiet/severity filters.
+//! the quiet/severity filters, and the one-line failures of a
+//! well-formed command.
 //!
 //! All runs share the small seeded fleet (`--train 12 --targets 6`), which
 //! produces a nonempty but fast finding set.
@@ -181,6 +182,8 @@ fn malformed_baseline_fails_before_any_work() {
     let out = encore_detect(&args);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
     assert!(stdout(&out).is_empty(), "stdout:\n{}", stdout(&out));
+    // One line, as `encore-lint` prints: the error, without the usage line.
+    assert_eq!(stderr(&out).lines().count(), 1, "stderr:\n{}", stderr(&out));
     assert!(
         !stderr(&out).contains("rules,"),
         "stderr:\n{}",
@@ -194,4 +197,29 @@ fn malformed_baseline_fails_before_any_work() {
         !report.exists(),
         "report written before the baseline was read"
     );
+}
+
+#[test]
+fn unreadable_or_malformed_detector_fails_in_one_line() {
+    // A well-formed command whose `--load-detector` file is missing or is
+    // not a snapshot fails at run time: exit 2 and the error alone on
+    // stderr, without the usage line a malformed command line earns.
+    let malformed = tmp("malformed-detector.txt");
+    std::fs::write(&malformed, "not a snapshot\n").expect("write fixture");
+    let missing = tmp("missing-detector.txt");
+    let _ = std::fs::remove_file(&missing);
+    for (path, error) in [
+        (&missing, "cannot read detector"),
+        (&malformed, "bad detector"),
+    ] {
+        let out = encore_detect(&["--targets", "2", "--load-detector", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
+        let err = stderr(&out);
+        assert_eq!(err.lines().count(), 1, "stderr:\n{err}");
+        assert!(
+            err.starts_with(&format!("encore-detect: {error} `")),
+            "stderr:\n{err}"
+        );
+        assert!(stdout(&out).is_empty(), "stdout:\n{}", stdout(&out));
+    }
 }

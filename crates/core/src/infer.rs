@@ -355,6 +355,9 @@ struct TemplateWork<'a> {
     /// candidate histogram).
     index: usize,
     template: &'a Template,
+    /// The template's profile row name, rendered once per run rather than
+    /// once per unit.
+    name: String,
     generic: bool,
     eligible_a: Vec<usize>,
     eligible_b: Vec<usize>,
@@ -390,6 +393,7 @@ impl<'a> TemplateWork<'a> {
         TemplateWork {
             index,
             template,
+            name: template.to_string(),
             generic,
             eligible_a,
             eligible_b,
@@ -546,7 +550,7 @@ fn finish_unit_profile(
     if let Some(started) = profiled {
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         obs::INFER_TEMPLATE_PROFILE.record(
-            &work.template.to_string(),
+            &work.name,
             nanos,
             &[
                 ("pairs", pairs_evaluated),
@@ -556,9 +560,11 @@ fn finish_unit_profile(
     }
 }
 
-/// Instantiate one unit: tally every considered pair with a
-/// [`PairEvaluator`] over the interned value-id columns — presence gating
-/// is a bitset intersection and `Equal`/`=~` are integer compares.
+/// Instantiate one unit: tally every considered pair with its A
+/// attribute's [`PairEvaluator`] over the interned value-id columns —
+/// presence gating is a bitset intersection, `Equal`/`=~` are integer
+/// compares, and the costlier relations decide each distinct value pair
+/// once.  A pair served from a memo counts as evaluated all the same.
 fn instantiate_unit(
     unit: &WorkUnit<'_, '_>,
     images: &[SystemImage],
@@ -575,6 +581,9 @@ fn instantiate_unit(
     // instead of one per pair across the worker pool.
     let mut pairs_evaluated = 0u64;
     for &ai in &work.eligible_a[unit.a_range.clone()] {
+        // One evaluator per A attribute: the `=~` family rows it builds for
+        // one partner serve every partner of the same family.
+        let mut evaluator = PairEvaluator::new(template.relation, cache, ai);
         for &bi in partner_indices(cache, work.generic, &work.eligible_b, ai) {
             // Structural filters (self-pairs, original-entry anchoring,
             // generic same-type restriction, symmetry canonicalization) —
@@ -583,8 +592,7 @@ fn instantiate_unit(
                 continue;
             }
             pairs_evaluated += 1;
-            let (holds, applicable) =
-                PairEvaluator::new(template.relation, cache, ai, bi).tally(images);
+            let (holds, applicable) = evaluator.tally(bi, images);
             if applicable == 0 {
                 continue;
             }

@@ -9,9 +9,11 @@
 
 use crate::stats::StatsCache;
 use crate::template::Relation;
-use encore_model::{AttrName, Column, ColumnStore, ConfigValue, Row};
+use encore_model::{AttrName, Column, ColumnStore, ConfigValue, Row, ValueId};
 use encore_sysimage::SystemImage;
 use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Evaluation of a relation instance on one system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,20 +241,21 @@ fn subnet_of(va: &ConfigValue, vb: &ConfigValue) -> Applicability {
 }
 
 fn concat_path(va: &ConfigValue, vb: &ConfigValue, image: Option<&SystemImage>) -> Applicability {
-    let image = match image {
-        Some(i) => i,
-        None => return Applicability::NotApplicable,
-    };
-    let (dir, frag) = match (va.as_str(), vb.as_str()) {
-        (Some(d), Some(f)) => (d, f),
-        _ => return Applicability::NotApplicable,
-    };
-    let full = format!(
+    match (image, joined_path(va, vb)) {
+        (Some(image), Some(full)) => Applicability::from_bool(image.vfs().exists(&full)),
+        _ => Applicability::NotApplicable,
+    }
+}
+
+/// The path `+` probes: A's directory joined to B's fragment by one `/`,
+/// or `None` unless both values are text.
+fn joined_path(va: &ConfigValue, vb: &ConfigValue) -> Option<String> {
+    let (dir, frag) = (va.as_str()?, vb.as_str()?);
+    Some(format!(
         "{}/{}",
         dir.trim_end_matches('/'),
         frag.trim_start_matches('/')
-    );
-    Applicability::from_bool(image.vfs().exists(&full))
+    ))
 }
 
 fn in_group(va: &ConfigValue, vb: &ConfigValue, image: Option<&SystemImage>) -> Applicability {
@@ -281,11 +284,14 @@ fn not_accessible(
         (Some(p), Some(u)) => (p, u),
         _ => return Applicability::NotApplicable,
     };
-    if !image.vfs().exists(path) {
-        return Applicability::NotApplicable;
+    // One lookup: a path the image lacks is not applicable, and an existing
+    // one asks about group membership only if `user` is not its owner.
+    match image.vfs().metadata(path) {
+        Some(meta) => Applicability::from_bool(
+            !meta.readable_by(user, |group| image.accounts().is_member(user, group)),
+        ),
+        None => Applicability::NotApplicable,
     }
-    let groups = image.accounts().groups_of(user);
-    Applicability::from_bool(!image.vfs().readable_by(path, user, &groups))
 }
 
 /// `[A] => [B]`: the user named by B owns the path named by A.
@@ -314,146 +320,253 @@ fn owns(
     }
 }
 
-/// Row-independent evaluation strategy of one `(a, relation, b)` pair over
-/// the columnar store — resolved once per pair instead of once per row.
-/// Only the relations whose inputs are laid out differently in columns get
-/// their own strategy; every other relation is decided by [`decide`].
+/// The one `u64` key of an interned `(a value, b value)` id pair.
+fn id_pair(va: ValueId, vb: ValueId) -> u64 {
+    (u64::from(va.0) << 32) | u64::from(vb.0)
+}
+
+/// Hasher for the `u64` keys of [`IdMap`]: one multiply, folded so that the
+/// low bits the table indexes by depend on both halves of the key.  The
+/// default SipHash would cost about what the `SubstringOf` check it saves
+/// does.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A memo keyed by dense ids packed into one `u64`.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// How the pairs of one A attribute are decided over the columns: the
+/// row-independent work of each relation (render classes, the `.owner`
+/// column) is resolved once, and the relations whose decide costs more
+/// than a hash lookup decide each distinct input once.  The cheap ones
+/// (`Equal` on render classes, `->`, the orderings) decide every row
+/// directly, since over the 1000-row columns of a tall training set a
+/// lookup costs more than they do; `in`, `!=` and `=>` read each row's
+/// own image, so no verdict of theirs carries over to another row.
 enum PairKind<'c> {
     /// `Equal`: compare interned render classes (≡ comparing rendered
     /// strings).
     RenderEqual,
-    /// `MemberEq`: the b-entry family, read off the cache's family table —
-    /// the per-row scan over every row cell becomes a probe of just these
-    /// columns.
-    MemberEq {
-        /// Indices of the attributes sharing b's occurrence-stripped base and
-        /// suffix, ascending.
-        family: &'c [usize],
-    },
+    /// `MemberEq`: a row's verdict depends on A's value and B's family, not
+    /// on which member B is.  For each family met so far, keyed by its first
+    /// member's index, the rows where A equals some present member: built
+    /// once per family and shared by every partner in it.
+    MemberEq { holds: IdMap<Vec<u64>> },
     /// `Owns`: the `a.owner` augmented column, if the dataset has one.
     Owns { owner: Option<&'c Column> },
-    /// Any other relation, decided from the two interned values.
+    /// `SubstringOf`, `SubnetOf`: decided from the two values alone, so each
+    /// distinct id pair of the pair being tallied is decided once.
+    Verdicts {
+        relation: Relation,
+        memo: IdMap<Applicability>,
+    },
+    /// `ConcatPath`: the joined path of each distinct id pair of the pair
+    /// being tallied (`None` when a value is not text), built once; only
+    /// the probe of each row's own VFS stays per row.
+    ConcatPath { paths: IdMap<Option<String>> },
+    /// Any other relation, decided per row from the two interned values and
+    /// the row's image.
     Values(Relation),
 }
 
-/// Columnar validator for one attribute pair: scans the two value-id
-/// columns' presence intersection one 64-row word at a time, with all
-/// row-independent work (render classes, the `=~` family, the `.owner`
-/// column) hoisted out of the row loop.  For every row it reproduces
-/// [`evaluate`] exactly — same helpers, same gating, same tri-state — so
-/// the tallies are bit-identical to the row-major path
-/// (`columnar_tally_matches_the_row_verdict` pins this per relation).
+/// Columnar validator for the pairs of one A attribute: scans each pair's
+/// presence intersection one 64-row word at a time, with all
+/// row-independent work hoisted out of the row loop.  Its memos live for
+/// one pair (the per-value verdicts and paths) or for the A attribute (the
+/// `=~` family rows).  For every row it reproduces [`evaluate`] exactly —
+/// same helpers, same gating, same tri-state — so the tallies are
+/// bit-identical to the row-major path (`columnar_tally_matches_the_row_verdict`
+/// and `memoized_tallies_match_the_summed_row_verdicts` pin this per
+/// relation).
 pub(crate) struct PairEvaluator<'c> {
-    store: &'c ColumnStore,
+    cache: &'c StatsCache,
     col_a: &'c Column,
-    col_b: &'c Column,
     kind: PairKind<'c>,
 }
 
 impl<'c> PairEvaluator<'c> {
-    /// Resolve the evaluation strategy for the pair of attributes at sorted
-    /// indices `a_index` / `b_index` of `cache`.
+    /// Resolve the evaluation strategy for the pairs whose A slot is the
+    /// attribute at sorted index `a_index` of `cache`.
     pub(crate) fn new(
         relation: Relation,
         cache: &'c StatsCache,
         a_index: usize,
-        b_index: usize,
     ) -> PairEvaluator<'c> {
         let store = cache.columns();
         let kind = match relation {
             Relation::Equal => PairKind::RenderEqual,
             Relation::MemberEq => PairKind::MemberEq {
-                family: cache.family(b_index),
+                holds: IdMap::default(),
             },
             Relation::Owns => PairKind::Owns {
                 owner: cache
                     .attr_index(&cache.attributes()[a_index].augmented("owner"))
                     .map(|j| store.column(j)),
             },
+            Relation::SubstringOf | Relation::SubnetOf => PairKind::Verdicts {
+                relation,
+                memo: IdMap::default(),
+            },
+            Relation::ConcatPath => PairKind::ConcatPath {
+                paths: IdMap::default(),
+            },
             other => PairKind::Values(other),
         };
         PairEvaluator {
-            store,
+            cache,
             col_a: store.column(a_index),
-            col_b: store.column(b_index),
             kind,
         }
     }
 
-    /// Tally `(holds, applicable)` over every training system, given its
-    /// images in row order — the counts [`crate::infer`] turns into a
-    /// candidate's support and confidence.
-    pub(crate) fn tally(&self, images: &[SystemImage]) -> (usize, usize) {
-        let mut holds = 0usize;
-        let mut applicable = 0usize;
-        let words = self.col_a.presence().iter().zip(self.col_b.presence());
-        for (w, (wa, wb)) in words.enumerate() {
-            // Both slots must be present — the same gate `evaluate` applies
-            // before dispatching any relation.
-            let mut both = wa & wb;
-            while both != 0 {
-                let i = w * 64 + both.trailing_zeros() as usize;
-                both &= both - 1;
-                match self.eval_row(i, &images[i]) {
-                    Applicability::Holds => {
-                        holds += 1;
-                        applicable += 1;
-                    }
-                    Applicability::Violated => applicable += 1,
-                    Applicability::NotApplicable => {}
+    /// Tally `(holds, applicable)` of the pair with the attribute at sorted
+    /// index `b_index` over every training system, given its images in row
+    /// order — the counts [`crate::infer`] turns into a candidate's support
+    /// and confidence.
+    pub(crate) fn tally(&mut self, b_index: usize, images: &[SystemImage]) -> (usize, usize) {
+        let store = self.cache.columns();
+        let interner = store.interner();
+        let (col_a, col_b) = (self.col_a, store.column(b_index));
+        match &mut self.kind {
+            PairKind::RenderEqual => tally_rows(col_a, col_b, |_, va, vb| {
+                Applicability::from_bool(interner.render_class(va) == interner.render_class(vb))
+            }),
+            PairKind::MemberEq { holds } => {
+                let family = self.cache.family(b_index);
+                let holds = holds
+                    .entry(family[0] as u64)
+                    .or_insert_with(|| family_holds(store, col_a, family));
+                // B belongs to its own family, so every row where A and B are
+                // both present has a present member: each applies, and holds
+                // where the family's rows say so.
+                let (mut held, mut applicable) = (0, 0);
+                for ((&h, &a), &b) in holds.iter().zip(col_a.presence()).zip(col_b.presence()) {
+                    held += (h & b).count_ones() as usize;
+                    applicable += (a & b).count_ones() as usize;
                 }
-            }
-        }
-        (holds, applicable)
-    }
-
-    /// Evaluate the pair on row `i` (whose presence bits are known set).
-    fn eval_row(&self, i: usize, image: &SystemImage) -> Applicability {
-        let interner = self.store.interner();
-        let va_id = self.col_a.value_id(i).expect("presence bit set for a");
-        let vb_id = self.col_b.value_id(i).expect("presence bit set for b");
-        match &self.kind {
-            PairKind::RenderEqual => Applicability::from_bool(
-                interner.render_class(va_id) == interner.render_class(vb_id),
-            ),
-            PairKind::MemberEq { family } => {
-                let target = interner.render_class(va_id);
-                let mut seen_any = false;
-                for &j in *family {
-                    if let Some(member) = self.store.column(j).value_id(i) {
-                        seen_any = true;
-                        if interner.render_class(member) == target {
-                            return Applicability::Holds;
-                        }
-                    }
-                }
-                if seen_any {
-                    Applicability::Violated
-                } else {
-                    Applicability::NotApplicable
-                }
+                (held, applicable)
             }
             PairKind::Owns { owner } => {
-                // A present `.owner` cell decides, an absent one falls
-                // through to the VFS, as in the row path.
-                let owner = owner
-                    .and_then(|column| column.value_id(i))
-                    .map(|id| interner.render_of(id));
-                owns(
-                    interner.value(va_id),
-                    interner.value(vb_id),
-                    owner,
-                    Some(image),
-                )
+                let owner = *owner;
+                tally_rows(col_a, col_b, |i, va, vb| {
+                    // A present `.owner` cell decides, an absent one falls
+                    // through to the VFS, as in the row path.
+                    let owner = owner
+                        .and_then(|column| column.value_id(i))
+                        .map(|id| interner.render_of(id));
+                    owns(
+                        interner.value(va),
+                        interner.value(vb),
+                        owner,
+                        Some(&images[i]),
+                    )
+                })
             }
-            PairKind::Values(relation) => decide(
-                *relation,
-                interner.value(va_id),
-                interner.value(vb_id),
-                Some(image),
-            ),
+            PairKind::Verdicts { relation, memo } => {
+                let relation = *relation;
+                memo.clear();
+                tally_rows(col_a, col_b, |_, va, vb| {
+                    *memo.entry(id_pair(va, vb)).or_insert_with(|| {
+                        decide(relation, interner.value(va), interner.value(vb), None)
+                    })
+                })
+            }
+            PairKind::ConcatPath { paths } => {
+                paths.clear();
+                tally_rows(col_a, col_b, |i, va, vb| {
+                    let path = paths
+                        .entry(id_pair(va, vb))
+                        .or_insert_with(|| joined_path(interner.value(va), interner.value(vb)));
+                    match path {
+                        Some(path) => Applicability::from_bool(images[i].vfs().exists(path)),
+                        None => Applicability::NotApplicable,
+                    }
+                })
+            }
+            PairKind::Values(relation) => {
+                let relation = *relation;
+                tally_rows(col_a, col_b, |i, va, vb| {
+                    decide(
+                        relation,
+                        interner.value(va),
+                        interner.value(vb),
+                        Some(&images[i]),
+                    )
+                })
+            }
         }
     }
+}
+
+/// Call `row` with every row whose bit is set in both presence bitsets, in
+/// ascending order.
+fn for_each_common_row(a: &[u64], b: &[u64], mut row: impl FnMut(usize)) {
+    for (w, (wa, wb)) in a.iter().zip(b).enumerate() {
+        let mut both = wa & wb;
+        while both != 0 {
+            row(w * 64 + both.trailing_zeros() as usize);
+            both &= both - 1;
+        }
+    }
+}
+
+/// Tally `(holds, applicable)` of `verdict(row, a value, b value)` over the
+/// rows where both columns are present — the same gate [`evaluate`]
+/// applies before dispatching any relation.
+fn tally_rows(
+    col_a: &Column,
+    col_b: &Column,
+    mut verdict: impl FnMut(usize, ValueId, ValueId) -> Applicability,
+) -> (usize, usize) {
+    let (mut holds, mut applicable) = (0, 0);
+    for_each_common_row(col_a.presence(), col_b.presence(), |i| {
+        let va = col_a.value_id(i).expect("presence bit set for a");
+        let vb = col_b.value_id(i).expect("presence bit set for b");
+        match verdict(i, va, vb) {
+            Applicability::Holds => {
+                holds += 1;
+                applicable += 1;
+            }
+            Applicability::Violated => applicable += 1,
+            Applicability::NotApplicable => {}
+        }
+    });
+    (holds, applicable)
+}
+
+/// The `=~` rows of A against one b-entry family: bit `i` is set iff A is
+/// present in row `i` and some member of `family` is present there with a
+/// value that renders as A's does.
+fn family_holds(store: &ColumnStore, col_a: &Column, family: &[usize]) -> Vec<u64> {
+    let interner = store.interner();
+    let mut holds = vec![0u64; col_a.presence().len()];
+    for &j in family {
+        let member = store.column(j);
+        for_each_common_row(col_a.presence(), member.presence(), |i| {
+            let (va, vm) = (col_a.value_id(i), member.value_id(i));
+            let same = interner.render_class(va.expect("presence bit set for a"))
+                == interner.render_class(vm.expect("presence bit set for the member"));
+            holds[i / 64] |= u64::from(same) << (i % 64);
+        });
+    }
+    holds
 }
 
 #[cfg(test)]
@@ -900,11 +1013,286 @@ mod tests {
                 let cache = StatsCache::from_rows(&[&r], &TypeMap::new());
                 let (ai, bi) = (cache.attr_index(&a).unwrap(), cache.attr_index(&b).unwrap());
                 assert_eq!(
-                    PairEvaluator::new(relation, &cache, ai, bi).tally(std::slice::from_ref(&img)),
+                    PairEvaluator::new(relation, &cache, ai).tally(bi, std::slice::from_ref(&img)),
                     expected,
                     "{relation:?} with owner cell {owner:?}"
                 );
             }
         }
+    }
+
+    /// Row `i`'s image: its modules, the datadir's mode and `nobody`'s
+    /// groups all vary with `i`, so an environment-backed verdict can
+    /// differ between two rows with the same values.
+    fn varied_image(i: usize) -> SystemImage {
+        let nobody_groups: &[&str] = if i.is_multiple_of(2) {
+            &["nobody"]
+        } else {
+            &["nobody", "mysql"]
+        };
+        SystemImage::builder(format!("img-{i}"))
+            .user("mysql", 27, &["mysql"])
+            .user("nobody", 99, nobody_groups)
+            .dir("/var/lib/mysql", "mysql", "mysql", [0o700, 0o750][i % 2])
+            .dir("/etc/httpd", "root", "root", 0o755)
+            .file(
+                &format!("/etc/httpd/modules/mod_{}.so", i % 3),
+                "root",
+                "root",
+                0o755,
+                "",
+            )
+            .build()
+    }
+
+    /// The values of case `k` for `relation`: applicable and inapplicable
+    /// inputs, holding and violated ones.
+    fn case_values(relation: Relation, k: usize) -> (ConfigValue, ConfigValue) {
+        use crate::template::Relation as R;
+        let pick = |options: &[&str], n: usize| options[n % options.len()].to_string();
+        match relation {
+            R::Equal | R::MemberEq => (
+                ConfigValue::str(format!("v{}", k % 3)),
+                ConfigValue::str(format!("v{}", k % 2)),
+            ),
+            R::ExtBoolImplies => (
+                ConfigValue::boolean(k.is_multiple_of(2)),
+                ConfigValue::boolean(k.is_multiple_of(3)),
+            ),
+            R::SubnetOf => (
+                ConfigValue::str(pick(&["10.0.1.5", "10.0.2.5", "not-an-ip"], k)),
+                ConfigValue::str(pick(&["10.0.1.0/24", "10.0.0.0/16", "10.0.2.9"], k / 2)),
+            ),
+            R::ConcatPath => (
+                ConfigValue::path(pick(&["/etc/httpd", "/etc/httpd/"], k)),
+                if k % 5 == 4 {
+                    ConfigValue::number(1.0)
+                } else {
+                    ConfigValue::str(format!("modules/mod_{}.so", k % 3))
+                },
+            ),
+            R::SubstringOf => (
+                ConfigValue::str(pick(&["ab", "", "abc", "zz"], k)),
+                ConfigValue::str(pick(&["xaby", "abc", "q"], k / 2)),
+            ),
+            R::InGroup => (
+                ConfigValue::str(pick(&["mysql", "nobody", "ghost"], k)),
+                ConfigValue::str(pick(&["mysql", "nobody"], k / 3)),
+            ),
+            R::NotAccessible | R::Owns => (
+                ConfigValue::path(pick(&["/var/lib/mysql", "/etc/httpd", "/missing"], k)),
+                ConfigValue::str(pick(&["mysql", "nobody", "root"], k / 2)),
+            ),
+            R::LessNum => (
+                ConfigValue::number((k % 3) as f64),
+                ConfigValue::number(1.0),
+            ),
+            R::LessSize => (
+                ConfigValue::size((k % 3) as u64, SizeUnit::M),
+                ConfigValue::size(1024, SizeUnit::K),
+            ),
+        }
+    }
+
+    /// Sum the row verdicts of [`evaluate`] into `(holds, applicable)`.
+    fn summed_row_verdicts(
+        relation: Relation,
+        a: &AttrName,
+        b: &AttrName,
+        rows: &[Row],
+        images: &[SystemImage],
+    ) -> (usize, usize) {
+        rows.iter()
+            .zip(images)
+            .fold((0, 0), |(holds, applicable), (row, image)| {
+                match evaluate(relation, a, b, SystemView::new(row, image)) {
+                    Applicability::Holds => (holds + 1, applicable + 1),
+                    Applicability::Violated => (holds, applicable + 1),
+                    Applicability::NotApplicable => (holds, applicable),
+                }
+            })
+    }
+
+    /// The memos decide each distinct value pair (or, for `=~`, each family)
+    /// once and reuse the verdict on the other rows.  Over many rows — with
+    /// values repeated, all distinct, and absent, an `alpha.owner` cell in
+    /// some rows and a different image per row — every relation's tally
+    /// must still equal the sum of its row verdicts.  `=~` tallies both
+    /// members of the `beta#n` family with one evaluator, so the second is
+    /// served from the family rows the first built.
+    #[test]
+    fn memoized_tallies_match_the_summed_row_verdicts() {
+        const ROWS: usize = 70;
+        let images: Vec<SystemImage> = (0..ROWS).map(varied_image).collect();
+        let a = AttrName::entry("alpha");
+        let family = [AttrName::entry("beta#0"), AttrName::entry("beta#1")];
+        // The case row `i` reads: four cases over and over, every row its
+        // own, or one case in every third row and its own in the others.
+        let case_of = |pattern: &str, i: usize| match pattern {
+            "repeated" => i % 4,
+            "distinct" => i,
+            _ if i.is_multiple_of(3) => 0,
+            _ => i,
+        };
+        for relation in Relation::ALL {
+            for pattern in ["repeated", "distinct", "mixed"] {
+                let rows: Vec<Row> = (0..ROWS)
+                    .map(|i| {
+                        let k = case_of(pattern, i);
+                        let (va, vb) = case_values(relation, k);
+                        let mut row = Row::new(format!("s{i}"));
+                        // Absent cells: no alpha cell in some rows, an
+                        // absent value in others.
+                        if i % 5 != 1 {
+                            row.set(a.clone(), va);
+                        }
+                        let vb = if i % 7 == 2 { ConfigValue::Absent } else { vb };
+                        row.set(family[0].clone(), vb);
+                        if i % 4 != 3 {
+                            row.set(family[1].clone(), case_values(relation, k + 1).1);
+                        }
+                        if i % 3 == 0 {
+                            row.set(
+                                a.augmented("owner"),
+                                ConfigValue::str(["mysql", "root"][i % 2]),
+                            );
+                        }
+                        row
+                    })
+                    .collect();
+                let refs: Vec<&Row> = rows.iter().collect();
+                let cache = StatsCache::from_rows(&refs, &TypeMap::new());
+                let mut evaluator =
+                    PairEvaluator::new(relation, &cache, cache.attr_index(&a).unwrap());
+                let mut applicable = 0;
+                for b in &family {
+                    let expected = summed_row_verdicts(relation, &a, b, &rows, &images);
+                    let got = evaluator.tally(cache.attr_index(b).unwrap(), &images);
+                    assert_eq!(got, expected, "{relation:?} {pattern} {b}");
+                    applicable += expected.1;
+                }
+                assert!(applicable > 0, "{relation:?} {pattern}: never applicable");
+            }
+        }
+    }
+
+    /// The per-pair `=~` tally the family rows replaced: for each row where
+    /// A and B are present, scan B's family for a member equal to A.
+    fn member_eq_by_scan(cache: &StatsCache, ai: usize, bi: usize) -> (usize, usize) {
+        let store = cache.columns();
+        let interner = store.interner();
+        let (col_a, col_b) = (store.column(ai), store.column(bi));
+        tally_rows(col_a, col_b, |i, va, _| {
+            let target = interner.render_class(va);
+            let mut seen_any = false;
+            for &j in cache.family(bi) {
+                if let Some(member) = store.column(j).value_id(i) {
+                    seen_any = true;
+                    if interner.render_class(member) == target {
+                        return Applicability::Holds;
+                    }
+                }
+            }
+            if seen_any {
+                Applicability::Violated
+            } else {
+                Applicability::NotApplicable
+            }
+        })
+    }
+
+    /// Over every `=~` pair of the `train-wide` set (Apache, 127 images,
+    /// seed 1), one evaluator per A attribute, reusing family rows across
+    /// partners as inference does, tallies what the per-pair scan does.
+    #[test]
+    fn family_reuse_matches_the_per_pair_scan_on_train_wide() {
+        use crate::eligibility::{is_same_type_generic, pair_considered, partner_indices};
+        use crate::template::Template;
+        use crate::train::TrainingSet;
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        use encore_model::{AppKind, SemType};
+        let pop = Population::training(AppKind::Apache, &PopulationOptions::new(127, 1));
+        let ts = TrainingSet::assemble(AppKind::Apache, pop.images()).unwrap();
+        let cache = ts.stats_cache();
+        let template = Template::new(SemType::Str, Relation::MemberEq, SemType::Str);
+        let generic = is_same_type_generic(&template);
+        let all: Vec<usize> = (0..cache.attributes().len()).collect();
+        let (mut pairs, mut reused) = (0, 0);
+        for &ai in &all {
+            let mut evaluator = PairEvaluator::new(Relation::MemberEq, cache, ai);
+            let mut families = std::collections::HashSet::new();
+            for &bi in partner_indices(cache, generic, &all, ai) {
+                if !pair_considered(&template, generic, cache, ai, bi) {
+                    continue;
+                }
+                pairs += 1;
+                reused += usize::from(!families.insert(cache.family(bi)[0]));
+                assert_eq!(
+                    evaluator.tally(bi, ts.images()),
+                    member_eq_by_scan(cache, ai, bi),
+                    "{} =~ {}",
+                    cache.attributes()[ai],
+                    cache.attributes()[bi]
+                );
+            }
+        }
+        // The `=~` pair count of the Apache golden; most pairs reuse rows.
+        assert_eq!(pairs, 4127);
+        assert!(
+            reused * 2 > pairs,
+            "{reused} of {pairs} pairs reused family rows"
+        );
+    }
+
+    /// `not_accessible` asks `Accounts::is_member` about the one group of
+    /// the path it looked up; the check it replaced listed every group of
+    /// the user.  On generated MySQL and Apache images, the two agree for
+    /// every user (and root, and a stranger) against every path (and a
+    /// missing one).  Two hand-built images add a group-readable path whose
+    /// verdict turns on membership, which the generated ones may lack.
+    #[test]
+    fn not_accessible_matches_the_group_list_check() {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        use encore_model::AppKind;
+        let mut images: Vec<SystemImage> = [AppKind::Mysql, AppKind::Apache]
+            .into_iter()
+            .flat_map(|app| {
+                let pop = Population::training(app, &PopulationOptions::new(8, 3));
+                pop.images().to_vec()
+            })
+            .collect();
+        images.extend([1, 3].map(varied_image));
+        let (mut checked, mut decided_by_group) = (0, 0);
+        for image in &images {
+            let mut users: Vec<&str> = image.accounts().user_list().collect();
+            users.extend(["root", "stranger"]);
+            let mut paths: Vec<&str> = image.vfs().file_list().collect();
+            paths.push("/no/such/path");
+            for &user in &users {
+                let groups = image.accounts().groups_of(user);
+                for &path in &paths {
+                    let readable = image.vfs().readable_by(path, user, &groups);
+                    let expected = if image.vfs().exists(path) {
+                        Applicability::from_bool(!readable)
+                    } else {
+                        Applicability::NotApplicable
+                    };
+                    let got = not_accessible(
+                        &ConfigValue::path(path),
+                        &ConfigValue::str(user),
+                        Some(image),
+                    );
+                    assert_eq!(got, expected, "{} {user} {path}", image.id());
+                    checked += 1;
+                    decided_by_group +=
+                        usize::from(readable != image.vfs().readable_by(path, user, &[]));
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} verdicts");
+        assert!(
+            decided_by_group > 0,
+            "no verdict turned on group membership"
+        );
     }
 }

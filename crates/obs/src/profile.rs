@@ -84,7 +84,12 @@ impl ProfileTable {
             return;
         }
         let mut rows = self.lock();
-        let row = rows.entry(key.to_string()).or_default();
+        // Allocate the key only for a new row: the inference workers record
+        // once per unit, nearly always into a row that exists.
+        if !rows.contains_key(key) {
+            rows.insert(key.to_string(), Row::default());
+        }
+        let row = rows.get_mut(key).expect("row inserted above");
         row.nanos = row.nanos.saturating_add(nanos);
         for &(name, value) in counts {
             *row.counts.entry(name).or_insert(0) += value;

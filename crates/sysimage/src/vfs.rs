@@ -48,6 +48,27 @@ pub struct FileMeta {
     pub symlink_target: Option<String>,
 }
 
+impl FileMeta {
+    /// Unix-style read check for `user`: the owner's read bit if `user`
+    /// owns the node, else the group's if `in_group(&self.group)` says
+    /// `user` belongs to the node's group, else the others'.  Root always
+    /// can, and `in_group` is asked only about a user who is neither root
+    /// nor the owner.
+    pub fn readable_by(&self, user: &str, in_group: impl FnOnce(&str) -> bool) -> bool {
+        if user == "root" {
+            return true;
+        }
+        let bit = if self.owner == user {
+            0o400
+        } else if in_group(&self.group) {
+            0o040
+        } else {
+            0o004
+        };
+        self.mode & bit != 0
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     meta: FileMeta,
@@ -294,21 +315,10 @@ impl Vfs {
     /// Unix-style accessibility check: can `user` (member of `groups`) read
     /// the node?  Checks the owner/group/other read bits; root always can.
     pub fn readable_by(&self, path: &str, user: &str, groups: &[&str]) -> bool {
-        if user == "root" {
-            return true;
-        }
-        match self.metadata(path) {
-            None => false,
-            Some(m) => {
-                if m.owner == user {
-                    m.mode & 0o400 != 0
-                } else if groups.contains(&m.group.as_str()) {
-                    m.mode & 0o040 != 0
-                } else {
-                    m.mode & 0o004 != 0
-                }
-            }
-        }
+        user == "root"
+            || self
+                .metadata(path)
+                .is_some_and(|m| m.readable_by(user, |group| groups.contains(&group)))
     }
 
     /// Unix-style writability check, mirroring [`Vfs::readable_by`].
