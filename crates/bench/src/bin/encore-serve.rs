@@ -214,6 +214,14 @@ fn parse_args() -> Args {
         _ if server_flags => usage("--app and --watch are server flags; client verbs take none"),
         _ => {}
     }
+    for (i, app) in args.apps.iter().enumerate() {
+        if args.apps[..i]
+            .iter()
+            .any(|earlier| earlier.name == app.name)
+        {
+            usage(&format!("--app registers `{}` twice", app.name));
+        }
+    }
     for (name, dir) in &args.watch {
         if !args.apps.iter().any(|app| app.name == *name) {
             usage(&format!("--watch names `{name}`, which no --app registers"));

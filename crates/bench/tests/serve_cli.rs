@@ -151,6 +151,21 @@ fn server_answers_all_client_verbs_and_scrapes() {
         .render();
     assert_eq!(stdout(&out), format!("== target.cnf\n{expected}"));
 
+    // A file name the protocol cannot carry is refused by the client,
+    // before anything reaches the server (`stats` below reads `errors 0`).
+    let spaced = dir.join("my file.cnf");
+    std::fs::write(&spaced, "[mysqld]\nport = 3306\n").unwrap();
+    let out = encore_serve(&[
+        "--socket",
+        &socket_str,
+        "--check",
+        "mysql",
+        spaced.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad target name `my file.cnf`"), "{stderr}");
+
     // `reload` and `stats` answer over the same socket.
     let out = encore_serve(&["--socket", &socket_str, "--reload", "web"]);
     assert_eq!(out.status.code(), Some(0));
@@ -158,14 +173,25 @@ fn server_answers_all_client_verbs_and_scrapes() {
     let out = encore_serve(&["--socket", &socket_str, "--stats"]);
     assert_eq!(out.status.code(), Some(0));
     let stats = stdout(&out);
-    assert!(stats.contains("checks 1\n"), "{stats}");
-    assert!(stats.contains("queue_capacity 16\n"), "{stats}");
-    assert!(stats.contains("apps_ready 2\n"), "{stats}");
+    for line in [
+        "checks 1",
+        "errors 0",
+        "queue_depth 0",
+        "queue_capacity 16",
+        "apps_ready 2",
+    ] {
+        assert!(
+            stats.lines().any(|l| l == line),
+            "`{line}` missing: {stats}"
+        );
+    }
 
     // The scrape surface carries the serve phase; readiness is per-app.
     let (status, body) = http_get(&metrics, "/metrics");
     assert!(status.contains("200"), "{status}");
     assert!(body.contains("# TYPE encore_serve_requests_total counter"));
+    // No check is waiting now, and the gauge says so.
+    assert!(body.contains("\nencore_serve_queue_depth 0\n"), "{body}");
     let (status, body) = http_get(&metrics, "/readyz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "mysql ready\nweb ready\n");
@@ -355,6 +381,21 @@ fn usage_errors_exit_2() {
         "--apps",
     ]);
     assert_eq!(out.status.code(), Some(2));
+    // The same --app name twice: the second would replace the first.
+    let out = encore_serve(&[
+        "--socket",
+        dir.join("s.sock").to_str().unwrap(),
+        "--app",
+        "mysql=mysql=a.snap",
+        "--app",
+        "mysql=apache=b.snap",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--app registers `mysql` twice"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     // Malformed --app spec.
     let out = encore_serve(&[
         "--socket",

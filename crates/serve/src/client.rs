@@ -33,11 +33,14 @@ impl Client {
 
     /// Check `targets` (name, config payload) against `app`.  Returns the
     /// per-target report bodies in request order, or [`CheckReply::Busy`]
-    /// when the service's queue is full.
+    /// when the service already has `queue_capacity` checks waiting or is
+    /// shutting down.
     ///
     /// # Errors
     ///
-    /// Transport failures and protocol-level `error` responses.
+    /// Transport failures, protocol-level `error` responses, and
+    /// `InvalidInput`, with nothing sent, for a request the service would
+    /// reject as malformed (see [`protocol::write_request`]).
     pub fn check(&mut self, app: &str, targets: &[(String, String)]) -> io::Result<CheckReply> {
         let request = Request::Check {
             app: app.to_string(),
@@ -82,7 +85,8 @@ impl Client {
         self.lines(&Request::Stats)
     }
 
-    /// Ask the service to stop (it drains queued work first).
+    /// Ask the service to stop: it admits no more checks, and the checks
+    /// already admitted still run.
     ///
     /// # Errors
     ///

@@ -17,9 +17,11 @@
 //! poll tick re-checks its added and changed files and prints their
 //! reports.
 //!
-//! Both sources flow through a [`BoundedQueue`] with explicit
-//! backpressure — a full queue answers `busy` instead of stacking latency
-//! — into a single dispatcher feeding the work-stealing detection pool.
+//! A check from either source runs on the thread that read it, once it
+//! holds the service's one check slot, so fleet checks run one at a time
+//! on the work-stealing detection pool.  Backpressure is explicit: a check
+//! that would make more than `queue_capacity` checks wait for the slot is
+//! answered `busy` instead of stacking latency ([`server`]).
 //! One telemetry surface covers the daemon: `/metrics`, `/healthz`, and a
 //! per-app `/readyz` over TCP, a JSONL heartbeat per poll tick, and a
 //! `serve` phase section of instruments ([`obs`]).
@@ -30,14 +32,12 @@
 pub mod client;
 pub mod obs;
 pub mod protocol;
-pub mod queue;
 pub mod registry;
 pub mod server;
 pub mod watch;
 
 pub use client::Client;
 pub use protocol::{CheckReply, Request, Response, MAX_PAYLOAD, MAX_TARGETS};
-pub use queue::BoundedQueue;
 pub use registry::{AppStatus, SnapshotRegistry};
 pub use server::{ServeOptions, ServeStats, Server, StopFlag};
 pub use watch::{target_image, Poller, Scan};

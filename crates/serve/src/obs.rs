@@ -4,7 +4,7 @@
 //! scrape roll-up, following the determinism discipline of DESIGN.md §9:
 //! counters and histograms count protocol work (requests, targets,
 //! rejections — identical for a given request stream), while anything
-//! scheduling-dependent (queue depth at scrape time, wall-clock request
+//! scheduling-dependent (checks waiting at scrape time, wall-clock request
 //! latency) is a gauge or timer-style histogram over microseconds.
 //!
 //! The `serve.watch.*` instruments count the watched-directory source
@@ -25,11 +25,12 @@ use encore_obs::{Counter, Gauge, Histogram, Metric, Phase, PipelineReport};
 
 /// Requests read off client connections (any verb, well-formed or not).
 pub static REQUESTS: Counter = Counter::new("serve.requests");
-/// `check` requests accepted into the queue.
+/// `check` requests admitted to wait for the check slot.
 pub static CHECKS: Counter = Counter::new("serve.checks");
 /// Target payloads checked (sum of per-request target counts).
 pub static TARGETS_CHECKED: Counter = Counter::new("serve.targets_checked");
-/// Requests rejected with `busy` because the bounded queue was full.
+/// Requests rejected with `busy`: too many checks were waiting for the
+/// check slot, or the service was shutting down.
 pub static REJECTED_BUSY: Counter = Counter::new("serve.rejected_busy");
 /// Requests answered with `error` (malformed, unknown app, failed admin).
 pub static ERRORS: Counter = Counter::new("serve.errors");
@@ -37,9 +38,10 @@ pub static ERRORS: Counter = Counter::new("serve.errors");
 pub static SNAPSHOT_RELOADS: Counter = Counter::new("serve.snapshot_reloads");
 /// Failed snapshot reloads (the old detector kept serving).
 pub static RELOAD_FAILURES: Counter = Counter::new("serve.reload_failures");
-/// Queue depth when the last request was enqueued (point-in-time).
+/// Checks waiting for the check slot (point-in-time; set each time the
+/// count changes).
 pub static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
-/// Configured queue capacity.
+/// Most checks that may wait for the check slot (`queue_capacity`).
 pub static QUEUE_CAPACITY: Gauge = Gauge::new("serve.queue.capacity");
 /// Registered apps.
 pub static APPS: Gauge = Gauge::new("serve.apps");
@@ -74,10 +76,10 @@ static LATENCY_BOUNDS_US: [u64; 15] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
     5_000_000, 30_000_000,
 ];
-/// End-to-end time from dequeue to response, microseconds.
+/// Time a check runs once it holds the check slot, microseconds.
 pub static REQUEST_DURATION: Histogram =
     Histogram::new("serve.request_duration_us", &LATENCY_BOUNDS_US);
-/// Time a request waited in the queue before dispatch, microseconds.
+/// Time a check waited for the check slot, microseconds.
 pub static QUEUE_WAIT: Histogram = Histogram::new("serve.queue_wait_us", &LATENCY_BOUNDS_US);
 
 /// Sync the app-count gauges from the registry's statuses.

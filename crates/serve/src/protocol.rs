@@ -13,7 +13,8 @@
 //!
 //! response   := "ok" SP count LF line*        (admin verbs: count lines)
 //!             | "ok" SP count LF report*      (check: count report frames)
-//!             | "busy" LF                     (bounded queue is full)
+//!             | "busy" LF                     (check not admitted: too
+//!                                             many waiting, or stopping)
 //!             | "error" SP message LF
 //! report     := "report" SP name SP len LF raw(len) LF
 //! ```
@@ -56,7 +57,8 @@ pub enum Request {
     Reload { app: String },
     /// Service counters: requests, queue depth, rejections, ...
     Stats,
-    /// Stop the service (drains queued work, then exits).
+    /// Stop the service: no more checks are admitted, and the admitted
+    /// ones still run before it exits.
     Shutdown,
 }
 
@@ -71,7 +73,8 @@ pub enum Response {
     ///
     /// [`Report::render`]: encore::Report::render
     Reports(Vec<(String, String)>),
-    /// The bounded work queue is full: try again later.
+    /// The check was not admitted — too many checks are waiting for the
+    /// check slot, or the service is stopping: try again later.
     Busy,
     /// The request failed; the message is a single line.
     Error(String),
@@ -218,13 +221,49 @@ fn finish_request(reader: &mut impl BufRead, line: &str) -> io::Result<Result<Re
     Ok(Ok(request))
 }
 
+/// Why [`read_request`] would reject `request` as malformed, if it would.
+fn why_rejected(request: &Request) -> Option<String> {
+    let (app, targets) = match request {
+        Request::Check { app, targets } => (app, targets.as_slice()),
+        Request::Reload { app } => (app, &[][..]),
+        Request::Apps | Request::Stats | Request::Shutdown => return None,
+    };
+    if !valid_token(app) {
+        return Some(format!("bad app name `{app}`"));
+    }
+    if targets.len() > MAX_TARGETS {
+        return Some(format!(
+            "check count {} exceeds {MAX_TARGETS}",
+            targets.len()
+        ));
+    }
+    targets.iter().find_map(|(name, payload)| {
+        if !valid_token(name) {
+            Some(format!("bad target name `{name}`"))
+        } else if payload.len() > MAX_PAYLOAD {
+            Some(format!(
+                "target payload {} exceeds {MAX_PAYLOAD}",
+                payload.len()
+            ))
+        } else {
+            None
+        }
+    })
+}
+
 /// Render one request onto the wire (the client side of
 /// [`read_request`]).
 ///
 /// # Errors
 ///
-/// Propagates transport I/O failures.
+/// `InvalidInput`, with nothing written, for a request [`read_request`]
+/// would reject: an app or target name that is not a [`valid_token`],
+/// more than [`MAX_TARGETS`] targets, or a payload over [`MAX_PAYLOAD`]
+/// bytes.  Otherwise propagates transport I/O failures.
 pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<()> {
+    if let Some(reason) = why_rejected(request) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, reason));
+    }
     match request {
         Request::Check { app, targets } => {
             writeln!(writer, "check {app} {}", targets.len())?;
@@ -343,7 +382,7 @@ pub fn read_lines_response(reader: &mut impl BufRead) -> io::Result<Result<Vec<S
 pub enum CheckReply {
     /// Per-target report bodies, in request order.
     Reports(Vec<(String, String)>),
-    /// The queue was full; nothing was checked.
+    /// The check was not admitted; nothing was checked.
     Busy,
 }
 
@@ -447,6 +486,51 @@ mod tests {
         let mut reader = BufReader::new(&b"check mysql 2\ntarget a 3\nxyz\n"[..]);
         let err = read_request(&mut reader).expect_err("EOF mid-request");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn requests_the_reader_would_reject_are_refused_unwritten() {
+        let check = |app: &str, targets: Vec<(String, String)>| Request::Check {
+            app: app.to_string(),
+            targets,
+        };
+        let target = |name: &str, len: usize| (name.to_string(), "x".repeat(len));
+        for (request, needle) in [
+            (check("two words", vec![target("a.cnf", 1)]), "bad app name"),
+            (check("", Vec::new()), "bad app name"),
+            (
+                check("mysql", vec![target("my file.cnf", 1)]),
+                "bad target name",
+            ),
+            (check("mysql", vec![target("", 1)]), "bad target name"),
+            (
+                check("mysql", vec![target("a.cnf", 0); MAX_TARGETS + 1]),
+                "check count",
+            ),
+            (
+                check("mysql", vec![target("a.cnf", MAX_PAYLOAD + 1)]),
+                "target payload",
+            ),
+            (
+                Request::Reload {
+                    app: "line\nbreak".to_string(),
+                },
+                "bad app name",
+            ),
+        ] {
+            let mut wire = Vec::new();
+            let err = write_request(&mut wire, &request).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(needle), "`{err}` lacks `{needle}`");
+            assert!(wire.is_empty(), "{} bytes written for {err}", wire.len());
+        }
+        // The ceilings themselves are accepted, as the reader accepts them.
+        for request in [
+            check("mysql", vec![target("a.cnf", 0); MAX_TARGETS]),
+            check("mysql", vec![target("a.cnf", MAX_PAYLOAD)]),
+        ] {
+            assert_eq!(round_trip(&request), request);
+        }
     }
 
     #[test]

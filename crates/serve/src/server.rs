@@ -1,32 +1,31 @@
-//! The `encore-serve` service: accept loop, bounded dispatch, the poll
+//! The `encore-serve` service: accept loop, the check slot, the poll
 //! tick, and the telemetry surface.
 //!
 //! Shape (one box per thread):
 //!
 //! ```text
-//!  clients ──► accept loop ──► connection threads ──► BoundedQueue ──► dispatcher
-//!                                   │    ▲                 ▲             │
-//!                                   │    └── reply channel (capacity 1) ─┘
-//!                                   └─ admin verbs answered inline
-//!  poll thread: Poller::tick (hot reloads, watched-directory scans) + JSONL
-//!               heartbeat every interval; scans submit to the same queue
+//!  clients ──► accept loop ──► connection threads: admin verbs, and each
+//!                              `check` run here once it holds the slot
+//!  poll thread: Poller::tick (hot reloads, watched-directory scans whose
+//!               re-checks run here through the same slot) + JSONL
+//!               heartbeat every interval
 //!  metrics server: /metrics /healthz /readyz   (optional TCP port)
 //! ```
 //!
-//! Admin verbs (`apps`, `reload`, `stats`, `shutdown`) are answered on
-//! the connection thread — they must keep working while the queue is
-//! saturated, or an operator could never diagnose a stuck service.
-//! `check` goes through the bounded queue; a full queue answers `busy`
-//! immediately (the backpressure contract — see DESIGN.md §15).
-//! The single dispatcher keeps fleet checks serialized so concurrent
-//! clients contend for the work-stealing pool in a deterministic order
-//! and each response stays byte-identical to a direct
-//! [`AnomalyDetector::check_fleet`] call.
+//! Every check runs on the thread that read it, once that thread holds
+//! the service's one check slot.  At most `queue_capacity` checks wait for
+//! the slot; a check that would make one more wait is answered `busy`
+//! immediately, as is any check that arrives after shutdown (the
+//! backpressure contract — see DESIGN.md §15).  Admin verbs (`apps`,
+//! `reload`, `stats`, `shutdown`) never take the slot — they must keep
+//! working while checks back up, or an operator could never diagnose a
+//! stuck service.  The slot keeps fleet checks serialized, so concurrent
+//! clients never oversubscribe the work-stealing pool, and each response
+//! stays byte-identical to a direct [`AnomalyDetector::check_fleet`] call.
 //!
 //! [`AnomalyDetector::check_fleet`]: encore::AnomalyDetector::check_fleet
 
 use crate::protocol::{self, Request, Response};
-use crate::queue::BoundedQueue;
 use crate::registry::SnapshotRegistry;
 use crate::watch::{Poller, Scan};
 use encore_obs::expose::MetricsServer;
@@ -34,8 +33,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,7 +42,8 @@ use std::time::{Duration, Instant};
 pub struct ServeOptions {
     /// Unix socket path to listen on.
     pub socket: PathBuf,
-    /// Bounded work-queue capacity; a full queue answers `busy`.
+    /// Most checks that may wait for the check slot; one more is answered
+    /// `busy`.
     pub queue_capacity: usize,
     /// Worker threads per fleet check; `None` uses all parallelism.
     pub workers: Option<usize>,
@@ -64,8 +63,8 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: queue of 16, all-core checks, 1 s poll, no HTTP surface,
-    /// no heartbeat, nothing watched.
+    /// Defaults: 16 waiting checks, all-core checks, 1 s poll, no HTTP
+    /// surface, no heartbeat, nothing watched.
     pub fn new(socket: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             socket: socket.into(),
@@ -154,7 +153,7 @@ impl StopFlag {
 pub struct ServeStats {
     /// Requests read off client connections (any verb).
     pub requests: AtomicU64,
-    /// `check` requests accepted into the queue.
+    /// `check` requests admitted to wait for the check slot.
     pub checks: AtomicU64,
     /// Target payloads checked.
     pub targets_checked: AtomicU64,
@@ -164,25 +163,96 @@ pub struct ServeStats {
     pub errors: AtomicU64,
 }
 
-impl ServeStats {
-    fn lines(&self, queue: &BoundedQueue<Job>, registry: &SnapshotRegistry) -> Vec<String> {
-        let statuses = registry.statuses();
+/// Dense request ids, minted per request read (any verb, well-formed or
+/// not); a check's events join its request's scope.
+static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The slot wait and run time of one check, for its `request.done`
+/// record.  Zero for a `busy` check; admin verbs have no wait.
+#[derive(Debug, Clone, Copy, Default)]
+struct CheckTimings {
+    /// Admission to holding the slot.
+    queue_wait: Duration,
+    /// Holding the slot to response ready (the fleet check).
+    check: Duration,
+}
+
+/// What the accept, connection and poll threads share.
+struct Service {
+    registry: SnapshotRegistry,
+    /// Stops the threads; once stopped, no check is admitted.
+    stop: Arc<StopFlag>,
+    /// The one check slot, held by the check that is running.
+    slot: Mutex<()>,
+    /// Checks admitted and waiting for `slot`.
+    waiting: Mutex<usize>,
+    /// Most checks that may wait for `slot`; at least 1.
+    capacity: usize,
+    stats: ServeStats,
+    workers: Option<usize>,
+}
+
+/// An admitted check's place among those waiting for the slot.  Dropping
+/// it — once the check holds the slot, or when its thread unwinds —
+/// gives the place back.
+struct Place<'a> {
+    service: &'a Service,
+    admitted: Instant,
+}
+
+impl Service {
+    fn new(registry: SnapshotRegistry, capacity: usize, workers: Option<usize>) -> Service {
+        Service {
+            registry,
+            stop: Arc::new(StopFlag::new()),
+            slot: Mutex::new(()),
+            waiting: Mutex::new(0),
+            capacity: capacity.max(1),
+            stats: ServeStats::default(),
+            workers,
+        }
+    }
+
+    /// Take a place among the checks waiting for the slot, without
+    /// blocking.  `None` — answer `busy` — when `capacity` checks already
+    /// wait or the service is stopping.  The `serve.queue.depth` gauge
+    /// follows the waiting count here and in [`Place`]'s drop.
+    fn admit(&self) -> Option<Place<'_>> {
+        if self.stop.is_stopped() {
+            return None;
+        }
+        let mut waiting = self.waiting.lock().expect("waiting count poisoned");
+        if *waiting >= self.capacity {
+            return None;
+        }
+        *waiting += 1;
+        crate::obs::QUEUE_DEPTH.set(*waiting as u64);
+        Some(Place {
+            service: self,
+            admitted: Instant::now(),
+        })
+    }
+
+    fn stats_lines(&self) -> Vec<String> {
+        let stats = &self.stats;
+        let statuses = self.registry.statuses();
         let ready = statuses.iter().filter(|s| s.ready).count();
         let events = encore_obs::event::health();
+        let waiting = *self.waiting.lock().expect("waiting count poisoned");
         vec![
-            format!("requests {}", self.requests.load(Ordering::Relaxed)),
-            format!("checks {}", self.checks.load(Ordering::Relaxed)),
+            format!("requests {}", stats.requests.load(Ordering::Relaxed)),
+            format!("checks {}", stats.checks.load(Ordering::Relaxed)),
             format!(
                 "targets_checked {}",
-                self.targets_checked.load(Ordering::Relaxed)
+                stats.targets_checked.load(Ordering::Relaxed)
             ),
             format!(
                 "rejected_busy {}",
-                self.rejected_busy.load(Ordering::Relaxed)
+                stats.rejected_busy.load(Ordering::Relaxed)
             ),
-            format!("errors {}", self.errors.load(Ordering::Relaxed)),
-            format!("queue_depth {}", queue.depth()),
-            format!("queue_capacity {}", queue.capacity()),
+            format!("errors {}", stats.errors.load(Ordering::Relaxed)),
+            format!("queue_depth {waiting}"),
+            format!("queue_capacity {}", self.capacity),
             format!("apps {}", statuses.len()),
             format!("apps_ready {ready}"),
             format!("events_written {}", events.written),
@@ -192,42 +262,45 @@ impl ServeStats {
     }
 }
 
-/// Dense request ids, minted per request read (any verb, well-formed or
-/// not) and carried through the queue so dispatcher-side events land in
-/// the same request scope as connection-side ones.
-static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Dispatcher-side timing of one queued job, returned to the connection
-/// thread with the response so the per-request record carries the full
-/// decomposition.  Zero for inline (admin) verbs' queue wait.
-#[derive(Debug, Clone, Copy, Default)]
-struct JobTimings {
-    /// Enqueue to dequeue.
-    queue_wait: Duration,
-    /// Dequeue to response ready (the fleet check).
-    check: Duration,
+impl Place<'_> {
+    /// Wait for the slot, give this place back, and run the check on the
+    /// calling thread in request `id`'s event scope.
+    fn run(self, id: u64, app: &str, targets: &[(String, String)]) -> (Response, CheckTimings) {
+        let service = self.service;
+        // `()` guards no data: a check that panicked holding the slot
+        // leaves nothing to repair.
+        let _slot = service.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let queue_wait = self.admitted.elapsed();
+        drop(self);
+        crate::obs::QUEUE_WAIT.observe(micros(queue_wait));
+        let started = Instant::now();
+        let response = encore_obs::event::with_request(id, || {
+            service.registry.check(app, targets, service.workers)
+        });
+        let check = started.elapsed();
+        crate::obs::REQUEST_DURATION.observe(micros(check));
+        (response, CheckTimings { queue_wait, check })
+    }
 }
 
-/// One check a connection thread (or the poll thread) hands the
-/// dispatcher.
-struct Job {
-    id: u64,
-    app: String,
-    targets: Vec<(String, String)>,
-    /// Capacity-1 rendezvous back to the submitting thread.
-    reply: SyncSender<(Response, JobTimings)>,
-    enqueued: Instant,
+impl Drop for Place<'_> {
+    fn drop(&mut self) {
+        // Drop must not panic; each update leaves the count valid.
+        let mut waiting = self
+            .service
+            .waiting
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *waiting -= 1;
+        crate::obs::QUEUE_DEPTH.set(*waiting as u64);
+    }
 }
 
 /// A running detection service; stops (and unlinks its socket) on drop.
 pub struct Server {
     socket: PathBuf,
-    stop: Arc<StopFlag>,
-    queue: Arc<BoundedQueue<Job>>,
-    stats: Arc<ServeStats>,
-    registry: Arc<SnapshotRegistry>,
+    service: Arc<Service>,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     poller: Option<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
 }
@@ -263,66 +336,42 @@ impl Server {
         let poller = Poller::new(&registry, &options.watch)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = bind_socket(&options.socket)?;
-        let registry = Arc::new(registry);
-        let stop = Arc::new(StopFlag::new());
-        let queue = Arc::new(BoundedQueue::new(options.queue_capacity));
-        let stats = Arc::new(ServeStats::default());
-        crate::obs::QUEUE_CAPACITY.set(queue.capacity() as u64);
-        crate::obs::sync_app_gauges(&registry);
+        let service = Arc::new(Service::new(
+            registry,
+            options.queue_capacity,
+            options.workers,
+        ));
+        crate::obs::QUEUE_CAPACITY.set(service.capacity as u64);
+        crate::obs::sync_app_gauges(&service.registry);
 
         let metrics = match &options.metrics_addr {
             Some(addr) => {
-                let status_registry = Arc::clone(&registry);
+                let service = Arc::clone(&service);
                 Some(MetricsServer::start(
                     addr,
-                    move || status_registry.ready(),
+                    move || service.registry.ready(),
                     crate::obs::render_prometheus,
                 )?)
             }
             None => None,
         };
 
-        let dispatcher = {
-            let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let workers = options.workers;
-            std::thread::spawn(move || dispatch_loop(&queue, &registry, workers))
-        };
-
         let poller = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            let queue = Arc::clone(&queue);
+            let service = Arc::clone(&service);
             let interval = options.poll_interval;
-            let heartbeat = options.heartbeat_path.clone();
-            std::thread::spawn(move || {
-                poll_loop(
-                    poller,
-                    &registry,
-                    &stop,
-                    &queue,
-                    interval,
-                    heartbeat.as_deref(),
-                );
-            })
+            let heartbeat = options.heartbeat_path;
+            std::thread::spawn(move || poll_loop(poller, &service, interval, heartbeat.as_deref()))
         };
 
         let accept = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || accept_loop(&listener, &registry, &stop, &queue, &stats))
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || accept_loop(&listener, &service))
         };
 
         Ok(Server {
             socket: options.socket,
-            stop,
-            queue,
-            stats,
-            registry,
+            service,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
             poller: Some(poller),
             metrics,
         })
@@ -335,7 +384,7 @@ impl Server {
 
     /// The service counters (shared with the `stats` verb).
     pub fn stats(&self) -> &ServeStats {
-        &self.stats
+        &self.service.stats
     }
 
     /// The bound metrics address, when the HTTP surface is enabled
@@ -348,38 +397,29 @@ impl Server {
     /// a stdin-EOF watcher thread; [`Server::join`] returns once it
     /// fires.
     pub fn stop_signal(&self) -> Arc<StopFlag> {
-        Arc::clone(&self.stop)
+        Arc::clone(&self.service.stop)
     }
 
     /// The registry being served.
     pub fn registry(&self) -> &SnapshotRegistry {
-        &self.registry
+        &self.service.registry
     }
 
     /// Block until a `shutdown` request (or [`Server::stop`] from another
     /// thread) stops the service, then tear down.
     pub fn join(mut self) {
-        self.stop.wait();
-        self.shutdown();
+        self.service.stop.wait();
+        self.stop();
     }
 
-    /// Stop the service: reject new work, drain the queue, join every
-    /// thread, unlink the socket.  Idempotent.
+    /// Stop the service: admit no more checks, let the admitted ones
+    /// finish, join every thread, unlink the socket.  Idempotent.
     pub fn stop(&mut self) {
-        self.stop.stop();
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.stop();
-        self.queue.close();
+        self.service.stop.stop();
         // The accept loop blocks in `accept`; a throwaway connection
         // wakes it so it can observe the stop flag.
         let _ = UnixStream::connect(&self.socket);
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
         if let Some(handle) = self.poller.take() {
@@ -394,7 +434,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop();
     }
 }
 
@@ -404,46 +444,22 @@ fn micros(duration: Duration) -> u64 {
     u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The single dispatcher: drains the queue until it is closed and empty.
-fn dispatch_loop(queue: &BoundedQueue<Job>, registry: &SnapshotRegistry, workers: Option<usize>) {
-    while let Some(job) = queue.pop() {
-        let queue_wait = job.enqueued.elapsed();
-        crate::obs::QUEUE_WAIT.observe(micros(queue_wait));
-        let started = Instant::now();
-        // Dispatcher-side events (detect.fleet, ...) join the request's
-        // scope: the id rode along through the queue.
-        let response = encore_obs::event::with_request(job.id, || {
-            registry.check(&job.app, &job.targets, workers)
-        });
-        let check = started.elapsed();
-        crate::obs::REQUEST_DURATION.observe(micros(check));
-        // A send fails only when the client hung up while queued; the
-        // work is already done either way.
-        let _ = job.reply.send((response, JobTimings { queue_wait, check }));
-    }
-}
-
-/// The poll thread: one [`Poller::tick`] per interval, its re-checks
-/// submitted through the bounded queue like client `check` requests, then
-/// the heartbeat line.
-fn poll_loop(
-    mut poller: Poller,
-    registry: &SnapshotRegistry,
-    stop: &StopFlag,
-    queue: &BoundedQueue<Job>,
-    interval: Duration,
-    heartbeat: Option<&Path>,
-) {
+/// The poll thread: one [`Poller::tick`] per interval, its re-checks run
+/// through the check slot like client `check` requests, then the
+/// heartbeat line.
+fn poll_loop(mut poller: Poller, service: &Service, interval: Duration, heartbeat: Option<&Path>) {
     // A watched directory is scanned at once, so its app does not sit
     // not-ready for a whole interval.
     let mut tick_now = poller.is_watching();
     loop {
-        if !std::mem::take(&mut tick_now) && stop.wait_timeout(interval) {
+        if !std::mem::take(&mut tick_now) && service.stop.wait_timeout(interval) {
             return;
         }
-        let scans = poller.tick(registry, |app, targets| {
+        let scans = poller.tick(&service.registry, |app, targets| {
             // Id 0 and no stats: watched re-checks are not client requests.
-            enqueue(queue, 0, app.to_string(), targets, None).0
+            service
+                .admit()
+                .map_or(Response::Busy, |place| place.run(0, app, &targets).0)
         });
         print_scans(&scans);
         if let Some(path) = heartbeat {
@@ -482,28 +498,19 @@ fn print_scans(scans: &[io::Result<Scan>]) {
 /// Accept connections until the stop flag is raised; each connection gets
 /// its own thread (clients are few — operators and fleet crawlers — and a
 /// blocked read must not stall other clients).
-fn accept_loop(
-    listener: &UnixListener,
-    registry: &Arc<SnapshotRegistry>,
-    stop: &Arc<StopFlag>,
-    queue: &Arc<BoundedQueue<Job>>,
-    stats: &Arc<ServeStats>,
-) {
+fn accept_loop(listener: &UnixListener, service: &Arc<Service>) {
     let mut connections: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
     for stream in listener.incoming() {
-        if stop.is_stopped() {
+        if service.stop.is_stopped() {
             break;
         }
         let Ok(stream) = stream else { continue };
         let Ok(hangup) = stream.try_clone() else {
             continue;
         };
-        let registry = Arc::clone(registry);
-        let stop = Arc::clone(stop);
-        let queue = Arc::clone(queue);
-        let stats = Arc::clone(stats);
+        let service = Arc::clone(service);
         let handle = std::thread::spawn(move || {
-            let _ = serve_connection(stream, &registry, &stop, &queue, &stats);
+            let _ = serve_connection(stream, &service);
         });
         connections.push((hangup, handle));
         connections.retain(|(_, handle)| !handle.is_finished());
@@ -524,15 +531,9 @@ fn accept_loop(
 /// dropping our file descriptors would NOT deliver EOF to the client;
 /// an explicit `shutdown` acts on the socket itself and closes the
 /// connection past every outstanding clone.
-fn serve_connection(
-    stream: UnixStream,
-    registry: &SnapshotRegistry,
-    stop: &StopFlag,
-    queue: &BoundedQueue<Job>,
-    stats: &ServeStats,
-) -> io::Result<()> {
+fn serve_connection(stream: UnixStream, service: &Service) -> io::Result<()> {
     let hangup = stream.try_clone()?;
-    let result = serve_requests(stream, registry, stop, queue, stats);
+    let result = serve_requests(stream, service);
     let _ = hangup.shutdown(std::net::Shutdown::Both);
     result
 }
@@ -572,7 +573,7 @@ fn record_done(
     verb: &'static str,
     response: &Response,
     parse: Duration,
-    timings: JobTimings,
+    timings: CheckTimings,
     respond: Duration,
 ) {
     use encore_obs::json::Json;
@@ -603,13 +604,8 @@ fn record_done(
 }
 
 /// The request loop behind [`serve_connection`].
-fn serve_requests(
-    stream: UnixStream,
-    registry: &SnapshotRegistry,
-    stop: &StopFlag,
-    queue: &BoundedQueue<Job>,
-    stats: &ServeStats,
-) -> io::Result<()> {
+fn serve_requests(stream: UnixStream, service: &Service) -> io::Result<()> {
+    let (registry, stats) = (&service.registry, &service.stats);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     loop {
@@ -632,7 +628,7 @@ fn serve_requests(
                     "malformed",
                     &response,
                     parse,
-                    JobTimings::default(),
+                    CheckTimings::default(),
                     respond,
                 );
                 return Ok(());
@@ -643,9 +639,8 @@ fn serve_requests(
         if matches!(request, Request::Shutdown) {
             let response = Response::Lines(vec!["stopping".into()]);
             let respond = respond_timed(&mut writer, &response)?;
-            record_done(id, verb, &response, parse, JobTimings::default(), respond);
-            stop.stop();
-            queue.close();
+            record_done(id, verb, &response, parse, CheckTimings::default(), respond);
+            service.stop.stop();
             return Ok(());
         }
         let inline_started = Instant::now();
@@ -674,15 +669,22 @@ fn serve_requests(
                 crate::obs::sync_app_gauges(registry);
                 (response, None)
             }
-            Request::Stats => (Response::Lines(stats.lines(queue, registry)), None),
+            Request::Stats => (Response::Lines(service.stats_lines()), None),
             Request::Shutdown => unreachable!("handled above"),
-            Request::Check { app, targets } => {
-                let (response, timings) = enqueue(queue, id, app, targets, Some(stats));
-                (response, Some(timings))
-            }
+            Request::Check { app, targets } => match service.admit() {
+                None => (Response::Busy, Some(CheckTimings::default())),
+                Some(place) => {
+                    stats.checks.fetch_add(1, Ordering::Relaxed);
+                    let count = targets.len() as u64;
+                    stats.targets_checked.fetch_add(count, Ordering::Relaxed);
+                    crate::obs::CHECKS.incr();
+                    let (response, timings) = place.run(id, &app, &targets);
+                    (response, Some(timings))
+                }
+            },
         };
-        // Inline verbs have no queue wait; their work is the check stage.
-        let timings = timings.unwrap_or(JobTimings {
+        // Admin verbs have no slot wait; their work is the check stage.
+        let timings = timings.unwrap_or(CheckTimings {
             queue_wait: Duration::ZERO,
             check: inline_started.elapsed(),
         });
@@ -702,67 +704,91 @@ fn serve_requests(
     }
 }
 
-/// Push a check through the bounded queue and wait for the dispatcher's
-/// reply.  A full (or closing) queue yields `busy` without blocking.  A
-/// client check counts in `stats` once accepted; watched re-checks pass
-/// `None`.
-fn enqueue(
-    queue: &BoundedQueue<Job>,
-    id: u64,
-    app: String,
-    targets: Vec<(String, String)>,
-    stats: Option<&ServeStats>,
-) -> (Response, JobTimings) {
-    let count = targets.len() as u64;
-    let (reply, receive) = std::sync::mpsc::sync_channel(1);
-    let job = Job {
-        id,
-        app,
-        targets,
-        reply,
-        enqueued: Instant::now(),
-    };
-    match queue.try_push(job) {
-        Err(_) => (Response::Busy, JobTimings::default()),
-        Ok(depth) => {
-            crate::obs::QUEUE_DEPTH.set(depth as u64);
-            if let Some(stats) = stats {
-                stats.checks.fetch_add(1, Ordering::Relaxed);
-                stats.targets_checked.fetch_add(count, Ordering::Relaxed);
-                crate::obs::CHECKS.incr();
-            }
-            match receive.recv() {
-                Ok((response, timings)) => (response, timings),
-                // The dispatcher dropped the reply sender without
-                // answering: the service is shutting down mid-request.
-                Err(_) => (
-                    Response::Error("service shutting down".to_string()),
-                    JobTimings::default(),
-                ),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
 
+    /// A service with no apps: every admitted check runs and answers
+    /// `unknown app`, so a `busy` answer can only come from admission.
+    fn service(capacity: usize) -> Service {
+        Service::new(SnapshotRegistry::new(), capacity, None)
+    }
+
+    fn ran() -> Response {
+        Response::Error("unknown app `mysql`".to_string())
+    }
+
+    /// One check, admitted and run as a connection thread does.
+    fn check(service: &Service) -> Response {
+        let targets = [("a.cnf".to_string(), "[mysqld]\n".to_string())];
+        service
+            .admit()
+            .map_or(Response::Busy, |place| place.run(1, "mysql", &targets).0)
+    }
+
+    fn waiting(service: &Service) -> usize {
+        *service.waiting.lock().expect("waiting count")
+    }
+
+    #[test]
+    fn a_check_past_capacity_is_busy_without_blocking() {
+        let service = service(2);
+        // This thread holds both places, so a check that waited for one
+        // would never return.
+        let first = service.admit().expect("first place");
+        let _second = service.admit().expect("second place");
+        assert_eq!(check(&service), Response::Busy);
+        assert_eq!(waiting(&service), 2);
+        drop(first);
+        assert_eq!(check(&service), ran(), "a freed place admits again");
+        assert_eq!(waiting(&service), 1);
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one() {
+        let service = service(0);
+        assert_eq!(service.capacity, 1);
+        let place = service.admit().expect("one place");
+        assert!(service.admit().is_none(), "only one place");
+        drop(place);
+        assert!(service.admit().is_some(), "the place is free again");
+    }
+
+    #[test]
+    fn after_close_new_checks_are_busy_but_a_waiting_check_still_runs() {
+        let service = service(4);
+        let slot = service.slot.lock().expect("slot");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| check(&service));
+            while waiting(&service) == 0 {
+                std::thread::yield_now();
+            }
+            service.stop.stop();
+            // On its own thread, so an admission that ignored the close
+            // would fail below rather than block on the held slot.
+            let late = scope.spawn(|| check(&service));
+            drop(slot);
+            assert_eq!(late.join().expect("late"), Response::Busy, "closed");
+            assert_eq!(waiter.join().expect("waiter"), ran(), "admitted check ran");
+        });
+        assert_eq!(waiting(&service), 0);
+    }
+
+    #[test]
+    fn a_check_that_errors_gives_its_place_back() {
+        let service = service(1);
+        assert_eq!(check(&service), ran());
+        assert_eq!(waiting(&service), 0);
+        assert_eq!(check(&service), ran(), "the one place is free again");
+    }
+
     #[test]
     fn full_queue_answers_busy_and_stats_sees_it() {
-        // One job parked in a capacity-1 queue that no dispatcher drains:
-        // the queue stays full for the whole connection.
-        let queue = BoundedQueue::new(1);
-        let (reply, _receive) = std::sync::mpsc::sync_channel(1);
-        let parked = Job {
-            id: 0,
-            app: "mysql".to_string(),
-            targets: vec![("parked.cnf".to_string(), "[mysqld]\n".to_string())],
-            reply,
-            enqueued: Instant::now(),
-        };
-        assert!(queue.try_push(parked).is_ok(), "the first job fits");
+        // The test takes the one waiting place itself, so the check the
+        // connection reads finds none free.
+        let service = service(1);
+        let _place = service.admit().expect("the first place is free");
 
         let (mut client, server) = UnixStream::pair().expect("socket pair");
         let request = Request::Check {
@@ -774,10 +800,7 @@ mod tests {
         client
             .shutdown(std::net::Shutdown::Write)
             .expect("end of requests");
-
-        let stats = ServeStats::default();
-        let registry = SnapshotRegistry::new();
-        serve_connection(server, &registry, &StopFlag::new(), &queue, &stats).expect("served");
+        serve_connection(server, &service).expect("served");
 
         let mut wire = String::new();
         client.read_to_string(&mut wire).expect("read replies");
@@ -792,8 +815,6 @@ mod tests {
         ] {
             assert!(lines.contains(&line), "`{line}` missing from {lines:?}");
         }
-        let job = queue.pop().expect("the parked job is still queued");
-        assert_eq!(job.targets[0].0, "parked.cnf");
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! and a content hash) and re-checks only added or changed files, or every tracked file after a successful hot
 //! reload of the app, since its rules changed.  Dotfiles and the registry's
 //! own snapshot files are never targets.  Re-checks go through a
-//! caller-supplied `check` function; the service passes one that uses the
-//! same bounded queue and dispatcher as client `check` requests.  When it
-//! answers `busy`, the affected signatures stay unrecorded, so the next
-//! tick retries them.  A watched app reads not-ready until its first scan
-//! is recorded.
+//! caller-supplied `check` function; the service passes one that runs them
+//! on the poll thread through the same check slot as client `check`
+//! requests.  When it answers `busy`, the affected signatures stay
+//! unrecorded, so the next tick retries them.  A watched app reads
+//! not-ready until its first scan is recorded.
 //!
 //! Work is counted by the cumulative `serve.watch.*` instruments
 //! ([`crate::obs`]); [`Poller::heartbeat`] is the per-tick delta of the

@@ -320,25 +320,6 @@ impl Vfs {
                 .metadata(path)
                 .is_some_and(|m| m.readable_by(user, |group| groups.contains(&group)))
     }
-
-    /// Unix-style writability check, mirroring [`Vfs::readable_by`].
-    pub fn writable_by(&self, path: &str, user: &str, groups: &[&str]) -> bool {
-        if user == "root" {
-            return true;
-        }
-        match self.metadata(path) {
-            None => false,
-            Some(m) => {
-                if m.owner == user {
-                    m.mode & 0o200 != 0
-                } else if groups.contains(&m.group.as_str()) {
-                    m.mode & 0o020 != 0
-                } else {
-                    m.mode & 0o002 != 0
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -463,10 +444,6 @@ mod tests {
         assert!(v.readable_by("/var/lib/mysql/ibdata1", "backup", &["mysql"]));
         // world-readable file
         assert!(v.readable_by("/etc/php.ini", "nobody", &[]));
-        // world cannot write 0o644
-        assert!(!v.writable_by("/etc/php.ini", "nobody", &[]));
-        // root can do everything
-        assert!(v.writable_by("/var/lib/mysql", "root", &[]));
     }
 
     #[test]
