@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! encore-lint [--app mysql|apache|php|sshd] [--images N] [--seed N]
-//!             [--templates FILE] [--rules FILE] [--detector FILE]
+//!             [--templates FILE] [--detector FILE]
 //!             [--min-confidence X] [--min-support-fraction X]
 //!             [--entropy-threshold X]
 //!             [--json] [--deny-warnings]
@@ -10,10 +10,12 @@
 //!
 //! Builds (or loads) a template list, generates a training corpus for the
 //! chosen application, runs the template type-checker, the corpus
-//! eligibility analyzer, and the rule-set linter (over `--rules FILE`, or
-//! over rules learned from the corpus when no file is given), then prints
-//! the diagnostics and exits `1` if any error-severity diagnostic is
-//! present (`--deny-warnings` promotes warnings).
+//! eligibility analyzer, and the rule-set linter (over the rules of the
+//! `--detector FILE` snapshot, or over rules learned from the corpus when
+//! no snapshot is given), then prints the diagnostics and exits `1` if any
+//! error-severity diagnostic is present (`--deny-warnings` promotes
+//! warnings).  A learned rule set is read back only from its snapshot:
+//! the rule file of `RuleSet::render` is output for people.
 //!
 //! # CI/CD surface
 //!
@@ -49,10 +51,8 @@ usage: encore-lint [options]
   --seed N                  corpus generation seed (default 7)
   --templates FILE          template file, one template per line (default: the
                             11 predefined templates)
-  --rules FILE              rule file to lint (default: lint rules learned
-                            from the corpus)
   --detector FILE           detector snapshot whose rule set to lint
-                            (mutually exclusive with --rules)
+                            (default: lint rules learned from the corpus)
   --min-confidence X        confidence threshold (default 0.90)
   --min-support-fraction X  support threshold as a fraction (default 0.10)
   --entropy-threshold X     entropy threshold (default 0.325)
@@ -80,7 +80,6 @@ struct Options {
     images: usize,
     seed: u64,
     templates_file: Option<String>,
-    rules_file: Option<String>,
     detector_file: Option<String>,
     thresholds: FilterThresholds,
     json: bool,
@@ -105,7 +104,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
         images: 20,
         seed: 7,
         templates_file: None,
-        rules_file: None,
         detector_file: None,
         thresholds: FilterThresholds::default(),
         json: false,
@@ -131,7 +129,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--templates" => options.templates_file = Some(value("--templates")?),
-            "--rules" => options.rules_file = Some(value("--rules")?),
             "--detector" => options.detector_file = Some(value("--detector")?),
             "--min-confidence" => {
                 options.thresholds.min_confidence = value("--min-confidence")?
@@ -159,9 +156,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
                 }
             }
         }
-    }
-    if options.rules_file.is_some() && options.detector_file.is_some() {
-        return Err("--rules and --detector are mutually exclusive".to_string());
     }
     Ok(Some(options))
 }
@@ -210,13 +204,8 @@ fn run(options: &Options) -> Result<LintReport, String> {
         .map_err(|e| format!("corpus assembly failed: {e}"))?;
     let cache = training.stats_cache();
 
-    let rules: Option<RuleSet> = match (&options.rules_file, &options.detector_file) {
-        (Some(path), _) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read rules file `{path}`: {e}"))?;
-            Some(RuleSet::parse(&text).map_err(|e| format!("rules file `{path}`: {e}"))?)
-        }
-        (None, Some(path)) => {
+    let rules: Option<RuleSet> = match &options.detector_file {
+        Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read detector file `{path}`: {e}"))?;
             // Peek the version first: a snapshot from a *newer* encore is a
@@ -241,7 +230,7 @@ fn run(options: &Options) -> Result<LintReport, String> {
                 Some(snapshot.rules().clone())
             }
         }
-        (None, None) if options.thresholds.validate().is_ok() => {
+        None if options.thresholds.validate().is_ok() => {
             // Lint the rules this corpus actually teaches.  Learning only
             // accepts well-typed templates; the type errors are reported by
             // check_all below either way.
@@ -262,7 +251,7 @@ fn run(options: &Options) -> Result<LintReport, String> {
         }
         // Thresholds are invalid: check_all reports EC050; don't learn
         // with them.
-        (None, None) => None,
+        None => None,
     };
 
     let all = check_all(&templates, &options.thresholds, cache, rules.as_ref());

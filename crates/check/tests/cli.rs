@@ -1,6 +1,9 @@
 //! End-to-end tests for the `encore-lint` binary: exit statuses, stable
 //! diagnostic codes, both output formats, and the observability files.
 
+use encore::prelude::*;
+use encore_corpus::{Population, PopulationOptions};
+use encore_model::{AppKind, AttrName};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -80,32 +83,10 @@ fn dead_template_is_a_warning_denied_by_flag() {
 }
 
 #[test]
-fn rule_file_defects_fail_with_stable_codes() {
-    let rules = fixture(
-        "bad-rules",
-        "# contradictory ordering, then an orphan\n\
-         max_connections < table_open_cache [LessNum] sup=10 conf=1.000\n\
-         table_open_cache < max_connections [LessNum] sup=10 conf=1.000\n\
-         no_such_attr == also_missing [Equal] sup=10 conf=1.000\n",
-    );
-    let out = encore_lint(&[
-        "--app",
-        "mysql",
-        "--images",
-        "8",
-        "--rules",
-        rules.to_str().unwrap(),
-    ]);
-    let text = stdout(&out);
-    assert_eq!(out.status.code(), Some(1), "stdout:\n{text}");
-    assert!(text.contains("error[EC020]"), "stdout:\n{text}");
-    assert!(text.contains("error[EC040]"), "stdout:\n{text}");
-}
-
-#[test]
-fn detector_snapshot_rules_are_linted() {
-    // A detector snapshot carrying a contradictory ordering pair: the lint
-    // must surface EC020 from the snapshot's embedded rule set.
+fn detector_snapshot_rule_defects_fail_with_stable_codes() {
+    // A detector snapshot carrying a contradictory ordering pair and an
+    // orphan: the lint must surface EC020 and EC040 from the snapshot's
+    // embedded rule set.
     let detector = fixture(
         "bad-detector",
         "encore-detector-snapshot v1\n\
@@ -114,6 +95,7 @@ fn detector_snapshot_rules_are_linted() {
          [rules]\n\
          O:max_connections\tLessNum\tO:table_open_cache\t10\t1.0\n\
          O:table_open_cache\tLessNum\tO:max_connections\t10\t1.0\n\
+         O:no_such_attr\tEqual\tO:also_missing\t10\t1.0\n\
          [types]\n\
          [entries]\n\
          max_connections\n\
@@ -131,19 +113,41 @@ fn detector_snapshot_rules_are_linted() {
     let text = stdout(&out);
     assert_eq!(out.status.code(), Some(1), "stdout:\n{text}");
     assert!(text.contains("error[EC020]"), "stdout:\n{text}");
+    assert!(text.contains("error[EC040]"), "stdout:\n{text}");
 }
 
 #[test]
-fn rules_and_detector_are_mutually_exclusive() {
-    let rules = fixture("excl-rules", "");
-    let detector = fixture("excl-detector", "");
+fn dotted_php_entries_in_a_snapshot_are_not_orphans() {
+    // PHP's dotted originals (`session.use_cookies`) display exactly like
+    // augmented properties; read back from the snapshot's tagged form they
+    // still name the corpus attributes they were learned from.
+    let population = Population::training(AppKind::Php, &PopulationOptions::new(12, 3));
+    let training = TrainingSet::assemble(AppKind::Php, population.images()).expect("assembles");
+    let engine = EnCore::learn(&training, &LearnOptions::default());
+    let dotted = |attr: &AttrName| attr.is_original() && attr.base().contains('.');
+    assert!(
+        engine
+            .rules()
+            .rules()
+            .iter()
+            .any(|r| dotted(&r.a) || dotted(&r.b)),
+        "no rule names a dotted original:\n{}",
+        engine.rules().render()
+    );
+    let detector = fixture("php-dotted-detector", &engine.snapshot().render());
     let out = encore_lint(&[
-        "--rules",
-        rules.to_str().unwrap(),
+        "--app",
+        "php",
+        "--images",
+        "12",
+        "--seed",
+        "3",
         "--detector",
         detector.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(2));
+    let text = stdout(&out);
+    assert!(out.status.success(), "stdout:\n{text}");
+    assert!(!text.contains("EC040"), "stdout:\n{text}");
 }
 
 #[test]
@@ -165,8 +169,10 @@ fn invalid_thresholds_get_ec050() {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = encore_lint(&["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
+    for args in [&["--bogus"][..], &["--rules", "rules.txt"]] {
+        let out = encore_lint(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Crash-safe writes of whole-file artifacts: detector snapshots, pipeline
-//! reports, traces, profiles, SARIF logs and finding baselines.
+//! Crash-safe writes of whole-file artifacts (detector snapshots, pipeline
+//! reports, traces, profiles, SARIF logs and finding baselines), and the
+//! one content hash the artifacts and their readers share.
 
 use std::ffi::OsString;
 use std::fs::File;
@@ -38,6 +39,18 @@ pub fn write_atomically(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> i
         .filter(|dir| !dir.as_os_str().is_empty())
         .unwrap_or(Path::new("."));
     File::open(dir)?.sync_all()
+}
+
+/// 64-bit FNV-1a: not cryptographic, just a stable, dependency-free
+/// content hash, used for finding fingerprints and for the signature
+/// that tells a watched file's same-size rewrite from no change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 #[cfg(test)]
@@ -81,5 +94,13 @@ mod tests {
         assert!(!missing.exists());
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

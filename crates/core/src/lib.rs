@@ -80,7 +80,7 @@ pub mod template;
 pub mod train;
 pub mod types;
 
-pub use artifact::write_atomically;
+pub use artifact::{fnv1a, write_atomically};
 pub use detect::{AnomalyDetector, FleetOptions, Report, TrainingStats, Warning, WarningKind};
 pub use eligibility::{analyze_templates, EligibilityReport};
 pub use filter::FilterThresholds;

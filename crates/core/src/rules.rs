@@ -2,9 +2,11 @@
 //!
 //! A [`Rule`] is a template instance with the slots bound to concrete
 //! attributes, plus the statistics gathered during inference.  Rules render
-//! to (and parse from) a line format so that, as in the paper, "the inferred
-//! rules are written to a file with detailed description of the attributes
-//! involved and the relation type" (§5).
+//! to a line format so that, as in the paper, "the inferred rules are
+//! written to a file with detailed description of the attributes involved
+//! and the relation type" (§5).  That form is for people; rules are read
+//! back only from the tagged form of detector snapshots
+//! ([`Rule::parse_tagged`]).
 
 use crate::relation::{evaluate, Applicability, SystemView};
 use crate::template::Relation;
@@ -49,13 +51,12 @@ impl Rule {
         evaluate(self.relation, &self.a, &self.b, view)
     }
 
-    /// One-line render: `datadir => user [Owns] sup=187 conf=0.99`.
+    /// One-line render for people: `datadir => user [Owns] sup=187
+    /// conf=0.99`, with the confidence in its shortest exact form (`{:?}`).
     ///
-    /// Confidence is rendered with the shortest representation that parses
-    /// back to the identical `f64` (`{:?}`), so render→parse is lossless —
-    /// a requirement once rule sets round-trip through detector snapshots
-    /// on disk.  [`Rule::parse`] still accepts the historical fixed-width
-    /// `conf=0.990` form.
+    /// Nothing parses this form back: display names cannot tell a dotted
+    /// original entry from an augmented property (see
+    /// [`Rule::render_tagged`]).
     pub fn render(&self) -> String {
         format!(
             "{} {} {} [{}] sup={} conf={:?}",
@@ -116,48 +117,6 @@ impl Rule {
             confidence,
         })
     }
-
-    /// Parse one rendered rule line (the inverse of [`Rule::render`]).
-    ///
-    /// The operator symbol is ambiguous (`<` serves three relations), so
-    /// parsing is anchored on the bracketed relation name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem with the line.
-    pub fn parse(line: &str) -> Result<Rule, String> {
-        let line = line.trim();
-        let open = line.find('[').ok_or("missing `[Relation]` marker")?;
-        let close = line[open..]
-            .find(']')
-            .map(|i| open + i)
-            .ok_or("unclosed `[Relation]` marker")?;
-        let relation = Relation::parse_name(&line[open + 1..close])
-            .ok_or_else(|| format!("unknown relation `{}`", &line[open + 1..close]))?;
-        let head = line[..open].trim();
-        let symbol = relation.symbol();
-        let (a_text, b_text) = head
-            .split_once(&format!(" {symbol} "))
-            .ok_or_else(|| format!("expected `A {symbol} B` before the relation marker"))?;
-        let a = AttrName::parse(a_text).map_err(|e| e.to_string())?;
-        let b = AttrName::parse(b_text).map_err(|e| e.to_string())?;
-        let mut support = None;
-        let mut confidence = None;
-        for token in line[close + 1..].split_whitespace() {
-            if let Some(v) = token.strip_prefix("sup=") {
-                support = Some(v.parse::<usize>().map_err(|e| format!("bad sup: {e}"))?);
-            } else if let Some(v) = token.strip_prefix("conf=") {
-                confidence = Some(v.parse::<f64>().map_err(|e| format!("bad conf: {e}"))?);
-            }
-        }
-        Ok(Rule {
-            a,
-            b,
-            relation,
-            support: support.ok_or("missing `sup=`")?,
-            confidence: confidence.ok_or("missing `conf=`")?,
-        })
-    }
 }
 
 impl fmt::Display for Rule {
@@ -212,26 +171,6 @@ impl RuleSet {
         }
         out
     }
-
-    /// Parse a rendered rule file (the inverse of [`RuleSet::render`]).
-    /// Blank lines and `#` comments are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns the 1-based line number and description of the first
-    /// malformed line.
-    pub fn parse(text: &str) -> Result<RuleSet, String> {
-        let mut rules = RuleSet::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let rule = Rule::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            rules.push(rule);
-        }
-        Ok(rules)
-    }
 }
 
 impl FromIterator<Rule> for RuleSet {
@@ -281,51 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_render() {
-        let rules: Vec<Rule> = vec![
-            rule(),
-            Rule::new(
-                AttrName::entry("upload_max_filesize"),
-                Relation::LessSize,
-                AttrName::entry("post_max_size"),
-                42,
-                0.955,
-            ),
-            Rule::new(
-                AttrName::entry("datadir").augmented("owner"),
-                Relation::Equal,
-                AttrName::entry("user"),
-                10,
-                1.0,
-            ),
-            // Confidence values with no short decimal form must survive
-            // exactly: 0.8999 vs 0.900 flips a 0.90 threshold.
-            Rule::new(
-                AttrName::entry("max_connections"),
-                Relation::LessNum,
-                AttrName::entry("table_open_cache"),
-                187,
-                0.899_900_000_000_1,
-            ),
-        ];
-        for r in &rules {
-            let back = Rule::parse(&r.render()).unwrap_or_else(|e| panic!("{e}: {}", r.render()));
-            assert_eq!(&back, r, "render→parse must be exact: {}", r.render());
-        }
-        let set: RuleSet = rules.into_iter().collect();
-        let reparsed = RuleSet::parse(&format!("# learned rules\n\n{}", set.render())).unwrap();
-        assert_eq!(reparsed, set);
-    }
-
-    #[test]
-    fn parse_accepts_fixed_width_confidence() {
-        // The historical `{:.3}` rendering must still load.
-        let r = Rule::parse("datadir => user [Owns] sup=187 conf=0.990").unwrap();
-        assert_eq!(r.confidence, 0.99);
-        assert_eq!(r.support, 187);
-    }
-
-    #[test]
     fn tagged_form_round_trips_exactly() {
         let rules = [
             rule(),
@@ -345,6 +239,15 @@ mod tests {
                 10,
                 1.0,
             ),
+            // Confidence values with no short decimal form must survive
+            // exactly: 0.8999 vs 0.900 flips a 0.90 threshold.
+            Rule::new(
+                AttrName::entry("max_connections"),
+                Relation::LessNum,
+                AttrName::system("MemSize"),
+                187,
+                0.899_900_000_000_1,
+            ),
         ];
         for r in &rules {
             let back = Rule::parse_tagged(&r.render_tagged())
@@ -352,16 +255,9 @@ mod tests {
             assert_eq!(&back, r, "{}", r.render_tagged());
         }
         assert!(Rule::parse_tagged("O:a\tOwns\tO:b\t1").is_err());
+        assert!(Rule::parse_tagged("O:a\tOwns\tO:b\tx\t1.0").is_err());
         assert!(Rule::parse_tagged("O:a\tNotARel\tO:b\t1\t1.0").is_err());
         assert!(Rule::parse_tagged("O:a\tOwns\tO:b\t1\t1.0\textra").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(Rule::parse("datadir => user").is_err());
-        assert!(Rule::parse("datadir => user [NotARel] sup=1 conf=1.0").is_err());
-        assert!(Rule::parse("datadir => user [Owns] conf=1.0").is_err());
-        assert!(RuleSet::parse("datadir => user [Owns] sup=x conf=1.0").is_err());
     }
 
     #[test]

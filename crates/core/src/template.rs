@@ -166,13 +166,31 @@ impl Relation {
         }
     }
 
-    /// Parse the stable relation name used in rule files and reports
-    /// (the `Debug`/`Display` rendering, e.g. `Owns`, `LessSize`).
+    /// The stable name that rule renders, reports and snapshots use
+    /// (e.g. `Owns`, `LessSize`); [`Relation::parse_name`] reads it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Relation::Equal => "Equal",
+            Relation::MemberEq => "MemberEq",
+            Relation::ExtBoolImplies => "ExtBoolImplies",
+            Relation::SubnetOf => "SubnetOf",
+            Relation::ConcatPath => "ConcatPath",
+            Relation::SubstringOf => "SubstringOf",
+            Relation::InGroup => "InGroup",
+            Relation::NotAccessible => "NotAccessible",
+            Relation::Owns => "Owns",
+            Relation::LessNum => "LessNum",
+            Relation::LessSize => "LessSize",
+        }
+    }
+
+    /// Parse a relation [`name`](Relation::name), ignoring case and
+    /// surrounding whitespace.
     pub fn parse_name(s: &str) -> Option<Relation> {
         let canon = s.trim();
         Relation::ALL
             .into_iter()
-            .find(|r| format!("{r:?}").eq_ignore_ascii_case(canon))
+            .find(|r| r.name().eq_ignore_ascii_case(canon))
     }
 
     /// The static type signature of this relation.
@@ -213,7 +231,7 @@ impl Relation {
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self)
+        f.write_str(self.name())
     }
 }
 
@@ -579,8 +597,10 @@ mod tests {
     #[test]
     fn relation_names_round_trip() {
         for r in Relation::ALL {
-            assert_eq!(Relation::parse_name(&format!("{r:?}")), Some(r));
-            assert_eq!(Relation::parse_name(&r.to_string()), Some(r));
+            // The names are the variant names snapshots have always stored.
+            assert_eq!(r.name(), format!("{r:?}"));
+            assert_eq!(Relation::parse_name(r.name()), Some(r));
+            assert_eq!(r.to_string(), r.name());
         }
         assert_eq!(Relation::parse_name("NotARelation"), None);
     }

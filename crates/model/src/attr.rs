@@ -165,32 +165,6 @@ impl AttrName {
             _ => Err(err()),
         }
     }
-
-    /// Parse the rendered form back into an `AttrName`.
-    ///
-    /// `Sys.*`/`OS.*`/`HW.*`/`CPU.*`/`MemSize`/`HDD.*` prefixes parse as
-    /// system-wide attributes; `x.y` parses as an augmented property of `x`;
-    /// anything else is an original entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidAttrName`] for empty input.
-    pub fn parse(text: &str) -> Result<AttrName, ModelError> {
-        let t = text.trim();
-        if t.is_empty() {
-            return Err(ModelError::InvalidAttrName(text.to_string()));
-        }
-        const SYSTEM_PREFIXES: [&str; 5] = ["Sys.", "OS.", "HW.", "CPU.", "HDD."];
-        if SYSTEM_PREFIXES.iter().any(|p| t.starts_with(p)) || t == "MemSize" {
-            return Ok(AttrName::system(t));
-        }
-        match t.rsplit_once('.') {
-            Some((base, suffix)) if !base.is_empty() && !suffix.is_empty() => {
-                Ok(AttrName::try_entry(base)?.augmented(suffix.to_string()))
-            }
-            _ => AttrName::try_entry(t),
-        }
-    }
 }
 
 // `#[inline]`: every map keyed by attribute calls these from other crates,
@@ -255,25 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_classifies_system_attrs() {
-        let a = AttrName::parse("Sys.HostName").unwrap();
-        assert_eq!(a.augmentation(), Augmentation::SystemWide);
-        let b = AttrName::parse("MemSize").unwrap();
-        assert_eq!(b.augmentation(), Augmentation::SystemWide);
-    }
-
-    #[test]
-    fn parse_round_trips_augmented() {
-        let a = AttrName::entry("extension_dir").augmented("type");
-        let back = AttrName::parse(&a.to_string()).unwrap();
-        assert_eq!(back.base(), "extension_dir");
-        assert_eq!(back.suffix(), Some("type"));
-    }
-
-    #[test]
     fn empty_names_rejected() {
         assert!(AttrName::try_entry("").is_err());
-        assert!(AttrName::parse("  ").is_err());
     }
 
     #[test]
@@ -291,10 +248,11 @@ mod tests {
             let back = AttrName::parse_tagged(&attr.render_tagged()).unwrap();
             assert_eq!(&back, attr, "{}", attr.render_tagged());
         }
-        // The dotted original does NOT round-trip through the display form —
-        // exactly why the tagged form exists.
-        let dotted = AttrName::entry("session.use_cookies");
-        assert_ne!(AttrName::parse(&dotted.to_string()).unwrap(), dotted);
+        // The display form cannot tell the dotted original from an
+        // augmented property — exactly why the tagged form exists.
+        let split = AttrName::entry("session").augmented("use_cookies");
+        assert_eq!(cases[0].to_string(), split.to_string());
+        assert_ne!(cases[0].render_tagged(), split.render_tagged());
     }
 
     #[test]

@@ -97,6 +97,40 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     Ok(Some(line))
 }
 
+fn unexpected_eof(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, message)
+}
+
+/// Read one `HEADER NAME LEN` frame line and its body: the `target`
+/// frames of a check request (`max_len` [`MAX_PAYLOAD`]) and the `report`
+/// frames of its response.  `None` when the stream ends before the frame
+/// line; `Some(Err(reason))` for a malformed frame.
+fn read_frame(
+    reader: &mut impl BufRead,
+    header: &str,
+    max_len: usize,
+) -> io::Result<Option<Result<(String, String), String>>> {
+    let Some(frame) = read_line(reader)? else {
+        return Ok(None);
+    };
+    let mut words = frame.split_whitespace();
+    let (name, len) = match (words.next(), words.next(), words.next(), words.next()) {
+        (Some(word), Some(name), Some(len), None) if word == header => (name, len),
+        _ => return Ok(Some(Err(format!("bad {header} frame `{frame}`")))),
+    };
+    if !valid_token(name) {
+        return Ok(Some(Err(format!("bad {header} name `{name}`"))));
+    }
+    let len: usize = match len.parse() {
+        Ok(n) if n <= max_len => n,
+        Ok(n) => return Ok(Some(Err(format!("{header} payload {n} exceeds {max_len}")))),
+        Err(_) => return Ok(Some(Err(format!("bad {header} length in `{frame}`")))),
+    };
+    Ok(Some(
+        read_body(reader, len)?.map(|body| (name.to_string(), body)),
+    ))
+}
+
 /// Read one length-prefixed frame body plus its terminating LF.
 ///
 /// The buffer grows with the bytes that actually arrive, never with the
@@ -105,10 +139,7 @@ fn read_body(reader: &mut impl BufRead, len: usize) -> io::Result<Result<String,
     let mut raw = Vec::new();
     reader.by_ref().take(len as u64).read_to_end(&mut raw)?;
     if raw.len() < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended inside a frame body",
-        ));
+        return Err(unexpected_eof("stream ended inside a frame body"));
     }
     let mut terminator = [0u8; 1];
     reader.read_exact(&mut terminator)?;
@@ -182,33 +213,10 @@ fn finish_request(reader: &mut impl BufRead, line: &str) -> io::Result<Result<Re
             };
             let mut targets = Vec::with_capacity(count);
             for _ in 0..count {
-                let Some(frame) = read_line(reader)? else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream ended inside a check request",
-                    ));
-                };
-                let mut words = frame.split_whitespace();
-                let (header, name, len) = (words.next(), words.next(), words.next());
-                if header != Some("target")
-                    || name.is_none()
-                    || len.is_none()
-                    || words.next().is_some()
-                {
-                    return malformed(format!("bad target frame `{frame}`"));
-                }
-                let name = name.expect("checked above");
-                if !valid_token(name) {
-                    return malformed(format!("bad target name `{name}`"));
-                }
-                let len: usize = match len.expect("checked above").parse() {
-                    Ok(n) if n <= MAX_PAYLOAD => n,
-                    Ok(n) => return malformed(format!("target payload {n} exceeds {MAX_PAYLOAD}")),
-                    Err(_) => return malformed(format!("bad target length in `{frame}`")),
-                };
-                match read_body(reader, len)? {
-                    Ok(payload) => targets.push((name.to_string(), payload)),
-                    Err(reason) => return malformed(reason),
+                match read_frame(reader, "target", MAX_PAYLOAD)? {
+                    Some(Ok(target)) => targets.push(target),
+                    Some(Err(reason)) => return malformed(reason),
+                    None => return Err(unexpected_eof("stream ended inside a check request")),
                 }
             }
             Request::Check {
@@ -325,10 +333,7 @@ enum Head {
 
 fn read_head(reader: &mut impl BufRead) -> io::Result<Result<Head, String>> {
     let Some(line) = read_line(reader)? else {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended before a response",
-        ));
+        return Err(unexpected_eof("stream ended before a response"));
     };
     if line == "busy" {
         return Ok(Ok(Head::Busy));
@@ -364,12 +369,7 @@ pub fn read_lines_response(reader: &mut impl BufRead) -> io::Result<Result<Vec<S
             for _ in 0..count {
                 match read_line(reader)? {
                     Some(line) => lines.push(line),
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "stream ended inside a response",
-                        ))
-                    }
+                    None => return Err(unexpected_eof("stream ended inside a response")),
                 }
             }
             Ok(Ok(lines))
@@ -400,28 +400,10 @@ pub fn read_check_response(reader: &mut impl BufRead) -> io::Result<Result<Check
         Ok(Head::Ok(count)) => {
             let mut reports = Vec::with_capacity(count);
             for _ in 0..count {
-                let Some(frame) = read_line(reader)? else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream ended inside a response",
-                    ));
-                };
-                let mut words = frame.split_whitespace();
-                let (header, name, len) = (words.next(), words.next(), words.next());
-                if header != Some("report")
-                    || name.is_none()
-                    || len.is_none()
-                    || words.next().is_some()
-                {
-                    return Ok(Err(format!("bad report frame `{frame}`")));
-                }
-                let len: usize = match len.expect("checked above").parse() {
-                    Ok(n) => n,
-                    Err(_) => return Ok(Err(format!("bad report length in `{frame}`"))),
-                };
-                match read_body(reader, len)? {
-                    Ok(body) => reports.push((name.expect("checked above").to_string(), body)),
-                    Err(reason) => return Ok(Err(reason)),
+                match read_frame(reader, "report", usize::MAX)? {
+                    Some(Ok(report)) => reports.push(report),
+                    Some(Err(reason)) => return Ok(Err(reason)),
+                    None => return Err(unexpected_eof("stream ended inside a response")),
                 }
             }
             Ok(Ok(CheckReply::Reports(reports)))
@@ -544,6 +526,11 @@ mod tests {
             ),
             (&b"check mysql 9999999\n"[..], "exceeds"),
             (&b"check mysql 1\ntarget a 99999999\n"[..], "exceeds"),
+            (&b"check mysql 1\ntarget a x\n"[..], "bad target length"),
+            (
+                &b"check mysql 1\ntarget a\x01 1\nx\n"[..],
+                "bad target name",
+            ),
             (&b"sleep 250\n"[..], "bad request line"),
             (&b"reload\n"[..], "bad request line"),
         ] {
@@ -625,6 +612,11 @@ mod tests {
             .expect("no I/O error")
             .expect_err("extra token");
         assert!(reason.contains("bad report frame"), "{reason}");
+        let wire = &b"ok 1\nreport a x\nhello\n"[..];
+        let reason = read_check_response(&mut BufReader::new(wire))
+            .expect("no I/O error")
+            .expect_err("bad length");
+        assert!(reason.contains("bad report length"), "{reason}");
     }
 
     #[test]

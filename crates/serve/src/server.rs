@@ -330,12 +330,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket-bind and metrics-bind failures, and rejects a
-    /// watched app that is not registered.
+    /// Propagates socket-bind and metrics-bind failures (the latter
+    /// naming the address), and rejects a watched app that is not
+    /// registered.  A failed start leaves no socket file behind.
     pub fn start(registry: SnapshotRegistry, options: ServeOptions) -> io::Result<Server> {
         let poller = Poller::new(&registry, &options.watch)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let listener = bind_socket(&options.socket)?;
         let service = Arc::new(Service::new(
             registry,
             options.queue_capacity,
@@ -344,17 +344,23 @@ impl Server {
         crate::obs::QUEUE_CAPACITY.set(service.capacity as u64);
         crate::obs::sync_app_gauges(&service.registry);
 
+        // Before the socket, so a metrics address in use leaves no socket
+        // file behind; a socket bind failure drops (stops) the metrics
+        // server instead.
         let metrics = match &options.metrics_addr {
             Some(addr) => {
                 let service = Arc::clone(&service);
-                Some(MetricsServer::start(
+                let metrics = MetricsServer::start(
                     addr,
                     move || service.registry.ready(),
                     crate::obs::render_prometheus,
-                )?)
+                )
+                .map_err(|e| io::Error::new(e.kind(), format!("metrics address {addr}: {e}")))?;
+                Some(metrics)
             }
             None => None,
         };
+        let listener = bind_socket(&options.socket)?;
 
         let poller = {
             let service = Arc::clone(&service);
@@ -815,6 +821,27 @@ mod tests {
         ] {
             assert!(lines.contains(&line), "`{line}` missing from {lines:?}");
         }
+    }
+
+    #[test]
+    fn a_metrics_address_in_use_is_named_and_leaves_no_socket() {
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a port");
+        let addr = taken.local_addr().expect("local addr").to_string();
+        let socket = std::env::temp_dir().join(format!(
+            "encore-serve-metrics-in-use-{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&socket);
+        let mut options = ServeOptions::new(&socket);
+        options.metrics_addr = Some(addr.clone());
+        let err = Server::start(SnapshotRegistry::new(), options)
+            .err()
+            .expect("the metrics address is taken");
+        assert!(
+            err.to_string().contains(&addr),
+            "`{err}` does not name {addr}"
+        );
+        assert!(!socket.exists(), "socket file left behind");
     }
 
     #[test]

@@ -67,20 +67,9 @@ impl FileSig {
         Some(FileSig {
             mtime: meta.modified().ok()?,
             size: meta.len(),
-            fingerprint: fnv1a(&contents),
+            fingerprint: encore::fnv1a(&contents),
         })
     }
-}
-
-/// 64-bit FNV-1a: not cryptographic, just a stable, dependency-free
-/// discriminator for same-size rewrites.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Wrap one configuration file's contents into a minimal [`SystemImage`]
@@ -377,13 +366,5 @@ mod tests {
         assert_eq!((retried.changed, retried.reports.len()), (1, 1));
         assert!(tick(false).reports.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -99,13 +99,27 @@ proptest! {
         prop_assert_eq!(v.as_bytes(), Some(mag * mult));
     }
 
-    /// AttrName display/parse round-trips for augmented attributes.
+    /// AttrName's tagged form round-trips every kind of attribute,
+    /// dotted original entries (php's `session.use_cookies`) included,
+    /// which the display form cannot tell from augmented properties.
     #[test]
-    fn attr_name_round_trip(base in "[a-z][a-z_]{1,12}", suffix in "[a-z]{2,8}") {
-        let attr = AttrName::entry(&base).augmented(suffix.clone());
-        let parsed = AttrName::parse(&attr.to_string()).expect("parses");
-        prop_assert_eq!(parsed.base(), base.as_str());
-        prop_assert_eq!(parsed.suffix(), Some(suffix.as_str()));
+    fn attr_name_round_trip(
+        head in "[a-z][a-z_]{0,8}",
+        tail in proptest::option::of("[a-z_.]{1,8}"),
+        suffix in "[a-z]{2,8}",
+        kind in 0u8..3,
+    ) {
+        let base = match tail {
+            Some(tail) => format!("{head}.{tail}"),
+            None => head,
+        };
+        let attr = match kind {
+            0 => AttrName::entry(&base),
+            1 => AttrName::entry(&base).augmented(suffix),
+            _ => AttrName::system(&base),
+        };
+        let parsed = AttrName::parse_tagged(&attr.render_tagged()).expect("parses");
+        prop_assert_eq!(parsed, attr);
     }
 
     /// A column's support never exceeds the row count, equals the number
