@@ -40,7 +40,8 @@
 //!
 //! `--check` prints each target's report under a `== <name>` header;
 //! exit 0 on success, 1 on runtime failures, 2 on usage errors, 3 when
-//! the server answered `busy` (the queue was full — retry later).
+//! the server answered `busy` (the queue or the connections were full —
+//! retry later).
 
 use encore::obs::ObsConfig;
 use encore_model::AppKind;
@@ -198,6 +199,10 @@ fn parse_args() -> Args {
                 args.mode = Mode::Shutdown;
                 client_verbs += 1;
             }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
@@ -319,7 +324,7 @@ fn main() {
             match connect(&args).check(app, &targets) {
                 Err(e) => fail(&e.to_string()),
                 Ok(CheckReply::Busy) => {
-                    eprintln!("busy: the server's work queue is full, retry later");
+                    eprintln!("busy: the server is full, retry later");
                     std::process::exit(3);
                 }
                 Ok(CheckReply::Reports(reports)) => {

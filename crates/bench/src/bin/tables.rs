@@ -69,7 +69,11 @@ fn parse_args() -> Option<Args> {
                 return None;
             }
             n => match n.parse::<u32>() {
-                Ok(t) => parsed.tables.push(t),
+                Ok(t) if experiments::ALL_TABLES.contains(&t) => parsed.tables.push(t),
+                Ok(t) => usage(&format!(
+                    "no experiment for table {t} (valid: {:?})",
+                    experiments::ALL_TABLES
+                )),
                 Err(_) => usage(&format!("unknown argument `{n}`")),
             },
         }
@@ -95,16 +99,10 @@ fn main() {
         ExperimentConfig::scaled(args.scale)
     };
     for t in &args.tables {
-        match experiments::run_table(*t, &config) {
-            Some(output) => {
-                println!("=== {}", output.title);
-                println!("{}", output.text);
-            }
-            None => eprintln!(
-                "no experiment for table {t} (valid: {:?})",
-                experiments::ALL_TABLES
-            ),
-        }
+        let output =
+            experiments::run_table(*t, &config).expect("parse_args admits only ALL_TABLES");
+        println!("=== {}", output.title);
+        println!("{}", output.text);
     }
     if let Err(e) = args.obs.finish() {
         eprintln!("tables: {e}");

@@ -416,6 +416,16 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn help_prints_the_usage_on_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = encore_serve(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert!(stdout(&out).starts_with("usage: encore-serve "), "{flag}");
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
+}
+
+#[test]
 fn server_refuses_a_missing_snapshot_strictly() {
     let dir = scratch_dir("strict");
     let out = encore_serve(&[

@@ -15,9 +15,18 @@
 //!
 //! Repeated directives (e.g. many `LoadModule` lines) get an occurrence
 //! index: `LoadModule#0/arg1`, `LoadModule#1/arg1`, ...
+//!
+//! Every key carries its whole open-section stack, so n nested sections
+//! cost keys quadratic in n.  Sections therefore nest at most
+//! [`MAX_SECTION_DEPTH`] deep; one more is a
+//! [`ParseError::SectionTooDeep`].
 
 use crate::{KeyValue, Lens, ParseError};
 use std::collections::HashMap;
+
+/// Most sections open at once.  The corpora nest at most 1 deep, and a
+/// real `httpd.conf` a few levels.
+pub const MAX_SECTION_DEPTH: usize = 16;
 
 /// Lens for Apache httpd-style configuration.
 #[derive(Debug, Clone, Default)]
@@ -91,6 +100,9 @@ impl Lens for ApacheLens {
                 }
             }
             if let Some(rest) = line.strip_prefix('<') {
+                if section_stack.len() == MAX_SECTION_DEPTH {
+                    return Err(ParseError::SectionTooDeep { line: idx + 1 });
+                }
                 let inner = rest.trim_end_matches('>').trim();
                 let mut words = split_args(inner);
                 if words.is_empty() {
@@ -349,6 +361,45 @@ Timeout 60
         let rendered = lens.render(&pairs);
         let back = lens.parse(&rendered).unwrap();
         assert_eq!(pairs, back, "render:\n{rendered}");
+    }
+
+    /// `depth` nested `<a b>` sections, each holding one `x` directive.
+    fn nested(depth: usize) -> String {
+        let mut text = "<a b>\nx\n".repeat(depth);
+        text.push_str(&"</a>\n".repeat(depth));
+        text
+    }
+
+    #[test]
+    fn sections_nest_at_most_max_section_depth() {
+        let pairs = ApacheLens::new().parse(&nested(MAX_SECTION_DEPTH)).unwrap();
+        assert_eq!(pairs.len(), 2 * MAX_SECTION_DEPTH);
+        let err = ApacheLens::new()
+            .parse(&nested(MAX_SECTION_DEPTH + 1))
+            .unwrap_err();
+        // The 17th `<a b>` is line 33.
+        assert_eq!(err, ParseError::SectionTooDeep { line: 33 });
+        assert_eq!(
+            err.to_string(),
+            "section at line 33 nests deeper than 16 levels"
+        );
+    }
+
+    #[test]
+    fn a_deeply_nested_payload_is_rejected_at_the_cap() {
+        // 4000 levels would build about 96 MB of keys; the lens stops at
+        // level 17, so the time does not grow with the payload.
+        let text = nested(4000);
+        let fastest = (0..5)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let err = ApacheLens::new().parse(&text).unwrap_err();
+                assert_eq!(err, ParseError::SectionTooDeep { line: 33 });
+                started.elapsed()
+            })
+            .min()
+            .expect("five runs");
+        assert!(fastest < std::time::Duration::from_millis(5), "{fastest:?}");
     }
 }
 

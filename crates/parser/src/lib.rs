@@ -83,6 +83,12 @@ pub enum ParseError {
         /// What was found.
         found: String,
     },
+    /// A `<Section>` opened more than [`apache::MAX_SECTION_DEPTH`]
+    /// sections deep (Apache lens).
+    SectionTooDeep {
+        /// 1-based line number of the section that opened too deep.
+        line: usize,
+    },
     /// No lens is registered for the requested application.
     NoLens(String),
 }
@@ -97,6 +103,11 @@ impl fmt::Display for ParseError {
             ParseError::MismatchedClose { line, found } => {
                 write!(f, "mismatched closing tag `{found}` at line {line}")
             }
+            ParseError::SectionTooDeep { line } => write!(
+                f,
+                "section at line {line} nests deeper than {} levels",
+                apache::MAX_SECTION_DEPTH
+            ),
             ParseError::NoLens(app) => write!(f, "no lens registered for `{app}`"),
         }
     }

@@ -33,8 +33,8 @@ impl Client {
 
     /// Check `targets` (name, config payload) against `app`.  Returns the
     /// per-target report bodies in request order, or [`CheckReply::Busy`]
-    /// when the service already has `queue_capacity` checks waiting or is
-    /// shutting down.
+    /// when the service already has `queue_capacity` checks waiting, is
+    /// shutting down, or already serves as many connections as it may.
     ///
     /// # Errors
     ///
@@ -46,13 +46,33 @@ impl Client {
             app: app.to_string(),
             targets: targets.to_vec(),
         };
-        protocol::write_request(&mut self.writer, &request)?;
-        protocol::read_check_response(&mut self.reader)?.map_err(protocol_error)
+        self.round_trip(&request, protocol::read_check_response)
     }
 
     fn lines(&mut self, request: &Request) -> io::Result<Vec<String>> {
-        protocol::write_request(&mut self.writer, request)?;
-        protocol::read_lines_response(&mut self.reader)?.map_err(protocol_error)
+        self.round_trip(request, protocol::read_lines_response)
+    }
+
+    /// Send `request` and read its response with `read`.
+    ///
+    /// A server already serving as many connections as it may answers one
+    /// more `busy` and closes it unread, so the send can fail with a broken
+    /// pipe while that answer waits to be read: then the answer is read
+    /// anyway, and the send's error is returned only if there is none.
+    fn round_trip<T>(
+        &mut self,
+        request: &Request,
+        read: fn(&mut BufReader<UnixStream>) -> io::Result<Result<T, String>>,
+    ) -> io::Result<T> {
+        match protocol::write_request(&mut self.writer, request) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => read(&mut self.reader)
+                .map_err(|_| e)?
+                .map_err(protocol_error),
+            sent => {
+                sent?;
+                read(&mut self.reader)?.map_err(protocol_error)
+            }
+        }
     }
 
     /// List registered apps: `<name> <kind> <ready|not-ready> reloads=<n>`.
@@ -93,5 +113,25 @@ impl Client {
     /// Transport failures and protocol-level `error` responses.
     pub fn shutdown(&mut self) -> io::Result<Vec<String>> {
         self.lines(&Request::Shutdown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Response;
+
+    #[test]
+    fn a_refusal_closed_before_the_request_is_sent_still_reads_busy() {
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        protocol::write_response(&mut theirs, &Response::Busy).expect("answer busy");
+        drop(theirs);
+        let mut client = Client {
+            reader: BufReader::new(ours.try_clone().expect("clone")),
+            writer: BufWriter::new(ours),
+        };
+        let targets = [("a.cnf".to_string(), "[mysqld]\n".to_string())];
+        let reply = client.check("mysql", &targets);
+        assert_eq!(reply.expect("busy, not a broken pipe"), CheckReply::Busy);
     }
 }

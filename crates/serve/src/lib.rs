@@ -19,9 +19,12 @@
 //!
 //! A check from either source runs on the thread that read it, once it
 //! holds the service's one check slot, so fleet checks run one at a time
-//! on the work-stealing detection pool.  Backpressure is explicit: a check
-//! that would make more than `queue_capacity` checks wait for the slot is
-//! answered `busy` instead of stacking latency ([`server`]).
+//! on the work-stealing detection pool.  A client's connection is served
+//! by the thread its `connect` woke, which then waits for the next one.
+//! Backpressure is explicit: a check that would make more than
+//! `queue_capacity` checks wait for the slot is answered `busy` instead of
+//! stacking latency, and so is a connection past the few more the server
+//! serves at once ([`server`]).
 //! One telemetry surface covers the daemon: `/metrics`, `/healthz`, and a
 //! per-app `/readyz` over TCP, a JSONL heartbeat per poll tick, and a
 //! `serve` phase section of instruments ([`obs`]).

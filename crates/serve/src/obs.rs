@@ -30,7 +30,8 @@ pub static CHECKS: Counter = Counter::new("serve.checks");
 /// Target payloads checked (sum of per-request target counts).
 pub static TARGETS_CHECKED: Counter = Counter::new("serve.targets_checked");
 /// Requests rejected with `busy`: too many checks were waiting for the
-/// check slot, or the service was shutting down.
+/// check slot, or the service was shutting down; and connections refused
+/// `busy` past the connection bound.
 pub static REJECTED_BUSY: Counter = Counter::new("serve.rejected_busy");
 /// Requests answered with `error` (malformed, unknown app, failed admin).
 pub static ERRORS: Counter = Counter::new("serve.errors");

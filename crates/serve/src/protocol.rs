@@ -14,7 +14,9 @@
 //! response   := "ok" SP count LF line*        (admin verbs: count lines)
 //!             | "ok" SP count LF report*      (check: count report frames)
 //!             | "busy" LF                     (check not admitted: too
-//!                                             many waiting, or stopping)
+//!                                             many waiting, or stopping;
+//!                                             or any request on a
+//!                                             connection past the bound)
 //!             | "error" SP message LF
 //! report     := "report" SP name SP len LF raw(len) LF
 //! ```
@@ -74,7 +76,9 @@ pub enum Response {
     /// [`Report::render`]: encore::Report::render
     Reports(Vec<(String, String)>),
     /// The check was not admitted — too many checks are waiting for the
-    /// check slot, or the service is stopping: try again later.
+    /// check slot, or the service is stopping — or the connection was
+    /// one past those the server serves at once, and was closed unread:
+    /// try again later.
     Busy,
     /// The request failed; the message is a single line.
     Error(String),

@@ -1,16 +1,25 @@
-//! The `encore-serve` service: accept loop, the check slot, the poll
-//! tick, and the telemetry surface.
+//! The `encore-serve` service: connection threads, the check slot, the
+//! poll tick, and the telemetry surface.
 //!
 //! Shape (one box per thread):
 //!
 //! ```text
-//!  clients ──► accept loop ──► connection threads: admin verbs, and each
-//!                              `check` run here once it holds the slot
+//!  clients ──► connection threads: each waits in `accept`, serves the
+//!              connection it accepted (admin verbs, and each `check` run
+//!              here once it holds the slot), then goes back to `accept`
 //!  poll thread: Poller::tick (hot reloads, watched-directory scans whose
 //!               re-checks run here through the same slot) + JSONL
 //!               heartbeat every interval
 //!  metrics server: /metrics /healthz /readyz   (optional TCP port)
 //! ```
+//!
+//! A client's `connect` wakes the connection thread that will serve it:
+//! no thread is spawned per connection.  A thread about to serve spawns
+//! another only when none is left waiting in `accept`, and once its
+//! connection ends it goes back there unless `IDLE_THREADS` already
+//! wait.  At most `queue_capacity` + `EXTRA_CONNECTIONS` connections are
+//! served at once; the thread that accepts one more answers it `busy` and
+//! closes it unread.
 //!
 //! Every check runs on the thread that read it, once that thread holds
 //! the service's one check slot.  At most `queue_capacity` checks wait for
@@ -33,7 +42,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -157,7 +166,8 @@ pub struct ServeStats {
     pub checks: AtomicU64,
     /// Target payloads checked.
     pub targets_checked: AtomicU64,
-    /// Requests rejected with `busy`.
+    /// Requests rejected with `busy`, and connections refused `busy` past
+    /// the connection bound.
     pub rejected_busy: AtomicU64,
     /// Requests answered with `error`.
     pub errors: AtomicU64,
@@ -166,6 +176,17 @@ pub struct ServeStats {
 /// Dense request ids, minted per request read (any verb, well-formed or
 /// not); a check's events join its request's scope.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Connection threads kept waiting in `accept` once their connection
+/// ends.  A closed-loop client opens its next connection before the
+/// thread that served the last one has read its EOF, so three threads
+/// take part in steady traffic; with room for one more, a kept server
+/// spawns a thread only when a burst outgrows them.
+const IDLE_THREADS: usize = 4;
+
+/// Connections served at once beyond the checks that may wait for the
+/// slot: the running check's and one admin connection.
+const EXTRA_CONNECTIONS: usize = 2;
 
 /// The slot wait and run time of one check, for its `request.done`
 /// record.  Zero for a `busy` check; admin verbs have no wait.
@@ -177,7 +198,7 @@ struct CheckTimings {
     check: Duration,
 }
 
-/// What the accept, connection and poll threads share.
+/// What the connection and poll threads share.
 struct Service {
     registry: SnapshotRegistry,
     /// Stops the threads; once stopped, no check is admitted.
@@ -296,11 +317,135 @@ impl Drop for Place<'_> {
     }
 }
 
+/// The connection threads.  Each waits in `accept` on the one listener
+/// and serves the connection it accepts; whether a thread goes back to
+/// `accept` or stops is decided under the lock [`Connections::close`]
+/// takes.
+struct Connections {
+    listener: UnixListener,
+    service: Arc<Service>,
+    /// Most connections served at once: the service's `capacity` plus
+    /// [`EXTRA_CONNECTIONS`].
+    bound: usize,
+    threads: Mutex<Threads>,
+}
+
+/// What the connection threads decide under their one lock.
+#[derive(Default)]
+struct Threads {
+    /// Threads waiting in `accept`, or on their way there.
+    accepting: usize,
+    /// The connections being served, each a clone whose read half a stop
+    /// shuts down, under a serial number.
+    live: Vec<(u64, UnixStream)>,
+    next_serial: u64,
+    /// The threads started: each spawn joins the finished ones, which
+    /// frees their stacks, and the stop joins the rest.
+    handles: Vec<JoinHandle<()>>,
+    /// Set by [`Connections::close`]: no thread goes back to `accept`.
+    closed: bool,
+}
+
+impl Connections {
+    fn lock(&self) -> MutexGuard<'_, Threads> {
+        // Nothing panics while holding it; each update leaves it valid.
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Start one more thread that waits in `accept`.
+    fn spawn(self: &Arc<Self>, threads: &mut Threads) -> io::Result<()> {
+        for finished in threads
+            .handles
+            .extract_if(.., |handle| handle.is_finished())
+        {
+            let _ = finished.join();
+        }
+        let connections = Arc::clone(self);
+        let handle = std::thread::Builder::new().spawn(move || connections.serve())?;
+        threads.accepting += 1;
+        threads.handles.push(handle);
+        Ok(())
+    }
+
+    /// One connection thread: accept a connection, serve it, and go back
+    /// to `accept` unless [`IDLE_THREADS`] already wait there or the
+    /// server is stopping.
+    fn serve(self: Arc<Self>) {
+        loop {
+            let accepted = self.listener.accept();
+            let mut threads = self.lock();
+            if threads.closed {
+                return;
+            }
+            let stream = match accepted {
+                Ok((stream, _)) if threads.live.len() < self.bound => stream,
+                Ok((stream, _)) => {
+                    drop(threads);
+                    refuse(stream, &self.service.stats);
+                    continue;
+                }
+                Err(_) => continue,
+            };
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            threads.accepting -= 1;
+            let serial = threads.next_serial;
+            threads.next_serial += 1;
+            threads.live.push((serial, clone));
+            if threads.accepting == 0 {
+                // Should no thread start, this one goes back to `accept`
+                // when its connection ends.
+                let _ = self.spawn(&mut threads);
+            }
+            drop(threads);
+            // A check that panics ends its connection, not this thread.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve_connection(stream, &self.service)
+            }));
+            let mut threads = self.lock();
+            threads.live.retain(|(live, _)| *live != serial);
+            if threads.closed || threads.accepting >= IDLE_THREADS {
+                return;
+            }
+            threads.accepting += 1;
+        }
+    }
+
+    /// Stop the threads.  None goes back to `accept`.  Every live
+    /// connection's read half is shut down, so a thread blocked reading
+    /// its next request sees EOF while a running check still writes its
+    /// report.  Each thread waiting in `accept` gets one wake-up
+    /// connection.  Returns every thread, to be joined.
+    fn close(&self, socket: &Path) -> Vec<JoinHandle<()>> {
+        let mut threads = self.lock();
+        threads.closed = true;
+        for (_, stream) in &threads.live {
+            let _ = stream.shutdown(std::net::Shutdown::Read);
+        }
+        let waiting = threads.accepting;
+        let handles = std::mem::take(&mut threads.handles);
+        drop(threads);
+        for _ in 0..waiting {
+            let _ = UnixStream::connect(socket);
+        }
+        handles
+    }
+}
+
+/// Answer a connection past the bound `busy` and close it unread: it is
+/// counted in `rejected_busy` but mints no request id.
+fn refuse(mut stream: UnixStream, stats: &ServeStats) {
+    stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
+    crate::obs::REJECTED_BUSY.incr();
+    let _ = protocol::write_response(&mut stream, &Response::Busy);
+}
+
 /// A running detection service; stops (and unlinks its socket) on drop.
 pub struct Server {
     socket: PathBuf,
     service: Arc<Service>,
-    accept: Option<JoinHandle<()>>,
+    connections: Option<Arc<Connections>>,
     poller: Option<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
 }
@@ -369,18 +514,24 @@ impl Server {
             std::thread::spawn(move || poll_loop(poller, &service, interval, heartbeat.as_deref()))
         };
 
-        let accept = {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || accept_loop(&listener, &service))
-        };
-
-        Ok(Server {
+        let connections = Arc::new(Connections {
+            listener,
+            bound: service.capacity + EXTRA_CONNECTIONS,
+            service: Arc::clone(&service),
+            threads: Mutex::default(),
+        });
+        let mut server = Server {
             socket: options.socket,
             service,
-            accept: Some(accept),
+            connections: None,
             poller: Some(poller),
             metrics,
-        })
+        };
+        // If no thread starts, dropping `server` stops the poll thread
+        // and the metrics server and unlinks the socket.
+        connections.spawn(&mut connections.lock())?;
+        server.connections = Some(connections);
+        Ok(server)
     }
 
     /// The socket path clients connect to.
@@ -419,14 +570,14 @@ impl Server {
     }
 
     /// Stop the service: admit no more checks, let the admitted ones
-    /// finish, join every thread, unlink the socket.  Idempotent.
+    /// finish and write their reports, join every thread, unlink the
+    /// socket.  Idempotent.
     pub fn stop(&mut self) {
         self.service.stop.stop();
-        // The accept loop blocks in `accept`; a throwaway connection
-        // wakes it so it can observe the stop flag.
-        let _ = UnixStream::connect(&self.socket);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        if let Some(connections) = self.connections.take() {
+            for handle in connections.close(&self.socket) {
+                let _ = handle.join();
+            }
         }
         if let Some(handle) = self.poller.take() {
             let _ = handle.join();
@@ -501,49 +652,6 @@ fn print_scans(scans: &[io::Result<Scan>]) {
     let _ = out.flush();
 }
 
-/// Accept connections until the stop flag is raised; each connection gets
-/// its own thread (clients are few — operators and fleet crawlers — and a
-/// blocked read must not stall other clients).
-fn accept_loop(listener: &UnixListener, service: &Arc<Service>) {
-    let mut connections: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
-    for stream in listener.incoming() {
-        if service.stop.is_stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Ok(hangup) = stream.try_clone() else {
-            continue;
-        };
-        let service = Arc::clone(service);
-        let handle = std::thread::spawn(move || {
-            let _ = serve_connection(stream, &service);
-        });
-        connections.push((hangup, handle));
-        connections.retain(|(_, handle)| !handle.is_finished());
-    }
-    // Idle clients sit blocked in a read between requests; hang up on
-    // them so every connection thread observes EOF and can be joined.
-    for (stream, _) in &connections {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-    for (_, handle) in connections {
-        let _ = handle.join();
-    }
-}
-
-/// Serve one client until EOF, a malformed request, or shutdown.
-///
-/// The accept loop keeps a hangup clone of the socket, so merely
-/// dropping our file descriptors would NOT deliver EOF to the client;
-/// an explicit `shutdown` acts on the socket itself and closes the
-/// connection past every outstanding clone.
-fn serve_connection(stream: UnixStream, service: &Service) -> io::Result<()> {
-    let hangup = stream.try_clone()?;
-    let result = serve_requests(stream, service);
-    let _ = hangup.shutdown(std::net::Shutdown::Both);
-    result
-}
-
 /// The event-record verb label of a request.
 fn verb_of(request: &Request) -> &'static str {
     match request {
@@ -609,11 +717,13 @@ fn record_done(
     });
 }
 
-/// The request loop behind [`serve_connection`].
-fn serve_requests(stream: UnixStream, service: &Service) -> io::Result<()> {
+/// Serve one client until EOF, a malformed request, or shutdown.  The
+/// client sees EOF once the stream and its thread's stop clone are
+/// dropped.
+fn serve_connection(stream: UnixStream, service: &Service) -> io::Result<()> {
     let (registry, stats) = (&service.registry, &service.stats);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = BufWriter::new(&stream);
     loop {
         let Some((parsed, parse)) = protocol::read_request_timed(&mut reader)? else {
             return Ok(());
@@ -842,6 +952,122 @@ mod tests {
             "`{err}` does not name {addr}"
         );
         assert!(!socket.exists(), "socket file left behind");
+    }
+
+    /// A server on a socket of its own, with no apps.
+    fn start(tag: &str, capacity: usize) -> Server {
+        start_with(tag, capacity, SnapshotRegistry::new())
+    }
+
+    fn start_with(tag: &str, capacity: usize, registry: SnapshotRegistry) -> Server {
+        let socket =
+            std::env::temp_dir().join(format!("encore-serve-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let mut options = ServeOptions::new(socket);
+        options.queue_capacity = capacity;
+        Server::start(registry, options).expect("server starts")
+    }
+
+    /// `n` clients, each answered, so `n` threads serve at once.
+    fn served(server: &Server, n: usize) -> Vec<crate::Client> {
+        (0..n)
+            .map(|_| {
+                let mut client = crate::Client::connect(server.socket()).expect("connect");
+                client.stats().expect("served");
+                client
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_connection_past_the_bound_reads_busy_and_is_not_a_request() {
+        let server = start("bound", 2);
+        let mut clients = served(&server, 2 + EXTRA_CONNECTIONS);
+        let mut refused = UnixStream::connect(server.socket()).expect("connect");
+        let mut wire = String::new();
+        refused.read_to_string(&mut wire).expect("read to close");
+        assert_eq!(wire, "busy\n");
+        let stats = clients[0].stats().expect("stats");
+        // Every request read mints a request id; the refusal read none.
+        let requests = format!("requests {}", 2 + EXTRA_CONNECTIONS + 1);
+        for line in ["rejected_busy 1", requests.as_str(), "checks 0"] {
+            assert!(
+                stats.iter().any(|l| l == line),
+                "`{line}` missing: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stop_wakes_and_joins_every_thread_waiting_in_accept() {
+        let mut server = start("idle-stop", 2);
+        let connections = Arc::clone(server.connections.as_ref().expect("running"));
+        // All but one of the idle threads serve, and one more waits in
+        // `accept`; once the clients hang up, all of them wait there.
+        drop(served(&server, IDLE_THREADS - 1));
+        while connections.lock().accepting < IDLE_THREADS {
+            std::thread::yield_now();
+        }
+        server.stop();
+        assert_eq!(
+            Arc::strong_count(&connections),
+            1,
+            "a connection thread outlived the stop"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn an_admitted_check_gets_its_report_across_a_stop() {
+        use encore::prelude::*;
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        use encore_model::AppKind;
+
+        let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(8, 5));
+        let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("assembles");
+        let detector = EnCore::learn(&training, &LearnOptions::default()).into_detector();
+        let snapshot = std::env::temp_dir().join(format!(
+            "encore-serve-stop-report-{}.snap",
+            std::process::id()
+        ));
+        std::fs::write(&snapshot, detector.snapshot().render()).expect("write snapshot");
+        let registry = SnapshotRegistry::new();
+        registry
+            .load("mysql", AppKind::Mysql, &snapshot)
+            .expect("load");
+
+        let mut server = start_with("stop-report", 4, registry);
+        let socket = server.socket().to_path_buf();
+        let service = Arc::clone(&server.service);
+        let connections = Arc::clone(server.connections.as_ref().expect("running"));
+        let slot = service.slot.lock().expect("slot");
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let targets = [("a.cnf".to_string(), "[mysqld]\nport = 3306\n".to_string())];
+                crate::Client::connect(&socket)
+                    .expect("connect")
+                    .check("mysql", &targets)
+            });
+            while waiting(&service) == 0 {
+                std::thread::yield_now();
+            }
+            let stopper = scope.spawn(|| server.stop());
+            // The stop shuts the connections down under the lock it
+            // closes them with, while the check still waits for the slot.
+            while !connections.lock().closed {
+                std::thread::yield_now();
+            }
+            drop(slot);
+            match client.join().expect("client").expect("a response, not EOF") {
+                crate::CheckReply::Reports(reports) => {
+                    assert_eq!(reports.len(), 1);
+                    assert_eq!(reports[0].0, "a.cnf");
+                }
+                crate::CheckReply::Busy => panic!("the check was admitted"),
+            }
+            stopper.join().expect("stop");
+        });
+        let _ = std::fs::remove_file(&snapshot);
     }
 
     #[test]
