@@ -88,16 +88,6 @@ struct Options {
     obs: ObsConfig,
 }
 
-fn parse_app(name: &str) -> Result<AppKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "mysql" => Ok(AppKind::Mysql),
-        "apache" => Ok(AppKind::Apache),
-        "php" => Ok(AppKind::Php),
-        "sshd" => Ok(AppKind::Sshd),
-        other => Err(format!("unknown app `{other}` (mysql|apache|php|sshd)")),
-    }
-}
-
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
     let mut options = Options {
         app: AppKind::Mysql,
@@ -117,7 +107,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>,
         };
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--app" => options.app = parse_app(&value("--app")?)?,
+            "--app" => {
+                options.app = value("--app")?
+                    .parse()
+                    .map_err(|e| format!("bad --app: {e}"))?;
+            }
             "--images" => {
                 options.images = value("--images")?
                     .parse()

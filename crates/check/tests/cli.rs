@@ -168,6 +168,21 @@ fn invalid_thresholds_get_ec050() {
 }
 
 #[test]
+fn app_names_parse_as_in_the_other_binaries() {
+    // `httpd` names Apache here as it does for `encore-detect` and
+    // `encore-serve`; a name no binary knows is a usage error.
+    let apache = encore_lint(&["--app", "apache", "--images", "8"]);
+    let httpd = encore_lint(&["--app", "httpd", "--images", "8"]);
+    let stderr = String::from_utf8_lossy(&httpd.stderr);
+    assert_ne!(httpd.status.code(), Some(2), "stderr:\n{stderr}");
+    assert_eq!(httpd.status.code(), apache.status.code());
+    assert_eq!(stdout(&httpd), stdout(&apache));
+    let unknown = encore_lint(&["--app", "nginx"]);
+    assert_eq!(unknown.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains("nginx"));
+}
+
+#[test]
 fn unknown_flag_is_a_usage_error() {
     for args in [&["--bogus"][..], &["--rules", "rules.txt"]] {
         let out = encore_lint(args);

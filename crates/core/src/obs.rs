@@ -6,10 +6,10 @@
 //! `filter`, `detect` — live here, each listed once in its [`Phase`];
 //! `PIPELINE` orders them after the upstream crates' phases (`collect`
 //! from `encore-sysimage`, `assemble` from `encore-assemble`, which also
-//! registers the parser's instruments).  [`pipeline_report`], [`reset`]
-//! and [`histogram_bounds`] walk that list.  The report always carries all
-//! six phase sections, zero-valued when a phase did not run, so consumers
-//! can key on phase names unconditionally.
+//! registers the parser's instruments).  [`pipeline_report`] and
+//! [`reset`] walk that list.  The report always carries all six phase
+//! sections, zero-valued when a phase did not run, so consumers can key on
+//! phase names unconditionally.
 //!
 //! Determinism discipline (see DESIGN.md §9): [`Counter`]s and
 //! [`Histogram`]s count *work*, which is identical across worker counts;
@@ -247,13 +247,6 @@ pub fn pipeline_report() -> PipelineReport {
     }
 }
 
-/// Bucket bounds for every pipeline histogram, by sink metric name.
-/// Reports carry counts but not bounds; exposition and cycle deltas need
-/// them back (see [`PipelineReport::delta_since`] and [`expose::render`]).
-pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
-    PIPELINE.iter().find_map(|phase| phase.bounds(name))
-}
-
 /// Reset every pipeline instrument across all crates, profile tables
 /// included (the gates are left as-is).
 pub fn reset() {
@@ -442,20 +435,5 @@ mod tests {
             assert_eq!(ObsConfig::from_env().print_report, expected, "{value:?}");
         }
         std::env::remove_var("ENCORE_TRACE");
-    }
-
-    #[test]
-    fn histogram_bounds_covers_every_exposed_histogram() {
-        for phase in &pipeline_report().phases {
-            for (name, snap) in &phase.histograms {
-                let bounds = histogram_bounds(name)
-                    .unwrap_or_else(|| panic!("no bounds registered for histogram `{name}`"));
-                assert_eq!(
-                    bounds.len() + 1,
-                    snap.counts.len(),
-                    "bounds mismatch for `{name}`"
-                );
-            }
-        }
     }
 }

@@ -5,9 +5,9 @@
 //! two snapshots are *compared*.  [`ReportDelta::diff`] walks a base and a
 //! current report in parallel and records every metric whose value (or
 //! presence) differs — counters and gauges as scalar pairs, timers as
-//! nanosecond pairs, histograms bucket-wise.  Diffing a report against
-//! itself is empty by construction: an entry is recorded only when the two
-//! sides are unequal.
+//! nanosecond pairs, histograms by their bounds and bucket-wise.  Diffing
+//! a report against itself is empty by construction: an entry is recorded
+//! only when the two sides are unequal.
 //!
 //! Which differences *fail* is fixed by the workspace determinism
 //! discipline (DESIGN.md §9), and [`ReportDelta::violations`] lists them:
@@ -15,7 +15,7 @@
 //! timers are scheduling-dependent, so they are rendered but never fail.
 
 use crate::json::Json;
-use crate::report::PipelineReport;
+use crate::report::{entry, HistogramSnapshot, PipelineReport};
 
 /// One differing scalar metric (counter or gauge).  A `None` side means
 /// the metric is absent from that report.
@@ -77,19 +77,19 @@ impl TimerDelta {
     }
 }
 
-/// One differing histogram, compared bucket-wise on raw counts (the
-/// derived percentiles are a function of the counts, so they never differ
-/// independently).
+/// One differing histogram, compared on its bounds and bucket-wise on raw
+/// counts (the derived percentiles are a function of the two, so they
+/// never differ independently).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramDelta {
     /// Phase the histogram was reported under.
     pub phase: String,
     /// Metric name.
     pub name: String,
-    /// Bucket counts in the base report, if present.
-    pub base: Option<Vec<u64>>,
-    /// Bucket counts in the current report, if present.
-    pub current: Option<Vec<u64>>,
+    /// The histogram in the base report, if present.
+    pub base: Option<HistogramSnapshot>,
+    /// The histogram in the current report, if present.
+    pub current: Option<HistogramSnapshot>,
 }
 
 impl HistogramDelta {
@@ -100,6 +100,7 @@ impl HistogramDelta {
         let (Some(base), Some(current)) = (&self.base, &self.current) else {
             return Vec::new();
         };
+        let (base, current) = (&base.counts, &current.counts);
         (0..base.len().max(current.len()))
             .filter_map(|i| {
                 let b = base.get(i).copied().unwrap_or(0);
@@ -132,12 +133,10 @@ fn aligned<'a, T>(
     base: &'a [(String, T)],
     current: &'a [(String, T)],
 ) -> impl Iterator<Item = (&'a str, Option<&'a T>, Option<&'a T>)> {
-    let lookup =
-        |side: &'a [(String, T)], name: &str| side.iter().find(|(n, _)| n == name).map(|(_, v)| v);
     base.iter()
-        .map(move |(name, value)| (name.as_str(), Some(value), lookup(current, name)))
+        .map(move |(name, value)| (name.as_str(), Some(value), entry(current, name)))
         .chain(current.iter().filter_map(move |(name, value)| {
-            lookup(base, name)
+            entry(base, name)
                 .is_none()
                 .then_some((name.as_str(), None, Some(value)))
         }))
@@ -195,12 +194,12 @@ impl ReportDelta {
                 }
             }
             for (name, bv, cv) in aligned(&b.histograms, &c.histograms) {
-                if bv.map(|s| &s.counts) != cv.map(|s| &s.counts) {
+                if bv.map(|s| (&s.bounds, &s.counts)) != cv.map(|s| (&s.bounds, &s.counts)) {
                     delta.histograms.push(HistogramDelta {
                         phase: phase.to_string(),
                         name: name.to_string(),
-                        base: bv.map(|s| s.counts.clone()),
-                        current: cv.map(|s| s.counts.clone()),
+                        base: bv.cloned(),
+                        current: cv.cloned(),
                     });
                 }
             }
@@ -218,10 +217,10 @@ impl ReportDelta {
 
     /// The differences that fail the comparison, one line each, counters
     /// first and then histograms: every differing counter, and every
-    /// histogram present on one side only or with a differing bucket.  A
-    /// histogram whose bucket lists differ only by trailing zero buckets
-    /// is recorded in the delta but does not fail.  Gauges and timers
-    /// never fail.
+    /// histogram present on one side only, with differing bounds or with a
+    /// differing bucket.  A histogram whose bucket lists differ only by
+    /// trailing zero buckets is recorded in the delta but does not fail.
+    /// Gauges and timers never fail.
     pub fn violations(&self) -> Vec<String> {
         let counters = self.counters.iter().map(|d| {
             format!(
@@ -231,16 +230,17 @@ impl ReportDelta {
                 side(d.current)
             )
         });
-        let histograms = self
-            .histograms
-            .iter()
-            .filter(|d| d.base.is_none() || d.current.is_none() || !d.changed_buckets().is_empty())
-            .map(|d| {
-                format!(
-                    "histogram {}: bucket counts differ, exceeding gate `exact`",
-                    d.name
-                )
-            });
+        let histograms = self.histograms.iter().filter_map(|d| {
+            let differ = match (&d.base, &d.current) {
+                (Some(b), Some(c)) if b.bounds != c.bounds => "bounds",
+                (Some(_), Some(_)) if d.changed_buckets().is_empty() => return None,
+                _ => "counts",
+            };
+            Some(format!(
+                "histogram {}: bucket {differ} differ, exceeding gate `exact`",
+                d.name
+            ))
+        });
         counters.chain(histograms).collect()
     }
 
@@ -284,7 +284,7 @@ impl ReportDelta {
             ));
         }
         for d in &self.histograms {
-            if d.base.is_none() || d.current.is_none() {
+            let (Some(base), Some(current)) = (&d.base, &d.current) else {
                 out.push_str(&format!(
                     "  histogram {} = {} -> {}\n",
                     d.name,
@@ -300,6 +300,12 @@ impl ReportDelta {
                     },
                 ));
                 continue;
+            };
+            if base.bounds != current.bounds {
+                out.push_str(&format!(
+                    "  histogram {} bounds = {:?} -> {:?}\n",
+                    d.name, base.bounds, current.bounds
+                ));
             }
             for (bucket, b, c) in d.changed_buckets() {
                 out.push_str(&format!(
@@ -352,9 +358,9 @@ impl ReportDelta {
                     self.histograms
                         .iter()
                         .map(|d| {
-                            let counts = |side: &Option<Vec<u64>>| match side {
-                                Some(counts) => {
-                                    Json::Arr(counts.iter().map(|&c| Json::Num(c)).collect())
+                            let counts = |side: &Option<HistogramSnapshot>| match side {
+                                Some(snap) => {
+                                    Json::Arr(snap.counts.iter().map(|&c| Json::Num(c)).collect())
                                 }
                                 None => Json::Null,
                             };
@@ -385,7 +391,7 @@ fn num_or_null(v: Option<u64>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{HistogramSnapshot, PhaseReport, TimerSnapshot};
+    use crate::report::{PhaseReport, TimerSnapshot};
 
     fn report(counter: u64, timer_nanos: u64, bucket0: u64) -> PipelineReport {
         PipelineReport {
@@ -402,7 +408,11 @@ mod tests {
                 )],
                 histograms: vec![(
                     "infer.candidates.by_template".to_string(),
-                    HistogramSnapshot::from_counts(&[0, 1], vec![bucket0, 2, 0], 2),
+                    HistogramSnapshot {
+                        bounds: vec![0, 1],
+                        counts: vec![bucket0, 2, 0],
+                        sum: 2,
+                    },
                 )],
             }],
         }
@@ -466,6 +476,26 @@ mod tests {
                  exceeding gate `exact`"
             ]
         );
+    }
+
+    #[test]
+    fn equal_counts_under_different_bounds_are_a_violation() {
+        let base = report(100, 5_000, 3);
+        let mut rebucketed = base.clone();
+        rebucketed.phases[0].histograms[0].1.bounds = vec![0, 2];
+        let delta = ReportDelta::diff(&base, &rebucketed);
+        assert_eq!(delta.histograms.len(), 1);
+        assert!(delta.histograms[0].changed_buckets().is_empty());
+        assert_eq!(
+            delta.violations(),
+            vec![
+                "histogram infer.candidates.by_template: bucket bounds differ, \
+                 exceeding gate `exact`"
+            ]
+        );
+        assert!(delta
+            .render_text()
+            .contains("histogram infer.candidates.by_template bounds = [0, 1] -> [0, 2]"));
     }
 
     #[test]

@@ -13,21 +13,16 @@
 //! `<name>` is the metric name sanitized into the Prometheus grammar:
 //! ASCII alphanumerics lower-cased, everything else `_`
 //! (`infer.pairs.evaluated` → `encore_infer_pairs_evaluated_total`).
-//! Sanitization can merge distinct names (`a.b-c` vs `a.b_c`); collisions
-//! are resolved deterministically — claimants sort by original metric
-//! name, the first keeps the family, later ones get a numeric `_2`/`_3`
-//! suffix (bumped past any name already in use) — so no two originals
-//! ever share a family and the assignment is independent of report order.
+//! Sanitization could merge distinct names (`a.b-c` and `a.b_c`); no two
+//! registered metrics do, and [`validate`] rejects a family that appears
+//! twice.
 //!
 //! Timer seconds are rendered digit-exactly from the integer second and
 //! nanosecond parts (never through `f64`, whose 53-bit mantissa would
 //! round totals beyond 2^53 ns); histogram `_sum` is the instrument's
 //! exact running sum (see
 //! [`Histogram::sum`](crate::Histogram::sum)), not a bucket-midpoint
-//! estimate.  Histogram `le` bounds come from a caller-supplied lookup
-//! (bounds are not carried in reports); when the lookup misses, bucket
-//! indices stand in as bounds, which is exact for the index-domain
-//! histograms built over `INDEX_BOUNDS`.
+//! estimate.  Histogram `le` bounds are the snapshot's own bounds.
 //!
 //! [`MetricsServer`] is a hand-rolled `std::net::TcpListener` HTTP/1.0
 //! responder (zero dependencies, one named accept thread) exposing
@@ -35,18 +30,13 @@
 //! status closure; 503 while not ready).
 
 use crate::report::PipelineReport;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Lookup from an original histogram metric name to its bucket bounds.
-/// Reports carry counts but not bounds, so exposition needs the owning
-/// crate to supply them (e.g. `encore::obs::histogram_bounds`).
-pub type BoundsOf<'a> = &'a dyn Fn(&str) -> Option<&'static [u64]>;
 
 /// Sanitize a sink metric name into the `encore_` Prometheus namespace:
 /// ASCII alphanumerics are lower-cased, every other character becomes `_`.
@@ -63,191 +53,67 @@ pub fn sanitize(name: &str) -> String {
     out
 }
 
-/// What one exposition family renders: its kind line and sample values.
-enum FamilyData {
-    Counter(u64),
-    Gauge(u64),
-    /// Timer total, rendered as seconds with nanosecond precision.
-    Seconds(u64),
-    /// Timer span count.
-    Spans(u64),
-    Histogram {
-        bounds: Option<&'static [u64]>,
-        counts: Vec<u64>,
-        sum: u64,
-    },
-}
-
-struct Family {
-    /// Sanitized family name before collision resolution.
-    desired: String,
-    /// Original sink metric name (also the collision sort key).
-    orig: String,
-    phase: String,
-    data: FamilyData,
-}
-
-impl Family {
-    fn kind(&self) -> &'static str {
-        match self.data {
-            FamilyData::Counter(_) | FamilyData::Seconds(_) | FamilyData::Spans(_) => "counter",
-            FamilyData::Gauge(_) => "gauge",
-            FamilyData::Histogram { .. } => "histogram",
-        }
-    }
-
-    fn describe(&self) -> String {
-        let noun = match self.data {
-            FamilyData::Counter(_) => "Counter",
-            FamilyData::Gauge(_) => "Gauge",
-            FamilyData::Seconds(_) => "Timer total seconds for",
-            FamilyData::Spans(_) => "Timer span count for",
-            FamilyData::Histogram { .. } => "Histogram",
-        };
-        format!("{noun} `{}` (phase {}).", self.orig, self.phase)
-    }
-}
-
 /// Escape a HELP docstring per the exposition format: `\` and newline.
 fn escape_help(text: &str) -> String {
     text.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Deterministically assign final family names.  Keyed by
-/// `(desired, orig)`: claimants of one desired name sort by original
-/// metric name, the first keeps it, later ones take the lowest free
-/// `_2`/`_3`… suffix (never stealing another family's desired name).
-fn resolve_collisions(families: &[Family]) -> BTreeMap<(String, String), String> {
-    let mut claims: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for family in families {
-        claims
-            .entry(&family.desired)
-            .or_default()
-            .insert(&family.orig);
-    }
-    let mut taken: BTreeSet<String> = claims.keys().map(|k| (*k).to_string()).collect();
-    let mut assigned = BTreeMap::new();
-    for (&desired, origs) in &claims {
-        for (i, &orig) in origs.iter().enumerate() {
-            let name = if i == 0 {
-                desired.to_string()
-            } else {
-                let mut n = i + 1;
-                loop {
-                    let candidate = format!("{desired}_{n}");
-                    if !taken.contains(&candidate) {
-                        taken.insert(candidate.clone());
-                        break candidate;
-                    }
-                    n += 1;
-                }
-            };
-            assigned.insert((desired.to_string(), orig.to_string()), name);
-        }
-    }
-    assigned
 }
 
 /// Render a report in the Prometheus text exposition format 0.0.4.
 ///
 /// Families appear in report order (phase order, then instrument
 /// declaration order within the phase); each family is one `# HELP` line,
-/// one `# TYPE` line, then its samples.  `bounds_of` supplies histogram
-/// bucket bounds by original metric name; a miss falls back to bucket
-/// indices.
-pub fn render(report: &PipelineReport, bounds_of: BoundsOf) -> String {
-    let mut families: Vec<Family> = Vec::new();
+/// one `# TYPE` line, then its samples.
+pub fn render(report: &PipelineReport) -> String {
+    let mut out = String::new();
     for phase in &report.phases {
+        let header = |out: &mut String, family: &str, kind: &str, noun: &str, orig: &str| {
+            let help = escape_help(&format!("{noun} `{orig}` (phase {}).", phase.name));
+            out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
+        };
         for (name, value) in &phase.counters {
-            families.push(Family {
-                desired: format!("{}_total", sanitize(name)),
-                orig: name.clone(),
-                phase: phase.name.clone(),
-                data: FamilyData::Counter(*value),
-            });
+            let family = format!("{}_total", sanitize(name));
+            header(&mut out, &family, "counter", "Counter", name);
+            out.push_str(&format!("{family} {value}\n"));
         }
         for (name, value) in &phase.gauges {
-            families.push(Family {
-                desired: sanitize(name),
-                orig: name.clone(),
-                phase: phase.name.clone(),
-                data: FamilyData::Gauge(*value),
-            });
+            let family = sanitize(name);
+            header(&mut out, &family, "gauge", "Gauge", name);
+            out.push_str(&format!("{family} {value}\n"));
         }
         for (name, snap) in &phase.timers {
-            families.push(Family {
-                desired: format!("{}_seconds_total", sanitize(name)),
-                orig: name.clone(),
-                phase: phase.name.clone(),
-                data: FamilyData::Seconds(snap.nanos),
-            });
-            families.push(Family {
-                desired: format!("{}_spans_total", sanitize(name)),
-                orig: name.clone(),
-                phase: phase.name.clone(),
-                data: FamilyData::Spans(snap.spans),
-            });
+            let family = format!("{}_seconds_total", sanitize(name));
+            header(
+                &mut out,
+                &family,
+                "counter",
+                "Timer total seconds for",
+                name,
+            );
+            // Integer seconds + zero-padded fractional nanos, not
+            // `nanos as f64 / 1e9`: above 2^53 nanoseconds (~104 days of
+            // accumulated span time) the f64 mantissa runs out and the
+            // rendered total silently loses nanoseconds.  Decimal
+            // formatting from the two integer parts is exact for every u64.
+            let (seconds, nanos) = (snap.nanos / 1_000_000_000, snap.nanos % 1_000_000_000);
+            out.push_str(&format!("{family} {seconds}.{nanos:09}\n"));
+            let family = format!("{}_spans_total", sanitize(name));
+            header(&mut out, &family, "counter", "Timer span count for", name);
+            out.push_str(&format!("{family} {}\n", snap.spans));
         }
         for (name, snap) in &phase.histograms {
-            families.push(Family {
-                desired: sanitize(name),
-                orig: name.clone(),
-                phase: phase.name.clone(),
-                data: FamilyData::Histogram {
-                    bounds: bounds_of(name),
-                    counts: snap.counts.clone(),
-                    sum: snap.sum,
-                },
-            });
-        }
-    }
-    let assigned = resolve_collisions(&families);
-    let mut out = String::new();
-    for family in &families {
-        let name = &assigned[&(family.desired.clone(), family.orig.clone())];
-        out.push_str(&format!(
-            "# HELP {name} {}\n",
-            escape_help(&family.describe())
-        ));
-        out.push_str(&format!("# TYPE {name} {}\n", family.kind()));
-        match &family.data {
-            FamilyData::Counter(v) | FamilyData::Gauge(v) | FamilyData::Spans(v) => {
-                out.push_str(&format!("{name} {v}\n"));
+            let family = sanitize(name);
+            header(&mut out, &family, "histogram", "Histogram", name);
+            let mut cumulative = 0u64;
+            for (i, count) in snap.counts.iter().enumerate() {
+                cumulative += count;
+                let le = snap
+                    .bounds
+                    .get(i)
+                    .map_or("+Inf".to_string(), u64::to_string);
+                out.push_str(&format!("{family}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
-            FamilyData::Seconds(nanos) => {
-                // Integer seconds + zero-padded fractional nanos, not
-                // `nanos as f64 / 1e9`: above 2^53 nanoseconds (~104 days
-                // of accumulated span time) the f64 mantissa runs out and
-                // the rendered total silently loses nanoseconds.  Decimal
-                // formatting from the two integer parts is exact for every
-                // u64.
-                out.push_str(&format!(
-                    "{name} {}.{:09}\n",
-                    nanos / 1_000_000_000,
-                    nanos % 1_000_000_000
-                ));
-            }
-            FamilyData::Histogram {
-                bounds,
-                counts,
-                sum,
-            } => {
-                let mut cumulative = 0u64;
-                for (i, count) in counts.iter().enumerate() {
-                    cumulative += count;
-                    if i + 1 < counts.len() {
-                        let le = match bounds.and_then(|b| b.get(i)) {
-                            Some(bound) => bound.to_string(),
-                            None => i.to_string(),
-                        };
-                        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                    } else {
-                        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-                    }
-                }
-                out.push_str(&format!("{name}_sum {sum}\n"));
-                out.push_str(&format!("{name}_count {cumulative}\n"));
-            }
+            out.push_str(&format!("{family}_sum {}\n", snap.sum));
+            out.push_str(&format!("{family}_count {cumulative}\n"));
         }
     }
     out
@@ -639,10 +505,6 @@ mod tests {
     use super::*;
     use crate::report::{HistogramSnapshot, PhaseReport, TimerSnapshot};
 
-    fn no_bounds(_: &str) -> Option<&'static [u64]> {
-        None
-    }
-
     #[test]
     fn sanitize_maps_to_namespace() {
         assert_eq!(
@@ -672,14 +534,15 @@ mod tests {
                 )],
                 histograms: vec![(
                     "infer.candidates.by_template".to_string(),
-                    HistogramSnapshot::from_counts(&[1, 2, 4], vec![1, 0, 2, 1], 14),
+                    HistogramSnapshot {
+                        bounds: vec![1, 2, 4],
+                        counts: vec![1, 0, 2, 1],
+                        sum: 14,
+                    },
                 )],
             }],
         };
-        let bounds = |name: &str| -> Option<&'static [u64]> {
-            (name == "infer.candidates.by_template").then_some(&[1, 2, 4][..])
-        };
-        let text = render(&report, &bounds);
+        let text = render(&report);
         assert!(text.contains("# TYPE encore_infer_pairs_evaluated_total counter\n"));
         assert!(text.contains("encore_infer_pairs_evaluated_total 6202\n"));
         assert!(text.contains("# TYPE encore_infer_pool_workers gauge\n"));
@@ -713,7 +576,7 @@ mod tests {
                 ..PhaseReport::default()
             }],
         };
-        let text = render(&report, &no_bounds);
+        let text = render(&report);
         assert!(
             text.contains("encore_uptime_seconds_total 9007199.254740993\n"),
             "large timer total lost nanosecond exactness:\n{text}"
@@ -735,64 +598,9 @@ mod tests {
                 ..PhaseReport::default()
             }],
         };
-        let text = render(&extremes, &no_bounds);
+        let text = render(&extremes);
         assert!(text.contains("encore_zero_seconds_total 0.000000000\n"));
         assert!(text.contains("encore_max_seconds_total 18446744073.709551615\n"));
-    }
-
-    #[test]
-    fn sanitization_collisions_get_deterministic_suffixes() {
-        let phase = PhaseReport {
-            name: "demo".to_string(),
-            // Deliberately listed in the order that would tempt the
-            // *second*-sorting original to claim the base name first.
-            counters: vec![("a.b_c".to_string(), 2), ("a.b-c".to_string(), 1)],
-            ..PhaseReport::default()
-        };
-        let report = PipelineReport {
-            phases: vec![phase],
-        };
-        let text = render(&report, &no_bounds);
-        // `a.b-c` sorts before `a.b_c` ('-' < '_'), so it keeps the base.
-        assert!(text.contains("# HELP encore_a_b_c_total Counter `a.b-c` (phase demo).\n"));
-        assert!(text.contains("encore_a_b_c_total 1\n"));
-        assert!(text.contains("# HELP encore_a_b_c_total_2 Counter `a.b_c` (phase demo).\n"));
-        assert!(text.contains("encore_a_b_c_total_2 2\n"));
-        validate(&text).expect("suffixed families still validate");
-
-        // Reversed declaration order yields the identical assignment.
-        let reversed = PipelineReport {
-            phases: vec![PhaseReport {
-                name: "demo".to_string(),
-                counters: vec![("a.b-c".to_string(), 1), ("a.b_c".to_string(), 2)],
-                ..PhaseReport::default()
-            }],
-        };
-        let text2 = render(&reversed, &no_bounds);
-        assert!(text2.contains("encore_a_b_c_total 1\n"));
-        assert!(text2.contains("encore_a_b_c_total_2 2\n"));
-    }
-
-    #[test]
-    fn suffix_never_steals_an_existing_desired_name() {
-        // `x.y` and `x_y` collide on `encore_x_y`; `x.y_2` already owns
-        // the `encore_x_y_2` base, so the loser must skip to `_3`.
-        let report = PipelineReport {
-            phases: vec![PhaseReport {
-                name: "demo".to_string(),
-                gauges: vec![
-                    ("x.y".to_string(), 1),
-                    ("x_y".to_string(), 2),
-                    ("x.y_2".to_string(), 3),
-                ],
-                ..PhaseReport::default()
-            }],
-        };
-        let text = render(&report, &no_bounds);
-        assert!(text.contains("encore_x_y 1\n"));
-        assert!(text.contains("encore_x_y_2 3\n"));
-        assert!(text.contains("encore_x_y_3 2\n"));
-        validate(&text).expect("bumped suffixes validate");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! pipeline requires seeing them at runtime.  This crate provides the
 //! instruments; each pipeline crate declares its own `static` metrics and
 //! lists every one of them once in a `static` [`Phase`], from which the
-//! phase's [`PhaseReport`], its reset and its histogram bounds are
-//! derived.  `encore::obs::pipeline_report` walks the phases into a
+//! phase's [`PhaseReport`] and its reset are derived.
+//! `encore::obs::pipeline_report` walks the phases into a
 //! [`PipelineReport`] with text and JSON renderers.
 //!
 //! # Design constraints
@@ -388,11 +388,13 @@ impl Histogram {
     /// estimate is a *lower* bound, and is reported as such).  An empty
     /// distribution estimates 0.
     pub fn quantile_from(bounds: &[u64], counts: &[u64], q: f64) -> f64 {
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
+        // Summed as f64, exact below 2^53 observations, so counts parsed
+        // from a report cannot overflow the total.
+        let total: f64 = counts.iter().map(|&c| c as f64).sum();
+        if total == 0.0 {
             return 0.0;
         }
-        let rank = q.clamp(0.0, 1.0) * total as f64;
+        let rank = q.clamp(0.0, 1.0) * total;
         let mut below = 0.0;
         for (i, &count) in counts.iter().enumerate() {
             if count == 0 {

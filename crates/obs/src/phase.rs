@@ -2,11 +2,11 @@
 //! phase.
 //!
 //! Each crate declares its instruments as `static`s and names every one
-//! of them exactly once, in a `static` [`Phase`].  The phase's report,
-//! its reset, and the bucket-bound lookup for its histograms are all
-//! derived from that list, so adding a metric is one static plus one list
-//! entry.  The lists are plain immutable statics resolved at compile
-//! time: there is no runtime registry to populate, lock, or race on.
+//! of them exactly once, in a `static` [`Phase`].  The phase's report
+//! (histograms with their bucket bounds) and its reset are both derived
+//! from that list, so adding a metric is one static plus one list entry.
+//! The lists are plain immutable statics resolved at compile time: there
+//! is no runtime registry to populate, lock, or race on.
 
 use crate::profile::ProfileTable;
 use crate::report::{HistogramSnapshot, PhaseReport};
@@ -40,7 +40,8 @@ pub struct Phase {
 
 impl Phase {
     /// Snapshot every instrument into a [`PhaseReport`]: each kind keeps
-    /// its list order.  Profile tables are not part of the report.
+    /// its list order, and each histogram carries its bounds.  Profile
+    /// tables are not part of the report.
     pub fn report(&self) -> PhaseReport {
         let mut report = PhaseReport::new(self.name);
         for metric in self.metrics {
@@ -50,7 +51,11 @@ impl Phase {
                 Metric::Timer(t) => report.timers.push((t.name().to_string(), t.snapshot())),
                 Metric::Histogram(h) => report.histograms.push((
                     h.name().to_string(),
-                    HistogramSnapshot::from_counts(h.bounds(), h.counts(), h.sum()),
+                    HistogramSnapshot {
+                        bounds: h.bounds().to_vec(),
+                        counts: h.counts(),
+                        sum: h.sum(),
+                    },
                 )),
                 Metric::Profile(_) => {}
             }
@@ -69,16 +74,6 @@ impl Phase {
                 Metric::Profile(p) => p.reset(),
             }
         }
-    }
-
-    /// The bucket bounds of the phase's histogram called `name`, if it
-    /// has one.  Reports carry counts but not bounds; exposition and
-    /// cycle deltas look them up here.
-    pub fn bounds(&self, name: &str) -> Option<&'static [u64]> {
-        self.metrics.iter().find_map(|metric| match *metric {
-            Metric::Histogram(h) if h.name() == name => Some(h.bounds()),
-            _ => None,
-        })
     }
 }
 
@@ -138,8 +133,14 @@ mod tests {
         assert_eq!(report.timers[0].1.spans, 1);
         assert_eq!(report.histograms.len(), 1);
         assert_eq!(report.histograms[0].0, "fixture.histogram");
-        assert_eq!(report.histograms[0].1.counts, vec![0, 1, 0]);
-        assert_eq!(report.histograms[0].1.sum, 5);
+        assert_eq!(
+            report.histograms[0].1,
+            HistogramSnapshot {
+                bounds: vec![1, 10],
+                counts: vec![0, 1, 0],
+                sum: 5,
+            }
+        );
         assert_eq!(PROFILE.total_nanos(), 10);
 
         FIXTURE.reset();
@@ -148,10 +149,7 @@ mod tests {
         assert!(zero.gauges.iter().all(|&(_, v)| v == 0));
         assert_eq!(zero.timers[0].1, crate::TimerSnapshot::default());
         assert_eq!(zero.histograms[0].1.counts, vec![0, 0, 0]);
+        assert_eq!(zero.histograms[0].1.bounds, vec![1, 10]);
         assert_eq!(PROFILE.total_nanos(), 0, "profile tables reset too");
-
-        assert_eq!(FIXTURE.bounds("fixture.histogram"), Some(&[1, 10][..]));
-        assert_eq!(FIXTURE.bounds("fixture.counter"), None);
-        assert_eq!(FIXTURE.bounds("no.such.metric"), None);
     }
 }

@@ -3,6 +3,8 @@
 //! A [`PhaseReport`] is a point-in-time snapshot of one pipeline phase's
 //! instruments; a [`PipelineReport`] is the ordered roll-up across all six
 //! phases (`collect`, `assemble`, `infer`, `stats`, `filter`, `detect`).
+//! A [`HistogramSnapshot`] carries its bucket bounds, so a report reads on
+//! its own: exposition, deltas and percentiles need nothing else.
 //! JSON rendering is hand-rolled over [`crate::json`] and `parse_json`
 //! inverts it exactly, so reports can be written by one process and
 //! validated by another (the CI pipeline-report step does exactly that).
@@ -20,38 +22,92 @@ pub struct TimerSnapshot {
     pub spans: u64,
 }
 
-/// A histogram's accumulated state: bucket counts plus interpolated
-/// percentile estimates (see [`Histogram::quantile_from`] — upper-bound
-/// estimates, rounded to whole units).  The percentiles are derived from
-/// the counts and the instrument's bounds at snapshot time; they ride
-/// along because the bounds are not part of the report.
+/// A histogram's accumulated state: its bucket bounds, the counts in each
+/// bucket and the exact sum of the observed values.
 #[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct HistogramSnapshot {
+    /// Inclusive upper bucket bounds, strictly increasing.
+    pub bounds: Vec<u64>,
     /// Bucket counts, one per bound plus the trailing overflow bucket.
     pub counts: Vec<u64>,
     /// Exact running sum of observed values (wrapping, see
     /// [`Histogram::sum`]).
     pub sum: u64,
-    /// Estimated median.
-    pub p50: u64,
-    /// Estimated 95th percentile.
-    pub p95: u64,
-    /// Estimated 99th percentile.
-    pub p99: u64,
 }
 
 impl HistogramSnapshot {
-    /// Build a snapshot from raw bucket counts and the exact value sum
-    /// over the given bounds, computing the percentile estimates.
-    pub fn from_counts(bounds: &[u64], counts: Vec<u64>, sum: u64) -> HistogramSnapshot {
-        let p = |q: f64| Histogram::quantile_from(bounds, &counts, q).round() as u64;
-        HistogramSnapshot {
-            p50: p(0.50),
-            p95: p(0.95),
-            p99: p(0.99),
-            counts,
-            sum,
+    /// The p50, p95 and p99 estimates, named as rendered: upper-bound
+    /// estimates over the bounds, rounded to whole units (see
+    /// [`Histogram::quantile_from`]).
+    pub fn percentiles(&self) -> [(&'static str, u64); 3] {
+        [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)].map(|(name, q)| {
+            let estimate = Histogram::quantile_from(&self.bounds, &self.counts, q);
+            (name, estimate.round() as u64)
+        })
+    }
+
+    fn to_json(&self) -> Json {
+        let numbers = |values: &[u64]| Json::Arr(values.iter().map(|&v| Json::Num(v)).collect());
+        let mut fields = vec![
+            ("bounds".to_string(), numbers(&self.bounds)),
+            ("counts".to_string(), numbers(&self.counts)),
+            ("sum".to_string(), Json::Num(self.sum)),
+        ];
+        fields.extend(
+            self.percentiles()
+                .map(|(name, value)| (name.to_string(), Json::Num(value))),
+        );
+        Json::Obj(fields)
+    }
+
+    /// Parse histogram `name`'s JSON, rejecting counts that are not one
+    /// longer than the bounds, bounds that do not strictly increase, and
+    /// a percentile that disagrees with the one the counts give.
+    fn from_json(name: &str, value: &Json) -> Result<HistogramSnapshot, String> {
+        let missing = |key: &str| format!("histogram `{name}` is missing `{key}`");
+        let numbers = |key: &str| -> Result<Vec<u64>, String> {
+            value
+                .get(key)
+                .and_then(Json::as_arr)
+                .ok_or_else(|| missing(key))?
+                .iter()
+                .map(|v| {
+                    v.as_u64()
+                        .ok_or(format!("histogram `{name}` has a non-number"))
+                })
+                .collect()
+        };
+        let field = |key: &str| {
+            value
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| missing(key))
+        };
+        let snapshot = HistogramSnapshot {
+            bounds: numbers("bounds")?,
+            counts: numbers("counts")?,
+            sum: field("sum")?,
+        };
+        let (bounds, counts) = (snapshot.bounds.len(), snapshot.counts.len());
+        if counts != bounds + 1 {
+            return Err(format!(
+                "histogram `{name}` has {counts} counts for {bounds} bounds"
+            ));
         }
+        if snapshot.bounds.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(format!(
+                "histogram `{name}` bounds do not strictly increase"
+            ));
+        }
+        for (key, estimate) in snapshot.percentiles() {
+            let stored = field(key)?;
+            if stored != estimate {
+                return Err(format!(
+                    "histogram `{name}` `{key}` is {stored}, but its counts give {estimate}"
+                ));
+            }
+        }
+        Ok(snapshot)
     }
 }
 
@@ -68,7 +124,7 @@ pub struct PhaseReport {
     pub gauges: Vec<(String, u64)>,
     /// Timer name → snapshot.
     pub timers: Vec<(String, TimerSnapshot)>,
-    /// Histogram name → snapshot (bucket counts + percentile estimates).
+    /// Histogram name → snapshot (bounds, counts and sum).
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -83,10 +139,7 @@ impl PhaseReport {
 
     /// Look up a counter total by metric name.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        entry(&self.counters, name).copied()
     }
 
     fn to_json(&self) -> Json {
@@ -124,23 +177,7 @@ impl PhaseReport {
                 Json::Obj(
                     self.histograms
                         .iter()
-                        .map(|(name, snap)| {
-                            (
-                                name.clone(),
-                                Json::Obj(vec![
-                                    (
-                                        "counts".to_string(),
-                                        Json::Arr(
-                                            snap.counts.iter().map(|&c| Json::Num(c)).collect(),
-                                        ),
-                                    ),
-                                    ("sum".to_string(), Json::Num(snap.sum)),
-                                    ("p50".to_string(), Json::Num(snap.p50)),
-                                    ("p95".to_string(), Json::Num(snap.p95)),
-                                    ("p99".to_string(), Json::Num(snap.p99)),
-                                ]),
-                            )
-                        })
+                        .map(|(name, snap)| (name.clone(), snap.to_json()))
                         .collect(),
                 ),
             ),
@@ -193,33 +230,7 @@ impl PhaseReport {
             .and_then(Json::as_obj)
             .ok_or(format!("phase `{name}` is missing `histograms`"))?
             .iter()
-            .map(|(n, v)| {
-                let counts = v
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .ok_or(format!("histogram `{n}` is missing `counts`"))?
-                    .iter()
-                    .map(|c| {
-                        c.as_u64()
-                            .ok_or(format!("histogram `{n}` has a non-number"))
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-                let field = |f: &str| {
-                    v.get(f)
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("histogram `{n}` is missing `{f}`"))
-                };
-                Ok((
-                    n.clone(),
-                    HistogramSnapshot {
-                        counts,
-                        sum: field("sum")?,
-                        p50: field("p50")?,
-                        p95: field("p95")?,
-                        p99: field("p99")?,
-                    },
-                ))
-            })
+            .map(|(n, v)| Ok((n.clone(), HistogramSnapshot::from_json(n, v)?)))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(PhaseReport {
             name,
@@ -259,7 +270,7 @@ impl PipelineReport {
     /// All histograms across phases, flattened to `name → bucket counts`.
     /// Histogram totals are deterministic for the same input, like
     /// counters (the derived percentiles are a pure function of the
-    /// counts, so they need no separate determinism treatment).
+    /// bounds and counts, so they need no separate determinism treatment).
     pub fn histograms(&self) -> BTreeMap<String, Vec<u64>> {
         self.phases
             .iter()
@@ -272,45 +283,37 @@ impl PipelineReport {
     /// counts/sums are subtracted by name within each phase (saturating,
     /// so a restarted baseline degrades to the cumulative view instead of
     /// wrapping); gauges are point-in-time values and pass through
-    /// unchanged.  Histogram percentiles are recomputed from the delta
-    /// counts via `bounds_of` (bounds are not carried in reports); a miss
-    /// leaves the estimates at the index scale.  Entries absent from the
-    /// baseline are kept whole.
+    /// unchanged.  Entries absent from the baseline, and histograms whose
+    /// bounds differ from the baseline's, are kept whole.
     ///
     /// This is what lets the daemon keep the global sink cumulative
     /// (monotone for scrapers) while still emitting a per-tick JSONL
     /// heartbeat: each tick diffs the current roll-up against the previous
     /// tick's.
     #[must_use]
-    pub fn delta_since(
-        &self,
-        baseline: &PipelineReport,
-        bounds_of: &dyn Fn(&str) -> Option<&'static [u64]>,
-    ) -> PipelineReport {
+    pub fn delta_since(&self, baseline: &PipelineReport) -> PipelineReport {
+        let empty = PhaseReport::default();
         let phases = self
             .phases
             .iter()
             .map(|phase| {
-                let base = baseline.phase(&phase.name);
-                let base_counter =
-                    |name: &str| base.and_then(|b| b.counter_value(name)).unwrap_or(0);
+                let base = baseline.phase(&phase.name).unwrap_or(&empty);
                 PhaseReport {
                     name: phase.name.clone(),
                     counters: phase
                         .counters
                         .iter()
-                        .map(|(name, v)| (name.clone(), v.saturating_sub(base_counter(name))))
+                        .map(|(name, v)| {
+                            let b = base.counter_value(name).unwrap_or(0);
+                            (name.clone(), v.saturating_sub(b))
+                        })
                         .collect(),
                     gauges: phase.gauges.clone(),
                     timers: phase
                         .timers
                         .iter()
                         .map(|(name, snap)| {
-                            let b = base
-                                .and_then(|b| {
-                                    b.timers.iter().find(|(n, _)| n == name).map(|&(_, s)| s)
-                                })
-                                .unwrap_or_default();
+                            let b = entry(&base.timers, name).copied().unwrap_or_default();
                             (
                                 name.clone(),
                                 TimerSnapshot {
@@ -324,42 +327,20 @@ impl PipelineReport {
                         .histograms
                         .iter()
                         .map(|(name, snap)| {
-                            let counts = match base.and_then(|b| {
-                                b.histograms.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-                            }) {
-                                Some(b) if b.counts.len() == snap.counts.len() => snap
-                                    .counts
-                                    .iter()
-                                    .zip(&b.counts)
-                                    .map(|(c, bc)| c.saturating_sub(*bc))
-                                    .collect(),
-                                _ => snap.counts.clone(),
-                            };
-                            let base_sum = base
-                                .and_then(|b| {
-                                    b.histograms
+                            let delta = match entry(&base.histograms, name) {
+                                Some(b) if b.bounds == snap.bounds => HistogramSnapshot {
+                                    bounds: snap.bounds.clone(),
+                                    counts: snap
+                                        .counts
                                         .iter()
-                                        .find(|(n, _)| n == name)
-                                        .map(|(_, s)| s.sum)
-                                })
-                                .unwrap_or(0);
-                            let index_bounds: Vec<u64>;
-                            let bounds = match bounds_of(name) {
-                                Some(bounds) => bounds,
-                                None => {
-                                    index_bounds =
-                                        (0..counts.len().saturating_sub(1) as u64).collect();
-                                    &index_bounds
-                                }
+                                        .zip(&b.counts)
+                                        .map(|(c, bc)| c.saturating_sub(*bc))
+                                        .collect(),
+                                    sum: snap.sum.wrapping_sub(b.sum),
+                                },
+                                _ => snap.clone(),
                             };
-                            (
-                                name.clone(),
-                                HistogramSnapshot::from_counts(
-                                    bounds,
-                                    counts,
-                                    snap.sum.wrapping_sub(base_sum),
-                                ),
-                            )
+                            (name.clone(), delta)
                         })
                         .collect(),
                 }
@@ -388,12 +369,15 @@ impl PipelineReport {
             }
             for (name, snap) in &phase.histograms {
                 let rendered: Vec<String> = snap.counts.iter().map(u64::to_string).collect();
+                let percentiles: Vec<String> = snap
+                    .percentiles()
+                    .iter()
+                    .map(|(p, value)| format!("{p}~{value}"))
+                    .collect();
                 out.push_str(&format!(
-                    "  histogram {name} = [{}] p50~{} p95~{} p99~{}\n",
+                    "  histogram {name} = [{}] {}\n",
                     rendered.join(", "),
-                    snap.p50,
-                    snap.p95,
-                    snap.p99
+                    percentiles.join(" ")
                 ));
             }
         }
@@ -431,6 +415,11 @@ impl PipelineReport {
     }
 }
 
+/// The value listed under `name`, if any.
+pub(crate) fn entry<'a, T>(list: &'a [(String, T)], name: &str) -> Option<&'a T> {
+    list.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+}
+
 /// Human-readable duration: picks the largest unit that keeps the value
 /// above one.
 fn render_duration(nanos: u64) -> String {
@@ -463,10 +452,24 @@ mod tests {
                             spans: 12,
                         },
                     )],
-                    histograms: vec![(
-                        "collect.sizes".to_string(),
-                        HistogramSnapshot::from_counts(&[1, 2, 4], vec![1, 0, 2], 9),
-                    )],
+                    histograms: vec![
+                        (
+                            "collect.sizes".to_string(),
+                            HistogramSnapshot {
+                                bounds: vec![1, 2, 4],
+                                counts: vec![1, 0, 2, 0],
+                                sum: 9,
+                            },
+                        ),
+                        (
+                            "collect.wait_us".to_string(),
+                            HistogramSnapshot {
+                                bounds: vec![50, 100, 250, 1_000],
+                                counts: vec![0, 3, 1, 0, 0],
+                                sum: 420,
+                            },
+                        ),
+                    ],
                 },
                 PhaseReport::new("detect"),
             ],
@@ -480,6 +483,13 @@ mod tests {
         let back = PipelineReport::parse_json(&json).expect("parses");
         assert_eq!(back, report);
         assert_eq!(back.render_json(), json);
+        // The bounds travel with the counts, and the percentiles are
+        // estimated over them rather than over bucket indices.
+        assert!(json.contains(
+            "\"collect.wait_us\":{\"bounds\":[50,100,250,1000],\"counts\":[0,3,1,0,0],\
+             \"sum\":420,\"p50\":83,\"p95\":220,\"p99\":244}"
+        ));
+        assert_eq!(back.phases[0].histograms[1].1.bounds, [50, 100, 250, 1_000]);
     }
 
     #[test]
@@ -489,9 +499,9 @@ mod tests {
         assert!(text.contains("counter   collect.images.built = 12"));
         assert!(text.contains("gauge     collect.depth = 3"));
         assert!(text.contains("timer     collect.build = 1.500ms over 12 span(s)"));
-        // Counts [1, 0, 2] over bounds [1, 2, 4]: ranks 1.5 and beyond
+        // Counts [1, 0, 2, 0] over bounds [1, 2, 4]: ranks 1.5 and beyond
         // fall in the (2, 4] bucket.
-        assert!(text.contains("histogram collect.sizes = [1, 0, 2] p50~3 p95~4 p99~4"));
+        assert!(text.contains("histogram collect.sizes = [1, 0, 2, 0] p50~3 p95~4 p99~4"));
         assert!(text.contains("phase detect"));
     }
 
@@ -508,7 +518,7 @@ mod tests {
             Some(12)
         );
         assert_eq!(report.counters()["collect.images.built"], 12);
-        assert_eq!(report.histograms()["collect.sizes"], vec![1, 0, 2]);
+        assert_eq!(report.histograms()["collect.sizes"], vec![1, 0, 2, 0]);
     }
 
     #[test]
@@ -521,16 +531,48 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_histograms_without_sum() {
-        let no_sum = "{\"phases\":[{\"name\":\"x\",\"counters\":{},\"gauges\":{},\"timers\":{},\
-            \"histograms\":{\"x.h\":{\"counts\":[1,2],\"p50\":1,\"p95\":1,\"p99\":1}}}]}";
-        let err = PipelineReport::parse_json(no_sum).expect_err("`sum` is required");
-        assert_eq!(err.message, "histogram `x.h` is missing `sum`");
+    fn parse_rejects_inconsistent_histograms() {
+        let report = |histogram: &str| {
+            format!(
+                "{{\"phases\":[{{\"name\":\"x\",\"counters\":{{}},\"gauges\":{{}},\
+                 \"timers\":{{}},\"histograms\":{{\"x.h\":{{{histogram}}}}}}}]}}"
+            )
+        };
+        let valid = "\"bounds\":[1],\"counts\":[1,2],\"sum\":3,\"p50\":1,\"p95\":1,\"p99\":1";
+        assert!(PipelineReport::parse_json(&report(valid)).is_ok());
+        // Counts whose total overflows u64 are estimated, not a panic.
+        let huge = "\"bounds\":[1],\"counts\":[18446744073709551615,1],\"sum\":0,\
+                    \"p50\":1,\"p95\":1,\"p99\":1";
+        assert!(PipelineReport::parse_json(&report(huge)).is_ok());
+        for (histogram, message) in [
+            (
+                "\"bounds\":[1],\"counts\":[1,2],\"p50\":1,\"p95\":1,\"p99\":1",
+                "histogram `x.h` is missing `sum`",
+            ),
+            (
+                "\"counts\":[1,2],\"sum\":3,\"p50\":1,\"p95\":1,\"p99\":1",
+                "histogram `x.h` is missing `bounds`",
+            ),
+            (
+                "\"bounds\":[1,2],\"counts\":[1,2],\"sum\":3,\"p50\":1,\"p95\":1,\"p99\":1",
+                "histogram `x.h` has 2 counts for 2 bounds",
+            ),
+            (
+                "\"bounds\":[2,2],\"counts\":[1,2,0],\"sum\":3,\"p50\":2,\"p95\":2,\"p99\":2",
+                "histogram `x.h` bounds do not strictly increase",
+            ),
+            (
+                "\"bounds\":[1],\"counts\":[1,2],\"sum\":3,\"p50\":1,\"p95\":2,\"p99\":1",
+                "histogram `x.h` `p95` is 2, but its counts give 1",
+            ),
+        ] {
+            let err = PipelineReport::parse_json(&report(histogram)).expect_err(message);
+            assert_eq!(err.message, message);
+        }
     }
 
     #[test]
     fn delta_since_subtracts_cumulatives_and_passes_gauges_through() {
-        let bounds: &[u64] = &[1, 2, 4];
         let at = |counters: u64, gauge: u64, nanos: u64, spans: u64, counts: Vec<u64>, sum: u64| {
             PipelineReport {
                 phases: vec![PhaseReport {
@@ -540,17 +582,18 @@ mod tests {
                     timers: vec![("collect.build".to_string(), TimerSnapshot { nanos, spans })],
                     histograms: vec![(
                         "collect.sizes".to_string(),
-                        HistogramSnapshot::from_counts(bounds, counts, sum),
+                        HistogramSnapshot {
+                            bounds: vec![1, 2, 4],
+                            counts,
+                            sum,
+                        },
                     )],
                 }],
             }
         };
-        let baseline = at(10, 3, 1_000, 2, vec![1, 0, 2], 9);
-        let current = at(15, 7, 4_000, 5, vec![2, 1, 2], 12);
-        let lookup = |name: &str| -> Option<&'static [u64]> {
-            (name == "collect.sizes").then_some(&[1, 2, 4][..])
-        };
-        let delta = current.delta_since(&baseline, &lookup);
+        let baseline = at(10, 3, 1_000, 2, vec![1, 0, 2, 0], 9);
+        let current = at(15, 7, 4_000, 5, vec![2, 1, 2, 1], 17);
+        let delta = current.delta_since(&baseline);
         let phase = delta.phase("collect").unwrap();
         assert_eq!(phase.counter_value("collect.images.built"), Some(5));
         // Gauges are point-in-time: the current value passes through.
@@ -562,34 +605,36 @@ mod tests {
                 spans: 3
             }
         );
-        assert_eq!(phase.histograms[0].1.counts, vec![1, 1, 0]);
-        assert_eq!(phase.histograms[0].1.sum, 3);
-        // Percentiles are recomputed from the delta counts, matching a
-        // snapshot built directly from them.
         assert_eq!(
             phase.histograms[0].1,
-            HistogramSnapshot::from_counts(bounds, vec![1, 1, 0], 3)
+            HistogramSnapshot {
+                bounds: vec![1, 2, 4],
+                counts: vec![1, 1, 0, 1],
+                sum: 8,
+            }
         );
 
         // A phase or entry absent from the baseline is kept whole, and a
         // shrunk counter saturates at zero instead of wrapping.
-        let fresh = at(15, 7, 4_000, 5, vec![2, 1, 2], 12);
         let empty = PipelineReport::default();
-        let whole = fresh.delta_since(&empty, &lookup);
-        assert_eq!(
-            whole
-                .phase("collect")
-                .unwrap()
-                .counter_value("collect.images.built"),
-            Some(15)
-        );
-        let shrunk = baseline.delta_since(&current, &lookup);
+        let whole = current.delta_since(&empty);
+        assert_eq!(whole, current);
+        let shrunk = baseline.delta_since(&current);
         assert_eq!(
             shrunk
                 .phase("collect")
                 .unwrap()
                 .counter_value("collect.images.built"),
             Some(0)
+        );
+
+        // Counts under other bounds are not comparable: kept whole too.
+        let mut rebucketed = baseline.clone();
+        rebucketed.phases[0].histograms[0].1.bounds = vec![1, 2, 8];
+        let delta = current.delta_since(&rebucketed);
+        assert_eq!(
+            delta.phases[0].histograms[0].1,
+            current.phases[0].histograms[0].1
         );
     }
 

@@ -14,14 +14,12 @@ use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/exposition.txt");
 
-/// A fixed report exercising every instrument kind plus a sanitization
-/// collision (`pairs-scored` vs `pairs_scored`).
+/// A fixed report exercising every instrument kind.
 fn fixture_report() -> PipelineReport {
     let infer = PhaseReport {
         name: "infer".to_string(),
         counters: vec![
             ("infer.pairs.evaluated".to_string(), 4_555),
-            ("infer.pairs-scored".to_string(), 7),
             ("infer.pairs_scored".to_string(), 9),
         ],
         gauges: vec![("infer.pool.workers".to_string(), 4)],
@@ -49,7 +47,11 @@ fn fixture_report() -> PipelineReport {
         name: "detect".to_string(),
         histograms: vec![(
             "detect.checks_per_target".to_string(),
-            encore_obs::HistogramSnapshot::from_counts(&[1, 2, 4], vec![1, 0, 2, 1], 19),
+            encore_obs::HistogramSnapshot {
+                bounds: vec![1, 2, 4],
+                counts: vec![1, 0, 2, 1],
+                sum: 19,
+            },
         )],
         ..PhaseReport::default()
     };
@@ -58,16 +60,9 @@ fn fixture_report() -> PipelineReport {
     }
 }
 
-fn fixture_bounds(name: &str) -> Option<&'static [u64]> {
-    match name {
-        "detect.checks_per_target" => Some(&[1, 2, 4]),
-        _ => None,
-    }
-}
-
 #[test]
 fn rendered_exposition_matches_the_golden_file() {
-    let rendered = expose::render(&fixture_report(), &fixture_bounds);
+    let rendered = expose::render(&fixture_report());
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exposition.txt");
         std::fs::write(path, &rendered).expect("write golden");
@@ -109,7 +104,7 @@ fn exposition_over_a_live_sink_validates_and_names_are_namespaced() {
     let report = PipelineReport {
         phases: vec![PROBE.report()],
     };
-    let text = expose::render(&report, &|_| None);
+    let text = expose::render(&report);
     expose::validate(&text).expect("live exposition is grammatical");
     assert!(text.contains("encore_expose_probe_events_total 12"));
     assert!(text.contains("encore_expose_probe_time_seconds_total"));
@@ -155,7 +150,7 @@ fn metrics_server_routes_and_readiness_flip() {
                 if ready { "ready\n" } else { "not ready\n" }.to_string(),
             )
         },
-        || expose::render(&fixture_report(), &fixture_bounds),
+        || expose::render(&fixture_report()),
     )
     .expect("bind port 0");
     let addr = server.addr();
@@ -163,7 +158,7 @@ fn metrics_server_routes_and_readiness_flip() {
     let (status, body) = get(addr, "/metrics");
     assert!(status.contains("200"), "{status}");
     expose::validate(&body).expect("served exposition is grammatical");
-    assert_eq!(body, expose::render(&fixture_report(), &fixture_bounds));
+    assert_eq!(body, expose::render(&fixture_report()));
 
     let (status, body) = get(addr, "/healthz");
     assert!(status.contains("200"), "{status}");

@@ -138,16 +138,9 @@ pub fn scrape_report() -> PipelineReport {
     report
 }
 
-/// Bucket bounds for every histogram in [`scrape_report`].
-pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
-    SERVE
-        .bounds(name)
-        .or_else(|| encore::obs::histogram_bounds(name))
-}
-
 /// Render the service scrape view in the Prometheus exposition format.
 pub fn render_prometheus() -> String {
-    encore_obs::expose::render(&scrape_report(), &histogram_bounds)
+    encore_obs::expose::render(&scrape_report())
 }
 
 /// Reset every serve-phase instrument (tests only; a live service never
@@ -172,17 +165,6 @@ mod tests {
             names.iter().any(|n| n == "detect"),
             "core phases are retained: {names:?}"
         );
-    }
-
-    #[test]
-    fn histogram_bounds_covers_serve_and_delegates_to_core() {
-        for phase in &scrape_report().phases {
-            for (name, snap) in &phase.histograms {
-                let bounds = histogram_bounds(name)
-                    .unwrap_or_else(|| panic!("no bounds registered for `{name}`"));
-                assert_eq!(bounds.len() + 1, snap.counts.len(), "mismatch for `{name}`");
-            }
-        }
     }
 
     #[test]

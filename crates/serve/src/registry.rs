@@ -3,12 +3,12 @@
 //!
 //! Every registered app owns a snapshot path, the detector built from it,
 //! the file signature it was built from, and a per-app readiness bit.  A
-//! failed reload is *contained*: the old detector keeps serving, the new
-//! signature is remembered (no retry storm against the same bad file),
-//! and only that app's readiness flips — the aggregate feeds `/readyz`
-//! with one body line per app so an operator can see which tenant is
-//! sick.  An app fed by a watched directory also reads not-ready until
-//! its first scan is recorded ([`crate::watch`]).
+//! failed reload is *contained*: the old detector keeps serving, the
+//! signature of the bytes it read is remembered (no retry storm against
+//! the same bad file), and only that app's readiness flips — the
+//! aggregate feeds `/readyz` with one body line per app so an operator
+//! can see which tenant is sick.  An app fed by a watched directory also
+//! reads not-ready until its first scan is recorded ([`crate::watch`]).
 
 use crate::protocol::Response;
 use crate::watch::{target_image, FileSig};
@@ -24,7 +24,8 @@ struct AppState {
     kind: AppKind,
     path: PathBuf,
     detector: Arc<AnomalyDetector>,
-    /// Signature of the last snapshot *attempted* (successful or not).
+    /// Signature of the bytes the last load read, whether or not they
+    /// parsed.
     sig: Option<FileSig>,
     ready: bool,
     /// Watched, and no scan of its directory recorded yet.
@@ -56,12 +57,21 @@ pub struct SnapshotRegistry {
     apps: Mutex<BTreeMap<String, AppState>>,
 }
 
-fn load_snapshot(path: &Path) -> Result<(AnomalyDetector, Option<FileSig>), String> {
-    let sig = FileSig::of(path);
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let snapshot =
-        DetectorSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((AnomalyDetector::from_snapshot(snapshot), sig))
+/// Read the snapshot at `path` once and parse it.  The signature is taken
+/// from the bytes parsed, whether or not they parse; `None` when the file
+/// could not be read.
+fn load_snapshot(path: &Path) -> (Option<FileSig>, Result<AnomalyDetector, String>) {
+    let in_file = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    match FileSig::read(path) {
+        Err(e) => (None, Err(in_file(&e))),
+        Ok((sig, bytes)) => {
+            let detector = String::from_utf8(bytes)
+                .map_err(|e| in_file(&e))
+                .and_then(|text| DetectorSnapshot::parse(&text).map_err(|e| in_file(&e)))
+                .map(AnomalyDetector::from_snapshot);
+            (Some(sig), detector)
+        }
+    }
 }
 
 impl SnapshotRegistry {
@@ -77,7 +87,8 @@ impl SnapshotRegistry {
     ///
     /// Returns the read/parse failure; the registry is unchanged.
     pub fn load(&self, name: &str, kind: AppKind, path: &Path) -> Result<(), String> {
-        let (detector, sig) = load_snapshot(path)?;
+        let (sig, detector) = load_snapshot(path);
+        let detector = detector?;
         let mut apps = self.apps.lock().expect("registry poisoned");
         apps.insert(
             name.to_string(),
@@ -191,15 +202,17 @@ impl SnapshotRegistry {
             };
             app.path.clone()
         };
-        let loaded = load_snapshot(&path);
+        let (sig, loaded) = load_snapshot(&path);
         let mut apps = self.apps.lock().expect("registry poisoned");
         let Some(app) = apps.get_mut(name) else {
             return Err(format!("unknown app `{name}`"));
         };
+        // The signature of the bytes just parsed: a failed load is not
+        // retried until the file changes from what it read.
+        app.sig = sig;
         match loaded {
-            Ok((detector, sig)) => {
+            Ok(detector) => {
                 app.detector = Arc::new(detector);
-                app.sig = sig;
                 app.ready = true;
                 app.reloads += 1;
                 app.last_error = None;
@@ -207,10 +220,7 @@ impl SnapshotRegistry {
                 Ok(())
             }
             Err(error) => {
-                // Remember the bad signature so the poll loop does not
-                // retry the same broken file every interval; the old
-                // detector keeps serving.
-                app.sig = FileSig::of(&app.path);
+                // The old detector keeps serving.
                 app.ready = false;
                 app.last_error = Some(error.clone());
                 crate::obs::RELOAD_FAILURES.incr();
@@ -372,6 +382,27 @@ mod tests {
         assert_eq!(body, "mysql not-ready\nweb ready\n");
         // The healthy app is untouched.
         assert!(registry.detector("web").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_recorded_signature_fingerprints_the_bytes_parsed() {
+        let dir = temp_dir("fingerprint");
+        let path = write_snapshot(&dir, "mysql.snap");
+        let registry = SnapshotRegistry::new();
+        let recorded = |registry: &SnapshotRegistry| {
+            let apps = registry.apps.lock().expect("registry");
+            apps["mysql"].sig.map(|sig| sig.fingerprint)
+        };
+        registry
+            .load("mysql", AppKind::Mysql, &path)
+            .expect("valid snapshot loads");
+        let parsed = empty_snapshot_text();
+        assert_eq!(recorded(&registry), Some(encore::fnv1a(parsed.as_bytes())));
+
+        std::fs::write(&path, "not a snapshot").expect("corrupt");
+        assert!(registry.reload("mysql").is_err());
+        assert_eq!(recorded(&registry), Some(encore::fnv1a(b"not a snapshot")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -188,6 +188,11 @@ const IDLE_THREADS: usize = 4;
 /// slot: the running check's and one admin connection.
 const EXTRA_CONNECTIONS: usize = 2;
 
+/// How long one write to a client may block.  A client that reads nothing
+/// for this long loses its connection instead of holding its thread, and
+/// with it [`Server::stop`], which joins every thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// The slot wait and run time of one check, for its `request.done`
 /// record.  Zero for a `busy` check; admin verbs have no wait.
 #[derive(Debug, Clone, Copy, Default)]
@@ -399,6 +404,7 @@ impl Connections {
                 let _ = self.spawn(&mut threads);
             }
             drop(threads);
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             // A check that panics ends its connection, not this thread.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 serve_connection(stream, &self.service)
@@ -415,8 +421,9 @@ impl Connections {
     /// Stop the threads.  None goes back to `accept`.  Every live
     /// connection's read half is shut down, so a thread blocked reading
     /// its next request sees EOF while a running check still writes its
-    /// report.  Each thread waiting in `accept` gets one wake-up
-    /// connection.  Returns every thread, to be joined.
+    /// report, within [`WRITE_TIMEOUT`] per write.  Each thread waiting in
+    /// `accept` gets one wake-up connection.  Returns every thread, to be
+    /// joined.
     fn close(&self, socket: &Path) -> Vec<JoinHandle<()>> {
         let mut threads = self.lock();
         threads.closed = true;
@@ -1066,6 +1073,63 @@ mod tests {
                 crate::CheckReply::Busy => panic!("the check was admitted"),
             }
             stopper.join().expect("stop");
+        });
+        let _ = std::fs::remove_file(&snapshot);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_its_report_cannot_hold_the_stop() {
+        // A detector with no training data warns on every entry, so one
+        // target of 40,000 entries gets a report of several MB, far past
+        // the socket buffer.
+        let empty = encore::AnomalyDetector::from_parts(
+            encore::RuleSet::default(),
+            encore::TypeMap::default(),
+            encore::TrainingStats::default(),
+        );
+        let snapshot =
+            std::env::temp_dir().join(format!("encore-serve-unread-{}.snap", std::process::id()));
+        std::fs::write(&snapshot, empty.snapshot().render()).expect("write snapshot");
+        let registry = SnapshotRegistry::new();
+        registry
+            .load("mysql", encore_model::AppKind::Mysql, &snapshot)
+            .expect("load");
+        let mut server = start_with("unread", 4, registry);
+        let service = Arc::clone(&server.service);
+
+        let config: String = std::iter::once("[mysqld]\n".to_string())
+            .chain((0..40_000).map(|i| format!("knob_{i} = {i}\n")))
+            .collect();
+        let mut client = UnixStream::connect(server.socket()).expect("connect");
+        let request = Request::Check {
+            app: "mysql".to_string(),
+            targets: vec![("a.cnf".to_string(), config)],
+        };
+        protocol::write_request(&mut client, &request).expect("send check");
+        // Once the check has left the waiting places, taking the slot
+        // waits for it to finish: its thread is then writing the report.
+        while service.stats.checks.load(Ordering::Relaxed) == 0 || waiting(&service) > 0 {
+            std::thread::yield_now();
+        }
+        drop(service.slot.lock().expect("slot"));
+
+        let bound = 2 * WRITE_TIMEOUT + Duration::from_secs(1);
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                server.stop();
+                let _ = done.send(());
+            });
+            let stopped = stopped.recv_timeout(bound);
+            // Reading the report lets a stop that still waits finish.
+            let mut unread = Vec::new();
+            let _ = client.read_to_end(&mut unread);
+            assert!(
+                stopped.is_ok(),
+                "the stop waited past {bound:?} on a client that never reads \
+                 a report of more than {} bytes",
+                unread.len()
+            );
         });
         let _ = std::fs::remove_file(&snapshot);
     }

@@ -52,23 +52,32 @@ use std::time::SystemTime;
 pub(crate) struct FileSig {
     mtime: SystemTime,
     size: u64,
-    fingerprint: u64,
+    /// FNV-1a of the bytes read.
+    pub(crate) fingerprint: u64,
 }
 
 impl FileSig {
     /// Read a regular file's signature; `None` for directories, dangling
     /// entries, or races where the file vanished mid-poll.
     pub(crate) fn of(path: &Path) -> Option<FileSig> {
-        let meta = std::fs::metadata(path).ok()?;
+        FileSig::read(path).ok().map(|(sig, _)| sig)
+    }
+
+    /// Read a regular file once: its signature and the very bytes the
+    /// fingerprint was taken from, so a caller that parses them records a
+    /// signature of what it parsed.
+    pub(crate) fn read(path: &Path) -> io::Result<(FileSig, Vec<u8>)> {
+        let meta = std::fs::metadata(path)?;
         if !meta.is_file() {
-            return None;
+            return Err(io::Error::other("not a regular file"));
         }
-        let contents = std::fs::read(path).ok()?;
-        Some(FileSig {
-            mtime: meta.modified().ok()?,
+        let contents = std::fs::read(path)?;
+        let sig = FileSig {
+            mtime: meta.modified()?,
             size: meta.len(),
             fingerprint: encore::fnv1a(&contents),
-        })
+        };
+        Ok((sig, contents))
     }
 }
 
@@ -271,7 +280,7 @@ impl Poller {
     /// construction, the first time): the `--heartbeat` line.
     pub fn heartbeat(&mut self) -> PipelineReport {
         let current = crate::obs::scrape_report();
-        let delta = current.delta_since(&self.baseline, &crate::obs::histogram_bounds);
+        let delta = current.delta_since(&self.baseline);
         self.baseline = current;
         delta
     }
