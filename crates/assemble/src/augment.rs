@@ -5,9 +5,11 @@
 //! kind, permission, contents digest, sub-directory and symlink flags; an
 //! `IPAddress` gains locality/IPv6/wildcard flags; a `UserName` gains
 //! root-group/admin/group-mirror flags.  System-wide attributes (host name,
-//! OS, hardware, SELinux status) are appended once per system.
+//! OS, hardware, SELinux status) are appended once per system.  Every
+//! attribute goes to a [`CellSink`] as an environment cell.
 
-use encore_model::{AttrName, ConfigValue, Row, SemType};
+use crate::CellSink;
+use encore_model::{AttrName, ConfigValue, SemType};
 use encore_sysimage::SystemImage;
 
 /// Suffixes attached to a `FilePath` entry: Table 5a's seven attributes
@@ -59,79 +61,79 @@ fn is_local_address(text: &str, v6: bool) -> bool {
 /// the detector distinguishes "entry not set" from "entry set but pointing
 /// at nothing".
 pub fn augment_entry(
-    row: &mut Row,
+    sink: &mut impl CellSink,
     attr: &AttrName,
     raw_value: &str,
     ty: SemType,
     image: &SystemImage,
 ) {
     match ty {
-        SemType::FilePath => augment_file_path(row, attr, raw_value, image),
-        SemType::IpAddress => augment_ip(row, attr, raw_value),
-        SemType::UserName => augment_user(row, attr, raw_value, image),
+        SemType::FilePath => augment_file_path(sink, attr, raw_value, image),
+        SemType::IpAddress => augment_ip(sink, attr, raw_value),
+        SemType::UserName => augment_user(sink, attr, raw_value, image),
         _ => {}
     }
 }
 
-fn augment_file_path(row: &mut Row, attr: &AttrName, path: &str, image: &SystemImage) {
+fn augment_file_path(sink: &mut impl CellSink, attr: &AttrName, path: &str, image: &SystemImage) {
     let vfs = image.vfs();
     match vfs.metadata(path) {
         Some(meta) => {
-            row.set(attr.augmented("owner"), ConfigValue::str(&meta.owner));
-            row.set(attr.augmented("group"), ConfigValue::str(&meta.group));
-            row.set(attr.augmented("type"), ConfigValue::str(meta.kind.name()));
-            row.set(
+            sink.env(attr.augmented("owner"), ConfigValue::str(&meta.owner));
+            sink.env(attr.augmented("group"), ConfigValue::str(&meta.group));
+            sink.env(attr.augmented("type"), ConfigValue::str(meta.kind.name()));
+            sink.env(
                 attr.augmented("permission"),
                 ConfigValue::str(format!("{:o}", meta.mode)),
             );
-            row.set(
+            sink.env(
                 attr.augmented("contents"),
                 ConfigValue::str(format!("{} entries", vfs.children(path).len())),
             );
-            row.set(
+            sink.env(
                 attr.augmented("hasDir"),
                 ConfigValue::boolean(vfs.has_subdir(path)),
             );
-            row.set(
+            sink.env(
                 attr.augmented("hasSymLink"),
                 ConfigValue::boolean(vfs.has_symlink(path)),
             );
-            row.set(
+            sink.env(
                 attr.augmented("secDenied"),
                 ConfigValue::boolean(image.security().denies_write(path)),
             );
         }
         None => {
             for suffix in FILEPATH_SUFFIXES {
-                row.set(attr.augmented(suffix), ConfigValue::Absent);
+                sink.env(attr.augmented(suffix), ConfigValue::Absent);
             }
         }
     }
 }
 
-fn augment_ip(row: &mut Row, attr: &AttrName, raw: &str) {
+fn augment_ip(sink: &mut impl CellSink, attr: &AttrName, raw: &str) {
     let text = raw.trim();
     let Some(v6) = ConfigValue::classify_ip(text) else {
         return;
     };
-    row.set(
+    sink.env(
         attr.augmented("Local"),
         ConfigValue::boolean(is_local_address(text, v6)),
     );
-    row.set(attr.augmented("IPv6"), ConfigValue::boolean(v6));
-    row.set(
+    sink.env(attr.augmented("IPv6"), ConfigValue::boolean(v6));
+    sink.env(
         attr.augmented("AnyAddr"),
         ConfigValue::boolean(text == "0.0.0.0" || text == "::"),
     );
 }
 
-fn augment_user(row: &mut Row, attr: &AttrName, user: &str, image: &SystemImage) {
+fn augment_user(sink: &mut impl CellSink, attr: &AttrName, user: &str, image: &SystemImage) {
     let accounts = image.accounts();
-    row.set(
+    sink.env(
         attr.augmented("isRootGroup"),
         ConfigValue::boolean(accounts.in_root_group(user)),
     );
-    row.set(
+    sink.env(
         attr.augmented("isAdmin"),
         ConfigValue::boolean(accounts.user(user).map(|u| u.is_admin()).unwrap_or(false)),
     );
@@ -141,37 +143,37 @@ fn augment_user(row: &mut Row, attr: &AttrName, user: &str, image: &SystemImage)
         .group(user)
         .map(|g| ConfigValue::str(&g.name))
         .unwrap_or(ConfigValue::Absent);
-    row.set(attr.augmented("isGroup"), group);
+    sink.env(attr.augmented("isGroup"), group);
 }
 
 /// Append the entry-independent environment attributes (Table 5b).
-pub fn augment_system_wide(row: &mut Row, image: &SystemImage) {
-    row.set(
+pub fn augment_system_wide(sink: &mut impl CellSink, image: &SystemImage) {
+    sink.env(
         AttrName::system("Sys.IPAddress"),
         ConfigValue::parse_ip(image.ip_address())
             .unwrap_or_else(|_| ConfigValue::str(image.ip_address())),
     );
-    row.set(
+    sink.env(
         AttrName::system("Sys.HostName"),
         ConfigValue::str(image.hostname()),
     );
-    row.set(
+    sink.env(
         AttrName::system("Sys.FSType"),
         ConfigValue::str(image.fs_type()),
     );
-    row.set(
+    sink.env(
         AttrName::system("Sys.Users"),
         ConfigValue::str(image.accounts().user_list().collect::<Vec<_>>().join(",")),
     );
-    row.set(
+    sink.env(
         AttrName::system("OS.DistName"),
         ConfigValue::str(image.os_dist()),
     );
-    row.set(
+    sink.env(
         AttrName::system("OS.Version"),
         ConfigValue::str(image.os_version()),
     );
-    row.set(
+    sink.env(
         AttrName::system("OS.SEStatus"),
         ConfigValue::str(image.security().status_str()),
     );
@@ -179,19 +181,19 @@ pub fn augment_system_wide(row: &mut Row, image: &SystemImage) {
     // footnote) — dormant EC2 images carry none, which is what makes
     // real-world case #8 undetectable from EC2 training data.
     if let Some(hw) = image.hardware() {
-        row.set(
+        sink.env(
             AttrName::system("CPU.Threads"),
             ConfigValue::number(hw.cpu_threads as f64),
         );
-        row.set(
+        sink.env(
             AttrName::system("CPU.Freq"),
             ConfigValue::number(hw.cpu_freq_mhz as f64),
         );
-        row.set(
+        sink.env(
             AttrName::system("MemSize"),
             ConfigValue::number(hw.mem_bytes as f64),
         );
-        row.set(
+        sink.env(
             AttrName::system("HDD.AvailSpace"),
             ConfigValue::number(hw.disk_avail_bytes as f64),
         );
@@ -201,7 +203,19 @@ pub fn augment_system_wide(row: &mut Row, image: &SystemImage) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use encore_model::Row;
     use encore_sysimage::HardwareSpec;
+
+    /// The tests read the cells back from a row.
+    impl CellSink for Row {
+        fn entry(&mut self, attr: AttrName, value: ConfigValue, _: SemType) {
+            self.set(attr, value);
+        }
+
+        fn env(&mut self, attr: AttrName, value: ConfigValue) {
+            self.set(attr, value);
+        }
+    }
 
     fn image() -> SystemImage {
         SystemImage::builder("t")

@@ -126,7 +126,7 @@ impl BaselineEnv {
                 continue;
             }
             let rendered = value.rendered();
-            let assembled = system.types.get(attr).copied();
+            let assembled = system.type_of(attr);
             let inferred = observed_type(inference, value, &rendered, assembled, image);
             if inferred != expected {
                 warnings.push(Warning::internal(

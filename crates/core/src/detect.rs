@@ -586,7 +586,7 @@ impl AnomalyDetector {
         &self,
         row: &Row,
         image: Option<&SystemImage>,
-        assembled: Option<&BTreeMap<AttrName, SemType>>,
+        assembled: Option<&[(AttrName, SemType)]>,
     ) -> Report {
         let _span = crate::obs::DETECT_TIME.span();
         crate::obs::DETECT_SYSTEMS_CHECKED.incr();
@@ -632,14 +632,14 @@ impl AnomalyDetector {
         &self,
         row: &Row,
         image: Option<&SystemImage>,
-        assembled: Option<&BTreeMap<AttrName, SemType>>,
+        assembled: Option<&[(AttrName, SemType)]>,
     ) -> RowScan {
         let mut scan = RowScan::default();
         let mut reported: BTreeSet<String> = BTreeSet::new();
         let mut trained_types = self.types.iter().peekable();
         let mut histograms = self.stats.values.iter().peekable();
         let mut buckets = self.index.by_a.iter().peekable();
-        let mut assembled = assembled.map(|types| types.iter().peekable());
+        let mut assembled = assembled.map(|types| types.iter().map(|(a, ty)| (a, ty)).peekable());
         for (attr, value) in row.iter() {
             let original = attr.is_original();
             if original {
@@ -1344,7 +1344,7 @@ mod tests {
             if body.contains("port") {
                 // Assembly typed `3306.0` a Number; its render `3306` is
                 // the PortNumber the entry was trained as.
-                assert_eq!(system.types.get(&port), Some(&SemType::Number));
+                assert_eq!(system.type_of(&port), Some(SemType::Number));
                 assert!(
                     report
                         .warnings()

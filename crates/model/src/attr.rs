@@ -83,6 +83,17 @@ impl AttrName {
         }
     }
 
+    /// The same kind of attribute, with the same suffix, on another base
+    /// name: `datadir.owner` with base `mysql:datadir` is
+    /// `mysql:datadir.owner`.  The suffix is shared, not copied.
+    pub fn with_base(&self, base: impl AsRef<str>) -> AttrName {
+        AttrName {
+            base: Arc::from(base.as_ref()),
+            suffix: self.suffix.clone(),
+            augmentation: self.augmentation,
+        }
+    }
+
     /// A system-wide environment attribute (e.g. `Sys.HostName`).
     pub fn system(name: impl AsRef<str>) -> AttrName {
         AttrName {
