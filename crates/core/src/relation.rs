@@ -724,6 +724,29 @@ mod tests {
         );
     }
 
+    /// A log buffer of 16777215T or 16777216T (2^64 bytes, past
+    /// `u64::MAX`) is larger than a 128M buffer pool and a 48M log file,
+    /// so both `<` rules are violated; a byte count that wrapped to 0
+    /// would have held.
+    #[test]
+    fn size_ordering_past_u64_bytes() {
+        let size = |text: &str| ConfigValue::parse_size(text).expect("size");
+        for buffer in ["16777215T", "16777216T"] {
+            for bound in ["128M", "48M"] {
+                assert_eq!(
+                    decide(Relation::LessSize, &size(buffer), &size(bound), None),
+                    Applicability::Violated,
+                    "{buffer} < {bound}"
+                );
+                assert_eq!(
+                    decide(Relation::LessSize, &size(bound), &size(buffer), None),
+                    Applicability::Holds,
+                    "{bound} < {buffer}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn in_group_membership() {
         let img = image();
