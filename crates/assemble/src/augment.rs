@@ -35,6 +35,17 @@ pub const IP_SUFFIXES: [&str; 3] = ["Local", "IPv6", "AnyAddr"];
 /// Suffixes attached to a `UserName` entry.
 pub const USER_SUFFIXES: [&str; 3] = ["isRootGroup", "isAdmin", "isGroup"];
 
+/// The `'static` literal of a Table 5a suffix, or `None` for any other
+/// text: a name read back from text can hold the literal, as assembled
+/// names do, instead of a copy.
+pub fn static_suffix(suffix: &str) -> Option<&'static str> {
+    FILEPATH_SUFFIXES
+        .into_iter()
+        .chain(IP_SUFFIXES)
+        .chain(USER_SUFFIXES)
+        .find(|s| *s == suffix)
+}
+
 /// Whether an IPv4 address is in the RFC 1918 private ranges or loopback,
 /// or an IPv6 address is an RFC 4193 unique-local one (fc00::/7: a first
 /// group of four hex digits starting `fc` or `fd`, in either case) — the

@@ -165,17 +165,32 @@ impl TypeInference {
     /// verification fall back to `Str` (or `Number` when numeric) — the
     /// "trivial" types of §7.2.
     pub fn infer(&self, value: &str, image: &SystemImage) -> SemType {
-        let v = value.trim();
-        for c in &self.custom {
-            if c.accepts(v, image) {
-                crate::obs::TYPES_CUSTOM.incr();
-                return c.maps_to;
-            }
+        let (ty, custom) = self.resolve(value.trim(), image);
+        if custom {
+            crate::obs::TYPES_CUSTOM.incr();
+        } else {
+            count_winner(ty);
+        }
+        ty
+    }
+
+    /// [`TypeInference::infer`] without counting the verdict in
+    /// `assemble.types.*`, which counts assembly's typing only: for
+    /// detection, which re-types target cells whose render is not the text
+    /// assembly typed.
+    pub fn infer_uncounted(&self, value: &str, image: &SystemImage) -> SemType {
+        self.resolve(value.trim(), image).0
+    }
+
+    /// The type of the trimmed value `v`, and whether a custom type gave it.
+    fn resolve(&self, v: &str, image: &SystemImage) -> (SemType, bool) {
+        if let Some(c) = self.custom.iter().find(|c| c.accepts(v, image)) {
+            return (c.maps_to, true);
         }
         let candidates = SemType::PRIORITY
             .into_iter()
             .filter(|&ty| syntactic::matches(ty, v));
-        self.first_verified(candidates, v, image)
+        (self.first_verified(candidates, v, image), false)
     }
 
     /// [`TypeInference::infer`], with the value's syntactic candidates
@@ -187,38 +202,31 @@ impl TypeInference {
             return self.infer(value, image);
         }
         let v = value.trim();
-        if let Some(candidates) = memo.candidates.get(v) {
-            return self.first_verified(candidates.iter().copied(), v, image);
-        }
-        let candidates = syntactic::candidates(v);
-        let ty = self.first_verified(candidates.iter().copied(), v, image);
-        memo.candidates.insert(v.to_string(), candidates);
+        let ty = match memo.candidates.get(v) {
+            Some(candidates) => self.first_verified(candidates.iter().copied(), v, image),
+            None => {
+                let candidates = syntactic::candidates(v);
+                let ty = self.first_verified(candidates.iter().copied(), v, image);
+                memo.candidates.insert(v.to_string(), candidates);
+                ty
+            }
+        };
+        count_winner(ty);
         ty
     }
 
     /// The first of `candidates` that verifies against `image` (`Str`
-    /// when none does), counted by what won: a trivial type (`Str` or
-    /// `Number`, Table 11's split), or a nontrivial one with or without
-    /// semantic verification.
+    /// when none does).
     fn first_verified(
         &self,
         candidates: impl IntoIterator<Item = SemType>,
         v: &str,
         image: &SystemImage,
     ) -> SemType {
-        let ty = candidates
+        candidates
             .into_iter()
             .find(|&ty| self.verify(ty, v, image))
-            .unwrap_or(SemType::Str);
-        let counter = if ty.is_trivial() {
-            &crate::obs::TYPES_TRIVIAL
-        } else if needs_semantic_verification(ty) {
-            &crate::obs::TYPES_SEMANTIC
-        } else {
-            &crate::obs::TYPES_SYNTACTIC
-        };
-        counter.incr();
-        ty
+            .unwrap_or(SemType::Str)
     }
 
     /// Like [`TypeInference::infer`] but reports the custom-type name when a
@@ -271,6 +279,20 @@ impl TypeInference {
             _ => true,
         }
     }
+}
+
+/// Count a predefined type's win by what won: a trivial type (`Str` or
+/// `Number`, Table 11's split), or a nontrivial one with or without
+/// semantic verification.
+fn count_winner(ty: SemType) {
+    let counter = if ty.is_trivial() {
+        &crate::obs::TYPES_TRIVIAL
+    } else if needs_semantic_verification(ty) {
+        &crate::obs::TYPES_SEMANTIC
+    } else {
+        &crate::obs::TYPES_SYNTACTIC
+    };
+    counter.incr();
 }
 
 /// Whether winning as this type required step-two semantic verification

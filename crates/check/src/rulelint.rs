@@ -44,11 +44,11 @@ pub fn lint_snapshot(snapshot: &DetectorSnapshot) -> Vec<Diagnostic> {
         .iter()
         .flat_map(|r| [&r.a, &r.b])
         .collect();
-    let observed = snapshot.stats().values();
+    let observed = snapshot.stats();
     snapshot
         .types()
         .iter()
-        .filter(|(attr, _)| !referenced.contains(attr) && !observed.contains_key(attr))
+        .filter(|(attr, _)| !referenced.contains(attr) && observed.histogram(attr).is_none())
         .map(|(attr, ty)| {
             Diagnostic::new(
                 Code::UnreferencedTypeEntry,
@@ -537,16 +537,11 @@ mod tests {
         // `port` is unreferenced by the rules but *observed* in training —
         // the normal case for value-check-only attributes — so it is clean.
         types.set(AttrName::entry("port"), SemType::Number);
-        let observed: BTreeMap<_, _> = [(
-            AttrName::entry("port"),
-            [("3306".to_string(), 8usize)].into_iter().collect(),
-        )]
-        .into_iter()
-        .collect();
+        let port = AttrName::entry("port");
         let snapshot = DetectorSnapshot::new(
             rules,
             types,
-            TrainingStats::from_parts(8, BTreeSet::new(), observed),
+            TrainingStats::from_parts(8, [], [(&port, "3306", 8)]),
         );
         let diags = lint_snapshot(&snapshot);
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -565,11 +560,7 @@ mod tests {
         let mut types = TypeMap::new();
         types.set(AttrName::entry("a"), SemType::Number);
         types.set(AttrName::entry("b"), SemType::Number);
-        let snapshot = DetectorSnapshot::new(
-            rules,
-            types,
-            TrainingStats::from_parts(8, BTreeSet::new(), BTreeMap::new()),
-        );
+        let snapshot = DetectorSnapshot::new(rules, types, TrainingStats::from_parts(8, [], []));
         assert!(lint_snapshot(&snapshot).is_empty());
     }
 

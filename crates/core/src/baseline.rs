@@ -28,8 +28,8 @@ fn compare(stats: &TrainingStats, row: &Row, report: &mut Vec<Warning>) {
         // training has no peer distribution, so it is silently skipped —
         // misspelled names are invisible to value comparison (entry-name
         // checking is an EnCore check, §6).
-        match stats.values().get(attr) {
-            Some(seen) if !seen.contains_key(value.rendered().as_ref()) => {
+        match stats.histogram(attr) {
+            Some(seen) if !seen.contains(&value.rendered()) => {
                 report.push(Warning::new_suspicious(
                     attr.clone(),
                     value.render(),

@@ -77,14 +77,21 @@ impl Rule {
     /// (php's `session.use_cookies`) from an augmented property; the tagged
     /// form can, so snapshots reload every rule exactly.
     pub fn render_tagged(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{:?}",
-            self.a.render_tagged(),
-            self.relation,
-            self.b.render_tagged(),
-            self.support,
-            self.confidence
-        )
+        let mut out = String::new();
+        self.write_tagged(&mut out);
+        out
+    }
+
+    /// Append the [`Rule::render_tagged`] form to `out`.
+    pub fn write_tagged(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        self.a.write_tagged(out);
+        out.push('\t');
+        out.push_str(self.relation.name());
+        out.push('\t');
+        self.b.write_tagged(out);
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "\t{}\t{:?}", self.support, self.confidence);
     }
 
     /// Parse the tagged form produced by [`Rule::render_tagged`].

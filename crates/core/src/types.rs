@@ -97,21 +97,6 @@ impl TypeMap {
         self.types.iter()
     }
 
-    /// Render the stored types, one `attr\ttype` line each, with attributes
-    /// in the unambiguous tagged encoding ([`AttrName::render_tagged`]) so
-    /// dotted entry names survive a round-trip: the `[types]` section of a
-    /// [`crate::DetectorSnapshot`], which parses it back.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (attr, ty) in &self.types {
-            out.push_str(&attr.render_tagged());
-            out.push('\t');
-            out.push_str(ty.name());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.types.len()
@@ -120,6 +105,19 @@ impl TypeMap {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.types.is_empty()
+    }
+}
+
+/// The map [`TypeMap::set`] of each pair in turn leaves: a later type for
+/// an attribute replaces an earlier one.  Built with one sort, not one
+/// insert per pair.
+impl FromIterator<(AttrName, SemType)> for TypeMap {
+    fn from_iter<I: IntoIterator<Item = (AttrName, SemType)>>(pairs: I) -> TypeMap {
+        let mut pairs: Vec<_> = pairs.into_iter().collect();
+        encore_model::row::sort_keep_last(&mut pairs);
+        TypeMap {
+            types: pairs.into_iter().collect(),
+        }
     }
 }
 
@@ -164,6 +162,22 @@ mod tests {
             SemType::IpAddress
         );
         assert_eq!(map.type_of(&AttrName::system("MemSize")), SemType::Number);
+    }
+
+    #[test]
+    fn collecting_keeps_the_last_type_of_an_attribute() {
+        let pairs = [
+            (AttrName::entry("port"), SemType::Str),
+            (AttrName::entry("datadir"), SemType::FilePath),
+            (AttrName::entry("port"), SemType::PortNumber),
+        ];
+        let collected: TypeMap = pairs.iter().cloned().collect();
+        let mut set = TypeMap::new();
+        for (attr, ty) in pairs {
+            set.set(attr, ty);
+        }
+        assert_eq!(collected, set);
+        assert_eq!(collected.len(), 2);
     }
 
     #[test]

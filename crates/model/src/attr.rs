@@ -140,12 +140,24 @@ impl AttrName {
     /// Suffixes never contain `:` (they are the fixed Table 5a tokens), so
     /// the encoding splits on the *last* colon.
     pub fn render_tagged(&self) -> String {
-        match self.augmentation {
-            Augmentation::Original => format!("O:{}", self.base),
-            Augmentation::EnvProperty => {
-                format!("E:{}:{}", self.base, self.suffix.as_deref().unwrap_or(""))
-            }
-            Augmentation::SystemWide => format!("S:{}", self.base),
+        let mut out = String::new();
+        self.write_tagged(&mut out);
+        out
+    }
+
+    /// Append the [`AttrName::render_tagged`] form to `out`, so a snapshot
+    /// writes every line into one buffer.
+    pub fn write_tagged(&self, out: &mut String) {
+        let tag = match self.augmentation {
+            Augmentation::Original => "O:",
+            Augmentation::EnvProperty => "E:",
+            Augmentation::SystemWide => "S:",
+        };
+        out.push_str(tag);
+        out.push_str(&self.base);
+        if self.augmentation == Augmentation::EnvProperty {
+            out.push(':');
+            out.push_str(self.suffix().unwrap_or_default());
         }
     }
 

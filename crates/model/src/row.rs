@@ -19,10 +19,9 @@ pub struct Row {
     cells: Vec<(AttrName, ConfigValue)>,
 }
 
-/// Sort `cells` by attribute and keep each attribute's last cell: what
-/// setting them one by one into a map leaves, with one stable sort and
-/// one pass.
-pub fn sort_keep_last<V>(cells: &mut Vec<(AttrName, V)>) {
+/// Sort `cells` by key and keep each key's last cell: what setting them
+/// one by one into a map leaves, with one stable sort and one pass.
+pub fn sort_keep_last<K: Ord, V>(cells: &mut Vec<(K, V)>) {
     cells.sort_by(|x, y| x.0.cmp(&y.0));
     // `dedup_by` drops the later of two equal neighbours, so move its
     // value into the one it keeps first.
