@@ -37,7 +37,7 @@ pub use accounts::{Accounts, Group, User};
 pub use hardware::HardwareSpec;
 pub use security::{SecurityModule, SecurityState};
 pub use services::Services;
-pub use vfs::{FileKind, FileMeta, Vfs};
+pub use vfs::{DirFacts, FileKind, FileMeta, Vfs};
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -69,6 +69,18 @@ impl FileMeta {
     }
 }
 
+/// What one directory directly holds ([`Vfs::dir_facts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DirFacts {
+    /// Number of nodes directly under the directory.
+    pub children: usize,
+    /// Whether one of them is a directory.
+    pub has_subdir: bool,
+    /// Whether one of them is a symlink — drives the `FollowSymLinks`
+    /// correlation (real-world case #6).
+    pub has_symlink: bool,
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     meta: FileMeta,
@@ -279,22 +291,16 @@ impl Vfs {
             .map(|(p, node)| (p.as_str(), node))
     }
 
-    /// Immediate children of a directory (full paths, sorted).
-    pub fn children(&self, path: &str) -> Vec<&str> {
-        self.child_nodes(path).map(|(p, _)| p).collect()
-    }
-
-    /// Whether a directory directly contains a sub-directory.
-    pub fn has_subdir(&self, path: &str) -> bool {
-        self.child_nodes(path)
-            .any(|(_, n)| n.meta.kind == FileKind::Directory)
-    }
-
-    /// Whether a directory directly contains a symlink — drives the
-    /// `FollowSymLinks` correlation (real-world case #6).
-    pub fn has_symlink(&self, path: &str) -> bool {
-        self.child_nodes(path)
-            .any(|(_, n)| n.meta.kind == FileKind::Symlink)
+    /// What a directory directly holds, read in one scan of its key range:
+    /// the facts behind Table 5a's `contents`, `hasDir` and `hasSymLink`.
+    pub fn dir_facts(&self, path: &str) -> DirFacts {
+        let mut facts = DirFacts::default();
+        for (_, node) in self.child_nodes(path) {
+            facts.children += 1;
+            facts.has_subdir |= node.meta.kind == FileKind::Directory;
+            facts.has_symlink |= node.meta.kind == FileKind::Symlink;
+        }
+        facts
     }
 
     /// All paths in the tree (the `FS.FileList` view of Table 7).
@@ -359,10 +365,11 @@ mod tests {
     #[test]
     fn children_and_symlink_detection() {
         let v = vfs();
-        assert_eq!(v.children("/var/lib/mysql"), vec!["/var/lib/mysql/ibdata1"]);
-        assert!(v.has_symlink("/var/www/html"));
-        assert!(!v.has_symlink("/var/lib/mysql"));
-        assert!(v.has_subdir("/var"));
+        let facts = |path| v.dir_facts(path);
+        assert_eq!(facts("/var/lib/mysql").children, 1);
+        assert!(facts("/var/www/html").has_symlink);
+        assert!(!facts("/var/lib/mysql").has_symlink);
+        assert!(facts("/var").has_subdir);
     }
 
     /// The full-scan listing `children` used before it read key ranges.
@@ -402,28 +409,38 @@ mod tests {
         );
         for path in &paths {
             let reference = scan_children(&v, path);
-            assert_eq!(v.children(path), reference, "children({path:?})");
+            let children: Vec<&str> = v.child_nodes(path).map(|(p, _)| p).collect();
+            assert_eq!(children, reference, "child_nodes({path:?})");
             let kind_among = |kind| {
                 reference
                     .iter()
                     .any(|c| v.metadata(c).map(|m| m.kind) == Some(kind))
             };
             assert_eq!(
-                v.has_subdir(path),
-                kind_among(FileKind::Directory),
-                "has_subdir({path:?})"
-            );
-            assert_eq!(
-                v.has_symlink(path),
-                kind_among(FileKind::Symlink),
-                "has_symlink({path:?})"
+                v.dir_facts(path),
+                DirFacts {
+                    children: reference.len(),
+                    has_subdir: kind_among(FileKind::Directory),
+                    has_symlink: kind_among(FileKind::Symlink),
+                },
+                "dir_facts({path:?})"
             );
         }
-        assert_eq!(v.children("/a/b"), vec!["/a/b/c", "/a/b/e"]);
-        assert!(v.has_symlink("/a/b/") && v.has_subdir("/a/b"));
-        assert!(!v.has_symlink("/a/bc") && v.has_subdir("/a/bc"));
-        assert_eq!(v.children("/"), vec!["/a", "/etc", "/var"]);
-        assert!(v.children("/missing").is_empty());
+        let facts = |path| v.dir_facts(path);
+        assert_eq!(
+            (facts("/a/b"), facts("/a/b/")),
+            (
+                DirFacts {
+                    children: 2,
+                    has_subdir: true,
+                    has_symlink: true
+                },
+                facts("/a/b")
+            )
+        );
+        assert!(!facts("/a/bc").has_symlink && facts("/a/bc").has_subdir);
+        assert_eq!(facts("/").children, 3);
+        assert_eq!(facts("/missing"), DirFacts::default());
     }
 
     #[test]
