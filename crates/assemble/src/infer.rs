@@ -11,7 +11,6 @@
 use crate::syntactic;
 use encore_model::{ConfigValue, SemType};
 use encore_sysimage::SystemImage;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -114,16 +113,6 @@ const ISO_639_1: [&str; 14] = [
     "aa", "de", "en", "es", "fr", "it", "ja", "ko", "nl", "pt", "ru", "sv", "zh", "el",
 ];
 
-/// The image-independent half of type inference, kept across images: the
-/// syntactic candidates (§4.2 step one) of each trimmed raw value.  A
-/// value met again, on any image, is only verified (step two), which
-/// reads that image.  Keyed by the configuration text, so the map uses
-/// the default hasher.
-#[derive(Debug, Clone, Default)]
-pub struct TypeMemo {
-    candidates: HashMap<String, Vec<SemType>>,
-}
-
 /// The type-inference engine.
 #[derive(Clone, Default)]
 pub struct TypeInference {
@@ -193,24 +182,16 @@ impl TypeInference {
         (self.first_verified(candidates, v, image), false)
     }
 
-    /// [`TypeInference::infer`], with the value's syntactic candidates
-    /// looked up in `memo`, and found and kept there on the first meeting.
-    /// Custom types' matchers are user closures, so while any is
-    /// registered the memo is not used.
-    pub fn infer_memo(&self, value: &str, image: &SystemImage, memo: &mut TypeMemo) -> SemType {
+    /// [`TypeInference::infer`] of a value whose syntactic candidates
+    /// (§4.2 step one, [`syntactic::candidates`]) are already known, as a
+    /// training worker's memo keeps them: only their verification (step
+    /// two) reads `image`.  Custom types' matchers are user closures, so
+    /// while any is registered this is [`TypeInference::infer`].
+    pub fn infer_among(&self, candidates: &[SemType], value: &str, image: &SystemImage) -> SemType {
         if !self.custom.is_empty() {
             return self.infer(value, image);
         }
-        let v = value.trim();
-        let ty = match memo.candidates.get(v) {
-            Some(candidates) => self.first_verified(candidates.iter().copied(), v, image),
-            None => {
-                let candidates = syntactic::candidates(v);
-                let ty = self.first_verified(candidates.iter().copied(), v, image);
-                memo.candidates.insert(v.to_string(), candidates);
-                ty
-            }
-        };
+        let ty = self.first_verified(candidates.iter().copied(), value.trim(), image);
         count_winner(ty);
         ty
     }

@@ -15,10 +15,12 @@
 //!    attributes of Table 5b ([`augment`]).
 //!
 //! The cells go, in the order the assembler sets them, into a [`CellSink`]
-//! the caller owns.  A training worker encodes them straight into its
-//! column dictionaries (`encore::TrainingSet`), so no [`Row`] exists for a
-//! training image; a target's [`SystemCells`] sorts them once into its
-//! [`Row`] and entry types.
+//! the caller owns.  A training worker's [`EncodedCells`] encodes them
+//! straight into its column dictionaries (`encore::TrainingSet`), so no
+//! [`Row`] exists for a training image, and keeps one memo slot per
+//! distinct parsed entry, so an entry it has met before costs only what
+//! depends on the image; a target's [`SystemCells`] sorts them once into
+//! its [`Row`] and entry types.
 //!
 //! The assembler is customizable (§5.3): user-defined types take priority
 //! over the predefined ones, exactly as the customization-file semantics
@@ -51,13 +53,17 @@
 
 pub mod augment;
 pub mod infer;
+mod memo;
 pub mod obs;
 pub mod syntactic;
 
-pub use infer::{CustomType, TypeInference, TypeMemo};
+pub use augment::EnvValue;
+pub use encore_parser::Pairs;
+pub use infer::{CustomType, TypeInference};
+pub use memo::EncodedCells;
 
 use encore_model::{AppKind, AttrName, ConfigValue, Row, SemType};
-use encore_parser::{KeyValue, LensRegistry, ParseError};
+use encore_parser::{LensRegistry, ParseError};
 use encore_sysimage::SystemImage;
 use std::fmt;
 
@@ -104,25 +110,43 @@ impl From<ParseError> for AssembleError {
 
 /// Where assembly puts one system's cells, in the order it sets them.
 ///
-/// A later cell for an attribute replaces the earlier one, as [`Row::set`]
-/// does: a repeated entry's last value and type win, and the cells an
-/// earlier occurrence's augmentation set stay unless a later one sets them
-/// again.  Assembly parses before it emits a cell, so a system that fails
-/// to assemble emits none.  Each sink counts the distinct environment
+/// Assembly opens each parsed entry in file order, types its value, hands
+/// the sink the entry's Table 5a cells and then the entry's own cell, and
+/// after the last entry the system-wide cells of Table 5b.  A later cell
+/// for an attribute replaces the earlier one, as [`Row::set`] does: a
+/// repeated entry's last value and type win, and the cells an earlier
+/// occurrence's augmentation set stay unless a later one sets them again.
+/// Assembly parses before it emits a cell, so a system that fails to
+/// assemble emits none.  Each sink counts the distinct environment
 /// attributes of a finished system into `assemble.augment.attrs`.
+///
+/// A sink takes an entry by reference and answers with its own handle of
+/// it: a target's [`SystemCells`] builds the entry's name and owned cells,
+/// and a training worker's [`EncodedCells`] answers with its memo slot, so
+/// a cell it already knows costs no allocation and no name or value hash.
 pub trait CellSink {
-    /// An original entry's cell, with the type inferred for its value.
-    fn entry(&mut self, attr: AttrName, value: ConfigValue, ty: SemType);
+    /// The sink's handle of an open entry.
+    type Entry;
 
-    /// An environment cell: an entry's augmented attribute (Table 5a) or a
-    /// system-wide one (Table 5b).
-    fn env(&mut self, attr: AttrName, value: ConfigValue);
+    /// Open the entry `key = raw`, or `None` when `key` is not an entry
+    /// name ([`AttrName::try_entry`]): assembly skips it.
+    fn open(&mut self, key: &str, raw: &str) -> Option<Self::Entry>;
 
-    /// The memo of syntactic candidates to type this sink's values
-    /// through, if it keeps one across systems.
-    fn type_memo(&mut self) -> Option<&mut TypeMemo> {
+    /// The syntactic candidates of the entry's value, if the sink keeps
+    /// them ([`TypeInference::infer_among`]).
+    fn candidates(&self, _entry: &Self::Entry) -> Option<&[SemType]> {
         None
     }
+
+    /// Cell `i` of the Table 5a cells the entry's type `ty` adds: the
+    /// attribute with the `i`-th of [`augment::suffixes`] of `ty`.
+    fn env(&mut self, entry: &Self::Entry, ty: SemType, i: usize, value: EnvValue<'_>);
+
+    /// The entry's own cell: `raw` coerced to `ty` ([`infer::coerce`]).
+    fn close(&mut self, entry: Self::Entry, raw: &str, ty: SemType);
+
+    /// Cell `j` of Table 5b: the attribute [`augment::SYSTEM_NAMES`]`[j]`.
+    fn system(&mut self, j: usize, value: EnvValue<'_>);
 }
 
 /// The assembled view of one system: the dataset row plus per-entry types.
@@ -154,13 +178,25 @@ pub struct SystemCells {
 }
 
 impl CellSink for SystemCells {
-    fn entry(&mut self, attr: AttrName, value: ConfigValue, ty: SemType) {
-        self.types.push((attr.clone(), ty));
-        self.cells.push((attr, value));
+    type Entry = AttrName;
+
+    fn open(&mut self, key: &str, _raw: &str) -> Option<AttrName> {
+        AttrName::try_entry(key).ok()
     }
 
-    fn env(&mut self, attr: AttrName, value: ConfigValue) {
-        self.cells.push((attr, value));
+    fn env(&mut self, entry: &AttrName, ty: SemType, i: usize, value: EnvValue<'_>) {
+        let attr = entry.augmented(augment::suffixes(ty)[i]);
+        self.cells.push((attr, value.into_value()));
+    }
+
+    fn close(&mut self, entry: AttrName, raw: &str, ty: SemType) {
+        self.types.push((entry.clone(), ty));
+        self.cells.push((entry, infer::coerce(raw, ty)));
+    }
+
+    fn system(&mut self, j: usize, value: EnvValue<'_>) {
+        let attr = AttrName::system(augment::SYSTEM_NAMES[j]);
+        self.cells.push((attr, value.into_value()));
     }
 }
 
@@ -258,11 +294,12 @@ impl Assembler {
         image: &SystemImage,
     ) -> Result<AssembledSystem, AssembleError> {
         let mut cells = SystemCells::default();
-        self.assemble_into(app, image, &mut cells)?;
+        self.assemble_into(app, image, &mut Pairs::new(), &mut cells)?;
         Ok(cells.finish(image.id()))
     }
 
-    /// Like [`Assembler::assemble_image`], with the cells emitted into
+    /// Like [`Assembler::assemble_image`], with the configuration parsed
+    /// into `pairs`, which is cleared first, and the cells emitted into
     /// `sink` ([`Assembler::assemble_pairs`]).  Nothing reaches `sink` on
     /// error.
     ///
@@ -273,19 +310,28 @@ impl Assembler {
         &self,
         app: AppKind,
         image: &SystemImage,
+        pairs: &mut Pairs,
         sink: &mut impl CellSink,
     ) -> Result<(), AssembleError> {
-        let pairs = self.parse(app, image)?;
-        self.assemble_pairs(&pairs, image, sink);
+        pairs.clear();
+        self.parse_into(app, image, pairs)?;
+        self.assemble_pairs(pairs.iter(), image, sink);
         Ok(())
     }
 
-    /// Parse one application's configuration inside an image.
+    /// Parse one application's configuration inside an image, appending
+    /// its pairs to `pairs`.
     ///
     /// # Errors
     ///
-    /// Same as [`Assembler::assemble_image`].
-    pub fn parse(&self, app: AppKind, image: &SystemImage) -> Result<Vec<KeyValue>, AssembleError> {
+    /// Same as [`Assembler::assemble_image`]; `pairs` is then left as it
+    /// was.
+    pub fn parse_into(
+        &self,
+        app: AppKind,
+        image: &SystemImage,
+        pairs: &mut Pairs,
+    ) -> Result<(), AssembleError> {
         let path = app.config_path();
         let text = image
             .read_file(path)
@@ -293,37 +339,37 @@ impl Assembler {
                 app,
                 path: path.to_string(),
             })?;
-        Ok(self.lenses.parse(app.name(), text)?)
+        Ok(self.lenses.parse_into(app.name(), text, pairs)?)
     }
 
-    /// Type and augment already-parsed pairs into `sink`: each entry's
-    /// augmented cells, then the entry's own cell, in file order, then the
-    /// system-wide attributes.  Callers with non-standard config locations
-    /// parse the pairs themselves.
-    pub fn assemble_pairs(
+    /// Type and augment already-parsed `(key, raw value)` pairs into
+    /// `sink`: each entry's augmented cells, then the entry's own cell, in
+    /// file order, then the system-wide attributes.  Callers with
+    /// non-standard config locations parse the pairs themselves.
+    pub fn assemble_pairs<'p>(
         &self,
-        pairs: &[KeyValue],
+        pairs: impl IntoIterator<Item = (&'p str, &'p str)>,
         image: &SystemImage,
         sink: &mut impl CellSink,
     ) {
         let _span = obs::ASSEMBLE_TIME.span();
-        for kv in pairs {
-            let Ok(attr) = AttrName::try_entry(&kv.key) else {
+        for (key, raw) in pairs {
+            let Some(entry) = sink.open(key, raw) else {
                 continue;
             };
-            let ty = match sink.type_memo() {
-                Some(memo) => self.inference.infer_memo(&kv.value, image, memo),
-                None => self.inference.infer(&kv.value, image),
+            let ty = match sink.candidates(&entry) {
+                Some(candidates) => self.inference.infer_among(candidates, raw, image),
+                None => self.inference.infer(raw, image),
             };
-            let value = infer::coerce(&kv.value, ty);
             if self.augment_env {
-                augment::augment_entry(sink, &attr, &kv.value, ty, image);
+                let mut put = |i, value: EnvValue<'_>| sink.env(&entry, ty, i, value);
+                augment::augment_entry(&mut put, raw, ty, image);
             }
             obs::ENTRIES_TYPED.incr();
-            sink.entry(attr, value, ty);
+            sink.close(entry, raw, ty);
         }
         if self.augment_env {
-            augment::augment_system_wide(sink, image);
+            augment::augment_system_wide(&mut |j, value| sink.system(j, value), image);
         }
         obs::ROWS_ASSEMBLED.incr();
     }

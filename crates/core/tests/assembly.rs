@@ -1,14 +1,15 @@
 //! Assembly over generated populations of every studied application: the
 //! per-image types line up with the row's original entries (the training
 //! merge relies on it), type inference picks the same type as the
-//! list-first reference loop it replaced, and typing through a memo of
-//! syntactic candidates picks the same type as typing without one.
+//! list-first reference loop it replaced, and typing through a training
+//! worker's memo picks the same type as typing without one.
 
-use encore_assemble::{syntactic, Assembler, CustomType, TypeInference, TypeMemo};
+use encore_assemble::{syntactic, Assembler, CustomType, EncodedCells, Pairs, TypeInference};
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::{AppKind, AttrName, SemType};
 use encore_parser::LensRegistry;
 use encore_sysimage::SystemImage;
+use std::collections::BTreeMap;
 
 fn populations() -> impl Iterator<Item = Population> {
     AppKind::STUDIED
@@ -98,40 +99,47 @@ fn inference_equals_the_candidates_first_reference() {
 }
 
 /// One memo shared across a whole training set, as each assembly worker
-/// shares its own, types every raw value as `infer` does on the value's
-/// own image: on the benchmark's and CI's training sets, and with a
-/// registered custom type, which turns the memo off.
+/// shares its own, types every entry as a target's assembly does on the
+/// entry's own image: each attribute's votes, image by image, are the
+/// types `assemble_system` gives it.  On the benchmark's and CI's training
+/// sets, and with a registered custom type, which types through `infer`.
 #[test]
-fn the_candidates_memo_types_every_value_as_infer_does() {
-    let mut custom = TypeInference::new();
-    custom.register(CustomType::new("Directory", SemType::FilePath, |v| {
-        v.ends_with('/')
-    }));
-    let lenses = LensRegistry::with_defaults();
+fn the_memo_types_every_entry_as_target_assembly_does() {
+    let custom =
+        Assembler::new().with_custom_type(CustomType::new("Directory", SemType::FilePath, |v| {
+            v.ends_with('/')
+        }));
     for (app, n, seed) in [
         (AppKind::Apache, 127, 1),
         (AppKind::Mysql, 300, 3),
         (AppKind::Php, 60, 3),
     ] {
         let pop = Population::training(app, &PopulationOptions::new(n, seed));
-        for inference in [TypeInference::new(), custom.clone()] {
-            let mut memo = TypeMemo::default();
-            let mut values = 0;
+        for assembler in [&Assembler::new(), &custom] {
+            let mut cells = EncodedCells::new();
+            let mut pairs = Pairs::new();
+            let mut expected: BTreeMap<AttrName, Vec<SemType>> = BTreeMap::new();
             for image in pop.images() {
-                let text = image.read_file(app.config_path()).expect("config");
-                for kv in lenses.parse(app.name(), text).expect("parses") {
-                    values += 1;
-                    assert_eq!(
-                        inference.infer_memo(&kv.value, image, &mut memo),
-                        inference.infer(&kv.value, image),
-                        "{app} {} {} = {:?}",
-                        image.id(),
-                        kv.key,
-                        kv.value
-                    );
+                assembler
+                    .assemble_into(app, image, &mut pairs, &mut cells)
+                    .expect("generated images assemble");
+                cells.finish(image.id());
+                let system = assembler.assemble_system(app, image).expect("assembles");
+                for (attr, ty) in system.types {
+                    expected.entry(attr).or_default().push(ty);
                 }
             }
-            assert!(values > 1000, "{app}: only {values} values checked");
+            let voted: BTreeMap<AttrName, Vec<SemType>> = cells
+                .encoder()
+                .attrs()
+                .iter()
+                .zip(cells.votes())
+                .filter(|(_, votes)| !votes.is_empty())
+                .map(|(attr, votes)| (attr.clone(), votes.clone()))
+                .collect();
+            let values: usize = expected.values().map(Vec::len).sum();
+            assert!(values > 1000, "{app}: only {values} entries checked");
+            assert_eq!(voted, expected, "{app}");
         }
     }
 }

@@ -106,7 +106,9 @@ impl EncodedRow {
 ///
 /// [`RowEncoder::put`] takes one cell of the system being encoded, and a
 /// later cell for an attribute replaces the earlier one, as [`Row::set`]
-/// does; [`RowEncoder::finish`] closes the system.  Values are keyed by
+/// does; [`RowEncoder::finish`] closes the system.  A caller that keeps
+/// the local ids of the names and values it meets again puts their cells
+/// by id ([`RowEncoder::put_ids`]), with no hash.  Values are keyed by
 /// their tagged form ([`ConfigValue::write_tagged`]), as the [`Interner`]
 /// keys them, so two values share a local id iff they share a global one.
 /// Both maps use the default hasher, since the names and values come from
@@ -156,22 +158,29 @@ impl RowEncoder {
     /// attribute still gets a column.
     pub fn put(&mut self, attr: &AttrName, value: &ConfigValue) -> (usize, bool) {
         let attr = self.attr_id(attr);
-        let value = if value.is_absent() {
-            ABSENT
-        } else {
-            self.value_id(value)
-        };
+        let value = self.value_id(value);
+        (attr as usize, self.put_ids(attr, value))
+    }
+
+    /// [`RowEncoder::put`] by local ids, as [`RowEncoder::attr_id`] and
+    /// [`RowEncoder::value_id`] gave them: whether this is the system's
+    /// first cell for the attribute.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `attr` is not a local attribute id.
+    pub fn put_ids(&mut self, attr: u32, value: u32) -> bool {
         let slot = &mut self.slots[attr as usize];
         if slot.0 == self.serial {
             self.cells[slot.1 as usize].value = value;
-            return (attr as usize, false);
+            return false;
         }
         *slot = (
             self.serial,
             u32::try_from(self.cells.len()).expect("< 2^32 cells"),
         );
         self.cells.push(Cell { attr, value });
-        (attr as usize, true)
+        true
     }
 
     /// Close the system being encoded: its cells, one per attribute, as
@@ -198,7 +207,10 @@ impl RowEncoder {
         &self.attrs
     }
 
-    fn attr_id(&mut self, attr: &AttrName) -> u32 {
+    /// The local id of `attr`, given the first time it is met.  An
+    /// attribute met here gets a column in the merge, so give ids only to
+    /// attributes that a cell will name.
+    pub fn attr_id(&mut self, attr: &AttrName) -> u32 {
         if let Some(&id) = self.attr_ids.get(attr) {
             return id;
         }
@@ -209,14 +221,34 @@ impl RowEncoder {
         id
     }
 
-    fn value_id(&mut self, value: &ConfigValue) -> u32 {
+    /// The local id of `value`, given the first time it is met; an absent
+    /// value has a reserved id of its own.
+    pub fn value_id(&mut self, value: &ConfigValue) -> u32 {
+        if value.is_absent() {
+            return ABSENT;
+        }
         self.key.clear();
         value.write_tagged(&mut self.key);
+        self.keyed_value_id(|| value.clone())
+    }
+
+    /// [`RowEncoder::value_id`] of [`ConfigValue::Str`] of `text`, which is
+    /// built only the first time it is met.
+    pub fn str_id(&mut self, text: &str) -> u32 {
+        // `ConfigValue::write_tagged`'s form of a `Str`.
+        self.key.clear();
+        self.key.push_str("s:");
+        self.key.push_str(text);
+        self.keyed_value_id(|| ConfigValue::str(text))
+    }
+
+    /// The id of the value whose tagged form is in `self.key`.
+    fn keyed_value_id(&mut self, value: impl FnOnce() -> ConfigValue) -> u32 {
         if let Some(&id) = self.value_ids.get(self.key.as_str()) {
             return id;
         }
         let id = u32::try_from(self.values.len()).expect("< 2^32 values");
-        self.values.push(value.clone());
+        self.values.push(value());
         self.value_ids.insert(self.key.clone(), id);
         id
     }
@@ -732,5 +764,30 @@ mod tests {
         );
         assert_eq!(port.value_id(1), None);
         assert_eq!(store.column_of(&user).expect("user column").support(), 1);
+    }
+
+    #[test]
+    fn ids_are_the_ids_put_gives() {
+        let mut encoder = RowEncoder::new();
+        let text = encoder.str_id("a b");
+        assert_eq!(encoder.value_id(&ConfigValue::str("a b")), text);
+        assert_eq!(encoder.str_id("a b"), text);
+        // A path and a string with the same text are two values.
+        assert_ne!(encoder.value_id(&ConfigValue::path("a b")), text);
+        assert_eq!(encoder.value_id(&ConfigValue::Absent), ABSENT);
+        let user = AttrName::entry("user");
+        let attr = encoder.attr_id(&user);
+        assert!(encoder.put_ids(attr, text));
+        assert_eq!(
+            encoder.put(&user, &ConfigValue::str("a b")),
+            (attr as usize, false)
+        );
+        let row = encoder.finish("s0");
+        let store = ColumnStore::merge(&[encoder], &[(0, row)]);
+        let column = store.column_of(&user).expect("user column");
+        assert_eq!(
+            store.value(column.value_id(0).expect("set")),
+            &ConfigValue::str("a b")
+        );
     }
 }

@@ -21,8 +21,9 @@
 //! [`MAX_SECTION_DEPTH`] deep; one more is a
 //! [`ParseError::SectionTooDeep`].
 
-use crate::{KeyValue, Lens, ParseError};
+use crate::{KeyValue, Lens, Pairs, ParseError};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Most sections open at once.  The corpora nest at most 1 deep, and a
 /// real `httpd.conf` a few levels.
@@ -39,48 +40,78 @@ impl ApacheLens {
     pub fn new() -> ApacheLens {
         ApacheLens::default()
     }
-
-    /// Directives that legitimately repeat and therefore carry an occurrence
-    /// index in their flattened key.
-    fn is_repeatable(directive: &str) -> bool {
-        matches!(
-            directive,
-            "LoadModule" | "AddType" | "AddHandler" | "Alias" | "Listen" | "Include"
-        )
-    }
 }
 
-/// Split a directive line into words, honouring double quotes.
-fn split_args(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    for c in line.chars() {
-        match c {
-            '"' => quoted = !quoted,
-            c if c.is_whitespace() && !quoted => {
-                if !cur.is_empty() {
-                    out.push(std::mem::take(&mut cur));
-                }
+/// The words of one line, split at whitespace outside double quotes, with
+/// the quotes dropped: `c"d e"f` is the one word `cd ef`.  The words are
+/// kept back to back in one buffer that every line reuses.
+#[derive(Debug, Default)]
+struct Words {
+    text: String,
+    /// Where each word ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl Words {
+    fn split(&mut self, line: &str) {
+        self.text.clear();
+        self.ends.clear();
+        let mut quoted = false;
+        for c in line.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                c if c.is_whitespace() && !quoted => self.end_word(),
+                c => self.text.push(c),
             }
-            c => cur.push(c),
+        }
+        self.end_word();
+    }
+
+    /// Close the word being read, unless it is empty.
+    fn end_word(&mut self) {
+        if self.text.len() > self.ends.last().copied().unwrap_or(0) {
+            self.ends.push(self.text.len());
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
+
+    fn len(&self) -> usize {
+        self.ends.len()
     }
-    out
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
 }
+
+/// Directives that legitimately repeat and therefore carry an occurrence
+/// index in their flattened key.
+const REPEATABLE: [&str; 6] = [
+    "LoadModule",
+    "AddType",
+    "AddHandler",
+    "Alias",
+    "Listen",
+    "Include",
+];
 
 impl Lens for ApacheLens {
     fn name(&self) -> &str {
         "httpd.conf"
     }
 
-    fn parse(&self, text: &str) -> Result<Vec<KeyValue>, ParseError> {
-        let mut pairs = Vec::new();
-        let mut section_stack: Vec<String> = Vec::new();
-        let mut occurrence: HashMap<String, usize> = HashMap::new();
+    fn parse_into(&self, text: &str, pairs: &mut Pairs) -> Result<(), ParseError> {
+        // The open sections as the prefix of every key they scope, each
+        // `Name:arg` or `Name` followed by `|`, and per section where its
+        // text starts in `prefix` and where its name for the closing tag,
+        // the text before its first `:`, ends.
+        let mut prefix = String::new();
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        let mut section_occurrences: HashMap<String, usize> = HashMap::new();
+        let mut repeats = [0usize; REPEATABLE.len()];
+        let mut words = Words::default();
+        let mut key = String::new();
+        let mut arg = String::new();
 
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -89,8 +120,11 @@ impl Lens for ApacheLens {
             }
             if let Some(rest) = line.strip_prefix("</") {
                 let name = rest.trim_end_matches('>').trim();
-                match section_stack.pop() {
-                    Some(open) if open.split(':').next() == Some(name) => continue,
+                match open.pop() {
+                    Some((start, name_end)) if &prefix[start..name_end] == name => {
+                        prefix.truncate(start);
+                        continue;
+                    }
                     _ => {
                         return Err(ParseError::MismatchedClose {
                             line: idx + 1,
@@ -100,78 +134,84 @@ impl Lens for ApacheLens {
                 }
             }
             if let Some(rest) = line.strip_prefix('<') {
-                if section_stack.len() == MAX_SECTION_DEPTH {
+                if open.len() == MAX_SECTION_DEPTH {
                     return Err(ParseError::SectionTooDeep { line: idx + 1 });
                 }
-                let inner = rest.trim_end_matches('>').trim();
-                let mut words = split_args(inner);
-                if words.is_empty() {
+                words.split(rest.trim_end_matches('>').trim());
+                if words.len() == 0 {
                     return Err(ParseError::BadLine {
                         line: idx + 1,
                         text: raw.to_string(),
                     });
                 }
-                let name = words.remove(0);
-                let arg = words.join(" ");
+                let name = words.get(0);
+                arg.clear();
+                for i in 1..words.len() {
+                    if i > 1 {
+                        arg.push(' ');
+                    }
+                    arg.push_str(words.get(i));
+                }
                 // Expose the section argument as a stable attribute
                 // (`Directory#0/section` = "/var/www/html") so correlations
                 // between directives and section scopes are learnable —
                 // e.g. "DocumentRoot should have a related <Directory>"
                 // (real-world case #1).
                 if !arg.is_empty() {
-                    let prefix = if section_stack.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{}|", section_stack.join("|"))
+                    let n = match section_occurrences.get_mut(name) {
+                        Some(n) => n,
+                        None => section_occurrences.entry(name.to_string()).or_insert(0),
                     };
-                    let n = occurrence.entry(format!("<{name}>")).or_insert(0);
-                    pairs.push(KeyValue::new(
-                        format!("{prefix}{name}#{n}/section"),
-                        arg.clone(),
-                    ));
+                    key.clear();
+                    key.push_str(&prefix);
+                    key.push_str(name);
+                    let _ = write!(key, "#{n}/section");
                     *n += 1;
+                    pairs.push(&key, &arg);
                 }
-                section_stack.push(if arg.is_empty() {
-                    name
-                } else {
-                    format!("{name}:{arg}")
-                });
+                let start = prefix.len();
+                prefix.push_str(name);
+                if !arg.is_empty() {
+                    prefix.push(':');
+                    prefix.push_str(&arg);
+                }
+                let name_end = prefix[start..]
+                    .find(':')
+                    .map_or(prefix.len(), |i| start + i);
+                prefix.push('|');
+                open.push((start, name_end));
                 continue;
             }
-            let words = split_args(line);
-            if words.is_empty() {
+            words.split(line);
+            if words.len() == 0 {
                 continue;
             }
-            let directive = &words[0];
-            let prefix = if section_stack.is_empty() {
-                String::new()
-            } else {
-                format!("{}|", section_stack.join("|"))
-            };
-            let base = if ApacheLens::is_repeatable(directive) {
-                let n = occurrence.entry(directive.clone()).or_insert(0);
-                let key = format!("{prefix}{directive}#{n}");
-                *n += 1;
-                key
-            } else {
-                format!("{prefix}{directive}")
-            };
+            key.clear();
+            key.push_str(&prefix);
+            key.push_str(words.get(0));
+            if let Some(r) = REPEATABLE.iter().position(|d| *d == words.get(0)) {
+                let _ = write!(key, "#{}", repeats[r]);
+                repeats[r] += 1;
+            }
             match words.len() {
-                1 => pairs.push(KeyValue::new(base, "")),
-                2 => pairs.push(KeyValue::new(base, words[1].clone())),
-                _ => {
-                    for (i, arg) in words[1..].iter().enumerate() {
-                        pairs.push(KeyValue::new(format!("{base}/arg{}", i + 1), arg.clone()));
+                1 => pairs.push(&key, ""),
+                2 => pairs.push(&key, words.get(1)),
+                n => {
+                    let base = key.len();
+                    for i in 1..n {
+                        key.truncate(base);
+                        let _ = write!(key, "/arg{i}");
+                        pairs.push(&key, words.get(i));
                     }
                 }
             }
         }
-        if let Some(open) = section_stack.pop() {
+        if let Some(&(start, name_end)) = open.last() {
             return Err(ParseError::UnclosedSection {
-                name: open.split(':').next().unwrap_or(&open).to_string(),
+                name: prefix[start..name_end].to_string(),
             });
         }
-        Ok(pairs)
+        Ok(())
     }
 
     fn render(&self, pairs: &[KeyValue]) -> String {

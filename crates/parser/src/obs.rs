@@ -1,7 +1,7 @@
 //! Parsing metrics for the assembly phase: files parsed, key–value entries
 //! produced, and parse failures, measured at the [`LensRegistry`] dispatch
-//! point (direct `Lens::parse` calls bypass the registry and are not
-//! counted).  `encore-assemble` registers them, first, in its `assemble`
+//! point, `LensRegistry::parse_into` (direct `Lens` calls bypass the
+//! registry and are not counted).  `encore-assemble` registers them, first, in its `assemble`
 //! phase.
 //!
 //! [`LensRegistry`]: crate::LensRegistry

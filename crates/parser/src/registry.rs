@@ -5,7 +5,7 @@
 //! EnCore" (§4.1).  The registry reproduces that: predefined lenses for the
 //! studied applications, plus [`LensRegistry::register`] for user lenses.
 
-use crate::{ApacheLens, IniLens, KeyValue, Lens, ParseError, SshdLens};
+use crate::{ApacheLens, IniLens, KeyValue, Lens, Pairs, ParseError, SshdLens};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -57,24 +57,41 @@ impl LensRegistry {
         self.lenses.get(app)
     }
 
-    /// Parse `text` with the lens registered for `app`.
+    /// Parse `text` with the lens registered for `app`, appending its pairs
+    /// to `pairs`.  This is where `assemble.parse.*` counts.
     ///
     /// # Errors
     ///
     /// [`ParseError::NoLens`] if no lens is registered, otherwise whatever
-    /// the lens reports.
-    pub fn parse(&self, app: &str, text: &str) -> Result<Vec<KeyValue>, ParseError> {
+    /// the lens reports.  On error `pairs` is left as it was.
+    pub fn parse_into(&self, app: &str, text: &str, pairs: &mut Pairs) -> Result<(), ParseError> {
         let _span = crate::obs::PARSE_TIME.span();
         crate::obs::PARSE_CALLS.incr();
+        let before = pairs.len();
         let result = match self.lens(app) {
-            Some(l) => l.parse(text),
+            Some(l) => l.parse_into(text, pairs),
             None => Err(ParseError::NoLens(app.to_string())),
         };
         match &result {
-            Ok(pairs) => crate::obs::PARSE_ENTRIES.add(pairs.len() as u64),
-            Err(_) => crate::obs::PARSE_ERRORS.incr(),
+            Ok(()) => crate::obs::PARSE_ENTRIES.add((pairs.len() - before) as u64),
+            Err(_) => {
+                pairs.truncate(before);
+                crate::obs::PARSE_ERRORS.incr();
+            }
         }
         result
+    }
+
+    /// [`LensRegistry::parse_into`] a new buffer, collected into owned
+    /// pairs.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LensRegistry::parse_into`].
+    pub fn parse(&self, app: &str, text: &str) -> Result<Vec<KeyValue>, ParseError> {
+        let mut pairs = Pairs::new();
+        self.parse_into(app, text, &mut pairs)?;
+        Ok(pairs.to_vec())
     }
 
     /// Registered application names, sorted.
@@ -110,12 +127,11 @@ mod tests {
             fn name(&self) -> &str {
                 "trivial"
             }
-            fn parse(&self, text: &str) -> Result<Vec<KeyValue>, ParseError> {
-                Ok(text
-                    .lines()
-                    .filter_map(|l| l.split_once(':'))
-                    .map(|(k, v)| KeyValue::new(k, v))
-                    .collect())
+            fn parse_into(&self, text: &str, pairs: &mut Pairs) -> Result<(), ParseError> {
+                for (k, v) in text.lines().filter_map(|l| l.split_once(':')) {
+                    pairs.push(k, v);
+                }
+                Ok(())
             }
             fn render(&self, pairs: &[KeyValue]) -> String {
                 pairs
@@ -129,5 +145,18 @@ mod tests {
         r.register("custom", Arc::new(TrivialLens));
         let pairs = r.parse("custom", "a:1\nb:2").unwrap();
         assert_eq!(pairs.len(), 2);
+    }
+
+    #[test]
+    fn a_failed_parse_leaves_the_buffer_as_it_was() {
+        let r = LensRegistry::with_defaults();
+        let mut pairs = Pairs::new();
+        r.parse_into("php", "[PHP]\na = 1\n", &mut pairs).unwrap();
+        let before = pairs.clone();
+        assert!(r.parse_into("php", "b = 2\nbare\n", &mut pairs).is_err());
+        assert!(r.parse_into("nginx", "", &mut pairs).is_err());
+        assert_eq!(pairs, before);
+        r.parse_into("php", "c = 3\n", &mut pairs).unwrap();
+        assert_eq!(pairs.iter().collect::<Vec<_>>(), [("a", "1"), ("c", "3")]);
     }
 }

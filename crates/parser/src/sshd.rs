@@ -1,6 +1,6 @@
 //! sshd_config lens: simple `Key value` pairs, `#` comments.
 
-use crate::{KeyValue, Lens, ParseError};
+use crate::{KeyValue, Lens, Pairs, ParseError};
 
 /// Lens for OpenSSH daemon configuration.
 #[derive(Debug, Clone, Default)]
@@ -20,15 +20,14 @@ impl Lens for SshdLens {
         "sshd_config"
     }
 
-    fn parse(&self, text: &str) -> Result<Vec<KeyValue>, ParseError> {
-        let mut pairs = Vec::new();
+    fn parse_into(&self, text: &str, pairs: &mut Pairs) -> Result<(), ParseError> {
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             match line.split_once(char::is_whitespace) {
-                Some((k, v)) => pairs.push(KeyValue::new(k.trim(), v.trim())),
+                Some((k, v)) => pairs.push(k.trim(), v.trim()),
                 None => {
                     return Err(ParseError::BadLine {
                         line: idx + 1,
@@ -37,7 +36,7 @@ impl Lens for SshdLens {
                 }
             }
         }
-        Ok(pairs)
+        Ok(())
     }
 
     fn render(&self, pairs: &[KeyValue]) -> String {
