@@ -12,7 +12,7 @@
 //! staged-filter analysis can be regenerated.
 
 use crate::stats::StatsCache;
-use encore_mining::metrics::DEFAULT_ENTROPY_THRESHOLD;
+use encore_mining::metrics::{entropy, DEFAULT_ENTROPY_THRESHOLD};
 use encore_model::AttrName;
 
 /// Thresholds for rule admission.
@@ -127,28 +127,71 @@ pub fn judge(
     confidence: f64,
     template_min_confidence: Option<f64>,
 ) -> Verdict {
-    let min_support = (thresholds.min_support_fraction * stats.num_rows() as f64).ceil() as usize;
-    if support < min_support.max(1) {
-        crate::obs::FILTER_REJECTED_SUPPORT.incr();
-        return Verdict::Reject(RejectReason::LowSupport);
-    }
-    let min_conf = template_min_confidence.unwrap_or(thresholds.min_confidence);
-    if confidence < min_conf {
-        crate::obs::FILTER_REJECTED_CONFIDENCE.incr();
-        return Verdict::Reject(RejectReason::LowConfidence);
-    }
-    if thresholds.use_entropy {
-        // "For a rule to be included, all the involved attributes need to be
-        // included", i.e. each must have H > Ht (§5.2).
-        for attr in [a, b] {
-            if stats.entropy(attr) <= thresholds.entropy_threshold {
-                crate::obs::FILTER_REJECTED_ENTROPY.incr();
-                return Verdict::Reject(RejectReason::LowEntropy);
-            }
+    Judge::new(thresholds, stats).verdict(
+        stats.attr_index(a),
+        stats.attr_index(b),
+        support,
+        confidence,
+        template_min_confidence,
+    )
+}
+
+/// The thresholds of one judging run over one training set, with the
+/// minimum support resolved against its row count once: [`judge`] and rule
+/// inference both judge through [`Judge::verdict`].
+pub(crate) struct Judge<'s> {
+    thresholds: FilterThresholds,
+    stats: &'s StatsCache,
+    /// `ceil(min_support_fraction × rows)`, at least 1.
+    min_support: usize,
+}
+
+impl<'s> Judge<'s> {
+    pub(crate) fn new(thresholds: &FilterThresholds, stats: &'s StatsCache) -> Judge<'s> {
+        let min_support =
+            (thresholds.min_support_fraction * stats.num_rows() as f64).ceil() as usize;
+        Judge {
+            thresholds: *thresholds,
+            stats,
+            min_support: min_support.max(1),
         }
     }
-    crate::obs::FILTER_ACCEPTED.incr();
-    Verdict::Accept
+
+    /// Judge a candidate over the attributes at sorted indices `a` and
+    /// `b`, `None` for an attribute outside the training set (an empty
+    /// histogram).  An entropy is read only when the checks before it
+    /// passed: `b`'s only when `a`'s does.
+    pub(crate) fn verdict(
+        &self,
+        a: Option<usize>,
+        b: Option<usize>,
+        support: usize,
+        confidence: f64,
+        template_min_confidence: Option<f64>,
+    ) -> Verdict {
+        if support < self.min_support {
+            crate::obs::FILTER_REJECTED_SUPPORT.incr();
+            return Verdict::Reject(RejectReason::LowSupport);
+        }
+        let min_conf = template_min_confidence.unwrap_or(self.thresholds.min_confidence);
+        if confidence < min_conf {
+            crate::obs::FILTER_REJECTED_CONFIDENCE.incr();
+            return Verdict::Reject(RejectReason::LowConfidence);
+        }
+        if self.thresholds.use_entropy {
+            // "For a rule to be included, all the involved attributes need to
+            // be included", i.e. each must have H > Ht (§5.2).
+            for attr in [a, b] {
+                let h = attr.map_or_else(|| entropy([]), |i| self.stats.entropy_at(i));
+                if h <= self.thresholds.entropy_threshold {
+                    crate::obs::FILTER_REJECTED_ENTROPY.incr();
+                    return Verdict::Reject(RejectReason::LowEntropy);
+                }
+            }
+        }
+        crate::obs::FILTER_ACCEPTED.incr();
+        Verdict::Accept
+    }
 }
 
 #[cfg(test)]

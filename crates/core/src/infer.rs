@@ -37,7 +37,7 @@
 use crate::eligibility::{
     eligible_indices, is_same_type_generic, pair_considered, partner_indices,
 };
-use crate::filter::{judge, FilterThresholds, RejectReason, Verdict};
+use crate::filter::{FilterThresholds, Judge, RejectReason, Verdict};
 use crate::obs;
 use crate::pool::{self, PoolError};
 use crate::relation::PairEvaluator;
@@ -264,13 +264,28 @@ impl RuleInference {
         training: &TrainingSet,
         options: &InferOptions,
     ) -> Result<Vec<Vec<Candidate>>, InferError> {
-        self.collect_candidates_via(training, options, instantiate_unit)
+        let _span = obs::INFER_TIME.span();
+        let mut chunks = self.instantiate_via(training, options, instantiate_unit)?;
+        let dedup_started = obs::profile::enabled().then(Instant::now);
+        let classes = display_classes(training.stats_cache().attributes());
+        let dropped = dedup_candidates(&mut chunks, &self.templates, &classes);
+        obs::INFER_CANDIDATES_DEDUPED.add(dropped);
+        if let Some(started) = dedup_started {
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let kept = chunks.iter().map(Vec::len).sum::<usize>();
+            let [_, _, dedup_row] = obs::INFER_MAIN_THREAD_ROWS;
+            obs::INFER_TEMPLATE_PROFILE.record(dedup_row, nanos, &[("candidates", kept as u64)]);
+        }
+        Ok(chunks)
     }
 
+    /// Instantiate every template over the work-stealing pool, before the
+    /// dedup: one chunk per work unit, in unit order.
+    ///
     /// Worker seam: `run_unit` processes one `(template, a-chunk)` unit.
     /// Production passes [`instantiate_unit`]; tests substitute panicking
     /// closures to exercise error propagation through the real pipeline.
-    fn collect_candidates_via<F>(
+    fn instantiate_via<F>(
         &self,
         training: &TrainingSet,
         options: &InferOptions,
@@ -279,14 +294,13 @@ impl RuleInference {
     where
         F: Fn(&WorkUnit<'_, '_>, &[SystemImage], &StatsCache) -> Vec<Candidate> + Sync,
     {
-        let _span = obs::INFER_TIME.span();
         let (images, cache) = (training.images(), training.stats_cache());
         // Pipeline phases outside the per-unit loop get pseudo-rows in the
         // template table — `(plan)`, `(attribute)`, `(dedup)` — so the
         // table accounts for (almost) everything under `infer.time`, not
         // just instantiation (the coverage invariant, DESIGN.md §16).
         let profiling = obs::profile::enabled();
-        let [plan_row, attribute_row, dedup_row] = obs::INFER_MAIN_THREAD_ROWS;
+        let [plan_row, attribute_row, _] = obs::INFER_MAIN_THREAD_ROWS;
         let plan_started = profiling.then(Instant::now);
         obs::INFER_TEMPLATES.add(self.templates.len() as u64);
         let works: Vec<TemplateWork<'_>> = self
@@ -317,7 +331,7 @@ impl RuleInference {
             obs::INFER_TEMPLATE_PROFILE.record(plan_row, nanos, &[("units", units.len() as u64)]);
         }
         let workers = options.resolved_workers();
-        let mut chunks = pool::run_units(&units, workers, |unit| run_unit(unit, images, cache))?;
+        let chunks = pool::run_units(&units, workers, |unit| run_unit(unit, images, cache))?;
         let attribute_started = profiling.then(Instant::now);
         if obs::enabled() {
             // Attribute candidates to templates on the main thread, after
@@ -331,13 +345,6 @@ impl RuleInference {
         if let Some(started) = attribute_started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             obs::INFER_TEMPLATE_PROFILE.record(attribute_row, nanos, &[]);
-        }
-        let dedup_started = profiling.then(Instant::now);
-        dedup_candidates(&mut chunks, &display_classes(cache.attributes()));
-        if let Some(started) = dedup_started {
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let kept = chunks.iter().map(Vec::len).sum::<usize>();
-            obs::INFER_TEMPLATE_PROFILE.record(dedup_row, nanos, &[("candidates", kept as u64)]);
         }
         Ok(chunks)
     }
@@ -433,7 +440,7 @@ impl WorkUnit<'_, '_> {
 /// record: the pair is two indices into the cache's attribute table, so a
 /// candidate copies no name.  A [`Rule`] is built only for the candidates
 /// the filters accept.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct Candidate {
     a: AttrId,
     b: AttrId,
@@ -466,35 +473,53 @@ fn display_classes(attrs: &[AttrName]) -> Vec<u32> {
 
 /// Drop duplicate template instances (the same `(a, relation, b)` can fall
 /// out of several templates) from the unit-ordered chunks, in place,
-/// keeping the first seen.
+/// keeping the first seen, and return how many were dropped.
 ///
 /// Two candidates are the same when their relations are and their
 /// attribute names render the same, that is when their attributes'
 /// `classes` ([`display_classes`]) are; `AttrName` equality would tell
-/// apart names that render alike.  A candidate costs one insert of three
-/// small integers into a set sized once from the chunks, and no candidate
-/// is copied into a second list.
-fn dedup_candidates(chunks: &mut [Vec<Candidate>], classes: &[u32]) {
-    let total = chunks.iter().map(Vec::len).sum();
-    let mut seen: HashSet<(u32, Relation, u32)> = HashSet::with_capacity(total);
+/// apart names that render alike.  Few candidates can be the same as
+/// another: within one template each `(a, b)` index pair is instantiated
+/// at most once, since the eligible lists and type buckets hold each index
+/// once.  So two candidates share a key only when their relation belongs
+/// to more than one of `templates`, or when one of their attributes shares
+/// its class with another attribute.  Only such candidates are inserted
+/// into the set, in unit order; every other one is kept without hashing,
+/// and when no candidate can collide the chunks are not walked at all.
+fn dedup_candidates(chunks: &mut [Vec<Candidate>], templates: &[Template], classes: &[u32]) -> u64 {
+    let shared_relations: Vec<Relation> = templates
+        .iter()
+        .map(|t| t.relation)
+        .filter(|&r| templates.iter().filter(|t| t.relation == r).count() > 1)
+        .collect();
+    let mut members = vec![0u32; classes.len()];
+    for &class in classes {
+        members[class as usize] += 1;
+    }
+    let shares_class: Vec<bool> = classes.iter().map(|&c| members[c as usize] > 1).collect();
+    if shared_relations.is_empty() && !shares_class.contains(&true) {
+        return 0;
+    }
+    let mut seen: HashSet<(u32, Relation, u32)> = HashSet::new();
     let mut dropped = 0u64;
     for chunk in chunks {
         chunk.retain(|cand| {
-            let fresh = seen.insert((
-                classes[cand.a.index()],
-                cand.relation,
-                classes[cand.b.index()],
-            ));
+            let (a, b) = (cand.a.index(), cand.b.index());
+            if !shares_class[a] && !shares_class[b] && !shared_relations.contains(&cand.relation) {
+                return true;
+            }
+            let fresh = seen.insert((classes[a], cand.relation, classes[b]));
             dropped += u64::from(!fresh);
             fresh
         });
     }
-    obs::INFER_CANDIDATES_DEDUPED.add(dropped);
+    dropped
 }
 
 /// Run the §5.2 filters over the deduplicated candidate chunks, in order,
-/// reading each candidate's names from the cache's attribute table and
-/// building a [`Rule`] only for the candidates accepted.
+/// with the run's minimum support resolved once and entropies read by
+/// attribute index, and build a [`Rule`], with names from the cache's
+/// attribute table, only for the candidates accepted.
 fn judge_candidates(
     candidates: &[Vec<Candidate>],
     thresholds: &FilterThresholds,
@@ -502,18 +527,17 @@ fn judge_candidates(
 ) -> (RuleSet, InferenceStats) {
     let _span = obs::FILTER_TIME.span();
     let attrs = cache.attributes();
+    let judge = Judge::new(thresholds, cache);
     let mut stats = InferenceStats {
         candidates: candidates.iter().map(Vec::len).sum(),
         ..InferenceStats::default()
     };
     let mut rules = RuleSet::new();
     for cand in candidates.iter().flatten() {
-        let (a, b) = (&attrs[cand.a.index()], &attrs[cand.b.index()]);
-        match judge(
-            thresholds,
-            cache,
-            a,
-            b,
+        let (a, b) = (cand.a.index(), cand.b.index());
+        match judge.verdict(
+            Some(a),
+            Some(b),
             cand.support,
             cand.confidence,
             cand.template_min_confidence,
@@ -521,9 +545,9 @@ fn judge_candidates(
             Verdict::Accept => {
                 stats.kept += 1;
                 rules.push(Rule::new(
-                    a.clone(),
+                    attrs[a].clone(),
                     cand.relation,
-                    b.clone(),
+                    attrs[b].clone(),
                     cand.support,
                     cand.confidence,
                 ));
@@ -614,7 +638,6 @@ fn instantiate_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::Relation;
     use encore_model::AppKind;
     use encore_sysimage::SystemImage;
 
@@ -691,9 +714,142 @@ mod tests {
             ],
             vec![cand(&owner, Relation::Equal, &user, 5)],
         ];
-        dedup_candidates(&mut chunks, &display_classes(cache.attributes()));
+        let classes = display_classes(cache.attributes());
+        let mut reference = chunks.clone();
+        assert_eq!(dedup_reference(&mut reference, &classes), 2);
+        assert_eq!(
+            dedup_candidates(&mut chunks, &Template::predefined(), &classes),
+            2
+        );
+        assert_eq!(chunks, reference);
         let kept: Vec<usize> = chunks.iter().flatten().map(|c| c.support).collect();
         assert_eq!(kept, [1, 3, 4]);
+    }
+
+    /// The full-set dedup the collision rule replaced: every candidate's
+    /// key inserted into one set, in unit order, keeping the first; returns
+    /// how many were dropped.
+    fn dedup_reference(chunks: &mut [Vec<Candidate>], classes: &[u32]) -> u64 {
+        let mut seen = HashSet::new();
+        let mut dropped = 0u64;
+        for chunk in chunks {
+            chunk.retain(|cand| {
+                let fresh = seen.insert((
+                    classes[cand.a.index()],
+                    cand.relation,
+                    classes[cand.b.index()],
+                ));
+                dropped += u64::from(!fresh);
+                fresh
+            });
+        }
+        dropped
+    }
+
+    /// Check [`dedup_candidates`] against [`dedup_reference`] on one
+    /// training set at 1, 2 and 4 workers: the same candidates in the same
+    /// order and the same count, and `try_infer_dual`, which dedups through
+    /// the production path, judging what the reference kept.  Returns the
+    /// count the reference dropped.
+    fn dedup_matches_reference(engine: &RuleInference, ts: &TrainingSet, label: &str) -> u64 {
+        let cache = ts.stats_cache();
+        let classes = display_classes(cache.attributes());
+        let thresholds = FilterThresholds::default();
+        let mut counts = Vec::new();
+        for workers in [1, 2, 4] {
+            let options = InferOptions::with_workers(workers);
+            let mut expected = engine
+                .instantiate_via(ts, &options, instantiate_unit)
+                .unwrap();
+            let mut got = expected.clone();
+            let expected_dropped = dedup_reference(&mut expected, &classes);
+            let dropped = dedup_candidates(&mut got, engine.templates(), &classes);
+            assert_eq!(dropped, expected_dropped, "{label} workers={workers}");
+            assert!(
+                got == expected,
+                "{label} workers={workers}: kept candidates differ"
+            );
+            let dual = engine.try_infer_dual(ts, &thresholds, &options).unwrap();
+            assert_eq!(
+                dual.entropy_on,
+                judge_candidates(&expected, &thresholds, cache),
+                "{label} workers={workers}"
+            );
+            assert_eq!(
+                dual.entropy_off,
+                judge_candidates(&expected, &thresholds.without_entropy(), cache),
+                "{label} workers={workers}"
+            );
+            counts.push(expected_dropped);
+        }
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "{label}: {counts:?}"
+        );
+        counts[0]
+    }
+
+    #[test]
+    fn dedup_matches_the_full_set_reference() {
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        let mut repeated = Template::predefined();
+        for text in [
+            "[A:FilePath] => [B:UserName] -- 80%",
+            "[A:String] == [B:String]",
+        ] {
+            repeated.push(Template::parse(text).unwrap());
+        }
+        let (predefined, repeated) = (RuleInference::predefined(), RuleInference::new(repeated));
+        for (app, n, seed) in [
+            (AppKind::Apache, 127, 1),
+            (AppKind::Mysql, 300, 3),
+            (AppKind::Php, 60, 3),
+        ] {
+            let pop = Population::training(app, &PopulationOptions::new(n, seed));
+            let ts = TrainingSet::assemble(app, pop.images()).unwrap();
+            let label = format!("{app:?} {n}/{seed}");
+            // No two predefined templates share a relation, and no two
+            // attributes of these sets render alike: nothing collides.
+            assert_eq!(dedup_matches_reference(&predefined, &ts, &label), 0);
+            // A repeated relation's instances collide with the first ones.
+            assert!(
+                dedup_matches_reference(&repeated, &ts, &label) > 0,
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn dedup_matches_the_reference_on_names_that_render_alike() {
+        // An entry literally named `datadir.owner` beside the augmented
+        // `datadir.owner`: the one class the two share makes candidates
+        // collide though no relation is shared.
+        let images: Vec<SystemImage> = (0..12)
+            .map(|i| {
+                let datadir = format!("/var/lib/mysql{i}");
+                SystemImage::builder(format!("img-{i}"))
+                    .user("mysql", 27, &["mysql"])
+                    .dir(&datadir, "mysql", "mysql", 0o700)
+                    .file(
+                        "/etc/mysql/my.cnf",
+                        "root",
+                        "root",
+                        0o644,
+                        &format!(
+                            "[mysqld]\nuser = mysql\ndatadir = {datadir}\ndatadir.owner = mysql\n"
+                        ),
+                    )
+                    .build()
+            })
+            .collect();
+        let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
+        let attrs = ts.stats_cache().attributes();
+        let spellings = attrs
+            .iter()
+            .filter(|a| a.to_string() == "datadir.owner")
+            .count();
+        assert_eq!(spellings, 2, "both spellings are columns");
+        assert!(dedup_matches_reference(&RuleInference::predefined(), &ts, "datadir.owner") > 0);
     }
 
     #[test]
@@ -767,7 +923,7 @@ mod tests {
         let ts = TrainingSet::assemble(AppKind::Mysql, &images).unwrap();
         let engine = RuleInference::predefined();
         let err = engine
-            .collect_candidates_via(
+            .instantiate_via(
                 &ts,
                 &InferOptions::with_workers(4),
                 |_, _, _| -> Vec<Candidate> { panic!("malformed attribute") },

@@ -198,13 +198,17 @@ impl StatsCache {
     /// most once per attribute.  An attribute outside the dataset has an
     /// empty histogram and entropy 0.
     pub fn entropy(&self, attr: &AttrName) -> f64 {
-        let Some(i) = self.attr_index(attr) else {
-            return entropy([]);
-        };
+        self.attr_index(attr)
+            .map_or_else(|| entropy([]), |i| self.entropy_at(i))
+    }
+
+    /// [`StatsCache::entropy`] of the attribute at sorted index `index`.
+    pub(crate) fn entropy_at(&self, index: usize) -> f64 {
         // The column histogram iterates in sorted-render order, as a row
         // loop's `BTreeMap` of renders would, so the f64 summation order —
         // and therefore the entropy, bit for bit — is that of a row loop.
-        *self.entropies[i].get_or_init(|| entropy(self.columns.value_histogram(i).into_values()))
+        *self.entropies[index]
+            .get_or_init(|| entropy(self.columns.value_histogram(index).into_values()))
     }
 }
 
