@@ -20,7 +20,7 @@ use crate::rules::{Rule, RuleSet};
 use crate::snapshot::DetectorSnapshot;
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
-use encore_assemble::{AssembleError, Assembler, TypeInference};
+use encore_assemble::{AssembleError, Assembler, Pairs, SystemCells, TypeInference};
 use encore_model::{AppKind, AttrName, ConfigValue, Row, SemType};
 use encore_sysimage::SystemImage;
 use std::cmp::Ordering;
@@ -789,7 +789,22 @@ impl AnomalyDetector {
     ///
     /// Propagates assembly failures.
     pub fn check_image(&self, app: AppKind, image: &SystemImage) -> Result<Report, AssembleError> {
-        let system = self.assembler.assemble_system(app, image)?;
+        self.check_image_into(app, image, &mut Pairs::new())
+    }
+
+    /// [`AnomalyDetector::check_image`] with the configuration parsed into
+    /// `pairs`, which is cleared first: a fleet worker keeps one buffer for
+    /// all its targets.
+    fn check_image_into(
+        &self,
+        app: AppKind,
+        image: &SystemImage,
+        pairs: &mut Pairs,
+    ) -> Result<Report, AssembleError> {
+        let mut cells = SystemCells::default();
+        self.assembler
+            .assemble_into(app, image, pairs, &mut cells)?;
+        let system = cells.finish(image.id());
         Ok(self.check_typed(&system.row, Some(image), Some(&system.types)))
     }
 
@@ -841,9 +856,14 @@ impl AnomalyDetector {
             );
         }
         let workers = options.resolved_workers();
-        pool::run_units_observed(images, workers, &crate::obs::DETECT_POOL_METRICS, |image| {
-            self.check_image(app, image)
-        })
+        let (reports, _) = pool::run_units_with(
+            images,
+            workers,
+            &crate::obs::DETECT_POOL_METRICS,
+            |_| Pairs::new(),
+            |pairs, image| self.check_image_into(app, image, pairs),
+        )?;
+        Ok(reports)
     }
 
     /// Check an already-assembled row (image optional; environment-backed

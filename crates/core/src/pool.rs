@@ -16,8 +16,8 @@
 //! A worker may carry state of its own (`run_units_with`): worker `w`
 //! starts from `init(w)`, each unit it runs gets `&mut` access to that
 //! state, and the states come back in worker order.  Training-set assembly
-//! keeps one row encoder per worker this way; [`run_units`] and
-//! [`run_units_observed`] are the same worker loop with no state.
+//! keeps one row encoder per worker this way, and fleet checking one pair
+//! buffer; [`run_units`] is the same worker loop with no state.
 
 use crate::obs::{Counter, Gauge, Timer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,8 +84,9 @@ pub(crate) fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f` over every unit on up to `workers` threads, reporting into the
-/// `infer` phase's pool instruments (the historical default).
+/// Run `f` over every unit on up to `workers` threads, returning the
+/// results in unit order and reporting into the `infer` phase's pool
+/// instruments.
 ///
 /// # Errors
 ///
@@ -97,27 +98,7 @@ where
     O: Send,
     F: Fn(&U) -> O + Sync,
 {
-    run_units_observed(units, workers, &crate::obs::INFER_POOL_METRICS, f)
-}
-
-/// Run `f` over every unit on up to `workers` threads, returning the
-/// results in unit order and reporting into the given instruments.
-///
-/// # Errors
-///
-/// Returns the first (lowest-index) [`PoolError`] if any unit panics; the
-/// remaining units still run to completion.
-pub fn run_units_observed<U, O, F>(
-    units: &[U],
-    workers: usize,
-    metrics: &PoolMetrics,
-    f: F,
-) -> Result<Vec<O>, PoolError>
-where
-    U: Sync,
-    O: Send,
-    F: Fn(&U) -> O + Sync,
-{
+    let metrics = &crate::obs::INFER_POOL_METRICS;
     run_units_with(units, workers, metrics, |_| (), |(), unit| f(unit)).map(|(out, _)| out)
 }
 

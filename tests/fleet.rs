@@ -139,3 +139,41 @@ fn fleet_results_stay_index_aligned_with_broken_images() {
         }
     }
 }
+
+#[test]
+fn fleet_workers_reuse_their_pair_buffer_across_broken_images() {
+    let app = AppKind::Mysql;
+    let engine = learn(app, 20, 5);
+    let mut targets = target_fleet(app, 12, 77);
+    // A configuration that fails to parse after two good lines, and an
+    // image with no configuration: a worker checks its next target with
+    // the pair buffer these left behind.
+    let mut vfs = targets[0].vfs().clone();
+    vfs.add_file(
+        app.config_path(),
+        "root",
+        "root",
+        0o644,
+        "[mysqld]\nport = 1\ndatadir = /tmp\n[x\n",
+    );
+    targets.insert(5, SystemImage::builder("unparseable").build().with_vfs(vfs));
+    targets.insert(6, SystemImage::builder("hollow").build());
+    let sequential = render_fleet(
+        &targets
+            .iter()
+            .map(|img| engine.check_image(app, img))
+            .collect::<Vec<_>>(),
+    );
+    assert!(
+        sequential.contains("== 5\nerror: parse failure"),
+        "{sequential}"
+    );
+    assert!(
+        sequential.contains("== 6\nerror: image has no"),
+        "{sequential}"
+    );
+    for workers in [1usize, 2, 3, 8] {
+        let batch = engine.check_fleet(app, &targets, &FleetOptions::with_workers(workers));
+        assert_eq!(render_fleet(&batch), sequential, "workers={workers}");
+    }
+}
