@@ -15,8 +15,8 @@
 //! that keeps the names' ids builds no name.
 
 use encore_model::{ConfigValue, SemType};
-use encore_sysimage::SystemImage;
-use std::borrow::Cow;
+use encore_sysimage::{Accounts, SystemImage};
+use std::fmt;
 
 /// Suffixes attached to a `FilePath` entry: Table 5a's seven attributes
 /// plus `secDenied` — whether an enforcing security module (SELinux /
@@ -71,14 +71,17 @@ pub const SYSTEM_NAMES: [&str; 11] = [
 ];
 
 /// An environment cell's value, with the text borrowed from the image
-/// where augmentation reads it there: a sink that already knows the value
-/// need not build it.
-#[derive(Debug, Clone, PartialEq)]
+/// where augmentation reads it there, and given as format arguments where
+/// augmentation derives it: a sink that already knows the value need not
+/// build it.
+#[derive(Debug, Clone)]
 pub enum EnvValue<'a> {
     /// A flag.
     Bool(bool),
     /// Text, a [`ConfigValue::Str`].
-    Str(Cow<'a, str>),
+    Str(&'a str),
+    /// Text yet to be formatted, a [`ConfigValue::Str`].
+    Fmt(fmt::Arguments<'a>),
     /// Any other value: a missing object's [`ConfigValue::Absent`], the
     /// system's IP address, a hardware figure.
     Value(ConfigValue),
@@ -89,7 +92,8 @@ impl EnvValue<'_> {
     pub fn into_value(self) -> ConfigValue {
         match self {
             EnvValue::Bool(b) => ConfigValue::Bool(b),
-            EnvValue::Str(text) => ConfigValue::Str(text.into_owned()),
+            EnvValue::Str(text) => ConfigValue::str(text),
+            EnvValue::Fmt(text) => ConfigValue::Str(text.to_string()),
             EnvValue::Value(value) => value,
         }
     }
@@ -155,14 +159,11 @@ fn augment_file_path(put: &mut impl FnMut(usize, EnvValue<'_>), path: &str, imag
         return;
     };
     let facts = vfs.dir_facts(path);
-    put(0, EnvValue::Str(Cow::Borrowed(&meta.owner)));
-    put(1, EnvValue::Str(Cow::Borrowed(&meta.group)));
-    put(2, EnvValue::Str(Cow::Borrowed(meta.kind.name())));
-    put(3, EnvValue::Str(Cow::Owned(format!("{:o}", meta.mode))));
-    put(
-        4,
-        EnvValue::Str(Cow::Owned(format!("{} entries", facts.children))),
-    );
+    put(0, EnvValue::Str(&meta.owner));
+    put(1, EnvValue::Str(&meta.group));
+    put(2, EnvValue::Str(meta.kind.name()));
+    put(3, EnvValue::Fmt(format_args!("{:o}", meta.mode)));
+    put(4, EnvValue::Fmt(format_args!("{} entries", facts.children)));
     put(5, EnvValue::Bool(facts.has_subdir));
     put(6, EnvValue::Bool(facts.has_symlink));
     put(7, EnvValue::Bool(image.security().denies_write(path)));
@@ -190,10 +191,25 @@ fn augment_user(put: &mut impl FnMut(usize, EnvValue<'_>), user: &str, image: &S
     put(
         2,
         match accounts.group(user) {
-            Some(g) => EnvValue::Str(Cow::Borrowed(&g.name)),
+            Some(g) => EnvValue::Str(&g.name),
             None => EnvValue::Value(ConfigValue::Absent),
         },
     );
+}
+
+/// The image's user names, comma-separated: the text of `Sys.Users`.
+struct UserList<'a>(&'a Accounts);
+
+impl fmt::Display for UserList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, user) in self.0.user_list().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            f.write_str(user)?;
+        }
+        Ok(())
+    }
 }
 
 /// Append the entry-independent environment attributes (Table 5b): each
@@ -203,25 +219,18 @@ pub fn augment_system_wide(put: &mut impl FnMut(usize, EnvValue<'_>), image: &Sy
         0,
         match ConfigValue::parse_ip(image.ip_address()) {
             Ok(ip) => EnvValue::Value(ip),
-            Err(_) => EnvValue::Str(Cow::Borrowed(image.ip_address())),
+            Err(_) => EnvValue::Str(image.ip_address()),
         },
     );
-    put(1, EnvValue::Str(Cow::Borrowed(image.hostname())));
-    put(2, EnvValue::Str(Cow::Borrowed(image.fs_type())));
-    let mut users = String::new();
-    for (i, user) in image.accounts().user_list().enumerate() {
-        if i > 0 {
-            users.push(',');
-        }
-        users.push_str(user);
-    }
-    put(3, EnvValue::Str(Cow::Owned(users)));
-    put(4, EnvValue::Str(Cow::Borrowed(image.os_dist())));
-    put(5, EnvValue::Str(Cow::Borrowed(image.os_version())));
+    put(1, EnvValue::Str(image.hostname()));
+    put(2, EnvValue::Str(image.fs_type()));
     put(
-        6,
-        EnvValue::Str(Cow::Borrowed(image.security().status_str())),
+        3,
+        EnvValue::Fmt(format_args!("{}", UserList(image.accounts()))),
     );
+    put(4, EnvValue::Str(image.os_dist()));
+    put(5, EnvValue::Str(image.os_version()));
+    put(6, EnvValue::Str(image.security().status_str()));
     // Hardware attributes exist only for running instances (Table 7
     // footnote) — dormant EC2 images carry none, which is what makes
     // real-world case #8 undetectable from EC2 training data.

@@ -157,7 +157,8 @@ impl EncodedCells {
     fn value_id(&mut self, value: EnvValue<'_>) -> u32 {
         match value {
             EnvValue::Bool(b) => self.bools[usize::from(b)],
-            EnvValue::Str(text) => self.encoder.str_id(&text),
+            EnvValue::Str(text) => self.encoder.str_id(text),
+            EnvValue::Fmt(text) => self.encoder.fmt_id(text),
             EnvValue::Value(value) => self.encoder.value_id(&value),
         }
     }

@@ -28,6 +28,7 @@ use crate::intern::{Interner, ValueId};
 use crate::row::Row;
 use crate::value::ConfigValue;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write};
 
 /// Sentinel for an absent cell, in a column's id vector and in an encoded
 /// cell.  The merge's per-encoder value tables also use it for a local
@@ -136,6 +137,9 @@ pub struct RowEncoder {
 /// The serial of a slot no system has put yet.
 const NEVER: u64 = u64::MAX;
 
+/// `ConfigValue::write_tagged`'s tag of a `Str`.
+const STR_TAG: &str = "s:";
+
 impl RowEncoder {
     /// An encoder with empty dictionaries.
     pub fn new() -> RowEncoder {
@@ -229,26 +233,38 @@ impl RowEncoder {
         }
         self.key.clear();
         value.write_tagged(&mut self.key);
-        self.keyed_value_id(|| value.clone())
+        self.keyed_value_id(|_| value.clone())
     }
 
     /// [`RowEncoder::value_id`] of [`ConfigValue::Str`] of `text`, which is
     /// built only the first time it is met.
     pub fn str_id(&mut self, text: &str) -> u32 {
-        // `ConfigValue::write_tagged`'s form of a `Str`.
         self.key.clear();
-        self.key.push_str("s:");
+        self.key.push_str(STR_TAG);
         self.key.push_str(text);
-        self.keyed_value_id(|| ConfigValue::str(text))
+        self.keyed_value_id(|_| ConfigValue::str(text))
     }
 
-    /// The id of the value whose tagged form is in `self.key`.
-    fn keyed_value_id(&mut self, value: impl FnOnce() -> ConfigValue) -> u32 {
+    /// [`RowEncoder::str_id`] of the text `text` formats to, which is
+    /// formatted into the encoder's key buffer and built only the first
+    /// time it is met.
+    pub fn fmt_id(&mut self, text: fmt::Arguments<'_>) -> u32 {
+        self.key.clear();
+        self.key.push_str(STR_TAG);
+        self.key
+            .write_fmt(text)
+            .expect("formatting into a String does not fail");
+        self.keyed_value_id(|key| ConfigValue::str(&key[STR_TAG.len()..]))
+    }
+
+    /// The id of the value whose tagged form is in `self.key`; `value`
+    /// builds the value from that form the first time it is met.
+    fn keyed_value_id(&mut self, value: impl FnOnce(&str) -> ConfigValue) -> u32 {
         if let Some(&id) = self.value_ids.get(self.key.as_str()) {
             return id;
         }
         let id = u32::try_from(self.values.len()).expect("< 2^32 values");
-        self.values.push(value());
+        self.values.push(value(&self.key));
         self.value_ids.insert(self.key.clone(), id);
         id
     }
@@ -772,6 +788,11 @@ mod tests {
         let text = encoder.str_id("a b");
         assert_eq!(encoder.value_id(&ConfigValue::str("a b")), text);
         assert_eq!(encoder.str_id("a b"), text);
+        assert_eq!(encoder.fmt_id(format_args!("{} {}", 'a', "b")), text);
+        // Text first met formatted is stored as its `Str`.
+        let mode = encoder.fmt_id(format_args!("{:o}", 0o750));
+        assert_eq!(encoder.str_id("750"), mode);
+        assert_eq!(encoder.values[mode as usize], ConfigValue::str("750"));
         // A path and a string with the same text are two values.
         assert_ne!(encoder.value_id(&ConfigValue::path("a b")), text);
         assert_eq!(encoder.value_id(&ConfigValue::Absent), ABSENT);
