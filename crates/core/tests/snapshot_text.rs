@@ -28,11 +28,15 @@ fn learned_text(app: AppKind, images: usize, seed: u64) -> String {
 
 #[test]
 fn learned_snapshot_bytes_are_pinned() {
-    // (app, images, seed) → (length, FNV-1a of the rendered bytes).
+    // (app, images, seed) → (length, FNV-1a of the rendered bytes).  The
+    // 300- and 127-row sets span five and two presence words, where the
+    // smaller ones fit in one.
     let pins = [
         ((AppKind::Mysql, 30, 1), (22192, 3065399304991804258)),
         ((AppKind::Apache, 40, 1), (45231, 5568842274790082347)),
         ((AppKind::Php, 30, 1), (12814, 8523996777239305987)),
+        ((AppKind::Mysql, 300, 3), (36562, 7474477095463674292)),
+        ((AppKind::Apache, 127, 1), (58850, 15083504133108167047)),
     ];
     for ((app, images, seed), pinned) in pins {
         let text = learned_text(app, images, seed);
