@@ -40,6 +40,9 @@ pub static INFER_UNITS_TOTAL: Counter = Counter::new("infer.units.total");
 pub static INFER_UNITS_PRUNED: Counter = Counter::new("infer.units.pruned");
 /// Slot pairs passing the structural `pair_considered` filters.
 pub static INFER_PAIRS_EVALUATED: Counter = Counter::new("infer.pairs.evaluated");
+/// Evaluated pairs tallied from the two columns' value postings, one
+/// verdict per distinct value pair, rather than row by row.
+pub static INFER_PAIRS_BY_VALUE: Counter = Counter::new("infer.pairs.by_value");
 /// Candidate rules emitted by instantiation (before dedup).
 pub static INFER_CANDIDATES: Counter = Counter::new("infer.candidates.emitted");
 /// Duplicate candidates dropped by first-seen dedup.
@@ -176,6 +179,7 @@ pub(crate) static INFER: Phase = Phase {
         Metric::Counter(&INFER_UNITS_TOTAL),
         Metric::Counter(&INFER_UNITS_PRUNED),
         Metric::Counter(&INFER_PAIRS_EVALUATED),
+        Metric::Counter(&INFER_PAIRS_BY_VALUE),
         Metric::Counter(&INFER_CANDIDATES),
         Metric::Counter(&INFER_CANDIDATES_DEDUPED),
         Metric::Counter(&POOL_UNITS_RUN),

@@ -272,6 +272,78 @@ mod tests {
         assert!(cache.entropy(&AttrName::entry("varied")) > 0.0);
     }
 
+    /// On every column of three generated training sets (127, 300 and 60
+    /// rows: two, five and one presence words), the postings partition the
+    /// presence bitset and each value's bits are exactly the rows that hold
+    /// it, and a column keeps none only past `Postings::MAX_VALUES`
+    /// distinct values.  Its histogram equals the one counted from its
+    /// sorted ids, and its entropy that histogram's, bit for bit.
+    #[test]
+    fn postings_and_histograms_match_the_rows_of_generated_sets() {
+        use crate::train::TrainingSet;
+        use encore_corpus::genimage::{Population, PopulationOptions};
+        use encore_model::{AppKind, Postings, ValueId};
+        let (mut with, mut without) = (0, 0);
+        for (app, n, seed) in [
+            (AppKind::Apache, 127, 1),
+            (AppKind::Mysql, 300, 3),
+            (AppKind::Php, 60, 3),
+        ] {
+            let pop = Population::training(app, &PopulationOptions::new(n, seed));
+            let ts = TrainingSet::assemble(app, pop.images()).unwrap();
+            let cache = ts.stats_cache();
+            let store = cache.columns();
+            for (i, attr) in cache.attributes().iter().enumerate() {
+                let column = store.column(i);
+                let mut ids: Vec<ValueId> = (0..n).filter_map(|r| column.value_id(r)).collect();
+                ids.sort_unstable();
+                let mut sorted: BTreeMap<&str, usize> = BTreeMap::new();
+                for run in ids.chunk_by(|x, y| x == y) {
+                    *sorted
+                        .entry(store.interner().render_of(run[0]))
+                        .or_insert(0) += run.len();
+                }
+                let distinct = ids.chunk_by(|x, y| x == y).count();
+                match column.postings() {
+                    Some(postings) => {
+                        with += 1;
+                        assert_eq!(postings.len(), distinct, "{attr}");
+                        let mut union = vec![0u64; column.presence().len()];
+                        for (id, bits) in postings.iter() {
+                            for row in 0..n {
+                                let set = (bits[row / 64] >> (row % 64)) & 1 == 1;
+                                assert_eq!(
+                                    set,
+                                    column.value_id(row) == Some(id),
+                                    "{attr} row {row}"
+                                );
+                            }
+                            for (all, &word) in union.iter_mut().zip(bits) {
+                                assert_eq!(*all & word, 0, "{attr}: a row in two postings");
+                                *all |= word;
+                            }
+                        }
+                        assert_eq!(union, column.presence(), "{attr}");
+                    }
+                    None => {
+                        without += 1;
+                        assert!(distinct > Postings::MAX_VALUES, "{attr}: {distinct} values");
+                    }
+                }
+                assert_eq!(store.value_histogram(i), sorted, "{attr}");
+                assert_eq!(
+                    cache.entropy_at(i).to_bits(),
+                    entropy(sorted.into_values()).to_bits(),
+                    "{attr}"
+                );
+            }
+        }
+        assert!(
+            with > 0 && without > 0,
+            "{with} columns with postings, {without} without"
+        );
+    }
+
     #[test]
     fn memo_is_consistent_under_concurrent_readers() {
         let rows = rows();

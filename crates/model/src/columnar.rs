@@ -22,6 +22,11 @@
 //! values intern in column-major, row-ascending order, so every id and
 //! render class is deterministic for a given row list, however the rows
 //! were split among encoders and in whatever order each row's cells came.
+//!
+//! A column can also be read by value: its [`Postings`] list each distinct
+//! present value once, with the bitset of the rows that hold it, so a
+//! relation decided from two values alone is decided once per distinct
+//! value pair, and a histogram counts each value with popcounts.
 
 use crate::attr::AttrName;
 use crate::intern::{Interner, ValueId};
@@ -29,6 +34,7 @@ use crate::row::Row;
 use crate::value::ConfigValue;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write};
+use std::sync::OnceLock;
 
 /// Sentinel for an absent cell, in a column's id vector and in an encoded
 /// cell.  The merge's per-encoder value tables also use it for a local
@@ -36,14 +42,23 @@ use std::fmt::{self, Write};
 const ABSENT: u32 = u32::MAX;
 
 /// One attribute's values across all rows: interned ids plus a presence
-/// bitset.
+/// bitset, and its value postings once they are asked for.
 #[derive(Debug, Clone)]
 pub struct Column {
     ids: Vec<u32>,
     presence: Vec<u64>,
+    postings: OnceLock<Option<Postings>>,
 }
 
 impl Column {
+    fn new(ids: Vec<u32>, presence: Vec<u64>) -> Column {
+        Column {
+            ids,
+            presence,
+            postings: OnceLock::new(),
+        }
+    }
+
     /// The interned value id at `row`, or `None` when the cell is absent.
     pub fn value_id(&self, row: usize) -> Option<ValueId> {
         match self.ids[row] {
@@ -65,7 +80,105 @@ impl Column {
 
     /// Number of rows with a present value (the attribute's support count).
     pub fn support(&self) -> usize {
-        self.presence.iter().map(|w| w.count_ones() as usize).sum()
+        popcount(&self.presence)
+    }
+
+    /// The column's value postings, built on first use, or `None` when it
+    /// holds more than [`Postings::MAX_VALUES`] distinct values.  Safe to
+    /// ask from many threads: one builds them, and the others wait for it.
+    pub fn postings(&self) -> Option<&Postings> {
+        self.postings
+            .get_or_init(|| Postings::build(&self.ids, self.presence.len()))
+            .as_ref()
+    }
+}
+
+/// The number of set bits in `words`.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// A column's value postings: each distinct present value once, in the
+/// order of the first row that holds it, with the bitset of the rows that
+/// hold it, laid out as the presence bitset is.  The bitsets partition
+/// the presence bitset.
+#[derive(Debug, Clone)]
+pub struct Postings {
+    ids: Vec<u32>,
+    /// The words of the value at `ids[k]` are `bits[k * words..][..words]`.
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl Postings {
+    /// The most distinct values a column keeps postings for: one per bit of
+    /// a presence word.  Tallying a pair from postings takes `dA × dB`
+    /// bitset intersections of `words` words each, and a column with more
+    /// values than that makes `dA × dB × words` exceed the rows for any
+    /// partner, so its pairs are always tallied row by row.
+    pub const MAX_VALUES: usize = u64::BITS as usize;
+
+    /// Slots of the build's open-addressing table: twice the values kept,
+    /// so it is at most half full.
+    const SLOTS: usize = 2 * Postings::MAX_VALUES;
+
+    /// The postings of a column's ids over `words` presence words, in one
+    /// pass over its rows, or `None` once a value past
+    /// [`Postings::MAX_VALUES`] appears.
+    fn build(ids: &[u32], words: usize) -> Option<Postings> {
+        // Slot of each value id met so far, probed linearly from a
+        // multiplicative hash; a slot holds the value's index in
+        // `postings.ids`.
+        let mut slots = [u8::MAX; Postings::SLOTS];
+        let shift = u32::BITS - Postings::SLOTS.trailing_zeros();
+        let mut postings = Postings {
+            ids: Vec::new(),
+            bits: Vec::new(),
+            words,
+        };
+        for (row, &id) in ids.iter().enumerate() {
+            if id == ABSENT {
+                continue;
+            }
+            let mut slot = (id.wrapping_mul(0x9e37_79b9) >> shift) as usize;
+            let k = loop {
+                match slots[slot] {
+                    u8::MAX => {
+                        if postings.ids.len() == Postings::MAX_VALUES {
+                            return None;
+                        }
+                        let k = postings.ids.len();
+                        slots[slot] = k as u8;
+                        postings.ids.push(id);
+                        postings.bits.resize(postings.bits.len() + words, 0);
+                        break k;
+                    }
+                    k if postings.ids[k as usize] == id => break k as usize,
+                    _ => slot = (slot + 1) % Postings::SLOTS,
+                }
+            };
+            postings.bits[k * words + row / 64] |= 1u64 << (row % 64);
+        }
+        Some(postings)
+    }
+
+    /// Number of distinct present values.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the column has no present value.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Each distinct present value with the bitset of the rows that hold
+    /// it.
+    pub fn iter(&self) -> impl Iterator<Item = (ValueId, &[u64])> + '_ {
+        self.ids
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| (ValueId(id), &self.bits[k * self.words..][..self.words]))
     }
 }
 
@@ -319,10 +432,7 @@ impl ColumnStore {
 
         let num_rows = rows.len();
         let mut columns: Vec<Column> = (0..interner.num_attrs())
-            .map(|_| Column {
-                ids: vec![ABSENT; num_rows],
-                presence: vec![0u64; num_rows.div_ceil(64)],
-            })
+            .map(|_| Column::new(vec![ABSENT; num_rows], vec![0u64; num_rows.div_ceil(64)]))
             .collect();
         for (r, (e, row)) in rows.iter().enumerate() {
             for cell in row.cells.iter().filter(|cell| cell.value != ABSENT) {
@@ -393,20 +503,34 @@ impl ColumnStore {
     /// [`ConfigValue::render`] is each key, iterated in sorted-render
     /// order, as a row loop counting renders into a `BTreeMap` would give.
     pub fn value_histogram(&self, index: usize) -> BTreeMap<&str, usize> {
-        // Count runs of equal ids, then merge the few distinct ids by
-        // render: one map update per distinct value, not per row.
-        let mut ids: Vec<u32> = self.columns[index]
-            .ids
-            .iter()
-            .copied()
-            .filter(|&raw| raw != ABSENT)
-            .collect();
-        ids.sort_unstable();
+        // Count each distinct id once, from its posting's popcount or, in a
+        // column with too many values for postings, from a run of the
+        // sorted ids; then merge the few distinct ids by render.
+        let column = &self.columns[index];
         let mut hist: BTreeMap<&str, usize> = BTreeMap::new();
-        for run in ids.chunk_by(|x, y| x == y) {
+        let mut count = |id: u32, cells: usize| {
             *hist
-                .entry(self.interner.render_of(ValueId(run[0])))
-                .or_insert(0) += run.len();
+                .entry(self.interner.render_of(ValueId(id)))
+                .or_insert(0) += cells;
+        };
+        match column.postings() {
+            Some(postings) => {
+                for (id, bits) in postings.iter() {
+                    count(id.0, popcount(bits));
+                }
+            }
+            None => {
+                let mut ids: Vec<u32> = column
+                    .ids
+                    .iter()
+                    .copied()
+                    .filter(|&raw| raw != ABSENT)
+                    .collect();
+                ids.sort_unstable();
+                for run in ids.chunk_by(|x, y| x == y) {
+                    count(run[0], run.len());
+                }
+            }
         }
         hist
     }
@@ -507,6 +631,62 @@ mod tests {
                 .collect();
             let row_major: Vec<(String, usize)> = histogram_of(&rows, attr).into_iter().collect();
             assert_eq!(columnar, row_major, "{attr}");
+            assert_postings_match(store.column(i));
+        }
+    }
+
+    /// Check a column's postings against its ids: each value's bits are
+    /// exactly the rows that hold it, and together they partition the
+    /// presence bitset.
+    fn assert_postings_match(column: &Column) {
+        let postings = column.postings().expect("the column keeps postings");
+        let mut union = vec![0u64; column.presence().len()];
+        for (id, bits) in postings.iter() {
+            for row in 0..column.ids.len() {
+                let set = (bits[row / 64] >> (row % 64)) & 1 == 1;
+                assert_eq!(set, column.value_id(row) == Some(id), "row {row}");
+            }
+            for (all, &word) in union.iter_mut().zip(bits) {
+                assert_eq!(*all & word, 0, "a row in two postings");
+                *all |= word;
+            }
+        }
+        assert_eq!(union, column.presence());
+    }
+
+    /// A column of 64 distinct values keeps postings, and one of 65 keeps
+    /// none; both count the same histograms as a row loop.  130 rows, so
+    /// the bitsets span three words.
+    #[test]
+    fn postings_stop_past_one_value_per_bit_of_a_word() {
+        let (sixty_four, sixty_five) = (AttrName::entry("a64"), AttrName::entry("a65"));
+        let rows: Vec<Row> = (0..130)
+            .map(|i| {
+                let mut r = Row::new(format!("s{i}"));
+                r.set(sixty_four.clone(), ConfigValue::number((i % 64) as f64));
+                if i != 7 {
+                    r.set(sixty_five.clone(), ConfigValue::str(format!("v{}", i % 65)));
+                }
+                r
+            })
+            .collect();
+        let store = build(&rows);
+        let column = store.column_of(&sixty_four).expect("column");
+        assert_eq!(column.postings().map(Postings::len), Some(64));
+        assert_postings_match(column);
+        assert!(store
+            .column_of(&sixty_five)
+            .expect("column")
+            .postings()
+            .is_none());
+        for (i, attr) in attributes(&rows).iter().enumerate() {
+            let columnar: Vec<(String, usize)> = store
+                .value_histogram(i)
+                .iter()
+                .map(|(k, &v)| (k.to_string(), v))
+                .collect();
+            let row_major: Vec<(String, usize)> = histogram_of(&rows, attr).into_iter().collect();
+            assert_eq!(columnar, row_major, "{attr}");
         }
     }
 
@@ -560,7 +740,7 @@ mod tests {
                     presence[r / 64] |= 1u64 << (r % 64);
                 }
             }
-            columns.push(Column { ids, presence });
+            columns.push(Column::new(ids, presence));
         }
         ColumnStore {
             interner,
@@ -626,6 +806,7 @@ mod tests {
                 "{attr}"
             );
             assert_eq!(got.value_histogram(i), want.value_histogram(i), "{attr}");
+            assert_postings_match(got.column(i));
         }
     }
 

@@ -38,7 +38,7 @@ pub mod semtype;
 pub mod value;
 
 pub use attr::{AttrName, Augmentation};
-pub use columnar::{Column, ColumnStore, EncodedRow, RowEncoder};
+pub use columnar::{Column, ColumnStore, EncodedRow, Postings, RowEncoder};
 pub use error::ModelError;
 pub use intern::{AttrId, Interner, ValueId};
 pub use row::Row;

@@ -230,6 +230,7 @@ fn apache_inference_matches_the_golden_file() {
         let mut out = String::new();
         for name in [
             "infer.pairs.evaluated",
+            "infer.pairs.by_value",
             "infer.candidates.emitted",
             "infer.candidates.deduped",
         ] {

@@ -50,6 +50,7 @@ fn end_to_end_run_populates_all_six_phases() {
         ("infer.templates.instantiated", true),
         ("infer.units.total", true),
         ("infer.pairs.evaluated", true),
+        ("infer.pairs.by_value", true),
         ("infer.candidates.emitted", true),
         ("infer.pool.units_run", true),
         ("stats.cache.attributes", true),
