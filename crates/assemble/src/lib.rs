@@ -19,8 +19,9 @@
 //! straight into its column dictionaries (`encore::TrainingSet`), so no
 //! [`Row`] exists for a training image, and keeps one memo slot per
 //! distinct parsed entry, so an entry it has met before costs only what
-//! depends on the image; a target's [`SystemCells`] sorts them once into
-//! its [`Row`] and entry types.
+//! depends on the image; [`SystemCells`] sorts a target's cells once into
+//! its [`Row`] and entry types (a detector checking a target keeps a sink
+//! of its own, keyed by its attribute table).
 //!
 //! The assembler is customizable (§5.3): user-defined types take priority
 //! over the predefined ones, exactly as the customization-file semantics
@@ -121,9 +122,9 @@ impl From<ParseError> for AssembleError {
 /// attributes of a finished system into `assemble.augment.attrs`.
 ///
 /// A sink takes an entry by reference and answers with its own handle of
-/// it: a target's [`SystemCells`] builds the entry's name and owned cells,
-/// and a training worker's [`EncodedCells`] answers with its memo slot, so
-/// a cell it already knows costs no allocation and no name or value hash.
+/// it: [`SystemCells`] builds the entry's name and owned cells, and a
+/// training worker's [`EncodedCells`] answers with its memo slot, so a
+/// cell it already knows costs no allocation and no name or value hash.
 pub trait CellSink {
     /// The sink's handle of an open entry.
     type Entry;
@@ -168,9 +169,10 @@ impl AssembledSystem {
     }
 }
 
-/// The [`CellSink`] behind a target's [`AssembledSystem`]: it keeps the
-/// cells and entry types as they come, and [`SystemCells::finish`] sorts
-/// each list once.
+/// The [`CellSink`] behind a target's [`AssembledSystem`], for callers
+/// that want a target's [`Row`] without a detector: it keeps the cells and
+/// entry types as they come, and [`SystemCells::finish`] sorts each list
+/// once.
 #[derive(Debug, Default)]
 pub struct SystemCells {
     cells: Vec<(AttrName, ConfigValue)>,

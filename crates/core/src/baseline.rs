@@ -9,7 +9,7 @@
 //!   attribute set, and type violations are checked — but no correlation
 //!   rules are learned ("Baseline+Env" in the paper).
 
-use crate::detect::{observed_type, Report, TrainingStats, Warning, WarningKind};
+use crate::detect::{Report, TrainingStats, Warning, WarningKind};
 use crate::train::TrainingSet;
 use crate::types::TypeMap;
 use encore_assemble::{AssembleError, Assembler};
@@ -126,8 +126,15 @@ impl BaselineEnv {
                 continue;
             }
             let rendered = value.rendered();
-            let assembled = system.type_of(attr);
-            let inferred = observed_type(inference, value, &rendered, assembled, image);
+            // A text cell renders as the trimmed text assembly typed, so it
+            // keeps assembly's type; any other cell is re-typed from its
+            // render, which can differ (`3306.0` renders `3306`), as the
+            // detector's bare-row check does.  The re-typing counts nothing
+            // in `assemble.types.*`.
+            let inferred = match system.type_of(attr) {
+                Some(ty) if value.as_str().is_some() => ty,
+                _ => inference.infer_uncounted(&rendered, image),
+            };
             if inferred != expected {
                 warnings.push(Warning::internal(
                     WarningKind::TypeViolation,

@@ -142,12 +142,11 @@ pub static DETECT_POOL_IDLEST_WORKER_UNITS: Gauge = Gauge::new("detect.pool.idle
 pub static DETECT_POOL_STOLEN_UNITS: Gauge = Gauge::new("detect.pool.stolen_units");
 /// Per-worker busy time inside fleet batches.
 pub static DETECT_POOL_WORKER_BUSY: Timer = Timer::new("detect.pool.worker_busy");
-/// Per-A-slot-bucket cost attribution in the [`DetectorIndex`]: rule
-/// evaluation self-time, rules checked, and violations per bucket (keys
-/// are the A-slot attribute display form).  Populated only while
-/// [`profile::enabled`].
-///
-/// [`DetectorIndex`]: crate::detect::AnomalyDetector
+/// Per-A-slot-bucket cost attribution of
+/// [`AnomalyDetector::check`](crate::AnomalyDetector::check): rule
+/// evaluation self-time, rules checked, and violations per group of rules
+/// that share an `A` slot (keys are the A-slot attribute display form).
+/// Populated only while [`profile::enabled`].
 pub static DETECT_BUCKET_PROFILE: ProfileTable = ProfileTable::new("detect.buckets");
 
 /// The pool instrument bundle for `detect`-phase fleet batches.

@@ -109,6 +109,12 @@ impl AttrName {
         &self.base
     }
 
+    /// The shared base name itself, for a map that keys by it without a
+    /// copy.
+    pub fn shared_base(&self) -> &Arc<str> {
+        &self.base
+    }
+
     /// The augmentation suffix, if any.
     #[inline]
     pub fn suffix(&self) -> Option<&str> {

@@ -54,6 +54,17 @@ impl Row {
         }
     }
 
+    /// The row of `cells` already in attribute order, one cell per
+    /// attribute, as a caller that ordered them some cheaper way than
+    /// comparing names holds them.
+    pub fn from_sorted_cells(id: impl Into<String>, cells: Vec<(AttrName, ConfigValue)>) -> Row {
+        debug_assert!(cells.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        Row {
+            id: id.into(),
+            cells,
+        }
+    }
+
     /// The system identifier (e.g. an image name).
     pub fn id(&self) -> &str {
         &self.id

@@ -45,17 +45,46 @@ fn render_fleet(results: &[Result<Report, encore_assemble::AssembleError>]) -> S
     out
 }
 
+/// A configuration-only copy of `image`, as `encore-serve` builds its
+/// targets.
+fn configuration_only(app: AppKind, image: &SystemImage) -> SystemImage {
+    let config = image
+        .read_file(app.config_path())
+        .expect("has a configuration");
+    SystemImage::builder(image.id())
+        .file(app.config_path(), "root", "root", 0o644, config)
+        .build()
+}
+
 #[test]
 fn check_fleet_is_identical_to_sequential_for_every_worker_count() {
-    for app in [AppKind::Mysql, AppKind::Apache] {
+    for app in [AppKind::Mysql, AppKind::Apache, AppKind::Php] {
         let engine = learn(app, 30, 5);
-        let targets = target_fleet(app, 20, 77);
+        let mut targets = target_fleet(app, 20, 77);
+        let copies: Vec<SystemImage> = targets
+            .iter()
+            .map(|img| configuration_only(app, img))
+            .collect();
+        targets.extend(copies);
         let sequential: String = render_fleet(
             &targets
                 .iter()
                 .map(|img| engine.check_image(app, img))
                 .collect::<Vec<_>>(),
         );
+        // `check_image` keys the target's cells by the detector's ranks;
+        // `check` of the row `assemble_system` builds finds them by name.
+        let assembler = encore_assemble::Assembler::new();
+        let by_name: String = render_fleet(
+            &targets
+                .iter()
+                .map(|img| {
+                    let system = assembler.assemble_system(app, img)?;
+                    Ok(engine.detector().check(&system.row, Some(img)))
+                })
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(by_name, sequential, "app={app:?}");
         for workers in [1usize, 2, 4] {
             let batch = engine.check_fleet(app, &targets, &FleetOptions::with_workers(workers));
             assert_eq!(
@@ -78,9 +107,14 @@ fn snapshot_save_load_produces_identical_reports() {
         let loaded = AnomalyDetector::from_snapshot(snapshot);
         assert_eq!(loaded.rules(), engine.rules(), "app={app:?}");
         // ...and so do the reports it produces on a misconfigured fleet.
+        // The loaded detector's first check is a batch on 8 workers, so
+        // its attribute table is first built by racing workers.
         let targets = target_fleet(app, 20, 77);
-        let original = engine.check_fleet(app, &targets, &FleetOptions::default());
-        let reloaded = loaded.check_fleet(app, &targets, &FleetOptions::default());
+        let original: Vec<_> = targets
+            .iter()
+            .map(|img| engine.check_image(app, img))
+            .collect();
+        let reloaded = loaded.check_fleet(app, &targets, &FleetOptions::with_workers(8));
         assert_eq!(
             render_fleet(&reloaded),
             render_fleet(&original),
